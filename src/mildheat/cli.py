@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -323,7 +322,6 @@ def dichotomy_sweep(
     max_bisection: int = 24,
     ratio_target: float = RATIO_TARGET,
     solver_options: Optional[dict] = None,
-    threads: int = 1,
     **grid_options,
 ) -> DichotomyResult:
     """Bisect the data scale between convergence and divergence.
@@ -355,18 +353,7 @@ def dichotomy_sweep(
         history.append((float(k), outcome.status, outcome.iterations))
         return outcome.status
 
-    if threads > 1:
-        # endpoint solves are independent; cached kernel matrices are
-        # identical either way, so the duplicate fill is harmless
-        with ThreadPoolExecutor(max_workers=2) as ex:
-            f_lo = ex.submit(runner.solve, kappa=lo, **opts)
-            f_hi = ex.submit(runner.solve, kappa=hi, **opts)
-            out_lo, out_hi = f_lo.result(), f_hi.result()
-        history.append((lo, out_lo.status, out_lo.iterations))
-        history.append((hi, out_hi.status, out_hi.iterations))
-        s_lo, s_hi = out_lo.status, out_hi.status
-    else:
-        s_lo, s_hi = probe(lo), probe(hi)
+    s_lo, s_hi = probe(lo), probe(hi)
     for _ in range(8):
         if s_lo == "Converged":
             break
@@ -474,27 +461,33 @@ def _cmd_kernel_check(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Pa
     return 0 if ok else 1
 
 
-def _solver_pieces(cfg: RunConfig, domain: Domain, mu: MeasureSpec):
+def _solve_options(cfg: RunConfig):
+    """Grid and solver options of the [solve] and [tolerances] sections,
+    shared by every command that solves."""
     sv = cfg.solve
     if sv["p"] is None:
         raise ValueError("[solve] p: required for this command")
-    anchors = [a for a, _ in mu.atoms]
-    if mu.singularity is not None:
-        anchors.append(mu.singularity[0])
     grid_options = dict(
         target_nodes=int(sv["target_nodes"]),
         time_ratio=sv["time_ratio"],
         first_time_fraction=sv["first_time_fraction"],
         min_spacing=sv["min_spacing"],
+        extent=sv["extent"],
     )
-    if sv["extent"] is not None:
-        grid_options["extent"] = sv["extent"]
-    grid = make_grid(domain, sv["horizon"], anchors, **grid_options)
     solver_options = dict(
         max_iter=int(cfg.tolerances["max_iter"]),
         conv_tol=cfg.tolerances["conv_tol"],
         blowup_ceiling=cfg.tolerances["blowup_ceiling"],
     )
+    return grid_options, solver_options
+
+
+def _solver_pieces(cfg: RunConfig, domain: Domain, mu: MeasureSpec):
+    grid_options, solver_options = _solve_options(cfg)
+    anchors = [a for a, _ in mu.atoms]
+    if mu.singularity is not None:
+        anchors.append(mu.singularity[0])
+    grid = make_grid(domain, cfg.solve["horizon"], anchors, **grid_options)
     return grid, solver_options
 
 
@@ -627,39 +620,24 @@ def _cmd_criteria(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) 
     return 0
 
 
-def _cmd_dichotomy(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path,
-                   threads: int) -> int:
+def _cmd_dichotomy(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) -> int:
     spec = cfg.measure
     if spec["kind"] != "family":
         raise ValueError("[measure] kind: dichotomy sweeps a singular family")
-    if cfg.solve["p"] is None:
-        raise ValueError("[solve] p: required for this command")
+    grid_options, solver_options = _solve_options(cfg)
     z = _floats(cfg.extra.get("z", " ".join(map(str, spec["anchor"]))))
     lo = float(cfg.extra.get("bracket_low", 0.5))
     hi = float(cfg.extra.get("bracket_high", 2.0))
     max_bisection = int(float(cfg.extra.get("max_bisection", 24)))
-    sv = cfg.solve
-    grid_options = dict(
-        target_nodes=int(sv["target_nodes"]),
-        time_ratio=sv["time_ratio"],
-        first_time_fraction=sv["first_time_fraction"],
-        min_spacing=sv["min_spacing"],
-    )
-    solver_options = dict(
-        max_iter=int(cfg.tolerances["max_iter"]),
-        conv_tol=cfg.tolerances["conv_tol"],
-        blowup_ceiling=cfg.tolerances["blowup_ceiling"],
-    )
     result = dichotomy_sweep(
         spec["family"],
         z,
         cfg.solve["p"],
         domain,
-        sv["horizon"],
+        cfg.solve["horizon"],
         (lo, hi),
         max_bisection=max_bisection,
         solver_options=solver_options,
-        threads=threads,
         **grid_options,
     )
     man.timing("sweep")
@@ -678,7 +656,7 @@ def _cmd_dichotomy(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path,
     return 0 if result.kappa_high / result.kappa_low < RATIO_TARGET else 1
 
 
-def run(cfg: RunConfig, threads: int = 1, verbose: bool = False) -> int:
+def run(cfg: RunConfig, verbose: bool = False) -> int:
     """Execute one configured command, writing artifacts under cfg.out."""
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -695,17 +673,15 @@ def run(cfg: RunConfig, threads: int = 1, verbose: bool = False) -> int:
         },
     )
     domain = build_domain(cfg)
+    command = {
+        "kernel-check": _cmd_kernel_check,
+        "solve": _cmd_solve,
+        "trace": _cmd_trace,
+        "criteria": _cmd_criteria,
+        "dichotomy": _cmd_dichotomy,
+    }[cfg.command]
     try:
-        if cfg.command == "kernel-check":
-            code = _cmd_kernel_check(cfg, domain, man, out_dir)
-        elif cfg.command == "solve":
-            code = _cmd_solve(cfg, domain, man, out_dir)
-        elif cfg.command == "trace":
-            code = _cmd_trace(cfg, domain, man, out_dir)
-        elif cfg.command == "criteria":
-            code = _cmd_criteria(cfg, domain, man, out_dir)
-        else:
-            code = _cmd_dichotomy(cfg, domain, man, out_dir, threads)
+        code = command(cfg, domain, man, out_dir)
     except ValueError as exc:
         man.event("error", message=str(exc))
         if verbose:
@@ -723,9 +699,8 @@ def run(cfg: RunConfig, threads: int = 1, verbose: bool = False) -> int:
               help="override the output directory")
 @click.option("--command", "command_override", default=None,
               type=click.Choice(COMMANDS), help="override the configured command")
-@click.option("--threads", default=1, type=int, show_default=True)
 @click.option("--verbose", is_flag=True)
-def main(config_path, out, command_override, threads, verbose):
+def main(config_path, out, command_override, verbose):
     """Run one configured experiment and write its artifacts."""
     try:
         cfg = load_config(config_path, command=command_override, out=out)
@@ -734,7 +709,7 @@ def main(config_path, out, command_override, threads, verbose):
         raise SystemExit(2)
     if verbose:
         click.echo(f"{cfg.command} -> {cfg.out}")
-    raise SystemExit(run(cfg, threads=threads, verbose=verbose))
+    raise SystemExit(run(cfg, verbose=verbose))
 
 
 if __name__ == "__main__":

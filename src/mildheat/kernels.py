@@ -1,14 +1,23 @@
 """Heat kernels with absorbing boundary on explicit domains.
 
 Three domains are supported: all of R^N, the half-space {x_N > 0}, and a
-finite interval (0, L).  The half-space kernel is the Gaussian corrected
-by a reflection factor; the interval kernel is evaluated by the method of
-images, with an independent eigenfunction-series evaluator kept as a
-cross-check oracle.  On top of the plain kernel sits the boundary-weighted
-kernel, the kernel divided by the boundary distance of its second
-argument, which extends continuously up to the boundary where it becomes
-the inward normal derivative.  That closed form is re-derived here and
-validated in the tests against the defining limit.
+finite interval (0, L).  Every kernel sum runs over one list of signed
+image sources, ``images``: the kernel at y is the sum of sign * g_t(pos - y)
+with g_t the free Gaussian.  The half-space has the source and its mirror
+image; its point formula is their closed form, the Gaussian times a
+reflection factor written with expm1, which does not cancel near the
+wall.  The interval has the images of source and mirror under the shifts
+2kL for k = -m..m, with the single truncation rule
+
+    m = max(1, ceil((L + sqrt(4 t ln 1e16)) / (2L))),
+
+so every image left out carries a Gaussian factor below 1e-16.  An
+independent eigenfunction-series evaluator is kept as a cross-check
+oracle.  On top of the plain kernel sits the boundary-weighted kernel,
+the kernel divided by the boundary distance of its second argument, which
+extends continuously up to the boundary where it becomes the inward
+normal derivative.  That closed form is re-derived here and validated in
+the tests against the defining limit.
 
 Also provided: total surviving mass (the kernel integrated in its second
 argument, which is strictly below 1 once absorption is felt), a semigroup
@@ -24,10 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .quadrature import HalfSpaceBox, integrate
 
@@ -41,11 +49,11 @@ __all__ = [
     "space_dim",
     "boundary_distance",
     "tail_radius",
+    "images",
     "heat_kernel",
     "weighted_kernel",
+    "normal_derivative",
     "kernel_values",
-    "kernel_matrix",
-    "weighted_values",
     "interval_eigen_kernel",
     "interval_eigen_weighted",
     "survival_mass",
@@ -146,10 +154,29 @@ def tail_radius(t: float, tol: float) -> float:
     return math.sqrt(4.0 * t * max(math.log(1.0 / tau), 1.0))
 
 
-def _image_count(length: float, t: float) -> int:
-    # include every image whose Gaussian factor can exceed _SERIES_TAU
-    reach = length + math.sqrt(4.0 * t * _LOG_TAU)
-    return int(math.ceil(reach / (2.0 * length))) + 1
+def images(domain: Domain, x, t: float) -> list:
+    """Signed image sources of the kernel from x: (sign, pos) pairs with
+
+        G(x, y, t) = sum of sign * g_t(pos - y),
+
+    g_t the free Gaussian.  ``x`` is one point (N,) or a stack (..., N),
+    and on the interval also a number.  There the pairs run over
+    k = -m..m, source image x - 2kL before mirror image 2kL - x, with the
+    truncation rule of the module docstring."""
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+    if isinstance(domain, WholeSpace):
+        return [(1.0, x)]
+    if isinstance(domain, HalfSpace):
+        mirror = x.copy()
+        mirror[..., -1] = -mirror[..., -1]
+        return [(1.0, x), (-1.0, mirror)]
+    L = domain.length
+    m = max(1, math.ceil((L + math.sqrt(4.0 * t * _LOG_TAU)) / (2.0 * L)))
+    out = []
+    for k in range(-m, m + 1):
+        out += [(1.0, x - 2.0 * k * L), (-1.0, 2.0 * k * L - x)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,33 +192,22 @@ def heat_kernel(domain: Domain, x, y, t: float) -> float:
     t = _require_time(t)
     x = _check_point(domain, x)
     y = _check_point(domain, y)
-    n = space_dim(domain)
-
-    if isinstance(domain, WholeSpace):
-        q = float(np.dot(x - y, x - y))
-        return (4.0 * math.pi * t) ** (-n / 2.0) * math.exp(-q / (4.0 * t))
-
     if boundary_distance(domain, x) == 0.0 or boundary_distance(domain, y) == 0.0:
         return 0.0
-
-    if isinstance(domain, HalfSpace):
+    c = (4.0 * math.pi * t) ** (-space_dim(domain) / 2.0)
+    if not isinstance(domain, Interval):
         q = float(np.dot(x - y, x - y))
-        refl = -math.expm1(-x[-1] * y[-1] / t)
-        return (4.0 * math.pi * t) ** (-n / 2.0) * math.exp(-q / (4.0 * t)) * refl
-
-    L = domain.length
-    xs, ys = float(x[0]), float(y[0])
-    m = _image_count(L, t)
-    c = (4.0 * math.pi * t) ** -0.5
-    terms = []
-    for k in range(-m, m + 1):
-        s1 = xs - ys - 2.0 * k * L
-        s2 = xs + ys - 2.0 * k * L
-        terms.append(c * math.exp(-s1 * s1 / (4.0 * t)))
-        terms.append(-c * math.exp(-s2 * s2 / (4.0 * t)))
-    # fsum makes the value independent of term order, so swapping x and y
-    # (a permutation of the same squared arguments) is exactly symmetric
-    return math.fsum(terms)
+        g = c * math.exp(-q / (4.0 * t))
+        if isinstance(domain, WholeSpace):
+            return g
+        return g * -math.expm1(-x[-1] * y[-1] / t)
+    # images of the smaller point, so swapping x and y is exactly symmetric;
+    # fsum rounds the whole series once, whatever its cancellation
+    lo, hi = sorted((float(x[0]), float(y[0])))
+    return math.fsum(
+        sign * c * math.exp(-((pos - hi) ** 2) / (4.0 * t))
+        for sign, pos in images(domain, lo, t)
+    )
 
 
 def interval_eigen_kernel(domain: Interval, x, y, t: float) -> float:
@@ -214,93 +230,23 @@ def kernel_values(domain: Domain, x, ys, t: float) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     if ys.ndim == 1:
         ys = ys[:, None]
-    n = space_dim(domain)
-    diff = ys - x
-    q = np.einsum("ij,ij->i", diff, diff)
-    g = (4.0 * math.pi * t) ** (-n / 2.0) * np.exp(-q / (4.0 * t))
-
-    if isinstance(domain, WholeSpace):
-        return g
+    c = (4.0 * math.pi * t) ** (-space_dim(domain) / 2.0)
     if isinstance(domain, HalfSpace):
-        return g * -np.expm1(-x[-1] * ys[:, -1] / t)
-
-    L = domain.length
-    xs = float(x[0])
-    yv = ys[:, 0]
-    m = _image_count(L, t)
-    c = (4.0 * math.pi * t) ** -0.5
-    out = np.zeros_like(yv)
-    for k in range(-m, m + 1):
-        s1 = xs - yv - 2.0 * k * L
-        s2 = xs + yv - 2.0 * k * L
-        out += np.exp(-s1 * s1 / (4.0 * t)) - np.exp(-s2 * s2 / (4.0 * t))
+        diff = ys - x
+        q = np.einsum("ij,ij->i", diff, diff)
+        return c * np.exp(-q / (4.0 * t)) * -np.expm1(-x[-1] * ys[:, -1] / t)
+    out = np.zeros(ys.shape[0])
+    for sign, pos in images(domain, x, t):
+        diff = ys - pos
+        out += sign * np.exp(-np.einsum("ij,ij->i", diff, diff) / (4.0 * t))
     out *= c
     np.maximum(out, 0.0, out=out)  # clear series round-off below zero
-    bd = boundary_distance(domain, ys)
-    out[bd == 0.0] = 0.0
-    return out
-
-
-def kernel_matrix(domain: Domain, xs, ys, t: float) -> np.ndarray:
-    """Kernel between stacks of points, shape (n, m); used by the solver
-    to apply one evolution step as a weighted matrix product."""
-    t = _require_time(t)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    if ys.ndim == 1:
-        ys = ys[:, None]
-    n = space_dim(domain)
-    diff = xs[:, None, :] - ys[None, :, :]
-    q = np.einsum("ijk,ijk->ij", diff, diff)
-    g = (4.0 * math.pi * t) ** (-n / 2.0) * np.exp(-q / (4.0 * t))
-
-    if isinstance(domain, WholeSpace):
-        return g
-    if isinstance(domain, HalfSpace):
-        return g * -np.expm1(-np.outer(xs[:, -1], ys[:, -1]) / t)
-
-    L = domain.length
-    xv = xs[:, 0][:, None]
-    yv = ys[:, 0][None, :]
-    m = _image_count(L, t)
-    c = (4.0 * math.pi * t) ** -0.5
-    out = np.zeros((xv.shape[0], yv.shape[1]))
-    for k in range(-m, m + 1):
-        s1 = xv - yv - 2.0 * k * L
-        s2 = xv + yv - 2.0 * k * L
-        out += np.exp(-s1 * s1 / (4.0 * t)) - np.exp(-s2 * s2 / (4.0 * t))
-    out *= c
-    np.maximum(out, 0.0, out=out)
+    out[boundary_distance(domain, ys) == 0.0] = 0.0
     return out
 
 
 # ---------------------------------------------------------------------------
 # boundary-weighted kernel
-
-
-def _weighted_boundary_halfspace(domain: HalfSpace, x, yb, t):
-    # inward normal derivative of the kernel at a boundary point yb
-    n = domain.dim
-    diff = np.asarray(x, float) - np.asarray(yb, float)
-    q = float(np.dot(diff, diff))
-    return (4.0 * math.pi * t) ** (-n / 2.0) * (x[-1] / t) * math.exp(-q / (4.0 * t))
-
-
-def _weighted_boundary_interval(domain: Interval, xs, at_left, t):
-    L = domain.length
-    m = _image_count(L, t)
-    c = (4.0 * math.pi * t) ** -0.5
-    terms = []
-    for k in range(-m, m + 1):
-        if at_left:
-            s = xs - 2.0 * k * L
-            terms.append((s / t) * c * math.exp(-s * s / (4.0 * t)))
-        else:
-            s = xs - (2.0 * k + 1.0) * L
-            terms.append(-(s / t) * c * math.exp(-s * s / (4.0 * t)))
-    return math.fsum(terms)
 
 
 def _project_boundary(domain: Domain, y):
@@ -311,6 +257,27 @@ def _project_boundary(domain: Domain, y):
     L = domain.length
     y[0] = 0.0 if y[0] <= L - y[0] else L
     return y
+
+
+def normal_derivative(domain: Domain, xs, y, t: float) -> np.ndarray:
+    """Inward normal derivative in y of the kernel G(x, y, t) at the
+    boundary point nearest y, for a stack of points xs (m, N): the value
+    of the weighted kernel at boundary y.  Differentiates every image
+    term, d/dy g_t(pos - y) = g_t(pos - y) (pos - y) / (2t)."""
+    if isinstance(domain, WholeSpace):
+        raise ValueError("weighted kernel needs a domain with boundary")
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim == 1:
+        xs = xs[:, None]
+    yb = _project_boundary(domain, y)
+    normal = np.zeros(yb.size)
+    normal[-1] = 1.0 if isinstance(domain, HalfSpace) or yb[0] == 0.0 else -1.0
+    out = np.zeros(xs.shape[0])
+    for sign, pos in images(domain, xs, t):
+        diff = pos - yb
+        q = np.einsum("ij,ij->i", diff, diff)
+        out += sign * (diff @ normal) * np.exp(-q / (4.0 * t))
+    return out * ((4.0 * math.pi * t) ** (-space_dim(domain) / 2.0) / (2.0 * t))
 
 
 def weighted_kernel(domain: Domain, x, y, t: float) -> float:
@@ -331,10 +298,7 @@ def weighted_kernel(domain: Domain, x, y, t: float) -> float:
     d = boundary_distance(domain, y)
     if d >= 1e-6 * (d + math.sqrt(t)):
         return heat_kernel(domain, x, y, t) / d
-    yb = _project_boundary(domain, y)
-    if isinstance(domain, HalfSpace):
-        return _weighted_boundary_halfspace(domain, x, yb, t)
-    return _weighted_boundary_interval(domain, float(x[0]), yb[0] == 0.0, t)
+    return float(normal_derivative(domain, x[None, :], y, t)[0])
 
 
 def interval_eigen_weighted(domain: Interval, x, at_left: bool, t: float) -> float:
@@ -350,61 +314,29 @@ def interval_eigen_weighted(domain: Interval, x, at_left: bool, t: float) -> flo
     return float(np.dot(vals, np.exp(-lam * t)))
 
 
-def weighted_values(domain: Domain, x, ys, t: float) -> np.ndarray:
-    """Weighted kernel between x and a stack of points ys (m, N), with the
-    near-boundary branch applied rowwise."""
-    t = _require_time(t)
-    if isinstance(domain, WholeSpace):
-        raise ValueError("weighted kernel needs a domain with boundary")
-    x = _check_point(domain, x)
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim == 1:
-        ys = ys[:, None]
-    d = np.atleast_1d(boundary_distance(domain, ys))
-    near = d < 1e-6 * (d + math.sqrt(t))
-    out = np.zeros(ys.shape[0])
-    if np.any(~near):
-        out[~near] = kernel_values(domain, x, ys[~near], t) / d[~near]
-    if np.any(near):
-        if boundary_distance(domain, x) == 0.0:
-            out[near] = 0.0
-        else:
-            idx = np.nonzero(near)[0]
-            for i in idx:
-                yb = _project_boundary(domain, ys[i])
-                if isinstance(domain, HalfSpace):
-                    out[i] = _weighted_boundary_halfspace(domain, x, yb, t)
-                else:
-                    out[i] = _weighted_boundary_interval(
-                        domain, float(x[0]), yb[0] == 0.0, t
-                    )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # structural identities
 
 
 def survival_mass(domain: Domain, x, t: float) -> float:
     """Integral of the kernel in its second argument: the mass of a unit
-    point source that has not yet been absorbed.  Always in [0, 1]."""
+    point source that has not yet been absorbed.  Always in [0, 1], and
+    exactly 0 on the absorbing boundary."""
     t = _require_time(t)
     x = _check_point(domain, x)
     if isinstance(domain, WholeSpace):
         return 1.0
+    if boundary_distance(domain, x) == 0.0:
+        return 0.0
     if isinstance(domain, HalfSpace):
         return math.erf(x[-1] / (2.0 * math.sqrt(t)))
-    L = domain.length
-    xs = float(x[0])
-    m = _image_count(L, t)
-    r = 2.0 * math.sqrt(t)
-    terms = []
-    for k in range(-m, m + 1):
-        a = (xs - 2.0 * k * L) / r
-        b = (xs - L - 2.0 * k * L) / r
-        c = (xs + L - 2.0 * k * L) / r
-        terms.append(0.5 * (2.0 * math.erf(a) - math.erf(b) - math.erf(c)))
-    return min(math.fsum(terms), 1.0)
+    # every image's Gaussian integrated over (0, L)
+    L, r = domain.length, 2.0 * math.sqrt(t)
+    mass = math.fsum(
+        sign * 0.5 * (math.erf(pos / r) - math.erf((pos - L) / r))
+        for sign, pos in images(domain, float(x[0]), t)
+    )
+    return min(max(mass, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -448,22 +380,7 @@ def verify_semigroup(
             if dy >= 1e-6 * (dy + math.sqrt(s)):
                 return kernel_values(domain, y, zs, s) / dy
             # boundary y: normal-derivative form, first slot running
-            yb = _project_boundary(domain, y)
-            if isinstance(domain, HalfSpace):
-                n = domain.dim
-                diff = zs - yb
-                q = np.einsum("ij,ij->i", diff, diff)
-                return (
-                    (4.0 * math.pi * s) ** (-n / 2.0)
-                    * (zs[:, -1] / s)
-                    * np.exp(-q / (4.0 * s))
-                )
-            return np.array(
-                [
-                    _weighted_boundary_interval(domain, float(z[0]), yb[0] == 0.0, s)
-                    for z in zs
-                ]
-            )
+            return normal_derivative(domain, zs, y, s)
 
     else:
 

@@ -10,6 +10,10 @@ Discretization choices, in one place:
 * time levels are geometric from ``horizon * first_time_fraction``;
   spatial nodes are graded toward the absorbing boundary and toward the
   data's singular anchors (one spatial dimension only);
+* every kernel sum, in the transport matrices and in the data's linear
+  evolution, runs over the signed image sources of ``kernels.images``
+  with its single truncation rule: on the interval the shifts 2kL for
+  k = -m..m, m = max(1, ceil((L + sqrt(4 t ln 1e16)) / (2L)));
 * the memory integral uses exact kernel matrices, never interpolated
   kernels; matrices are cached on a geometric ladder of time offsets and
   every quadrature node snaps to the nearest ladder entry;
@@ -39,9 +43,10 @@ from .kernels import (
     Interval,
     WholeSpace,
     boundary_distance,
+    images,
     kernel_values,
+    normal_derivative,
     space_dim,
-    weighted_kernel,
 )
 from .measures import MeasureSpec
 from .quadrature import integrate, Ball, _accepts_offsets
@@ -52,8 +57,6 @@ __all__ = [
     "SolveOutcome",
     "RestartReport",
     "make_grid",
-    "apply_initial_kernel",
-    "duhamel_step",
     "PicardRunner",
     "picard_solve",
     "restart_residual",
@@ -273,25 +276,6 @@ def _gauss_moments(u, c0, c1, t):
     return p, m1
 
 
-def _image_terms(domain: Domain, x, t):
-    """Signed kernel images: list of (sign, effective source position).
-
-    The kernel value at y is  sum_k sign_k * g(pos_k - y)  with g the
-    free Gaussian; this factorization lets cell moments reuse
-    _gauss_moments for every domain type."""
-    if isinstance(domain, WholeSpace):
-        return [(1.0, x)]
-    if isinstance(domain, HalfSpace):
-        return [(1.0, x), (-1.0, -x)]
-    L = domain.length
-    m = max(1, int(math.ceil((L + math.sqrt(4.0 * t * math.log(1e16))) / (2.0 * L))))
-    out = []
-    for k in range(-m, m + 1):
-        out.append((1.0, x - 2.0 * k * L))
-        out.append((-1.0, 2.0 * k * L - x))
-    return out
-
-
 def _hat_transport_matrix(
     domain: Domain, targets: np.ndarray, nodes: np.ndarray, tau: float
 ) -> np.ndarray:
@@ -311,13 +295,12 @@ def _hat_transport_matrix(
     rt = 2.0 * math.sqrt(tau)
     gc = (4.0 * math.pi * tau) ** -0.5
     out = np.zeros((x.size, y.size))
-    for sign, pos in _image_terms(domain, x, tau):
-        pos = np.asarray(pos, dtype=float).reshape(-1)
-        z = (y[None, :] - pos[:, None]) / rt
+    for sign, pos in images(domain, x[:, None], tau):
+        z = (y[None, :] - pos) / rt
         e = _erf(z)
         g = gc * np.exp(-z * z)
         p = 0.5 * (e[:, 1:] - e[:, :-1])
-        m1 = pos[:, None] * p + 2.0 * tau * (g[:, :-1] - g[:, 1:])
+        m1 = pos * p + 2.0 * tau * (g[:, :-1] - g[:, 1:])
         out[:, :-1] += sign * (y[None, 1:] * p - m1) / h[None, :]
         out[:, 1:] += sign * (m1 - y[None, :-1] * p) / h[None, :]
     return np.maximum(out, 0.0)
@@ -528,7 +511,7 @@ class _InitialEvaluator:
     def at_time(self, t: float) -> np.ndarray:
         x = self.x
         out = np.zeros(x.size)
-        for sign, pos in _image_terms(self.domain, x[:, None], t):
+        for sign, pos in images(self.domain, x[:, None], t):
             if self._lin is not None and self._lin[0].size:
                 c0, c1, alpha, beta = self._lin
                 p, m1 = _gauss_moments(pos, c0[None, :], c1[None, :], t)
@@ -539,25 +522,16 @@ class _InitialEvaluator:
         for a, m in self.mu.atoms:
             pa = np.asarray(a, dtype=float).reshape(-1)
             da = float(boundary_distance(self.domain, pa))
-            if da > 0 and np.isfinite(da):
-                out += m * kernel_values(self.domain, pa, self.x[:, None], t) / da
-            elif np.isinf(da):
-                out += m * kernel_values(self.domain, pa, self.x[:, None], t)
+            if da == 0.0:
+                out += m * normal_derivative(self.domain, x[:, None], pa, t)
             else:
-                out += m * np.array(
-                    [weighted_kernel(self.domain, (xi,), pa, t) for xi in x]
-                )
+                weight = da if np.isfinite(da) else 1.0
+                out += m * kernel_values(self.domain, pa, x[:, None], t) / weight
         if self.mu.boundary_density is not None:
             for b in self._boundary_points():
-                w = float(
-                    np.asarray(
-                        self.mu.boundary_density(np.asarray([b], dtype=float)[:, None])
-                    ).reshape(-1)[0]
-                )
+                w = float(np.asarray(self.mu.boundary_density(np.array([[b]]))).reshape(-1)[0])
                 if w > 0:
-                    out += w * np.array(
-                        [weighted_kernel(self.domain, (xi,), (b,), t) for xi in x]
-                    )
+                    out += w * normal_derivative(self.domain, x[:, None], (b,), t)
         out[self._bdist == 0.0] = 0.0
         return np.maximum(out, 0.0)
 
@@ -690,7 +664,6 @@ class DuhamelOperator:
         return mat
 
     def _assemble(self, tau: float) -> np.ndarray:
-        nodes = self.grid.nodes
         xs = self.grid.nodes[:, 0]
         a = _hat_transport_matrix(self.domain, xs, xs, tau)
         a[self.grid.boundary_mask, :] = 0.0
@@ -735,58 +708,13 @@ class DuhamelOperator:
 # public operations
 
 
-def apply_initial_kernel(
-    mu: MeasureSpec, domain: Domain, grid: SpaceTimeGrid
-) -> GridFunction:
-    """Linear evolution of the data measure sampled on the grid."""
-    ev = _InitialEvaluator(domain, mu, grid.nodes)
-    vals = mu.scale_factor * ev.at_times(grid.times)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("initial field is not finite; data too singular")
-    return GridFunction(grid, vals)
-
-
-def _sliver_ratio(ev: _InitialEvaluator, op: DuhamelOperator, base_first):
-    if op.sliver_times.size == 0:
-        return None
-    u1s = ev.at_times(op.sliver_times)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rat = np.where(base_first > 0, u1s / np.maximum(base_first, 1e-300), 0.0)
-    return rat
-
-
-def duhamel_step(
-    u_j: GridFunction,
-    u1: GridFunction,
-    p: float,
-    domain: Domain,
-    operator: Optional[DuhamelOperator] = None,
-    mu: Optional[MeasureSpec] = None,
-) -> GridFunction:
-    """One iteration: the linear part plus the memory integral of u_j^p.
-
-    With ``mu`` the window below the first level follows the data's
-    linear-evolution shape; otherwise first-level values are frozen."""
-    if not p > 1:
-        raise ValueError("exponent must exceed 1")
-    grid = u_j.grid
-    op = operator or DuhamelOperator(domain, grid)
-    rat = None
-    if mu is not None:
-        ev = _InitialEvaluator(domain, mu, grid.nodes)
-        rat = _sliver_ratio(ev, op, ev.at_time(float(grid.times[0])))
-    with np.errstate(over="raise"):
-        try:
-            duh = op.apply(u_j.values, p, rat)
-        except FloatingPointError as exc:
-            raise OverflowError("power overflow in the memory integral") from exc
-    return GridFunction(grid, u1.values + duh)
-
-
 class PicardRunner:
     """Shared state for repeated solves on one grid: kernel matrices,
     the data's linear evolution (linear in the scale factor), and the
-    below-first-level shape.  Built once, solved for many scalings."""
+    below-first-level shape.  Built once, solved for many scalings.
+
+    ``initial_field`` is the data's linear evolution on the grid and
+    ``step`` one iteration, the two pieces ``solve`` repeats."""
 
     def __init__(
         self,
@@ -807,11 +735,24 @@ class PicardRunner:
         self._base = self._ev.at_times(grid.times)  # scale factor 1
         if not np.all(np.isfinite(self._base)):
             raise ValueError("initial field is not finite; data too singular")
-        self._rat = _sliver_ratio(self._ev, self.op, self._base[0])
+        # the field below the first level as multiples of its first-level values
+        self._rat = None
+        if self.op.sliver_times.size:
+            first = self._base[0]
+            u1s = self._ev.at_times(self.op.sliver_times)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                self._rat = np.where(first > 0, u1s / np.maximum(first, 1e-300), 0.0)
 
     def initial_field(self, kappa: Optional[float] = None) -> GridFunction:
         k = self.mu.scale_factor if kappa is None else float(kappa)
         return GridFunction(self.grid, k * self._base)
+
+    def step(self, u: np.ndarray, u1: np.ndarray) -> np.ndarray:
+        """One iteration on (levels, nodes) arrays: the linear part ``u1``
+        plus the memory integral of ``u**p``.  Overflow of the power term
+        shows as non-finite entries."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return u1 + self.op.apply(u, self.p, self._rat)
 
     def solve(
         self,
@@ -846,11 +787,9 @@ class PicardRunner:
         for it in range(1, max_iter + 1):
             if prev_sup > blowup_ceiling:
                 return self._diverged(u, history, it, "ceiling exceeded")
-            with np.errstate(over="ignore", invalid="ignore"):
-                duh = self.op.apply(u, self.p, self._rat)
-            if not np.all(np.isfinite(duh)):
+            new = self.step(u, u1)
+            if not np.all(np.isfinite(new)):
                 return self._diverged(u, history, it, "overflow in the power term")
-            new = u1 + duh
             sup_now = float(np.max(new[:, interior])) if np.any(interior) else 0.0
             diff = new - u
             sup_diff = float(np.max(np.abs(diff[:, interior]))) if np.any(interior) else 0.0

@@ -20,8 +20,8 @@ from .kernels import (
     WholeSpace,
     boundary_distance,
     kernel_values,
+    normal_derivative,
     space_dim,
-    weighted_kernel,
 )
 from .cutoffs import smooth_step
 from .measures import _ball_region
@@ -198,11 +198,6 @@ def psi_d_transform(
             normalized[i] = smoothed[i] / dx
         else:
             normalized[i] = integrate(
-                lambda ys: np.array(
-                    [weighted_kernel(domain, y, x, t) for y in ys]
-                )
-                * dens(ys),
-                region,
-                tol,
+                lambda ys: normal_derivative(domain, ys, x, t) * dens(ys), region, tol
             ).value
     return smoothed, normalized

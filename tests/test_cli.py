@@ -18,6 +18,7 @@ from mildheat.cli import (
     write_csv,
 )
 from mildheat.kernels import HalfSpace, Interval
+from mildheat.solver import make_grid
 
 
 def write_ini(path, text):
@@ -235,6 +236,29 @@ def test_sweep_history_is_monotone_valid(reference_sweep):
             assert status == "Converged"
         if kappa >= r.kappa_high:
             assert status == "Diverged"
+
+
+def test_dichotomy_command_uses_the_solve_grid(tmp_path):
+    # [solve] extent shapes the grid of the dichotomy sweep as it does
+    # the grid of a single solve
+    body = (
+        "[domain]\nkind = halfspace\ndim = 1\n\n"
+        "[measure]\nkind = family\nfamily = interior_point\nanchor = 1.0\n"
+        "p = 4.0\nkappa = 0.05\n\n"
+        "[solve]\np = 4.0\nhorizon = 0.25\ntarget_nodes = 60\nextent = 3.0\n\n"
+        "[dichotomy]\nbracket_low = 0.05\nbracket_high = 50.0\nmax_bisection = 0\n"
+    )
+    ids = {}
+    for command in ("solve", "dichotomy"):
+        out = tmp_path / command
+        head = f"[run]\ncommand = {command}\nout = {out}\n\n"
+        run(load_config(write_ini(tmp_path / f"{command}.ini", head + body)))
+        ids[command] = manifest_events(out, "result")[0]["grid_id"]
+    assert ids["dichotomy"] == ids["solve"]
+    narrow = make_grid(HalfSpace(1), 0.25, [(1.0,)], target_nodes=60, extent=3.0)
+    wide = make_grid(HalfSpace(1), 0.25, [(1.0,)], target_nodes=60)
+    assert narrow.nodes.shape[0] != wide.nodes.shape[0]
+    assert f"-n{narrow.nodes.shape[0]}-" in ids["solve"]
 
 
 def test_sweep_rejects_bad_bracket():

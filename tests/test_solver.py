@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mildheat.kernels import HalfSpace, Interval, boundary_distance, kernel_values
+from mildheat.kernels import (
+    HalfSpace,
+    Interval,
+    boundary_distance,
+    kernel_values,
+    weighted_kernel,
+)
 from mildheat.measures import MeasureSpec, SingularFamily, make_family, scale
 from mildheat.solver import (
-    DuhamelOperator,
     GridFunction,
     PicardRunner,
     SpaceTimeGrid,
-    apply_initial_kernel,
-    duhamel_step,
     fd_reference_solve,
     make_grid,
     picard_solve,
@@ -129,7 +132,7 @@ def test_weighted_l1_matches_manual_sum():
 
 def test_initial_kernel_zero_measure():
     g = make_grid(HS1, 0.1, target_nodes=60)
-    u1 = apply_initial_kernel(ZERO, HS1, g)
+    u1 = PicardRunner(HS1, ZERO, 2.0, g).initial_field()
     assert np.all(u1.values == 0.0)
 
 
@@ -139,7 +142,7 @@ def test_initial_kernel_atom_is_exact():
     a = (0.7,)
     mu = MeasureSpec(atoms=((a, 1.0),))
     g = make_grid(HS1, 0.1, anchors=[a], target_nodes=80)
-    u1 = apply_initial_kernel(mu, HS1, g)
+    u1 = PicardRunner(HS1, mu, 2.0, g).initial_field()
     for k in (0, g.times.size - 1):
         t = float(g.times[k])
         ref = kernel_values(HS1, np.array(a), g.nodes, t) / 0.7
@@ -147,11 +150,37 @@ def test_initial_kernel_atom_is_exact():
         assert u1.values[k] == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
 
+@pytest.mark.parametrize(
+    "domain,mu",
+    [
+        (IV1, MeasureSpec(atoms=(((0.0,), 1.0), ((1.0,), 0.5)))),
+        (IV1, MeasureSpec(atoms=(((0.0,), 1.0), ((0.4,), 2.0), ((1.0,), 0.5)))),
+        (HS1, MeasureSpec(atoms=(((0.0,), 1.0),))),
+        (IV1, MeasureSpec(boundary_density=lambda pts: np.full(len(pts), 0.5))),
+        (HS1, MeasureSpec(boundary_density=lambda pts: np.full(len(pts), 0.5))),
+    ],
+)
+def test_initial_kernel_boundary_atoms(domain, mu):
+    # boundary mass evolves as the weighted kernel from the wall: the
+    # vectorized normal derivative against the scalar kernel at every node
+    g = make_grid(domain, 0.1, target_nodes=80)
+    u1 = PicardRunner(domain, mu, 2.0, g).initial_field()
+    walls = [(0.0,)] + ([(1.0,)] if isinstance(domain, Interval) else [])
+    sources = mu.atoms or [(b, 0.5) for b in walls]
+    for k in (0, g.times.size // 2, g.times.size - 1):
+        t = float(g.times[k])
+        ref = np.array(
+            [sum(m * weighted_kernel(domain, x, a, t) for a, m in sources) for x in g.nodes]
+        )
+        assert u1.values[k] == pytest.approx(ref, rel=1e-12, abs=1e-300)
+    assert np.all(u1.values[:, g.boundary_mask] == 0.0)
+
+
 def test_initial_kernel_density_dense_oracle():
     # midpoint-rule convolution at high resolution over the support
     mu = smooth_bump()
     g = make_grid(HS1, 0.25, anchors=[(1.0,)], target_nodes=400)
-    u1 = apply_initial_kernel(mu, HS1, g)
+    u1 = PicardRunner(HS1, mu, 2.0, g).initial_field()
     ys = np.linspace(0.5, 1.5, 20_000, endpoint=False) + 0.5 / 20_000
     dens = mu.interior_density(ys[:, None])
     dy = ys[1] - ys[0]
@@ -173,26 +202,19 @@ def test_initial_kernel_density_dense_oracle():
 def test_duhamel_step_zero_iterate_returns_linear_part():
     mu = smooth_bump()
     g = make_grid(HS1, 0.1, anchors=[(1.0,)], target_nodes=120)
-    u1 = apply_initial_kernel(mu, HS1, g)
-    zero = GridFunction(g, np.zeros_like(u1.values))
-    out = duhamel_step(zero, u1, 2.0, HS1)
-    assert out.values == pytest.approx(u1.values)
+    runner = PicardRunner(HS1, mu, 2.0, g)
+    u1 = runner.initial_field().values
+    out = runner.step(np.zeros_like(u1), u1)
+    assert out == pytest.approx(u1)
 
 
 def test_duhamel_step_dominates_linear_part():
     mu = smooth_bump()
     g = make_grid(HS1, 0.1, anchors=[(1.0,)], target_nodes=120)
-    u1 = apply_initial_kernel(mu, HS1, g)
-    out = duhamel_step(u1, u1, 2.0, HS1, mu=mu)
-    assert np.all(out.values >= u1.values - 1e-15)
-
-
-def test_duhamel_step_rejects_low_exponent():
-    mu = smooth_bump()
-    g = make_grid(HS1, 0.1, target_nodes=60)
-    u1 = apply_initial_kernel(mu, HS1, g)
-    with pytest.raises(ValueError):
-        duhamel_step(u1, u1, 1.0, HS1)
+    runner = PicardRunner(HS1, mu, 2.0, g)
+    u1 = runner.initial_field().values
+    out = runner.step(u1, u1)
+    assert np.all(out >= u1 - 1e-15)
 
 
 def _second_iterate_oracle(a, m, p, x, t, domain):
@@ -218,15 +240,16 @@ def test_second_iterate_matches_tensor_oracle():
     a, m, p = 1.0, 0.1, 2.0
     mu = MeasureSpec(atoms=(((a,), m),))
     g = make_grid(HS1, 0.1, anchors=[(a,)], target_nodes=240)
-    u1 = apply_initial_kernel(mu, HS1, g)
-    u2 = duhamel_step(u1, u1, p, HS1, mu=mu)
+    runner = PicardRunner(HS1, mu, p, g)
+    u1 = runner.initial_field().values
+    u2 = runner.step(u1, u1)
     k = g.times.size - 1
     t = float(g.times[k])
     idx = np.nonzero(g.interior_mask & (g.nodes[:, 0] < 3.0))[0][::20]
     ref = np.array(
         [_second_iterate_oracle(a, m, p, float(g.nodes[i, 0]), t, HS1) for i in idx]
     )
-    err = np.max(np.abs(u2.values[k, idx] - ref)) / np.max(ref)
+    err = np.max(np.abs(u2[k, idx] - ref)) / np.max(ref)
     assert err < 0.02
 
 
@@ -281,26 +304,25 @@ def test_solver_validation():
 def test_iterates_are_pointwise_monotone():
     mu = smooth_bump()
     g = make_grid(HS1, 0.1, anchors=[(1.0,)], target_nodes=120)
-    op = DuhamelOperator(HS1, g)
-    u1 = apply_initial_kernel(mu, HS1, g)
-    u2 = duhamel_step(u1, u1, 2.0, HS1, operator=op, mu=mu)
-    u3 = duhamel_step(u2, u1, 2.0, HS1, operator=op, mu=mu)
-    assert np.all(u2.values >= u1.values - 1e-12)
-    assert np.all(u3.values >= u2.values - 1e-12)
+    runner = PicardRunner(HS1, mu, 2.0, g)
+    u1 = runner.initial_field().values
+    u2 = runner.step(u1, u1)
+    u3 = runner.step(u2, u1)
+    assert np.all(u2 >= u1 - 1e-12)
+    assert np.all(u3 >= u2 - 1e-12)
 
 
 def test_scale_comparison_is_pointwise():
     # same grid and exponent: the smaller datum stays below at every
     # common iteration count
-    base = smooth_bump()
     g = make_grid(HS1, 0.1, anchors=[(1.0,)], target_nodes=120)
-    op = DuhamelOperator(HS1, g)
-    lo = apply_initial_kernel(scale(base, 0.4), HS1, g)
-    hi = apply_initial_kernel(scale(base, 1.0), HS1, g)
+    runner = PicardRunner(HS1, smooth_bump(), 2.0, g)
+    lo = runner.initial_field(0.4).values
+    hi = runner.initial_field(1.0).values
     for _ in range(2):
-        lo = duhamel_step(lo, lo, 2.0, HS1, operator=op)
-        hi = duhamel_step(hi, hi, 2.0, HS1, operator=op)
-        assert np.all(lo.values <= hi.values + 1e-12)
+        lo = runner.step(lo, lo)
+        hi = runner.step(hi, hi)
+        assert np.all(lo <= hi + 1e-12)
 
 
 def test_converged_field_vanishes_on_the_wall():

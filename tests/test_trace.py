@@ -9,7 +9,6 @@ from mildheat.measures import pairing as measure_pairing
 from mildheat.solver import (
     GridFunction,
     PicardRunner,
-    apply_initial_kernel,
     make_grid,
     picard_solve,
 )
@@ -83,7 +82,7 @@ def test_pairing_atom_short_time_limit():
     a, m = (1.2,), 0.7
     mu = MeasureSpec(atoms=((a, m),))
     g = make_grid(HS1, 0.1, anchors=[a], target_nodes=300)
-    u1 = apply_initial_kernel(mu, HS1, g)
+    u1 = PicardRunner(HS1, mu, 2.0, g).initial_field()
     psi = bump_test_function((1.0,), 0.8)
     # small but resolvable time: the field must span a few mesh cells
     k = int(np.argmin(np.abs(g.times - 1e-3)))
