@@ -27,13 +27,12 @@ from .kernels import (
     HalfSpace,
     Interval,
     WholeSpace,
-    boundary_distance,
     heat_kernel,
     space_dim,
     survival_mass,
     verify_semigroup,
 )
-from .measures import MeasureSpec, SingularFamily, make_family, pairing, scale
+from .measures import MeasureSpec, SingularFamily, make_family, pairing
 from .solver import PicardRunner, SpaceTimeGrid, make_grid, restart_residual
 from .trace import bump_test_function, recover_trace
 

@@ -11,13 +11,45 @@ Suprema over centers are discretized on a small structured lattice
 (anchors, boundary projections, a geometric depth ladder); infima over
 scales use a geometric ladder.  Both are documented in the report
 parameters, and identical inputs always produce identical reports.
+
+Every check but boundary_mass_check reduces its table to a series of
+(scale, value) pairs and reads its verdict off one ladder.  With s the
+largest value, a the fitted exponent, r the reference exponent and
+e = w (a - r) the excess in the direction w in which a worse trend
+moves, the first matching rung decides:
+
+1. s <= 0: consistent, the data vanishes on every scale;
+2. s is not finite: violated;
+3. no trend can be fitted: the check's no-fit verdict;
+4. e > bad: violated;
+5. e <= ok: consistent;
+6. otherwise inconclusive, a borderline trend.
+
+    check                      fit         r     ok     bad   w   no fit
+    necessary_ball_bound       power       0     0.08   0.15  -1  inconclusive
+    necessary_log_bound        log         0     0.2    0.35  +1  inconclusive
+    uniform_mass_check         window      0     0.1    0.25  +1  consistent
+    sufficient_integral_check  small-time  -1    -0.05  0.05  -1  inconclusive
+    power_moment_check         power       rate  0.08   0.15  -1  inconclusive
+    orlicz_moment_check        log         rate  0.1    0.25  +1  inconclusive
+    orlicz_boundary_check      log         rate  0.1    0.25  +1  inconclusive
+    weighted_strip_bound       power       0     0.08   0.15  -1  consistent
+    boundary_strip_rate, p>2   power       rate  0.08   0.15  -1  inconclusive
+    boundary_strip_rate, p=2   log         rate  0.1    0.25  +1  inconclusive
+
+"power" is the slope of log(value) against log(scale), "log" the slope
+against log log(e + sqrt(T)/scale); "window" is the power slope over
+the widest half of the center windows, "small-time" the power slope
+over the first 1.5 decades of s; "rate" is the check's predicted
+exponent.  A sufficient condition cannot rule data out, so
+sufficient_integral_check reads a violated rung as inconclusive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -67,15 +99,17 @@ __all__ = [
 
 VERDICTS = ("consistent", "violated", "inconclusive")
 
-# A log-log slope this far below the expected one counts as genuine
-# excess growth; half of it is still accepted as flat.  The gap leaves
-# room for the slow logarithmic drift of the borderline families.
-_SLOPE_OK = 0.08
-_SLOPE_BAD = 0.15
-# Trend thresholds in the doubly logarithmic variable used by the
-# log-form bounds, where power drifts compress to almost nothing.
-_LOG_OK = 0.2
-_LOG_BAD = 0.35
+# (ok, bad) margins on the excess of a fitted exponent.  A log-log slope
+# this far past the expected one counts as genuine excess growth; half
+# of it is still accepted as flat.  The gap leaves room for the slow
+# logarithmic drift of the borderline families.
+_SLOPE = (0.08, 0.15)
+# The log-form ball bounds, where power drifts compress to almost nothing.
+_LOG = (0.2, 0.35)
+# Window and log-rate trends.
+_RATE = (0.1, 0.25)
+# The small-time exponent of the sufficiency integrand against -1.
+_SMALL_TIME = (-0.05, 0.05)
 
 
 @dataclass(frozen=True)
@@ -126,6 +160,80 @@ def _row(*vals) -> tuple:
     return tuple(float(v) for v in vals)
 
 
+def _columns(n: int, *names: str) -> Tuple[str, ...]:
+    return tuple(f"z{i}" for i in range(n)) + names
+
+
+class _Trend(NamedTuple):
+    """One row of the verdict table in the module docstring."""
+
+    what: str  # the swept quantity, named in the detail
+    ok: float
+    bad: float
+    worse: int  # +1: a larger exponent is worse, -1: a smaller one
+    unfit: str = "inconclusive"
+    past: str = "violated"  # the verdict of rungs 2 and 4
+
+
+def _trend_report(
+    criterion: str,
+    params: tuple,
+    columns: Tuple[str, ...],
+    rows,
+    series,
+    fit: Callable,
+    predicted: Optional[float],
+    rule: _Trend,
+    reference: Optional[float] = None,
+    constant: Optional[float] = None,
+) -> CriterionReport:
+    """Report of a check whose verdict is the trend of a per-scale series.
+
+    series holds (scale, value) pairs; fit maps it to (exponent, band)
+    and raises ValueError when it can read no trend.  The trend is
+    judged against reference, by default the predicted exponent;
+    constant is the empirical constant, by default the largest value
+    when that is finite.
+    """
+    if reference is None:
+        reference = predicted
+    what = rule.what
+    sup = max(v for _, v in series)
+    fitted = band = None
+    if sup <= 0.0:
+        verdict, detail = "consistent", f"{what} vanishes on every scale"
+    elif not math.isfinite(sup):
+        verdict, detail = rule.past, f"{what} is unbounded"
+    else:
+        try:
+            fitted, band = fit(series)
+        except ValueError as exc:
+            verdict, detail = rule.unfit, f"{what} has no usable trend ({exc})"
+        else:
+            excess = rule.worse * (fitted - reference)
+            trend = f"{what} exponent {fitted:.4g} against {reference:.4g}"
+            if excess > rule.bad:
+                verdict, detail = rule.past, f"{trend}: past the admissible rate"
+            elif excess <= rule.ok:
+                verdict, detail = "consistent", f"{trend}: within the admissible rate"
+            else:
+                verdict, detail = "inconclusive", f"{trend}: borderline"
+    if constant is None and math.isfinite(sup):
+        constant = sup
+    return CriterionReport(
+        criterion=criterion,
+        params=params,
+        columns=columns,
+        samples=tuple(rows),
+        verdict=verdict,
+        fitted_exponent=fitted,
+        fit_band=band,
+        predicted_exponent=predicted,
+        empirical_constant=constant,
+        detail=detail,
+    )
+
+
 # ---------------------------------------------------------------------------
 # exponent fitting
 
@@ -137,11 +245,7 @@ def fit_exponent(samples: Sequence[Tuple[float, float]]):
     error of the slope with the residual spread.  Needs at least five
     positive samples spanning 1.5 decades of scale.
     """
-    pts = [(float(s), float(v)) for s, v in samples]
-    if len(pts) < 5:
-        raise ValueError("exponent fits need at least 5 samples")
-    if any(s <= 0 or v <= 0 for s, v in pts):
-        raise ValueError("exponent fits need positive scales and values")
+    pts = _fit_points(samples)
     lx = np.log([s for s, _ in pts])
     ly = np.log([v for _, v in pts])
     span = (lx.max() - lx.min()) / math.log(10.0)
@@ -156,17 +260,22 @@ def fit_log_exponent(samples: Sequence[Tuple[float, float]], T: float):
     The natural variable for the borderline bounds, whose decay is a
     power of the logarithm rather than of the scale itself.
     """
-    pts = [(float(s), float(v)) for s, v in samples]
-    if len(pts) < 5:
-        raise ValueError("exponent fits need at least 5 samples")
-    if any(s <= 0 or v <= 0 for s, v in pts):
-        raise ValueError("exponent fits need positive scales and values")
+    pts = _fit_points(samples)
     rt = math.sqrt(T)
     lx = np.log([math.log(math.e + rt / s) for s, _ in pts])
     ly = np.log([v for _, v in pts])
     if lx.max() - lx.min() < 0.5:
         raise ValueError("log-exponent fits need a wider scale sweep")
     return _fit_loglog(lx, ly)
+
+
+def _fit_points(samples) -> list:
+    pts = [(float(s), float(v)) for s, v in samples]
+    if len(pts) < 5:
+        raise ValueError("exponent fits need at least 5 samples")
+    if any(s <= 0 or v <= 0 for s, v in pts):
+        raise ValueError("exponent fits need positive scales and values")
+    return pts
 
 
 def _fit_loglog(lx: np.ndarray, ly: np.ndarray):
@@ -211,15 +320,8 @@ def probe_points(
 
     def add(q):
         q = np.asarray(q, dtype=float).reshape(-1)
-        if q.size != n:
-            return
-        if isinstance(domain, Interval):
-            if q[0] < 0 or q[0] > domain.length:
-                return
-        elif isinstance(domain, HalfSpace):
-            if q[-1] < 0:
-                return
-        pts.append(tuple(float(v) for v in q))
+        if q.size == n and _contains(domain, q):
+            pts.append(tuple(float(v) for v in q))
 
     anchors = []
     if mu is not None:
@@ -262,11 +364,7 @@ def probe_points(
 
 
 def _dist(domain: Domain, z) -> float:
-    return float(
-        np.asarray(
-            boundary_distance(domain, np.asarray(z, float)[None, :])
-        ).reshape(-1)[0]
-    )
+    return float(boundary_distance(domain, np.asarray(z, float)))
 
 
 def _contains(domain: Domain, z) -> bool:
@@ -276,6 +374,68 @@ def _contains(domain: Domain, z) -> bool:
     if isinstance(domain, HalfSpace):
         return q[-1] >= 0.0
     return True
+
+
+def _centers(mu, domain: Domain, z_points=None, boundary: bool = False, **probe):
+    """Sweep centers as float tuples, the probe lattice by default.
+
+    boundary keeps only the centers on the boundary.
+    """
+    if z_points is None:
+        z_points = probe_points(mu, domain, **probe)
+    z_points = tuple(tuple(float(v) for v in z) for z in z_points)
+    if boundary:
+        z_points = tuple(z for z in z_points if _dist(domain, z) <= 1e-12)
+        if not z_points:
+            raise ValueError("no boundary centers in the lattice")
+    if not z_points:
+        raise ValueError("empty sample sets")
+    return z_points
+
+
+def _radii(T: float, sigmas, ladder=sigma_ladder) -> Tuple[float, ...]:
+    """Sweep radii as floats, ladder(T) by default."""
+    if not T > 0:
+        raise ValueError("horizon must be positive")
+    sigmas = tuple(float(s) for s in (ladder(T) if sigmas is None else sigmas))
+    if not sigmas:
+        raise ValueError("empty sample sets")
+    return sigmas
+
+
+def _side_centers(anchor: np.ndarray, domain: Domain, sig_max: float) -> list:
+    """Two centers beside the anchor along the first axis, clear of its balls."""
+    step = max(2.5 * sig_max, 0.6)
+    out = []
+    for k in (1, 2):
+        q = anchor.copy()
+        q[0] += k * step
+        if _contains(domain, q):
+            out.append(tuple(float(v) for v in q))
+    return out
+
+
+def _sup_sweep(z_points, sigmas, cells):
+    """Rows of a radius-by-center sweep and its per-radius supremum.
+
+    cells(z, sigma) gives the row entries after the center, the swept
+    value last; returns the rows and the (sigma, sup over z) series.
+    """
+    rows = []
+    series = []
+    for sg in sigmas:
+        top = 0.0
+        for z in z_points:
+            row = _row(*z, *cells(z, sg))
+            rows.append(row)
+            top = max(top, row[-1])
+        series.append((sg, top))
+    return rows, series
+
+
+def _rate_constant(series, rate, predicted: float) -> float:
+    """Largest value over rate(scale)^predicted, 0 when nothing is positive."""
+    return max((v / rate(s) ** predicted for s, v in series if v > 0), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +482,11 @@ def _orlicz(x, beta: float):
 # necessary growth bounds on ball masses
 
 
+def _mass_ratio(mu: MeasureSpec, domain: Domain, z, sigma, d, bound):
+    mass = ball_mass(mu, domain, z, sigma)
+    return d, sigma, mass, bound, mass / bound if bound > 0 else math.inf
+
+
 def necessary_ball_bound(
     mu: MeasureSpec,
     domain: Domain,
@@ -344,80 +509,30 @@ def necessary_ball_bound(
     n = space_dim(domain)
     if abs(p - critical_exponent(n)) < 1e-12:
         raise ValueError("the power form does not apply at the critical exponent")
-    if not T > 0:
-        raise ValueError("horizon must be positive")
-    if z_points is None:
-        z_points = probe_points(mu, domain)
-    if sigmas is None:
-        sigmas = sigma_ladder(T)
-    z_points = tuple(tuple(float(v) for v in z) for z in z_points)
-    sigmas = tuple(float(s) for s in sigmas)
-    if not z_points or not sigmas:
-        raise ValueError("empty sample sets")
+    sigmas = _radii(T, sigmas)
+    z_points = _centers(mu, domain, z_points)
 
     rt = math.sqrt(T)
     expo = n - 2.0 / (p - 1.0)
     whole = isinstance(domain, WholeSpace)
-    rows = []
-    worst = []
-    for sg in sigmas:
-        rmax = 0.0
-        for z in z_points:
-            d = _dist(domain, z)
-            if whole:
-                # no wall: the distance weight degenerates and drops out
-                d = 0.0
-            s_lad = np.geomspace(sg, rt * (1.0 - 1e-12), s_count)
-            wfac = np.ones_like(s_lad) if whole else (d + s_lad)
-            bound = float(np.min(wfac * s_lad**expo))
-            mass = ball_mass(mu, domain, z, sg)
-            ratio = mass / bound if bound > 0 else math.inf
-            rows.append(_row(*z, d, sg, mass, bound, ratio))
-            rmax = max(rmax, ratio)
-        worst.append((sg, rmax))
 
-    cols = tuple(f"z{i}" for i in range(n)) + (
-        "d",
-        "sigma",
-        "mass",
-        "bound",
-        "ratio",
-    )
-    params = _params(
-        {"p": p, "T": T, "s_count": s_count, "z_count": len(z_points)}
-    )
-    sup = max(r for _, r in worst)
-    fitted = band = None
-    if all(r > 0 for _, r in worst):
-        try:
-            fitted, band = fit_exponent(worst)
-        except ValueError:
-            pass
-    if sup == 0.0:
-        verdict, detail = "consistent", "measure carries no mass near the probes"
-    elif not math.isfinite(sup):
-        verdict, detail = "violated", "mass ratio is unbounded"
-    elif fitted is None:
-        verdict, detail = "inconclusive", "ratio trend could not be fitted"
-    elif fitted <= -_SLOPE_BAD:
-        verdict = "violated"
-        detail = "mass ratio grows as the radius shrinks"
-    elif fitted >= -_SLOPE_OK:
-        verdict = "consistent"
-        detail = "mass ratio stays bounded across the sweep"
-    else:
-        verdict, detail = "inconclusive", "borderline ratio trend"
-    return CriterionReport(
-        criterion="necessary_ball_bound",
-        params=params,
-        columns=cols,
-        samples=tuple(rows),
-        verdict=verdict,
-        fitted_exponent=fitted,
-        fit_band=band,
-        predicted_exponent=0.0,
-        empirical_constant=sup if math.isfinite(sup) else None,
-        detail=detail,
+    def cells(z, sg):
+        # no wall: the distance weight degenerates and drops out
+        d = 0.0 if whole else _dist(domain, z)
+        s_lad = np.geomspace(sg, rt * (1.0 - 1e-12), s_count)
+        wfac = 1.0 if whole else d + s_lad
+        return _mass_ratio(mu, domain, z, sg, d, float(np.min(wfac * s_lad**expo)))
+
+    rows, series = _sup_sweep(z_points, sigmas, cells)
+    return _trend_report(
+        "necessary_ball_bound",
+        _params({"p": p, "T": T, "s_count": s_count, "z_count": len(z_points)}),
+        _columns(n, "d", "sigma", "mass", "bound", "ratio"),
+        rows,
+        series,
+        fit_exponent,
+        0.0,
+        _Trend("mass ratio", *_SLOPE, -1),
     )
 
 
@@ -447,80 +562,30 @@ def necessary_log_bound(
     p_req = critical_exponent(n if variant == "interior" else n + 1)
     if mu.p is not None and abs(mu.p - p_req) > 1e-9:
         raise ValueError("measure exponent does not sit at the borderline value")
-    if not T > 0:
-        raise ValueError("horizon must be positive")
-    if z_points is None:
-        z_points = probe_points(mu, domain)
-    if sigmas is None:
-        sigmas = sigma_ladder(T)
-    z_points = tuple(tuple(float(v) for v in z) for z in z_points)
-    if variant == "boundary":
-        z_points = tuple(z for z in z_points if _dist(domain, z) <= 1e-12)
-        if not z_points:
-            raise ValueError("no boundary centers in the lattice")
-    sigmas = tuple(float(s) for s in sigmas)
-    if not z_points or not sigmas:
-        raise ValueError("empty sample sets")
+    sigmas = _radii(T, sigmas)
+    z_points = _centers(mu, domain, z_points, boundary=variant == "boundary")
 
     rt = math.sqrt(T)
     half = (n if variant == "interior" else n + 1) / 2.0
-    rows = []
-    worst = []
-    for sg in sigmas:
-        rmax = 0.0
-        for z in z_points:
-            d = _dist(domain, z)
-            if variant == "interior":
-                arg = min(d, rt) / sg
-                bound = (d + sg) * math.log(math.e + arg) ** -half
-            else:
-                bound = math.log(math.e + rt / sg) ** -half
-            mass = ball_mass(mu, domain, z, sg)
-            ratio = mass / bound if bound > 0 else math.inf
-            rows.append(_row(*z, d, sg, mass, bound, ratio))
-            rmax = max(rmax, ratio)
-        worst.append((sg, rmax))
 
-    cols = tuple(f"z{i}" for i in range(n)) + (
-        "d",
-        "sigma",
-        "mass",
-        "bound",
-        "ratio",
-    )
-    params = _params({"T": T, "variant": variant, "z_count": len(z_points)})
-    sup = max(r for _, r in worst)
-    fitted = band = None
-    if all(r > 0 for _, r in worst):
-        try:
-            fitted, band = fit_log_exponent(worst, T)
-        except ValueError:
-            pass
-    if sup == 0.0:
-        verdict, detail = "consistent", "measure carries no mass near the probes"
-    elif not math.isfinite(sup):
-        verdict, detail = "violated", "mass ratio is unbounded"
-    elif fitted is None:
-        verdict, detail = "inconclusive", "ratio trend could not be fitted"
-    elif fitted >= _LOG_BAD:
-        verdict = "violated"
-        detail = "mass ratio outgrows the borderline rate"
-    elif fitted <= _LOG_OK:
-        verdict = "consistent"
-        detail = "mass ratio stays bounded across the sweep"
-    else:
-        verdict, detail = "inconclusive", "borderline ratio trend"
-    return CriterionReport(
-        criterion="necessary_log_bound",
-        params=params,
-        columns=cols,
-        samples=tuple(rows),
-        verdict=verdict,
-        fitted_exponent=fitted,
-        fit_band=band,
-        predicted_exponent=0.0,
-        empirical_constant=sup if math.isfinite(sup) else None,
-        detail=detail,
+    def cells(z, sg):
+        d = _dist(domain, z)
+        if variant == "interior":
+            bound = (d + sg) * math.log(math.e + min(d, rt) / sg) ** -half
+        else:
+            bound = math.log(math.e + rt / sg) ** -half
+        return _mass_ratio(mu, domain, z, sg, d, bound)
+
+    rows, series = _sup_sweep(z_points, sigmas, cells)
+    return _trend_report(
+        "necessary_log_bound",
+        _params({"T": T, "variant": variant, "z_count": len(z_points)}),
+        _columns(n, "d", "sigma", "mass", "bound", "ratio"),
+        rows,
+        series,
+        lambda ser: fit_log_exponent(ser, T),
+        0.0,
+        _Trend("mass ratio", *_LOG, 1),
     )
 
 
@@ -577,6 +642,22 @@ def boundary_mass_check(
     )
 
 
+def _window_fit(samples):
+    # bounded data saturates, so only the widest windows carry the
+    # trend; fit on the geometric top half when it has enough points
+    pos = sorted((x, v) for x, v in samples if v > 0)
+    if len(pos) < 5:
+        raise ValueError("window fits need at least 5 positive samples")
+    mid = math.sqrt(pos[0][0] * pos[-1][0])
+    tail = [(x, v) for x, v in pos if x >= mid]
+    use = tail if len(tail) >= 4 else pos
+    lx = np.log([x for x, _ in use])
+    ly = np.log([v for _, v in use])
+    if not lx.max() - lx.min() > 0.5:
+        raise ValueError("window fits need a wider window sweep")
+    return _fit_loglog(lx, ly)
+
+
 def uniform_mass_check(
     mu: MeasureSpec,
     domain: Domain,
@@ -591,15 +672,12 @@ def uniform_mass_check(
     """
     if isinstance(domain, WholeSpace):
         raise ValueError("the normalized mass needs a domain with boundary")
-    if z_points is None:
-        z_points = probe_points(
-            mu,
-            domain,
-            depths=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
-        )
-    z_points = tuple(tuple(float(v) for v in z) for z in z_points)
-    if not z_points:
-        raise ValueError("empty sample sets")
+    z_points = _centers(
+        mu,
+        domain,
+        z_points,
+        depths=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
+    )
 
     rows = []
     samples = []
@@ -610,46 +688,27 @@ def uniform_mass_check(
         rows.append(_row(*z, d, mass, v))
         samples.append((1.0 + d, v))
 
-    n = space_dim(domain)
-    cols = tuple(f"z{i}" for i in range(n)) + ("d", "mass", "normalized")
-    sup = max(v for _, v in samples)
-    fitted = band = None
-    pos = sorted((x, v) for x, v in samples if v > 0)
-    if len(pos) >= 5:
-        # bounded data saturates, so only the widest windows carry the
-        # trend; fit on the geometric top half when it has enough points
-        mid = math.sqrt(pos[0][0] * pos[-1][0])
-        tail = [(x, v) for x, v in pos if x >= mid]
-        use = tail if len(tail) >= 4 else pos
-        lx = np.log([x for x, _ in use])
-        ly = np.log([v for _, v in use])
-        if lx.max() - lx.min() > 0.5:
-            fitted, band = _fit_loglog(lx, ly)
-    if sup == 0.0:
-        verdict, detail = "consistent", "measure carries no mass near the probes"
-    elif fitted is None:
-        verdict = "consistent" if math.isfinite(sup) else "violated"
-        detail = "normalized mass recorded without a usable trend"
-    elif fitted >= 0.25:
-        verdict = "violated"
-        detail = "normalized mass grows with the window"
-    elif fitted <= 0.1:
-        verdict = "consistent"
-        detail = "normalized mass is stable across the window"
-    else:
-        verdict, detail = "inconclusive", "borderline window trend"
-    return CriterionReport(
-        criterion="uniform_mass_check",
-        params=_params({"radius": radius, "z_count": len(z_points)}),
-        columns=cols,
-        samples=tuple(rows),
-        verdict=verdict,
-        fitted_exponent=fitted,
-        fit_band=band,
-        predicted_exponent=0.0,
-        empirical_constant=sup if math.isfinite(sup) else None,
-        detail=detail,
+    return _trend_report(
+        "uniform_mass_check",
+        _params({"radius": radius, "z_count": len(z_points)}),
+        _columns(space_dim(domain), "d", "mass", "normalized"),
+        rows,
+        samples,
+        _window_fit,
+        0.0,
+        _Trend("normalized mass", *_RATE, 1, unfit="consistent"),
     )
+
+
+def _small_time_fit(series):
+    # integrability shows in the small-s slope of log(integrand); the
+    # report carries no band for it
+    s0 = series[0][0]
+    small = [(s, g) for s, g in series if s <= s0 * 10.0**1.5]
+    if len(small) < 3 or not all(g > 0 for _, g in small):
+        raise ValueError("the integrand vanishes at small times")
+    eta, _ = _fit_loglog(np.log([s for s, _ in small]), np.log([g for _, g in small]))
+    return eta, None
 
 
 def sufficient_integral_check(
@@ -675,11 +734,7 @@ def sufficient_integral_check(
         raise ValueError("horizon must be positive")
     if isinstance(domain, WholeSpace):
         raise ValueError("weighted ball integrals need a domain with boundary")
-    if z_points is None:
-        z_points = probe_points(mu, domain)
-    z_points = tuple(tuple(float(v) for v in z) for z in z_points)
-    if not z_points:
-        raise ValueError("empty sample sets")
+    z_points = _centers(mu, domain, z_points)
 
     n = space_dim(domain)
     s_grid = np.geomspace(T * s_floor, T, s_count)
@@ -691,48 +746,20 @@ def sufficient_integral_check(
         rows.append(_row(s, w, g))
         gs.append(g)
     gs = np.array(gs)
-
-    if np.all(gs == 0.0):
-        return CriterionReport(
-            criterion="sufficient_integral_check",
-            params=_params({"p": p, "T": T, "s_count": s_count}),
-            columns=("s", "weighted_sup", "integrand"),
-            samples=tuple(rows),
-            verdict="consistent",
-            empirical_constant=0.0,
-            detail="zero data, zero smallness integral",
-        )
-
     # trapezoid in log s; the integrand is power-like on the ladder
-    u = np.log(s_grid)
-    value = float(np.trapezoid(gs * s_grid, u))
-
-    # integrability shows in the small-s slope of log(integrand)
-    small = s_grid <= s_grid[0] * 10.0**1.5
-    eta = None
-    if np.all(gs[small] > 0) and np.count_nonzero(small) >= 3:
-        eta, _ = _fit_loglog(np.log(s_grid[small]), np.log(gs[small]))
-
-    if eta is None:
-        verdict, detail = "inconclusive", "integrand vanishes somewhere, no trend"
-    elif eta > -0.95:
-        verdict = "consistent"
-        detail = f"integral converges; value {value:.6g}"
-    elif eta < -1.05:
-        verdict = "inconclusive"
-        detail = "integral diverges at small times; sufficiency not established"
-    else:
-        verdict, detail = "inconclusive", "borderline small-time exponent"
-    return CriterionReport(
-        criterion="sufficient_integral_check",
-        params=_params({"p": p, "T": T, "s_count": s_count}),
-        columns=("s", "weighted_sup", "integrand"),
-        samples=tuple(rows),
-        verdict=verdict,
-        fitted_exponent=eta,
-        predicted_exponent=-0.5 * (n + 1) * (p - 1.0),
-        empirical_constant=value,
-        detail=detail,
+    value = float(np.trapezoid(gs * s_grid, np.log(s_grid)))
+    return _trend_report(
+        "sufficient_integral_check",
+        _params({"p": p, "T": T, "s_count": s_count}),
+        ("s", "weighted_sup", "integrand"),
+        rows,
+        list(zip(s_grid, gs)),
+        _small_time_fit,
+        # zero data has no small-time exponent to predict
+        -0.5 * (n + 1) * (p - 1.0) if gs.any() else None,
+        _Trend("integrand", *_SMALL_TIME, -1, past="inconclusive"),
+        reference=-1.0,
+        constant=value,
     )
 
 
@@ -763,8 +790,6 @@ def power_moment_check(
     p = mu.p if p is None else float(p)
     if p is None or not p > 1:
         raise ValueError("exponent p must exceed 1")
-    if not T > 0:
-        raise ValueError("horizon must be positive")
     n = space_dim(domain)
     if part is None:
         part = "interior" if mu.interior_density is not None else "boundary"
@@ -772,18 +797,8 @@ def power_moment_check(
         raise ValueError(f"unknown part {part!r}")
     if part == "boundary" and p >= 2:
         raise ValueError("the surface profile must vanish once p reaches 2")
-    if z_points is None:
-        z_points = probe_points(mu, domain)
-    if sigmas is None:
-        sigmas = sigma_ladder(T)
-    z_points = tuple(tuple(float(v) for v in z) for z in z_points)
-    sigmas = tuple(float(s) for s in sigmas)
-    if part == "boundary":
-        z_points = tuple(z for z in z_points if _dist(domain, z) <= 1e-12)
-        if not z_points:
-            raise ValueError("no boundary centers in the lattice")
-    if not z_points or not sigmas:
-        raise ValueError("empty sample sets")
+    sigmas = _radii(T, sigmas)
+    z_points = _centers(mu, domain, z_points, boundary=part == "boundary")
 
     anchor = None
     base_expo = 0.0
@@ -803,83 +818,41 @@ def power_moment_check(
         f = _surface_density(mu)
         predicted = (n - 1.0) - 2.0 * alpha * (2.0 - p) / (p - 1.0)
 
-    rows = []
-    worst = []
-    for sg in sigmas:
-        smax = 0.0
-        for z in z_points:
-            hint = None
-            if anchor is not None:
-                ref = 1.0 + float(np.max(np.abs(anchor)))
-                if np.linalg.norm(np.asarray(z) - anchor) <= sg + 1e-12 * ref:
-                    hint = (tuple(anchor), alpha * base_expo)
-            if part == "interior":
+    def cells(z, sg):
+        hint = None
+        if anchor is not None:
+            ref = 1.0 + float(np.max(np.abs(anchor)))
+            if np.linalg.norm(np.asarray(z) - anchor) <= sg + 1e-12 * ref:
+                hint = (tuple(anchor), alpha * base_expo)
+        if part == "interior":
 
-                def g(pts, off=None):
-                    d = np.asarray(
-                        boundary_distance(domain, pts), float
-                    ).reshape(-1)
-                    return (d / (d + sg)) * f(pts, off) ** alpha
+            def g(pts, off=None):
+                d = np.asarray(boundary_distance(domain, pts), float).reshape(-1)
+                return (d / (d + sg)) * f(pts, off) ** alpha
 
-                val = integrate(
-                    g, _ball_region(domain, z, sg), 1e-10, singularity_hint=hint
-                ).value
-            else:
-                patch = _boundary_patch(domain, z, sg)
-                if not isinstance(patch, BoundaryPatch):
-                    raise ValueError("surface moments need a boundary of dimension >= 1")
+            return sg, integrate(
+                g, _ball_region(domain, z, sg), 1e-10, singularity_hint=hint
+            ).value
+        patch = _boundary_patch(domain, z, sg)
+        if not isinstance(patch, BoundaryPatch):
+            raise ValueError("surface moments need a boundary of dimension >= 1")
 
-                def gh(pts, off=None):
-                    return f(pts, off) ** alpha
+        def gh(pts, off=None):
+            return f(pts, off) ** alpha
 
-                val = _integrate_part(gh, patch, 1e-10, hint)
-            rows.append(_row(*z, sg, val))
-            smax = max(smax, val)
-        worst.append((sg, smax))
+        return sg, _integrate_part(gh, patch, 1e-10, hint)
 
-    cols = tuple(f"z{i}" for i in range(n)) + ("sigma", "moment")
-    params = _params({"alpha": alpha, "p": p, "T": T, "part": part})
-    sup = max(v for _, v in worst)
-    if sup == 0.0:
-        return CriterionReport(
-            criterion="power_moment_check",
-            params=params,
-            columns=cols,
-            samples=tuple(rows),
-            verdict="consistent",
-            predicted_exponent=predicted,
-            empirical_constant=0.0,
-            detail="zero moments",
-        )
-    fitted = band = None
-    try:
-        fitted, band = fit_exponent(worst)
-    except ValueError:
-        pass
-    if fitted is None:
-        verdict, detail = "inconclusive", "moment trend could not be fitted"
-    elif fitted < predicted - _SLOPE_BAD:
-        verdict = "violated"
-        detail = "moments outgrow the admissible rate"
-    elif fitted >= predicted - _SLOPE_OK:
-        verdict = "consistent"
-        detail = "moments scale within the admissible rate"
-    else:
-        verdict, detail = "inconclusive", "borderline moment trend"
-    const = max(
-        v / s**predicted for s, v in worst if v > 0
-    )
-    return CriterionReport(
-        criterion="power_moment_check",
-        params=params,
-        columns=cols,
-        samples=tuple(rows),
-        verdict=verdict,
-        fitted_exponent=fitted,
-        fit_band=band,
-        predicted_exponent=predicted,
-        empirical_constant=const,
-        detail=detail,
+    rows, series = _sup_sweep(z_points, sigmas, cells)
+    return _trend_report(
+        "power_moment_check",
+        _params({"alpha": alpha, "p": p, "T": T, "part": part}),
+        _columns(n, "sigma", "moment"),
+        rows,
+        series,
+        fit_exponent,
+        predicted,
+        _Trend("moment", *_SLOPE, -1),
+        constant=_rate_constant(series, lambda s: s, predicted),
     )
 
 
@@ -926,49 +899,47 @@ def _orlicz_radial(c: float, A: float, B: float, beta: float, sigma: float) -> f
     return c * total
 
 
-def _log_moment_verdict(worst, T: float, predicted: float):
-    fitted, band = fit_log_exponent(worst, T)
-    if fitted > predicted + 0.25:
-        return fitted, band, "violated", "log moments outgrow the admissible rate"
-    if fitted <= predicted + 0.1:
-        return (
-            fitted,
-            band,
-            "consistent",
-            "log moments scale within the admissible rate",
-        )
-    return fitted, band, "inconclusive", "borderline log-moment trend"
+def _borderline(mu: MeasureSpec, beta: float, T: float, k: int):
+    """Exponent 1 + 2/k of a log-moment check and its horizon scale.
+
+    Validates the data's exponent and the log weight beta, which must
+    stay below k/2 for the moment to converge.
+    """
+    if not beta > 0:
+        raise ValueError("the log weight must be positive")
+    p_req = critical_exponent(k)
+    if mu.p is not None and abs(mu.p - p_req) > 1e-9:
+        raise ValueError("measure exponent does not sit at the borderline value")
+    if not beta < 0.5 * k:
+        raise ValueError("the weighted moment diverges at this log exponent")
+    return p_req, T ** (1.0 / (p_req - 1.0))
 
 
-def _log_moment_report(criterion, params, cols, rows, worst, T, predicted):
-    sup = max(v for _, v in worst)
-    if sup == 0.0:
-        return CriterionReport(
-            criterion=criterion,
-            params=params,
-            columns=cols,
-            samples=tuple(rows),
-            verdict="consistent",
-            predicted_exponent=predicted,
-            empirical_constant=0.0,
-            detail="zero moments",
-        )
-    fitted, band, verdict, detail = _log_moment_verdict(worst, T, predicted)
+def _log_sweep(criterion, params, n, T, predicted, z_points, sigmas, moment, radial):
+    """Trend report of a log-weighted moment swept over radii and centers.
+
+    moment(z, sigma) integrates at every center of z_points; a closed
+    form radial = (anchor, value(sigma)) first gives each radius the row
+    of the anchor-centered ball.  The trend is read in the log variable.
+    """
+    cells = lambda z, sg: (sg, moment(z, sg))
+    if radial is not None:
+        # a fresh tuple: the identity test never matches a caller's center
+        apex = tuple(float(v) for v in radial[0])
+        z_points = (apex,) + z_points
+        cells = lambda z, sg: (sg, radial[1](sg) if z is apex else moment(z, sg))
+    rows, series = _sup_sweep(z_points, sigmas, cells)
     rt = math.sqrt(T)
-    const = max(
-        v / math.log(math.e + rt / s) ** predicted for s, v in worst if v > 0
-    )
-    return CriterionReport(
-        criterion=criterion,
-        params=params,
-        columns=cols,
-        samples=tuple(rows),
-        verdict=verdict,
-        fitted_exponent=fitted,
-        fit_band=band,
-        predicted_exponent=predicted,
-        empirical_constant=const,
-        detail=detail,
+    return _trend_report(
+        criterion,
+        params,
+        _columns(n, "sigma", "moment"),
+        rows,
+        series,
+        lambda ser: fit_log_exponent(ser, T),
+        predicted,
+        _Trend("log moment", *_RATE, 1),
+        constant=_rate_constant(series, lambda s: math.log(math.e + rt / s), predicted),
     )
 
 
@@ -991,12 +962,6 @@ def orlicz_moment_check(
     run through the closed-form radial reduction, everything else
     through adaptive quadrature.
     """
-    if not beta > 0:
-        raise ValueError("the log weight must be positive")
-    if not T > 0:
-        raise ValueError("horizon must be positive")
-    if mu.interior_density is None:
-        raise ValueError("measure has no interior density")
     n = space_dim(domain)
     anchor = None
     if mu.singularity is not None:
@@ -1005,12 +970,8 @@ def orlicz_moment_check(
         ell = 1 if anchor is not None and _dist(domain, anchor) <= 1e-12 else 0
     if ell not in (0, 1):
         raise ValueError("the distance power must be 0 or 1")
-    p_req = critical_exponent(n + ell)
-    if mu.p is not None and abs(mu.p - p_req) > 1e-9:
-        raise ValueError("measure exponent does not sit at the borderline value")
-    half = 0.5 * (n + ell)
-    if not beta < half:
-        raise ValueError("the weighted moment diverges at this log exponent")
+    sigmas = _radii(T, sigmas)
+    p_req, horizon_scale = _borderline(mu, beta, T, n + ell)
     prof = mu.radial_profile
     radial = (
         prof is not None
@@ -1018,26 +979,15 @@ def orlicz_moment_check(
         and prof.dim == n
         and anchor is not None
     )
-    if sigmas is None:
-        sigmas = sigma_ladder(T)
-    sigmas = tuple(float(s) for s in sigmas)
     sig_max = max(sigmas)
     if radial and ell == 0 and sig_max >= _dist(domain, anchor):
         raise ValueError("radius sweep reaches the wall from an interior anchor")
     if z_points is None:
-        z_points = []
         if anchor is not None:
-            step = max(2.5 * sig_max, 0.6)
-            for k in (1, 2):
-                q = anchor.copy()
-                q[0] += k * step
-                if _contains(domain, q):
-                    z_points.append(tuple(float(v) for v in q))
+            z_points = _side_centers(anchor, domain, sig_max)
         else:
-            z_points = list(probe_points(mu, domain))
+            z_points = probe_points(mu, domain)
     z_points = tuple(tuple(float(v) for v in z) for z in z_points)
-
-    horizon_scale = T ** (1.0 / (p_req - 1.0))
     dens = _weighted_density(mu, domain)
 
     def g_off(pts, off=None):
@@ -1045,32 +995,30 @@ def orlicz_moment_check(
         x = horizon_scale * dens(pts, off)
         return d**ell * _orlicz(x, beta)
 
-    rows = []
-    worst = []
-    for sg in sigmas:
-        smax = 0.0
-        if radial:
-            c = mu.scale_factor * horizon_scale
-            angular = _sphere_area(n) if ell == 0 else _half_ball_moment(n)
-            smax = angular * _orlicz_radial(c, prof.power, prof.log_power, beta, sg)
-            rows.append(_row(*anchor, sg, smax))
-        for z in z_points:
-            hint = None
-            if anchor is not None and not radial:
-                ref = 1.0 + float(np.max(np.abs(anchor)))
-                if np.linalg.norm(np.asarray(z) - anchor) <= sg + 1e-12 * ref:
-                    hint = (tuple(anchor), float(mu.singularity[1]))
-            val = integrate(
-                g_off, _ball_region(domain, z, sg), 1e-9, singularity_hint=hint
-            ).value
-            rows.append(_row(*z, sg, val))
-            smax = max(smax, val)
-        worst.append((sg, smax))
+    def moment(z, sg):
+        hint = None
+        if anchor is not None and not radial:
+            ref = 1.0 + float(np.max(np.abs(anchor)))
+            if np.linalg.norm(np.asarray(z) - anchor) <= sg + 1e-12 * ref:
+                hint = (tuple(anchor), float(mu.singularity[1]))
+        region = _ball_region(domain, z, sg)
+        return integrate(g_off, region, 1e-9, singularity_hint=hint).value
 
-    cols = tuple(f"z{i}" for i in range(n)) + ("sigma", "moment")
-    params = _params({"beta": beta, "T": T, "ell": float(ell), "p": p_req})
-    return _log_moment_report(
-        "orlicz_moment_check", params, cols, rows, worst, T, beta - half
+    def closed_form(sg):
+        c = mu.scale_factor * horizon_scale
+        angular = _sphere_area(n) if ell == 0 else _half_ball_moment(n)
+        return angular * _orlicz_radial(c, prof.power, prof.log_power, beta, sg)
+
+    return _log_sweep(
+        "orlicz_moment_check",
+        _params({"beta": beta, "T": T, "ell": float(ell), "p": p_req}),
+        n,
+        T,
+        beta - 0.5 * (n + ell),
+        z_points,
+        sigmas,
+        moment,
+        (anchor, closed_form) if radial else None,
     )
 
 
@@ -1090,77 +1038,52 @@ def orlicz_boundary_check(
     families go through the closed-form radial reduction at their
     anchor, generic densities through patch quadrature.
     """
-    if not beta > 0:
-        raise ValueError("the log weight must be positive")
-    if not T > 0:
-        raise ValueError("horizon must be positive")
     n = space_dim(domain)
     if n < 2:
         raise ValueError("surface moments need a boundary of dimension >= 1")
     if mu.boundary_density is None:
         raise ValueError("measure has no surface density")
-    p_req = critical_exponent(n + 1)
-    if mu.p is not None and abs(mu.p - p_req) > 1e-9:
-        raise ValueError("measure exponent does not sit at the borderline value")
-    half = 0.5 * (n + 1)
-    if not beta < half:
-        raise ValueError("the weighted moment diverges at this log exponent")
+    sigmas = _radii(T, sigmas)
+    p_req, horizon_scale = _borderline(mu, beta, T, n + 1)
     prof = mu.radial_profile
     radial = prof is not None and prof.log_power > 0 and prof.dim == n - 1
-    anchor = None
+    anchor = np.zeros(n)
     if mu.singularity is not None:
         anchor = np.asarray(mu.singularity[0], dtype=float)
     elif mu.support_center is not None:
         anchor = np.asarray(mu.support_center, dtype=float)
-    if anchor is None:
-        anchor = np.zeros(n)
     anchor[-1] = 0.0
-    if sigmas is None:
-        sigmas = sigma_ladder(T)
-    sigmas = tuple(float(s) for s in sigmas)
-    sig_max = max(sigmas)
     if z_points is None:
-        step = max(2.5 * sig_max, 0.6)
-        offs = [] if radial else [tuple(float(v) for v in anchor)]
-        for k in (1, 2):
-            q = anchor.copy()
-            q[0] += k * step
-            q[-1] = 0.0
-            if _contains(domain, q):
-                offs.append(tuple(float(v) for v in q))
-        z_points = offs
+        z_points = [] if radial else [tuple(float(v) for v in anchor)]
+        z_points += _side_centers(anchor, domain, max(sigmas))
     z_points = tuple(tuple(float(v) for v in z) for z in z_points)
     for z in z_points:
         if _dist(domain, z) > 1e-12:
             raise ValueError("surface moments need boundary centers")
-
-    horizon_scale = T ** (1.0 / (p_req - 1.0))
     h = _surface_density(mu)
 
     def gh(pts, off=None):
         x = horizon_scale * h(pts, off)
         return _orlicz(x, beta)
 
-    rows = []
-    worst = []
-    for sg in sigmas:
-        smax = 0.0
-        if radial:
-            c = mu.scale_factor * horizon_scale
-            angular = _sphere_area(n - 1)
-            smax = angular * _orlicz_radial(c, prof.power, prof.log_power, beta, sg)
-            rows.append(_row(*anchor, sg, smax))
-        for z in z_points:
-            patch = _boundary_patch(domain, z, sg)
-            val = _integrate_part(gh, patch, 1e-9, None)
-            rows.append(_row(*z, sg, val))
-            smax = max(smax, val)
-        worst.append((sg, smax))
+    def moment(z, sg):
+        return _integrate_part(gh, _boundary_patch(domain, z, sg), 1e-9, None)
 
-    cols = tuple(f"z{i}" for i in range(n)) + ("sigma", "moment")
-    params = _params({"beta": beta, "T": T, "p": p_req})
-    return _log_moment_report(
-        "orlicz_boundary_check", params, cols, rows, worst, T, beta - half
+    def closed_form(sg):
+        c = mu.scale_factor * horizon_scale
+        angular = _sphere_area(n - 1)
+        return angular * _orlicz_radial(c, prof.power, prof.log_power, beta, sg)
+
+    return _log_sweep(
+        "orlicz_boundary_check",
+        _params({"beta": beta, "T": T, "p": p_req}),
+        n,
+        T,
+        beta - 0.5 * (n + 1),
+        z_points,
+        sigmas,
+        moment,
+        (anchor, closed_form) if radial else None,
     )
 
 
@@ -1168,17 +1091,10 @@ def orlicz_boundary_check(
 # eigenfunction-weighted strip bounds on an interval
 
 
-def _eigen_pair(L: float):
-    """First Dirichlet eigenfunction of the interval and its strip integral."""
-
-    def phi(y: np.ndarray) -> np.ndarray:
-        return np.sin(math.pi * np.asarray(y, float) / L)
-
-    def strip_integral(s: float) -> float:
-        s = min(s, 0.5 * L)
-        return 2.0 * (L / math.pi) * (1.0 - math.cos(math.pi * s / L))
-
-    return phi, strip_integral
+def _eigen_strip(L: float, s: float) -> float:
+    """Integral of the first Dirichlet eigenfunction over the strip d < s."""
+    s = min(s, 0.5 * L)
+    return 2.0 * (L / math.pi) * (1.0 - math.cos(math.pi * s / L))
 
 
 def _phi_over_d(L: float):
@@ -1244,6 +1160,36 @@ def _trace_strip_limit(
     return recover_trace(u, psi, idx, domain)
 
 
+def _strip_depths(domain: Interval, T: float, sigmas) -> Tuple[float, ...]:
+    if not isinstance(domain, Interval):
+        raise ValueError("strip bounds are defined on an interval")
+
+    def ladder(T):
+        return np.geomspace(1e-3, min(0.5 * math.sqrt(T), 0.45 * domain.length), 12)
+
+    return _radii(T, sigmas, ladder)
+
+
+def _strip_value(source, domain: Interval, sigma: float, weighted: bool):
+    """Strip quantity of depth sigma and its error estimate.
+
+    weighted pairs phi/d with the data, otherwise the strip mass is
+    taken; exact for a measure, the small-time trace limit for a field.
+    """
+    if isinstance(source, SolveOutcome):
+        source = source.final
+    if not isinstance(source, MeasureSpec):
+        est = _trace_strip_limit(source, domain, sigma, weighted)
+        return est.limit, est.error
+    if weighted:
+        return _measure_strip_weighted(source, domain, sigma), 0.0
+    L = domain.length
+    m = ball_mass(source, domain, (0.0,), sigma)
+    if sigma < 0.5 * L:
+        m += ball_mass(source, domain, (L,), sigma)
+    return m, 0.0
+
+
 def weighted_strip_bound(
     source: Union[MeasureSpec, GridFunction, SolveOutcome],
     domain: Interval,
@@ -1260,29 +1206,16 @@ def weighted_strip_bound(
     empirical ratio across sigma; a ratio that keeps climbing as the
     strip thins means the ceiling fails.
     """
-    if not isinstance(domain, Interval):
-        raise ValueError("strip bounds are defined on an interval")
     if not p > 1:
         raise ValueError("exponent p must exceed 1")
-    if not T > 0:
-        raise ValueError("horizon must be positive")
-    if isinstance(source, SolveOutcome):
-        source = source.final
+    sigmas = _strip_depths(domain, T, sigmas)
     L = domain.length
-    if sigmas is None:
-        hi = min(0.5 * math.sqrt(T), 0.45 * L)
-        sigmas = tuple(float(s) for s in np.geomspace(1e-3, hi, 12))
-    sigmas = tuple(float(s) for s in sigmas)
-    if not sigmas:
-        raise ValueError("empty sample sets")
     if max(sigmas) >= math.sqrt(0.5 * T):
         raise ValueError("strip depth must stay below sqrt(T/2)")
 
-    _, strip_integral = _eigen_pair(L)
-
     def rhs(sigma: float) -> float:
         def integrand(r: float) -> float:
-            return strip_integral(math.sqrt(r)) ** -(p - 1.0)
+            return _eigen_strip(L, math.sqrt(r)) ** -(p - 1.0)
 
         pieces = [2.0 * sigma**2, T]
         knee = min(0.25 * L * L, T)
@@ -1297,53 +1230,26 @@ def weighted_strip_bound(
     rows = []
     ratios = []
     for sg in sigmas:
-        if isinstance(source, MeasureSpec):
-            lhs = _measure_strip_weighted(source, domain, sg)
-            err = 0.0
-        else:
-            est = _trace_strip_limit(source, domain, sg, weighted=True)
-            lhs, err = est.limit, est.error
+        lhs, err = _strip_value(source, domain, sg, weighted=True)
         bound = rhs(sg)
         ratio = lhs / bound
         rows.append(_row(sg, lhs, bound, ratio, err))
         ratios.append((sg, ratio))
 
-    sup = max(r for _, r in ratios)
-    fitted = band = None
-    # the ceiling degenerates as 2 sigma^2 approaches T, collapsing the
-    # ratio; the trend is meaningful only well below that
-    healthy = [(s, r) for s, r in ratios if 2.0 * s * s <= 0.25 * T]
-    if len(healthy) >= 5 and all(r > 0 for _, r in healthy):
-        try:
-            fitted, band = fit_exponent(healthy)
-        except ValueError:
-            pass
-    if sup <= 0.0:
-        verdict, detail = "consistent", "no data mass inside the strips"
-    elif not math.isfinite(sup):
-        verdict, detail = "violated", "strip ratio is unbounded"
-    elif fitted is None:
-        verdict = "consistent" if math.isfinite(sup) else "violated"
-        detail = "strip ratio recorded without a usable trend"
-    elif fitted <= -_SLOPE_BAD:
-        verdict = "violated"
-        detail = "strip ratio grows as the strip thins"
-    elif fitted >= -_SLOPE_OK:
-        verdict = "consistent"
-        detail = "strip ratio is stable across the sweep"
-    else:
-        verdict, detail = "inconclusive", "borderline strip trend"
-    return CriterionReport(
-        criterion="weighted_strip_bound",
-        params=_params({"p": p, "T": T, "length": L}),
-        columns=("sigma", "strip_weighted", "bound", "ratio", "trace_error"),
-        samples=tuple(rows),
-        verdict=verdict,
-        fitted_exponent=fitted,
-        fit_band=band,
-        predicted_exponent=0.0,
-        empirical_constant=sup if math.isfinite(sup) else None,
-        detail=detail,
+    def fit(series):
+        # the ceiling degenerates as 2 sigma^2 approaches T, collapsing the
+        # ratio; the trend is meaningful only well below that
+        return fit_exponent([(s, r) for s, r in series if 2.0 * s * s <= 0.25 * T])
+
+    return _trend_report(
+        "weighted_strip_bound",
+        _params({"p": p, "T": T, "length": L}),
+        ("sigma", "strip_weighted", "bound", "ratio", "trace_error"),
+        rows,
+        ratios,
+        fit,
+        0.0,
+        _Trend("strip ratio", *_SLOPE, -1, unfit="consistent"),
     )
 
 
@@ -1360,76 +1266,31 @@ def boundary_strip_rate(
     for p > 2, and like 1/log(e + sqrt(T)/sigma) at p = 2.  Fits the
     observed rate of the full boundary-strip mass and compares.
     """
-    if not isinstance(domain, Interval):
-        raise ValueError("strip bounds are defined on an interval")
     if not p >= 2:
         raise ValueError("the strip rate applies from p = 2 upward")
-    if not T > 0:
-        raise ValueError("horizon must be positive")
-    if isinstance(source, SolveOutcome):
-        source = source.final
+    sigmas = _strip_depths(domain, T, sigmas)
     L = domain.length
-    if sigmas is None:
-        hi = min(0.5 * math.sqrt(T), 0.45 * L)
-        sigmas = tuple(float(s) for s in np.geomspace(1e-3, hi, 12))
-    sigmas = tuple(float(s) for s in sigmas)
-    if not sigmas:
-        raise ValueError("empty sample sets")
 
     rows = []
     masses = []
     for sg in sigmas:
-        if isinstance(source, MeasureSpec):
-            m = ball_mass(source, domain, (0.0,), sg)
-            if sg < 0.5 * L:
-                m += ball_mass(source, domain, (L,), sg)
-            err = 0.0
-        else:
-            est = _trace_strip_limit(source, domain, sg, weighted=False)
-            m, err = est.limit, est.error
+        m, err = _strip_value(source, domain, sg, weighted=False)
         rows.append(_row(sg, m, err))
         masses.append((sg, m))
 
-    log_rate = p == 2.0
-    predicted = -1.0 if log_rate else 2.0 * (p - 2.0) / (p - 1.0)
-    pos = [(s, m) for s, m in masses if m > 0]
-    fitted = band = None
-    if len(pos) >= 5:
-        try:
-            if log_rate:
-                fitted, band = fit_log_exponent(pos, T)
-            else:
-                fitted, band = fit_exponent(pos)
-        except ValueError:
-            pass
-    sup = max(m for _, m in masses)
-    if sup == 0.0:
-        verdict, detail = "consistent", "no mass near the boundary"
-    elif fitted is None:
-        verdict, detail = "inconclusive", "strip masses lack a usable trend"
-    elif log_rate:
-        if fitted > predicted + 0.25:
-            verdict, detail = "violated", "strip mass beats the admissible log rate"
-        elif fitted <= predicted + 0.1:
-            verdict, detail = "consistent", "strip mass follows the admissible log rate"
-        else:
-            verdict, detail = "inconclusive", "borderline strip rate"
+    if p == 2.0:
+        predicted, rule = -1.0, _Trend("strip mass", *_RATE, 1)
+        trend = lambda pos: fit_log_exponent(pos, T)
     else:
-        if fitted < predicted - _SLOPE_BAD:
-            verdict, detail = "violated", "strip mass decays too slowly"
-        elif fitted >= predicted - _SLOPE_OK:
-            verdict, detail = "consistent", "strip mass decays at the admissible rate"
-        else:
-            verdict, detail = "inconclusive", "borderline strip rate"
-    return CriterionReport(
-        criterion="boundary_strip_rate",
-        params=_params({"p": p, "T": T, "length": L}),
-        columns=("sigma", "strip_mass", "trace_error"),
-        samples=tuple(rows),
-        verdict=verdict,
-        fitted_exponent=fitted,
-        fit_band=band,
-        predicted_exponent=predicted,
-        empirical_constant=sup,
-        detail=detail,
+        predicted, rule = 2.0 * (p - 2.0) / (p - 1.0), _Trend("strip mass", *_SLOPE, -1)
+        trend = fit_exponent
+    return _trend_report(
+        "boundary_strip_rate",
+        _params({"p": p, "T": T, "length": L}),
+        ("sigma", "strip_mass", "trace_error"),
+        rows,
+        masses,
+        lambda series: trend([(s, m) for s, m in series if m > 0]),
+        predicted,
+        rule,
     )

@@ -493,6 +493,13 @@ def _interior_integral(mu: MeasureSpec, domain: Domain, region, tol, hint, f) ->
     return _integrate_part(mu.interior_density, region, tol, hint, extra)
 
 
+def _at_anchor(prof: RadialProfile, center) -> bool:
+    """Whether center sits at the profile's anchor, to rounding."""
+    anchor = np.asarray(prof.anchor, float)
+    c = np.asarray(center, float).reshape(-1)
+    return np.max(np.abs(c - anchor)) <= 1e-12 * (1.0 + float(np.max(np.abs(anchor))))
+
+
 def _centered_ball_exact(mu: MeasureSpec, domain: Domain, center, sigma: float):
     """Closed-form mass of an anchor-centered ball in dimension >= 2,
     or None when the geometry falls outside the exact cases."""
@@ -500,11 +507,9 @@ def _centered_ball_exact(mu: MeasureSpec, domain: Domain, center, sigma: float):
     n = space_dim(domain)
     if prof is None or n < 2 or mu.interior_density is None:
         return None
-    anchor = np.asarray(prof.anchor, float)
-    c = np.asarray(center, float).reshape(-1)
-    scale_ref = 1.0 + float(np.max(np.abs(anchor)))
-    if np.max(np.abs(c - anchor)) > 1e-12 * scale_ref:
+    if not _at_anchor(prof, center):
         return None
+    anchor = np.asarray(prof.anchor, float)
     if isinstance(domain, WholeSpace):
         return _sphere_area(n) * prof.primitive(0.0, sigma)
     dz = float(boundary_distance(domain, anchor))
@@ -527,6 +532,35 @@ def _atom_sum(mu: MeasureSpec, center, radius, weight=None):
     return total
 
 
+def _surface_part(
+    mu: MeasureSpec, domain: Domain, center, radius: float, tol, hint, divisor: float
+) -> float:
+    """Boundary-density mass of the ball, divided by divisor.
+
+    A built-in surface family's anchor-centered patch is integrated in
+    closed form, any other patch by quadrature; on one-dimensional
+    domains the boundary is the endpoints, whose density values count
+    as point masses.
+    """
+    dens = mu.boundary_density
+    patch = _boundary_patch(domain, center, radius)
+    if patch is None:
+        return 0.0
+    if not isinstance(patch, BoundaryPatch):
+        points = (np.asarray(pt, float)[None, :] for pt in patch)
+        return sum(float(dens(arr)[0]) / divisor for arr in points)
+    prof = mu.radial_profile
+    n = space_dim(domain)
+    if prof is not None and prof.dim == n - 1 and _at_anchor(prof, patch.center):
+        return _sphere_area(n - 1) * prof.primitive(0.0, patch.radius) / divisor
+    fwd = _accepts_offsets(dens)
+
+    def part(pts, off=None):
+        return (dens(pts, off) if fwd else dens(pts)) / divisor
+
+    return _integrate_part(part, patch, tol, hint)
+
+
 def ball_mass(
     mu: MeasureSpec, domain: Domain, center, sigma: float, tol: float = 1e-10
 ) -> float:
@@ -547,27 +581,7 @@ def ball_mass(
             )
 
     if mu.boundary_density is not None:
-        patch = _boundary_patch(domain, center, sigma)
-        if isinstance(patch, BoundaryPatch):
-            prof = mu.radial_profile
-            n = space_dim(domain)
-            if (
-                prof is not None
-                and prof.dim == n - 1
-                and np.max(
-                    np.abs(
-                        np.asarray(patch.center, float) - np.asarray(prof.anchor, float)
-                    )
-                )
-                <= 1e-12 * (1.0 + float(np.max(np.abs(np.asarray(prof.anchor)))))
-            ):
-                total += _sphere_area(n - 1) * prof.primitive(0.0, patch.radius)
-            else:
-                total += _integrate_part(mu.boundary_density, patch, tol, hint)
-        elif patch is not None:
-            for pt in patch:
-                arr = np.asarray(pt, float)[None, :]
-                total += float(mu.boundary_density(arr)[0])
+        total += _surface_part(mu, domain, center, sigma, tol, hint, 1.0)
 
     total += _atom_sum(mu, center, sigma)
     return mu.scale_factor * total
@@ -593,31 +607,7 @@ def weighted_ball_integral(
         )
 
     if mu.boundary_density is not None:
-        patch = _boundary_patch(domain, center, rs)
-
-        def bdens(pts, off=None):
-            return mu.boundary_density(pts, off) / rs
-
-        if isinstance(patch, BoundaryPatch):
-            prof = mu.radial_profile
-            n = space_dim(domain)
-            if (
-                prof is not None
-                and prof.dim == n - 1
-                and np.max(
-                    np.abs(
-                        np.asarray(patch.center, float) - np.asarray(prof.anchor, float)
-                    )
-                )
-                <= 1e-12 * (1.0 + float(np.max(np.abs(np.asarray(prof.anchor)))))
-            ):
-                total += _sphere_area(n - 1) * prof.primitive(0.0, patch.radius) / rs
-            else:
-                total += _integrate_part(bdens, patch, tol, hint)
-        elif patch is not None:
-            for pt in patch:
-                arr = np.asarray(pt, float)[None, :]
-                total += float(mu.boundary_density(arr)[0]) / rs
+        total += _surface_part(mu, domain, center, rs, tol, hint, rs)
 
     total += _atom_sum(
         mu,

@@ -30,7 +30,7 @@ import heapq
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 

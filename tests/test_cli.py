@@ -2,13 +2,11 @@
 
 import json
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from mildheat.cli import (
     DichotomyResult,
-    RunConfig,
     build_domain,
     build_measure,
     dichotomy_sweep,
@@ -17,7 +15,7 @@ from mildheat.cli import (
     run,
     write_csv,
 )
-from mildheat.kernels import HalfSpace, Interval
+from mildheat.kernels import HalfSpace
 from mildheat.solver import make_grid
 
 

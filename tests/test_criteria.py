@@ -426,6 +426,27 @@ def test_constant_patch_scales_like_area():
     assert np.allclose(ratios, expected, rtol=1e-9)
 
 
+def test_log_moments_without_a_fittable_trend_are_inconclusive():
+    # four radii are too few for a trend fit, which must not raise
+    sigmas = np.geomspace(1e-3, 0.2, 4)
+    mu = make_family(
+        SingularFamily("interior_point", (0.0, 1.0), critical_exponent(2)), HS2
+    )
+    patch = MeasureSpec(
+        boundary_density=lambda pts, off=None: np.full(len(np.atleast_2d(pts)), 0.8),
+        support_center=(0.0, 0.0),
+        support_radius=1.0,
+    )
+    for rep in (
+        orlicz_moment_check(mu, HS2, beta=0.3, sigmas=sigmas),
+        orlicz_boundary_check(patch, HS2, beta=0.5, sigmas=sigmas),
+    ):
+        assert rep.verdict == "inconclusive"
+        assert rep.fitted_exponent is None
+        assert rep.fit_band is None
+        assert len(rep.column("sigma")) > 0
+
+
 def test_log_moment_exponent_guards(wall_family):
     mu = make_family(
         SingularFamily("boundary_point", (0.0, 0.0), critical_exponent(3)), HS2

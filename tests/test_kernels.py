@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mildheat import kernels as ker
 from mildheat.kernels import (
     HalfSpace,
     Interval,

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mildheat import measures as meas
 from mildheat.kernels import HalfSpace, Interval, WholeSpace
 from mildheat.measures import (
     MeasureSpec,
@@ -156,12 +155,28 @@ def test_weighted_integral_boundary_regime():
 
 
 def test_weighted_integral_pure_surface():
-    # d = 0 on the boundary, so the weight is exactly 1/sqrt(s)
-    mu = make_family(SingularFamily("boundary_surface", (0.0, 0.0), 1.8), HS2)
-    for s in (0.01, 0.04):
-        w = weighted_ball_integral(mu, HS2, (0.0, 0.0), s)
-        m = ball_mass(mu, HS2, (0.0, 0.0), math.sqrt(s))
-        assert w * math.sqrt(s) == pytest.approx(m, rel=1e-9)
+    # d = 0 on the boundary, so the weight is exactly 1/sqrt(s); the
+    # cases cover the closed-form anchor patch, patch quadrature off the
+    # anchor and for a constant density, and interval endpoint points
+    family = make_family(SingularFamily("boundary_surface", (0.0, 0.0), 1.8), HS2)
+    const = MeasureSpec(
+        boundary_density=lambda pts, off=None: np.full(len(np.atleast_2d(pts)), 0.8),
+        support_center=(0.0, 0.0),
+        support_radius=1.0,
+    )
+    ends = MeasureSpec(boundary_density=lambda pts, off=None: np.full(pts.shape[0], 2.5))
+    cases = [
+        (family, HS2, (0.0, 0.0)),
+        (family, HS2, (0.15, 0.0)),
+        (const, HS2, (0.0, 0.0)),
+        (ends, IV1, (0.0,)),
+    ]
+    for mu, domain, center in cases:
+        for s in (0.01, 0.04):
+            w = weighted_ball_integral(mu, domain, center, s)
+            m = ball_mass(mu, domain, center, math.sqrt(s))
+            assert m > 0
+            assert w * math.sqrt(s) == pytest.approx(m, rel=1e-9)
 
 
 def test_ball_mass_monotone_in_sigma():
