@@ -33,7 +33,7 @@ from .kernels import (
     verify_semigroup,
 )
 from .measures import MeasureSpec, SingularFamily, make_family, pairing
-from .solver import PicardRunner, SpaceTimeGrid, make_grid, restart_residual
+from .solver import PicardRunner, SpaceTimeGrid, measure_grid, restart_residual
 from .trace import bump_test_function, recover_trace
 
 SCHEMA_VERSION = 1
@@ -337,32 +337,28 @@ def dichotomy_sweep(
     fam = SingularFamily(family_kind, tuple(np.atleast_1d(z).astype(float)), float(p))
     mu = make_family(fam, domain)
     if grid is None:
-        grid = make_grid(domain, T, [fam.anchor], **grid_options)
+        grid = measure_grid(domain, mu, T, **grid_options)
     runner = PicardRunner(domain, mu, float(p), grid)
-    opts = dict(max_iter=int(_TOL_DEFAULTS["max_iter"]), conv_tol=1e-7, blowup_ceiling=1e8)
-    opts.update(solver_options or {})
-    opts["max_iter"] = int(opts["max_iter"])
+    opts = solver_options or {}
 
     history = []
 
-    def probe(k: float, budget_scale: int = 1) -> str:
-        o = dict(opts)
-        o["max_iter"] = opts["max_iter"] * budget_scale
-        outcome = runner.solve(kappa=k, **o)
+    def probe(k: float, **budget):
+        outcome = runner.solve(kappa=k, **{**opts, **budget})
         history.append((float(k), outcome.status, outcome.iterations))
-        return outcome.status
+        return outcome
 
-    s_lo, s_hi = probe(lo), probe(hi)
+    s_lo, s_hi = probe(lo).status, probe(hi).status
     for _ in range(8):
         if s_lo == "Converged":
             break
         lo /= 4.0
-        s_lo = probe(lo)
+        s_lo = probe(lo).status
     for _ in range(8):
         if s_hi == "Diverged":
             break
         hi *= 4.0
-        s_hi = probe(hi)
+        s_hi = probe(hi).status
     if s_lo != "Converged" or s_hi != "Diverged":
         raise ValueError(
             f"no dichotomy bracket: low end {s_lo} at {lo:.3g}, high end {s_hi} at {hi:.3g}"
@@ -374,9 +370,11 @@ def dichotomy_sweep(
     while hi / lo >= ratio_target and steps < max_bisection and stall < 3:
         w = weights[stall]
         mid = math.exp((1.0 - w) * math.log(lo) + w * math.log(hi))
-        status = probe(mid)
-        if status == "Inconclusive":
-            status = probe(mid, budget_scale=3)
+        outcome = probe(mid)
+        if outcome.status == "Inconclusive":
+            # the probe used up its whole budget: retry with three times it
+            outcome = probe(mid, max_iter=3 * outcome.iterations)
+        status = outcome.status
         steps += 1
         if status == "Converged":
             lo, stall = mid, 0
@@ -481,21 +479,19 @@ def _solve_options(cfg: RunConfig):
     return grid_options, solver_options
 
 
-def _solver_pieces(cfg: RunConfig, domain: Domain, mu: MeasureSpec):
+def _solve_measure(cfg: RunConfig, domain: Domain, man: Manifest):
+    """The configured measure and its solve on the grid anchored at it."""
+    mu = build_measure(cfg, domain)
     grid_options, solver_options = _solve_options(cfg)
-    anchors = [a for a, _ in mu.atoms]
-    if mu.singularity is not None:
-        anchors.append(mu.singularity[0])
-    grid = make_grid(domain, cfg.solve["horizon"], anchors, **grid_options)
-    return grid, solver_options
+    grid = measure_grid(domain, mu, cfg.solve["horizon"], **grid_options)
+    outcome = PicardRunner(domain, mu, cfg.solve["p"], grid).solve(**solver_options)
+    man.timing("solve")
+    return mu, outcome
 
 
 def _cmd_solve(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) -> int:
-    mu = build_measure(cfg, domain)
-    grid, solver_options = _solver_pieces(cfg, domain, mu)
-    runner = PicardRunner(domain, mu, cfg.solve["p"], grid)
-    outcome = runner.solve(**solver_options)
-    man.timing("solve")
+    _, outcome = _solve_measure(cfg, domain, man)
+    grid = outcome.final.grid
 
     hist_rows = [
         (h["iteration"], h["sup"], h["weighted_l1"], h["sup_diff"], h["l1_diff"])
@@ -531,11 +527,7 @@ def _cmd_solve(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) -> 
 
 
 def _cmd_trace(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) -> int:
-    mu = build_measure(cfg, domain)
-    grid, solver_options = _solver_pieces(cfg, domain, mu)
-    runner = PicardRunner(domain, mu, cfg.solve["p"], grid)
-    outcome = runner.solve(**solver_options)
-    man.timing("solve")
+    mu, outcome = _solve_measure(cfg, domain, man)
     if outcome.status != "Converged":
         man.event("result", status=outcome.status, detail="no converged field to trace")
         return 1

@@ -550,7 +550,9 @@ def necessary_log_bound(
     dimension: mass(B(z, sigma)) is at most a constant times
     (d(z)+sigma) * log(e + min(d(z), sqrt(T))/sigma)^(-N/2).
     variant "boundary" applies one dimension up, for centers on the
-    boundary, with bound log(e + sqrt(T)/sigma)^(-(N+1)/2).
+    boundary, with bound log(e + sqrt(T)/sigma)^(-(N+1)/2).  On the
+    whole space the distance weight drops out of the interior variant,
+    leaving log(e + sqrt(T)/sigma)^(-N/2).
     The trend is fitted in the doubly logarithmic variable; growth
     there means the data beats the borderline rate and is ruled out.
     """
@@ -567,10 +569,12 @@ def necessary_log_bound(
 
     rt = math.sqrt(T)
     half = (n if variant == "interior" else n + 1) / 2.0
+    whole = isinstance(domain, WholeSpace)
 
     def cells(z, sg):
-        d = _dist(domain, z)
-        if variant == "interior":
+        # no wall: the distance weight degenerates and drops out
+        d = 0.0 if whole else _dist(domain, z)
+        if variant == "interior" and not whole:
             bound = (d + sg) * math.log(math.e + min(d, rt) / sg) ** -half
         else:
             bound = math.log(math.e + rt / sg) ** -half
@@ -1049,9 +1053,9 @@ def orlicz_boundary_check(
     radial = prof is not None and prof.log_power > 0 and prof.dim == n - 1
     anchor = np.zeros(n)
     if mu.singularity is not None:
-        anchor = np.asarray(mu.singularity[0], dtype=float)
+        anchor = np.array(mu.singularity[0], dtype=float)
     elif mu.support_center is not None:
-        anchor = np.asarray(mu.support_center, dtype=float)
+        anchor = np.array(mu.support_center, dtype=float)
     anchor[-1] = 0.0
     if z_points is None:
         z_points = [] if radial else [tuple(float(v) for v in anchor)]

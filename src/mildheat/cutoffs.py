@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -243,8 +243,9 @@ class InequalityWitnessReport:
     ``bound`` is the largest constant m compatible with
     m + xi(r) <= c_star * eta(r) * xi'(r)^(1/alpha) on (a, b) for a
     nondecreasing nonnegative xi.  ``witness`` is the largest m (up to
-    bracket width) for which the equality ODE stays finite on [a, b];
-    mathematically witness = bound - xi0, so witness <= bound always."""
+    the bracket width, at most 1e-9 relative) for which the equality ODE
+    stays finite on [a, b]; mathematically witness = bound - xi0, so
+    witness <= bound always."""
 
     bound: float
     witness: float
@@ -258,14 +259,15 @@ def differential_inequality_bound(
     c_star: float,
     alpha: float,
     xi0: float = 0.0,
-    blowup: Optional[float] = None,
 ) -> InequalityWitnessReport:
     """Threshold for m in  m + xi(r) <= c_star * w(r) * xi'(r)^(1/alpha).
 
-    The weight must be positive on [a, b].  The default blow-up ceiling
-    is calibrated so the witness sits about 1e-5 relatively below the
+    The weight must be positive on [a, b].  The blow-up ceiling is
+    calibrated so the witness sits about 1e-5 relatively below the
     analytic threshold bound - xi0; that keeps the solver's own error
     (orders of magnitude smaller) from ever pushing it past the bound.
+    The witness is bisected in [0, bound - xi0]; should the ODE stay
+    finite at the upper end, that end is reported as an open bracket.
     """
     if not (0 < a < b):
         raise ValueError("need 0 < a < b")
@@ -289,9 +291,7 @@ def differential_inequality_bound(
         * quad.value ** (-1.0 / (alpha - 1.0))
     )
 
-    ceiling = blowup
-    if ceiling is None:
-        ceiling = bound * (1e-5 * (alpha - 1.0)) ** (-1.0 / (alpha - 1.0))
+    ceiling = bound * (1e-5 * (alpha - 1.0)) ** (-1.0 / (alpha - 1.0))
     ceiling = max(ceiling, 10.0 * xi0 + 1.0)
 
     def stays_finite(m: float) -> bool:
@@ -305,15 +305,12 @@ def differential_inequality_bound(
         sol = solve_ivp(rhs, (a, b), [xi0], events=hit, rtol=1e-10, atol=1e-12)
         return sol.status == 0 and sol.y[0, -1] < ceiling
 
-    lo, hi = 0.0, max(bound, 1e-6)
-    while stays_finite(hi):
-        hi *= 2.0
-        if hi > 1e8 * max(bound, 1.0):
-            # no blow-up found; report the open bracket
-            return InequalityWitnessReport(bound=bound, witness=hi, bracket=(hi, math.inf))
+    lo, hi = 0.0, max(bound - xi0, 0.0)
+    if stays_finite(hi):
+        return InequalityWitnessReport(bound=bound, witness=hi, bracket=(hi, math.inf))
     if not stays_finite(lo):
         return InequalityWitnessReport(bound=bound, witness=0.0, bracket=(0.0, 0.0))
-    for _ in range(60):
+    while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if stays_finite(mid):
             lo = mid

@@ -4,9 +4,9 @@ A measure is described by up to three pieces: an interior density
 (against Lebesgue measure directly, or against the boundary-distance
 weight d(x)dx), a density on the boundary against surface measure, and a
 list of point masses.  Ball masses and weighted ball integrals are
-computed with the adaptive quadrature engine; densities follow its
-two-argument protocol so that distance factors near a declared singular
-point are evaluated from exact offsets.
+computed with the adaptive quadrature engine; densities are always
+called as ``(pts, off)`` (see ``MeasureSpec``) so that distance factors
+near a declared singular point are evaluated from exact offsets.
 
 The module ships three built-in singular families, each anchored at a
 point z, cut off outside the unit ball around z, and carrying a scale
@@ -40,7 +40,7 @@ import numpy as np
 from scipy.integrate import quad as _quad
 
 from .kernels import Domain, HalfSpace, Interval, WholeSpace, boundary_distance, space_dim
-from .quadrature import Ball, BoundaryPatch, _accepts_offsets, integrate
+from .quadrature import Ball, BoundaryPatch, integrate
 
 __all__ = [
     "MeasureSpec",
@@ -145,9 +145,11 @@ class RadialProfile:
 class MeasureSpec:
     """Immutable measure description.
 
-    ``interior_density`` and ``boundary_density`` take an (m, N) point
-    array plus optional exact offsets from the declared singularity and
-    return (m,) nonnegative values (before ``scale_factor``).
+    ``interior_density`` and ``boundary_density`` are always called as
+    ``density(pts, off)``: an (m, N) point array and either the exact
+    offsets ``pts - z`` from the declared singularity z, or None (compute
+    them from ``pts``).  They return (m,) nonnegative values (before
+    ``scale_factor``).  One-argument densities are not accepted.
     ``interior_mode`` is "dx" or "d_dx"; in the latter the measure is
     density(x) * d(x) dx, the natural form for boundary-weighted data.
     Atoms are ((point, mass), ...) pairs, masses before scaling.
@@ -376,10 +378,9 @@ def _boundary_patch(domain: Domain, center, radius: float):
 
 def _integrate_part(density, region, tol, hint, extra=None):
     """Integrate density (optionally times a smooth factor) over region."""
-    fwd = _accepts_offsets(density)
 
     def f(pts, off=None):
-        v = density(pts, off) if fwd else density(pts)
+        v = density(pts, off)
         if extra is not None:
             v = v * extra(pts)
         return v
@@ -548,15 +549,14 @@ def _surface_part(
         return 0.0
     if not isinstance(patch, BoundaryPatch):
         points = (np.asarray(pt, float)[None, :] for pt in patch)
-        return sum(float(dens(arr)[0]) / divisor for arr in points)
+        return sum(float(dens(arr, None)[0]) / divisor for arr in points)
     prof = mu.radial_profile
     n = space_dim(domain)
     if prof is not None and prof.dim == n - 1 and _at_anchor(prof, patch.center):
         return _sphere_area(n - 1) * prof.primitive(0.0, patch.radius) / divisor
-    fwd = _accepts_offsets(dens)
 
     def part(pts, off=None):
-        return (dens(pts, off) if fwd else dens(pts)) / divisor
+        return dens(pts, off) / divisor
 
     return _integrate_part(part, patch, tol, hint)
 
@@ -656,7 +656,7 @@ def pairing(
         elif patch is not None:
             for pt in patch:
                 arr = np.asarray(pt, float)[None, :]
-                total += float(mu.boundary_density(arr)[0]) * float(f(arr)[0])
+                total += float(mu.boundary_density(arr, None)[0]) * float(f(arr)[0])
 
     for pt, m in mu.atoms:
         arr = np.asarray(pt, float)[None, :]

@@ -16,15 +16,19 @@ Discretization choices, in one place:
   k = -m..m, m = max(1, ceil((L + sqrt(4 t ln 1e16)) / (2L)));
 * the memory integral uses exact kernel matrices, never interpolated
   kernels; matrices are cached on a geometric ladder of time offsets and
-  every quadrature node snaps to the nearest ladder entry;
+  every quadrature node snaps to the nearest ladder entry.  The ladder
+  ratio is sqrt(g), g = max(t_1 / t_0, 1.2) from the first two levels,
+  widened when the ladder would exceed 140 entries;
 * each matrix row is normalized so the discrete evolution reproduces
   the exact surviving mass of a point source, which keeps coarse cells
   honest when the kernel is sharper than the mesh;
 * below the first time level the iterate follows the shape of the
   linear evolution of the data (the ratio to its first-level values),
   which is exact for the first correction and conservative afterwards;
-* the integral tail below ``tau_floor`` uses the identity approximation
-  of the short-time kernel.
+  that window is cut into geometric slivers of ratio g down to
+  1e-3 * t_0 (the sliver floor);
+* the integral tail below the tau floor, 1e-2 * t_0, uses the identity
+  approximation of the short-time kernel.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .kernels import (
     space_dim,
 )
 from .measures import MeasureSpec
-from .quadrature import integrate, Ball, _accepts_offsets
+from .quadrature import integrate, Ball
 
 __all__ = [
     "SpaceTimeGrid",
@@ -57,6 +61,7 @@ __all__ = [
     "SolveOutcome",
     "RestartReport",
     "make_grid",
+    "measure_grid",
     "PicardRunner",
     "picard_solve",
     "restart_residual",
@@ -64,6 +69,8 @@ __all__ = [
 ]
 
 _INTERIOR_CUT = 1e-3  # sup norms ignore nodes closer to the boundary
+_TAU_FLOOR = 1e-2  # memory-integral tau floor, in units of the first level
+_SLIVER_FLOOR = 1e-3  # lowest sliver edge, in units of the first level
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +101,8 @@ class SpaceTimeGrid:
             raise ValueError("time levels exceed the horizon")
         if nodes.shape[1] != space_dim(self.domain):
             raise ValueError("node dimension does not match the domain")
-        d = boundary_distance(self.domain, nodes)
-        if np.any(np.asarray(d) < -1e-12):
+        d = np.asarray(boundary_distance(self.domain, nodes), dtype=float).reshape(-1)
+        if np.any(d < -1e-12):
             raise ValueError("grid nodes must lie in the closed domain")
         if nodes.shape[1] == 1:
             x = nodes[:, 0]
@@ -108,12 +115,18 @@ class SpaceTimeGrid:
         else:
             w = np.ones(nodes.shape[0])
         object.__setattr__(self, "_weights", w)
-        dist = np.asarray(boundary_distance(self.domain, nodes), dtype=float)
-        object.__setattr__(self, "_bdist", dist.reshape(-1))
+        object.__setattr__(self, "_bdist", d)
+        object.__setattr__(self, "_bweights", w * np.where(np.isinf(d), 1.0, d))
 
     @property
     def node_weights(self) -> np.ndarray:
         return self._weights
+
+    @property
+    def boundary_weights(self) -> np.ndarray:
+        """Node weights times the boundary distance d, the quadrature of
+        d(x) dx (plain node weights where d is infinite)."""
+        return self._bweights
 
     @property
     def node_boundary_distance(self) -> np.ndarray:
@@ -150,19 +163,10 @@ class GridFunction:
             raise ValueError("boundary nodes must carry value zero")
         self.values = vals
 
-    def sup_norm(self, interior_only: bool = True) -> float:
-        mask = self.grid.interior_mask if interior_only else slice(None)
-        sub = self.values[:, mask]
-        return float(np.max(sub)) if sub.size else 0.0
-
     def weighted_l1(self, level: int = -1) -> float:
         """Mass of the field at one time level against the boundary
         weight (plain Lebesgue weight when there is no boundary)."""
-        w = self.grid.node_weights
-        d = self.grid.node_boundary_distance
-        if np.all(np.isinf(d)):
-            return float(np.sum(w * self.values[level]))
-        return float(np.sum(w * d * self.values[level]))
+        return float(np.sum(self.grid.boundary_weights * self.values[level]))
 
 
 @dataclass
@@ -254,6 +258,14 @@ def make_grid(
     return SpaceTimeGrid(domain, nodes, np.asarray(times), horizon)
 
 
+def measure_grid(domain: Domain, mu: MeasureSpec, horizon: float, **grid_options):
+    """``make_grid`` with the measure's singular point and atoms as anchors."""
+    anchors = [a for a, _ in mu.atoms]
+    if mu.singularity is not None:
+        anchors.append(mu.singularity[0])
+    return make_grid(domain, horizon, anchors, **grid_options)
+
+
 # ---------------------------------------------------------------------------
 # linear evolution of the data on the grid nodes
 #
@@ -317,6 +329,9 @@ class _InitialEvaluator:
         self.mu = mu
         self.x = np.asarray(nodes, dtype=float).reshape(-1)
         self._bdist = np.asarray(boundary_distance(domain, nodes), float).reshape(-1)
+        self._anchor = None
+        if mu.singularity is not None:
+            self._anchor = np.asarray(mu.singularity[0], dtype=float).reshape(-1)
         self._build_cells()
 
     # -- mesh over the measure support
@@ -344,9 +359,7 @@ class _InitialEvaluator:
         lo, hi = self._support_range()
         if not hi > lo:
             return
-        anchor = None
-        if mu.singularity is not None:
-            anchor = float(np.asarray(mu.singularity[0]).reshape(-1)[0])
+        anchor = None if self._anchor is None else float(self._anchor[0])
         specials = sorted({lo, hi} | ({anchor} if anchor is not None else set()))
         span = hi - lo
 
@@ -366,7 +379,6 @@ class _InitialEvaluator:
         edges = np.asarray(breaks)
         edges[-1] = hi
 
-        dens = self._effective_density
         c0, c1 = edges[:-1], edges[1:]
         width = c1 - c0
         singular = np.zeros(c0.size, dtype=bool)
@@ -374,8 +386,8 @@ class _InitialEvaluator:
             singular |= (np.abs(c0 - anchor) < 1e-12 * span) | (
                 np.abs(c1 - anchor) < 1e-12 * span
             )
-        vL = dens(c0)
-        vR = dens(c1)
+        vL = self._density(c0[:, None])
+        vR = self._density(c1[:, None])
         with np.errstate(invalid="ignore"):
             singular |= ~np.isfinite(vL) | ~np.isfinite(vR)
             ratio = np.maximum(vL, vR) / np.maximum(np.minimum(vL, vR), 1e-300)
@@ -391,17 +403,14 @@ class _InitialEvaluator:
             if mass > 0:
                 self._point_cells.append((mass, cen))
 
-    def _effective_density(self, ys):
-        """Density against the plain kernel: the boundary weight is
-        divided out in plain-mode measures and cancels otherwise."""
+    def _density(self, pts, off=None):
+        """Density against the plain kernel at (m, 1) points: the boundary
+        weight is divided out in plain-mode measures and cancels otherwise.
+        Offsets from the singular anchor default to pts - anchor."""
         mu = self.mu
-        pts = np.asarray(ys, dtype=float).reshape(-1, 1)
-        if mu.singularity is not None and _accepts_offsets(mu.interior_density):
-            anchor = np.asarray(mu.singularity[0], dtype=float).reshape(-1)
-            vals = mu.interior_density(pts, pts - anchor[None, :])
-        else:
-            vals = mu.interior_density(pts)
-        vals = np.asarray(vals, dtype=float).reshape(-1)
+        if off is None and self._anchor is not None:
+            off = pts - self._anchor[None, :]
+        vals = np.asarray(mu.interior_density(pts, off), dtype=float).reshape(-1)
         if mu.interior_mode == "dx":
             d = np.asarray(boundary_distance(self.domain, pts), float).reshape(-1)
             if np.any((d < 1e-12) & (vals > 0)):
@@ -429,11 +438,9 @@ class _InitialEvaluator:
         mu = self.mu
         prof = mu.radial_profile
         hint = None
-        anchor = None
         z = None
-        if mu.singularity is not None:
-            anchor = np.asarray(mu.singularity[0], dtype=float).reshape(-1)
-            z = float(anchor[0])
+        if self._anchor is not None:
+            z = float(self._anchor[0])
             if c0 - 1e-12 <= z <= c1 + 1e-12:
                 hint = ((z,), mu.singularity[1])
 
@@ -473,21 +480,8 @@ class _InitialEvaluator:
             self._dist(c0) == 0.0 or self._dist(c1) == 0.0
         )
 
-        def raw(pts, off):
-            if anchor is not None and _accepts_offsets(mu.interior_density):
-                if off is None:
-                    off = pts - anchor[None, :]
-                vals = mu.interior_density(pts, off)
-            else:
-                vals = mu.interior_density(pts)
-            vals = np.asarray(vals, dtype=float).reshape(-1)
-            if mu.interior_mode == "dx":
-                d = np.asarray(boundary_distance(self.domain, pts), float).reshape(-1)
-                vals = np.where(vals > 0, vals / np.maximum(d, 1e-300), 0.0)
-            return vals
-
         def f(pts, off=None):
-            vals = raw(pts, off)
+            vals = self._density(pts, off)
             if wall:
                 d = np.asarray(boundary_distance(self.domain, pts), float).reshape(-1)
                 vals = vals * d
@@ -529,7 +523,9 @@ class _InitialEvaluator:
                 out += m * kernel_values(self.domain, pa, x[:, None], t) / weight
         if self.mu.boundary_density is not None:
             for b in self._boundary_points():
-                w = float(np.asarray(self.mu.boundary_density(np.array([[b]]))).reshape(-1)[0])
+                w = float(
+                    np.asarray(self.mu.boundary_density(np.array([[b]]), None)).reshape(-1)[0]
+                )
                 if w > 0:
                     out += w * normal_derivative(self.domain, x[:, None], (b,), t)
         out[self._bdist == 0.0] = 0.0
@@ -555,24 +551,16 @@ class DuhamelOperator:
     integral on one grid.  Matrices transport the piecewise-linear
     interpolant exactly (float32, shared across iterations and data)."""
 
-    def __init__(
-        self,
-        domain: Domain,
-        grid: SpaceTimeGrid,
-        *,
-        tau_floor_factor: float = 1e-2,
-        sliver_floor_factor: float = 1e-3,
-        ladder_ratio: Optional[float] = None,
-    ):
+    def __init__(self, domain: Domain, grid: SpaceTimeGrid):
         self.domain = domain
         self.grid = grid
         times = grid.times
-        self.tau_floor = tau_floor_factor * times[0]
+        self.tau_floor = _TAU_FLOOR * times[0]
         g = max(float(times[1] / times[0]), 1.2)
         self._g = g
 
         top = float(times[-1])
-        rho = ladder_ratio or math.sqrt(g)
+        rho = math.sqrt(g)
         count = int(math.ceil(math.log(top / self.tau_floor) / math.log(rho))) + 1
         if count > 140:
             rho = (top / self.tau_floor) ** (1.0 / 139)
@@ -582,7 +570,7 @@ class DuhamelOperator:
         self._mat = {}
 
         # standard subdivision of the window below the first level
-        n_sliver = int(math.ceil(-math.log(sliver_floor_factor) / math.log(g)))
+        n_sliver = int(math.ceil(-math.log(_SLIVER_FLOOR) / math.log(g)))
         t1 = float(times[0])
         self._sliver_edges = t1 * g ** -np.arange(n_sliver + 1)
 
@@ -722,7 +710,6 @@ class PicardRunner:
         mu: MeasureSpec,
         p: float,
         grid: SpaceTimeGrid,
-        **op_options,
     ):
         if not p > 1:
             raise ValueError("exponent must exceed 1")
@@ -730,7 +717,7 @@ class PicardRunner:
         self.mu = mu
         self.p = p
         self.grid = grid
-        self.op = DuhamelOperator(domain, grid, **op_options)
+        self.op = DuhamelOperator(domain, grid)
         self._ev = _InitialEvaluator(domain, mu, grid.nodes)
         self._base = self._ev.at_times(grid.times)  # scale factor 1
         if not np.all(np.isfinite(self._base)):
@@ -761,7 +748,6 @@ class PicardRunner:
         max_iter: int = 30,
         conv_tol: float = 1e-7,
         blowup_ceiling: float = 1e8,
-        nonlinearity: bool = True,
     ) -> SolveOutcome:
         if max_iter < 2:
             raise ValueError("max_iter must be at least 2")
@@ -769,20 +755,10 @@ class PicardRunner:
         k = self.mu.scale_factor if kappa is None else float(kappa)
         u1 = k * self._base
         interior = grid.interior_mask
-        wl1 = grid.node_weights * np.where(
-            np.isinf(grid.node_boundary_distance), 1.0, grid.node_boundary_distance
-        )
+        wl1 = grid.boundary_weights
 
         u = u1
         history = []
-        if not nonlinearity:
-            gf = GridFunction(grid, u1)
-            history.append(
-                {"iteration": 1, "sup": gf.sup_norm(), "weighted_l1": gf.weighted_l1(),
-                 "sup_diff": 0.0, "l1_diff": 0.0}
-            )
-            return SolveOutcome("Converged", 1, gf, history, "nonlinearity disabled")
-
         prev_sup = float(np.max(u[:, interior])) if np.any(interior) else 0.0
         for it in range(1, max_iter + 1):
             if prev_sup > blowup_ceiling:
@@ -832,26 +808,18 @@ def picard_solve(
     max_iter: int = 30,
     conv_tol: float = 1e-7,
     blowup_ceiling: float = 1e8,
-    nonlinearity: bool = True,
     **grid_options,
 ) -> SolveOutcome:
     """Monotone iteration from the data's linear evolution."""
     if grid is None:
-        anchors = []
-        if mu.singularity is not None:
-            anchors.append(mu.singularity[0])
-        anchors += [a for a, _ in mu.atoms]
-        grid = make_grid(domain, horizon, anchors, **grid_options)
+        grid = measure_grid(domain, mu, horizon, **grid_options)
     try:
         runner = PicardRunner(domain, mu, p, grid)
     except ValueError as exc:
         empty = GridFunction(grid, np.zeros((grid.times.size, grid.nodes.shape[0])))
         return SolveOutcome("Inconclusive", 0, empty, [], str(exc))
     return runner.solve(
-        max_iter=max_iter,
-        conv_tol=conv_tol,
-        blowup_ceiling=blowup_ceiling,
-        nonlinearity=nonlinearity,
+        max_iter=max_iter, conv_tol=conv_tol, blowup_ceiling=blowup_ceiling
     )
 
 
@@ -956,7 +924,7 @@ def fd_reference_solve(
     dt = horizon / nt
 
     u0 = mu_smooth.scale_factor * np.asarray(
-        mu_smooth.interior_density(xs[:, None]), dtype=float
+        mu_smooth.interior_density(xs[:, None], None), dtype=float
     ).reshape(-1)
     if not np.all(np.isfinite(u0)):
         raise ValueError("reference scheme needs a bounded density")

@@ -90,13 +90,6 @@ def plateau_test_function(center, radius: float) -> TestFunction:
     return TestFunction(fn, center, float(radius))
 
 
-def _node_weight(grid) -> np.ndarray:
-    d = grid.node_boundary_distance
-    if np.all(np.isinf(d)):
-        return grid.node_weights
-    return grid.node_weights * d
-
-
 def trace_pairing(
     u: GridFunction, psi: TestFunction, t_index: int, domain: Domain
 ) -> float:
@@ -104,7 +97,7 @@ def trace_pairing(
     grid = u.grid
     if not -grid.times.size <= t_index < grid.times.size:
         raise ValueError("time level out of range")
-    w = _node_weight(grid) * psi(grid.nodes)
+    w = grid.boundary_weights * psi(grid.nodes)
     return float(np.sum(w * u.values[t_index]))
 
 

@@ -25,13 +25,14 @@ from mildheat.criteria import (
     uniform_mass_check,
     weighted_strip_bound,
 )
-from mildheat.kernels import HalfSpace, Interval
+from mildheat.kernels import HalfSpace, Interval, WholeSpace
 from mildheat.measures import (
     MeasureSpec,
     RadialProfile,
     SingularFamily,
     critical_exponent,
     make_family,
+    pairing,
     scale,
 )
 from mildheat.solver import picard_solve
@@ -234,6 +235,14 @@ def test_heavier_log_tail_is_flagged():
     assert rep.fitted_exponent > 0.35
 
 
+def test_whole_space_log_bound_flags_an_atom():
+    # no wall, so the distance weight drops out instead of making the bound infinite
+    mu = MeasureSpec(atoms=(((0.5,), 1.0),))
+    rep = necessary_log_bound(mu, WholeSpace(1), "interior", T=1.0)
+    assert np.all(np.isfinite(rep.column("bound")))
+    assert rep.verdict != "consistent"
+
+
 def test_log_bound_requires_borderline_exponent(wall_family):
     with pytest.raises(ValueError):
         necessary_log_bound(wall_family, HS1, "interior", T=1.0)
@@ -424,6 +433,39 @@ def test_constant_patch_scales_like_area():
     ratios = np.array([best[s] / s for s in sorted(best)])
     expected = 2.0 * 0.8 * math.log(math.e + 0.8) ** 0.5
     assert np.allclose(ratios, expected, rtol=1e-9)
+
+
+def test_boundary_log_moment_leaves_the_support_center_alone():
+    center = np.array([0.3, 0.7])
+    mu = MeasureSpec(
+        boundary_density=lambda pts, off=None: np.full(len(np.atleast_2d(pts)), 0.8),
+        support_center=center,
+        support_radius=1.0,
+    )
+    orlicz_boundary_check(mu, HS2, beta=0.5, sigmas=np.geomspace(1e-3, 0.2, 4))
+    assert np.array_equal(center, [0.3, 0.7])
+
+
+def test_two_argument_densities_are_accepted():
+    # no default for the offsets: every caller must pass them
+    def half(pts, off):
+        return np.full(len(pts), 0.5)
+
+    mu = MeasureSpec(
+        interior_density=half,
+        interior_mode="d_dx",
+        boundary_density=half,
+        support_center=(0.0, 0.0),
+        support_radius=1.0,
+    )
+    one = lambda pts: np.ones(len(pts))
+    # 0.5 * d over the half unit disk plus 0.5 over the segment [-1, 1]
+    assert pairing(mu, HS2, one, tol=1e-6) == pytest.approx(0.5 * 2.0 / 3.0 + 1.0, rel=1e-6)
+    sigmas = np.geomspace(1e-4, 5e-3, 5)
+    for part in ("interior", "boundary"):
+        rep = power_moment_check(mu, HS2, alpha=1.2, p=1.8, part=part, sigmas=sigmas)
+        assert rep.verdict == "consistent"
+    assert orlicz_moment_check(mu, HS2, beta=0.3, sigmas=sigmas).verdict == "consistent"
 
 
 def test_log_moments_without_a_fittable_trend_are_inconclusive():

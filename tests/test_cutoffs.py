@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mildheat.cutoffs as cutoffs
 from mildheat.cutoffs import (
     BumpJet,
     CutoffParams,
@@ -213,6 +214,23 @@ class TestInequalityBound:
             assert rep.witness <= rep.bound
             assert rep.witness >= 0.999 * rep.bound
             assert rep.bracket[0] <= rep.witness <= rep.bracket[1]
+
+    def test_witness_bisects_from_the_closed_form(self, monkeypatch):
+        calls = []
+        original = cutoffs.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cutoffs, "solve_ivp", counted)
+        rep = differential_inequality_bound(
+            0.5, 1.7, lambda r: 1.0 + math.sin(r) ** 2, 2.0, 3.0, xi0=0.2
+        )
+        lo, hi = rep.bracket
+        assert rep.witness == lo < hi <= rep.bound - 0.2
+        assert hi - lo <= 1e-9 * hi
+        assert len(calls) <= 40
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from mildheat.solver import (
     SpaceTimeGrid,
     fd_reference_solve,
     make_grid,
+    measure_grid,
     picard_solve,
     restart_residual,
 )
@@ -30,7 +31,7 @@ IV1 = Interval(1.0)
 
 
 def smooth_bump(center=1.0, width=0.5):
-    def dens(pts):
+    def dens(pts, off=None):
         r = np.abs(pts[:, 0] - center)
         out = np.zeros(r.shape)
         m = r < width
@@ -156,8 +157,8 @@ def test_initial_kernel_atom_is_exact():
         (IV1, MeasureSpec(atoms=(((0.0,), 1.0), ((1.0,), 0.5)))),
         (IV1, MeasureSpec(atoms=(((0.0,), 1.0), ((0.4,), 2.0), ((1.0,), 0.5)))),
         (HS1, MeasureSpec(atoms=(((0.0,), 1.0),))),
-        (IV1, MeasureSpec(boundary_density=lambda pts: np.full(len(pts), 0.5))),
-        (HS1, MeasureSpec(boundary_density=lambda pts: np.full(len(pts), 0.5))),
+        (IV1, MeasureSpec(boundary_density=lambda pts, off=None: np.full(len(pts), 0.5))),
+        (HS1, MeasureSpec(boundary_density=lambda pts, off=None: np.full(len(pts), 0.5))),
     ],
 )
 def test_initial_kernel_boundary_atoms(domain, mu):
@@ -332,10 +333,14 @@ def test_converged_field_vanishes_on_the_wall():
     assert np.all(out.final.values[:, out.final.grid.boundary_mask] == 0.0)
 
 
+def linear_field(mu, horizon, **grid_options):
+    """The data's linear evolution on the measure's own half-line grid."""
+    grid = measure_grid(HS1, mu, horizon, **grid_options)
+    return PicardRunner(HS1, mu, 2.0, grid).initial_field()
+
+
 def test_heat_only_weighted_mass_dissipates():
-    mu = smooth_bump()
-    out = picard_solve(mu, 2.0, 0.25, HS1, target_nodes=300, nonlinearity=False)
-    f = out.final
+    f = linear_field(smooth_bump(), 0.25, target_nodes=300)
     masses = [f.weighted_l1(level=k) for k in range(f.grid.times.size)]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(masses, masses[1:]))
 
@@ -345,10 +350,9 @@ def test_heat_only_weighted_mass_dissipates():
 
 
 def test_restart_residual_linear_mode():
-    mu = smooth_bump()
-    out = picard_solve(mu, 2.0, 0.25, HS1, target_nodes=1600, nonlinearity=False)
-    nt = out.final.grid.times.size
-    rep = restart_residual(out.final, nt - 6, nt - 1, HS1)
+    f = linear_field(smooth_bump(), 0.25, target_nodes=1600)
+    nt = f.grid.times.size
+    rep = restart_residual(f, nt - 6, nt - 1, HS1)
     assert rep.max_rel_residual < 1e-4
     assert rep.t_start < rep.t_end
 
@@ -374,12 +378,11 @@ def test_restart_refuses_diverged_run():
 
 
 def test_restart_rejects_bad_levels():
-    mu = smooth_bump()
-    out = picard_solve(mu, 2.0, 0.1, HS1, target_nodes=80, nonlinearity=False)
+    f = linear_field(smooth_bump(), 0.1, target_nodes=80)
     with pytest.raises(ValueError):
-        restart_residual(out.final, 5, 5, HS1)
+        restart_residual(f, 5, 5, HS1)
     with pytest.raises(ValueError):
-        restart_residual(out.final, -1, 5, HS1)
+        restart_residual(f, -1, 5, HS1)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +390,7 @@ def test_restart_rejects_bad_levels():
 
 
 def test_fd_zero_density():
-    zero = MeasureSpec(interior_density=lambda pts: np.zeros(pts.shape[0]))
+    zero = MeasureSpec(interior_density=lambda pts, off=None: np.zeros(pts.shape[0]))
     fd = fd_reference_solve(zero, 2.0, 0.1, HS1)
     assert np.all(fd.values == 0.0)
 

@@ -27,7 +27,7 @@ IV1 = Interval(1.0)
 
 
 def smooth_bump_measure(center=1.0, width=0.5, factor=1.0):
-    def dens(pts):
+    def dens(pts, off=None):
         r = np.abs(pts[:, 0] - center)
         out = np.zeros(r.shape)
         m = r < width
