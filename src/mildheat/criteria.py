@@ -71,7 +71,6 @@ from .measures import (
     _boundary_patch,
     _half_ball_moment,
     _hint_for,
-    _integrate_part,
     _interior_integral,
     _sphere_area,
 )
@@ -320,7 +319,7 @@ def probe_points(
 
     def add(q):
         q = np.asarray(q, dtype=float).reshape(-1)
-        if q.size == n and _contains(domain, q):
+        if q.size == n and boundary_distance(domain, q) >= 0:
             pts.append(tuple(float(v) for v in q))
 
     anchors = []
@@ -363,19 +362,6 @@ def probe_points(
     return tuple(uniq)
 
 
-def _dist(domain: Domain, z) -> float:
-    return float(boundary_distance(domain, np.asarray(z, float)))
-
-
-def _contains(domain: Domain, z) -> bool:
-    q = np.asarray(z, dtype=float).reshape(-1)
-    if isinstance(domain, Interval):
-        return 0.0 <= q[0] <= domain.length
-    if isinstance(domain, HalfSpace):
-        return q[-1] >= 0.0
-    return True
-
-
 def _centers(mu, domain: Domain, z_points=None, boundary: bool = False, **probe):
     """Sweep centers as float tuples, the probe lattice by default.
 
@@ -385,7 +371,7 @@ def _centers(mu, domain: Domain, z_points=None, boundary: bool = False, **probe)
         z_points = probe_points(mu, domain, **probe)
     z_points = tuple(tuple(float(v) for v in z) for z in z_points)
     if boundary:
-        z_points = tuple(z for z in z_points if _dist(domain, z) <= 1e-12)
+        z_points = tuple(z for z in z_points if boundary_distance(domain, z) <= 1e-12)
         if not z_points:
             raise ValueError("no boundary centers in the lattice")
     if not z_points:
@@ -410,7 +396,7 @@ def _side_centers(anchor: np.ndarray, domain: Domain, sig_max: float) -> list:
     for k in (1, 2):
         q = anchor.copy()
         q[0] += k * step
-        if _contains(domain, q):
+        if boundary_distance(domain, q) >= 0:
             out.append(tuple(float(v) for v in q))
     return out
 
@@ -518,7 +504,7 @@ def necessary_ball_bound(
 
     def cells(z, sg):
         # no wall: the distance weight degenerates and drops out
-        d = 0.0 if whole else _dist(domain, z)
+        d = 0.0 if whole else boundary_distance(domain, z)
         s_lad = np.geomspace(sg, rt * (1.0 - 1e-12), s_count)
         wfac = 1.0 if whole else d + s_lad
         return _mass_ratio(mu, domain, z, sg, d, float(np.min(wfac * s_lad**expo)))
@@ -573,7 +559,7 @@ def necessary_log_bound(
 
     def cells(z, sg):
         # no wall: the distance weight degenerates and drops out
-        d = 0.0 if whole else _dist(domain, z)
+        d = 0.0 if whole else boundary_distance(domain, z)
         if variant == "interior" and not whole:
             bound = (d + sg) * math.log(math.e + min(d, rt) / sg) ** -half
         else:
@@ -620,7 +606,7 @@ def boundary_mass_check(
 
     m_atoms = 0.0
     for a, m in mu.atoms:
-        if _dist(domain, a) <= 1e-12:
+        if boundary_distance(domain, a) <= 1e-12:
             m_atoms += mu.scale_factor * m
 
     total = m_surface + m_atoms
@@ -686,7 +672,7 @@ def uniform_mass_check(
     rows = []
     samples = []
     for z in z_points:
-        d = _dist(domain, z)
+        d = boundary_distance(domain, z)
         mass = ball_mass(mu, domain, z, radius)
         v = mass / (1.0 + d)
         rows.append(_row(*z, d, mass, v))
@@ -812,7 +798,8 @@ def power_moment_check(
     surf_dim = n if part == "interior" else n - 1
     if anchor is not None:
         # the distance factor restores one power near a wall anchor
-        bonus = 1.0 if part == "interior" and _dist(domain, anchor) <= 1e-12 else 0.0
+        wall = boundary_distance(domain, anchor) <= 1e-12
+        bonus = 1.0 if part == "interior" and wall else 0.0
         if alpha * (-base_expo) >= surf_dim + bonus:
             raise ValueError("the power moment diverges at this order")
     if part == "interior":
@@ -844,7 +831,7 @@ def power_moment_check(
         def gh(pts, off=None):
             return f(pts, off) ** alpha
 
-        return sg, _integrate_part(gh, patch, 1e-10, hint)
+        return sg, integrate(gh, patch, 1e-10, singularity_hint=hint, relative=True).value
 
     rows, series = _sup_sweep(z_points, sigmas, cells)
     return _trend_report(
@@ -971,7 +958,7 @@ def orlicz_moment_check(
     if mu.singularity is not None:
         anchor = np.asarray(mu.singularity[0], dtype=float)
     if ell is None:
-        ell = 1 if anchor is not None and _dist(domain, anchor) <= 1e-12 else 0
+        ell = 1 if anchor is not None and boundary_distance(domain, anchor) <= 1e-12 else 0
     if ell not in (0, 1):
         raise ValueError("the distance power must be 0 or 1")
     sigmas = _radii(T, sigmas)
@@ -984,7 +971,7 @@ def orlicz_moment_check(
         and anchor is not None
     )
     sig_max = max(sigmas)
-    if radial and ell == 0 and sig_max >= _dist(domain, anchor):
+    if radial and ell == 0 and sig_max >= boundary_distance(domain, anchor):
         raise ValueError("radius sweep reaches the wall from an interior anchor")
     if z_points is None:
         if anchor is not None:
@@ -1062,7 +1049,7 @@ def orlicz_boundary_check(
         z_points += _side_centers(anchor, domain, max(sigmas))
     z_points = tuple(tuple(float(v) for v in z) for z in z_points)
     for z in z_points:
-        if _dist(domain, z) > 1e-12:
+        if boundary_distance(domain, z) > 1e-12:
             raise ValueError("surface moments need boundary centers")
     h = _surface_density(mu)
 
@@ -1071,7 +1058,7 @@ def orlicz_boundary_check(
         return _orlicz(x, beta)
 
     def moment(z, sg):
-        return _integrate_part(gh, _boundary_patch(domain, z, sg), 1e-9, None)
+        return integrate(gh, _boundary_patch(domain, z, sg), 1e-9, relative=True).value
 
     def closed_form(sg):
         c = mu.scale_factor * horizon_scale
@@ -1132,7 +1119,7 @@ def _measure_strip_weighted(mu: MeasureSpec, domain: Interval, sigma: float) -> 
             total += _interior_integral(mu, domain, region, 1e-10, hint, f)
         total *= mu.scale_factor
     for a, m in mu.atoms:
-        d = _dist(domain, a)
+        d = boundary_distance(domain, a)
         if 0.0 < d < sigma:
             arr = np.asarray(a, float)[None, :]
             total += mu.scale_factor * m * float(f(arr)[0])

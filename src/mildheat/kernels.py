@@ -387,7 +387,7 @@ def verify_semigroup(
         def second(zs):
             return kernel_values(domain, y, zs, s)
 
-    def integrand(zs):
+    def integrand(zs, _off):
         return kernel_values(domain, x, zs, t) * second(zs)
 
     r = max(tail_radius(t, tol), tail_radius(s, tol))

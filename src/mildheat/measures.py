@@ -376,19 +376,6 @@ def _boundary_patch(domain: Domain, center, radius: float):
     return None
 
 
-def _integrate_part(density, region, tol, hint, extra=None):
-    """Integrate density (optionally times a smooth factor) over region."""
-
-    def f(pts, off=None):
-        v = density(pts, off)
-        if extra is not None:
-            v = v * extra(pts)
-        return v
-
-    res = integrate(f, region, tol, singularity_hint=hint, relative=True)
-    return res.value
-
-
 def _point_value(fn, pt) -> float:
     return float(np.asarray(fn(np.asarray(pt, float)[None, :])).reshape(-1)[0])
 
@@ -409,7 +396,7 @@ def _split_radial_1d(
     anchor = np.asarray(prof.anchor, float)
     z = float(anchor[0])
     fz = 1.0 if f is None else _point_value(f, anchor)
-    dz = _point_value(lambda p: boundary_distance(domain, p), anchor) if weighted else 0.0
+    dz = boundary_distance(domain, anchor) if weighted else 0.0
 
     total = 0.0
     for direction in (1.0, -1.0):
@@ -420,7 +407,7 @@ def _split_radial_1d(
         if weighted:
             probe = anchor.copy()
             probe[0] = z + direction * eps
-            slope = (_point_value(lambda p: boundary_distance(domain, p), probe) - dz) / eps
+            slope = (boundary_distance(domain, probe) - dz) / eps
             inner = slope * prof.primitive(1.0, eps)
             if dz > 0.0:
                 inner += dz * prof.primitive(0.0, eps)
@@ -472,13 +459,7 @@ def _interior_integral(mu: MeasureSpec, domain: Domain, region, tol, hint, f) ->
     n = space_dim(domain)
     weighted = mu.interior_mode == "d_dx" and not isinstance(domain, WholeSpace)
     if mu.radial_profile is not None and hint is not None and n == 1:
-        c = region.center[0]
-        lo = c - region.radius
-        hi = c + region.radius
-        if region.clip_lo is not None:
-            lo = max(lo, region.clip_lo)
-        if region.clip_hi is not None:
-            hi = min(hi, region.clip_hi)
+        lo, hi = region.span()
         z = mu.radial_profile.anchor[0]
         if lo < hi and lo <= z <= hi:
             return _split_radial_1d(mu, domain, lo, hi, f, tol, weighted)
@@ -491,7 +472,13 @@ def _interior_integral(mu: MeasureSpec, domain: Domain, region, tol, hint, f) ->
         extra = lambda pts: np.asarray(f(pts), float).reshape(-1) * boundary_distance(
             domain, pts
         )
-    return _integrate_part(mu.interior_density, region, tol, hint, extra)
+    dens = mu.interior_density
+
+    def g(pts, off):
+        v = dens(pts, off)
+        return v if extra is None else v * extra(pts)
+
+    return integrate(g, region, tol, singularity_hint=hint, relative=True).value
 
 
 def _at_anchor(prof: RadialProfile, center) -> bool:
@@ -558,7 +545,7 @@ def _surface_part(
     def part(pts, off=None):
         return dens(pts, off) / divisor
 
-    return _integrate_part(part, patch, tol, hint)
+    return integrate(part, patch, tol, singularity_hint=hint, relative=True).value
 
 
 def ball_mass(
@@ -652,7 +639,7 @@ def pairing(
             return mu.boundary_density(pts, off) * f(pts)
 
         if isinstance(patch, BoundaryPatch):
-            total += _integrate_part(bdens, patch, tol, hint)
+            total += integrate(bdens, patch, tol, singularity_hint=hint, relative=True).value
         elif patch is not None:
             for pt in patch:
                 arr = np.asarray(pt, float)[None, :]

@@ -2,21 +2,35 @@
 
 The engine is a cell-based adaptive cubature on axis-aligned boxes in a
 parameter space.  Every supported region is mapped onto such a box by a
-smooth transform whose Jacobian is folded into the integrand.  Each cell
-carries a nested pair of open Chebyshev-root rules (5 and 15 points per
-axis; the 5-point nodes are a subset of the 15-point nodes), so one batch
-of evaluations yields both the value and an embedded error estimate.
-Open rules matter here: integrands with algebraic or logarithmic endpoint
-singularities are never evaluated at the singular point itself.
+smooth transform whose Jacobian is folded into the integrand.  There is
+one map per region shape, chosen in ``_region_map``:
+
+- a translated box, for boxes, 1-D balls, 2-D boundary patches and time
+  intervals;
+- a polar map (rho, theta), for 2-D balls and 3-D boundary patches;
+- a spherical map (rho, cos of the polar angle, azimuth), for 3-D balls;
+- a slice map along the last axis, for 2-D and 3-D balls whose clip
+  bounds cut them.  A clip that cuts nothing leaves the ball uncut.
+
+Each cell carries a nested pair of open Chebyshev-root rules (5 and 15
+points per axis; the 5-point nodes are a subset of the 15-point nodes),
+so one batch of evaluations yields both the value and an embedded error
+estimate.  Open rules matter here: integrands with algebraic or
+logarithmic endpoint singularities are never evaluated at the singular
+point itself.
 
 Cells are split along their longest axis relative to the root box; cells
 that contain a declared singularity are split geometrically toward it
 with ratio 1/4.  Transforms recentre the singular point at parameter 0,
 where doubles are dense, so subdivision is not limited by the absolute
-coordinate's ulp.  An integrand that takes a second positional argument
-additionally receives the exact offsets from the singular location
-(or None when no hint is active); distance factors like ``|x - z|^(-a)``
-must be computed from these offsets to avoid catastrophic cancellation.
+coordinate's ulp.
+
+Every integrand is called as ``f(pts, off)``: ``pts`` is an (m, N) array
+of points and ``off`` holds the exact offsets of those points from the
+declared singular location, or None when no hint is active (or, in the
+polar and spherical maps, when the hint is not the centre).  Distance
+factors like ``|x - z|^(-a)`` must be computed from ``off`` when it is
+given, to avoid catastrophic cancellation.
 
 Node placement is deterministic and results are reduced in a canonical
 order, so repeated calls are bit-identical.  Unbounded domains are not
@@ -27,7 +41,6 @@ radii) and pass bounded regions.
 from __future__ import annotations
 
 import heapq
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -38,7 +51,6 @@ __all__ = [
     "Ball",
     "HalfSpaceBox",
     "BoundaryPatch",
-    "TimeInterval",
     "QuadResult",
     "integrate",
     "integrate_time",
@@ -66,6 +78,16 @@ class Ball:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
+
+    def span(self) -> tuple:
+        """Extent along the last axis after the clip bounds."""
+        lo = self.center[-1] - self.radius
+        hi = self.center[-1] + self.radius
+        if self.clip_lo is not None:
+            lo = max(lo, self.clip_lo)
+        if self.clip_hi is not None:
+            hi = min(hi, self.clip_hi)
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -101,20 +123,6 @@ class BoundaryPatch:
 
 
 @dataclass(frozen=True)
-class TimeInterval:
-    """Interval of times with optional singular-endpoint flags."""
-
-    t0: float
-    t1: float
-    singular_start: bool = False
-    singular_end: bool = False
-
-    def __post_init__(self):
-        if not self.t0 < self.t1:
-            raise ValueError("time interval must have t0 < t1")
-
-
-@dataclass(frozen=True)
 class QuadResult:
     value: float
     error_estimate: float
@@ -147,20 +155,6 @@ _NODES_F, _WEIGHTS_F = _fejer1(_N_FINE)
 _WEIGHTS_C = _fejer1(_N_COARSE)[1]
 # coarse node j sits at fine index 3j+1
 _COARSE_IDX = 3 * np.arange(_N_COARSE) + 1
-
-
-def _accepts_offsets(f) -> bool:
-    try:
-        sig = inspect.signature(f)
-    except (TypeError, ValueError):
-        return False
-    pos = [
-        p
-        for p in sig.parameters.values()
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    var = any(p.kind == p.VAR_POSITIONAL for p in sig.parameters.values())
-    return var or len(pos) >= 2
 
 
 class _Cell:
@@ -279,246 +273,173 @@ def _adaptive_box(
 
 
 # ---------------------------------------------------------------------------
-# region -> parameter-box transforms
+# region -> parameter-box maps
 #
-# Each transform returns (lo, hi, g, hint_param) where g maps parameter
-# points to jacobian-weighted integrand values, calling the user integrand
-# with absolute points and (when a hint is active) exact offsets from the
+# Each map returns (lo, hi, g, hint_param) where g maps parameter points
+# to Jacobian-weighted integrand values, calling the integrand with
+# absolute points and (when a hint is active) exact offsets from the
 # singular location.  Degenerate regions return a QuadResult directly.
 
 
-def _transform(region, f2, hint_loc):
+def _translated(f, lo, hi, h=None, reverse=False):
+    """The box [lo, hi]; with a hint h the parameter is the offset from h
+    (taken backwards when reverse), so h sits at parameter 0."""
+    lo = np.asarray(lo, float)
+    hi = np.asarray(hi, float)
+    if h is None:
+        return lo, hi, (lambda p: f(p, None)), None
+    h = np.array(h, float)
+    if reverse:
+        return h - hi, h - lo, (lambda p: f(h - p, p)), np.zeros_like(h)
+    return lo - h, hi - h, (lambda p: f(p + h, p)), np.zeros_like(h)
+
+
+def _disc(rho, th):
+    """Offsets at radius rho and angle th in the first two axes."""
+    return np.stack([rho * np.cos(th), rho * np.sin(th)], axis=-1)
+
+
+def _angle(d):
+    """Radius and angle of the offset d in the first two axes; the angle
+    is pi at the origin."""
+    rho = math.hypot(d[0], d[1])
+    th = float(np.arctan2(d[1], d[0]) % (2 * np.pi))
+    return rho, th if rho > 0 else np.pi
+
+
+def _polar(f, c, r, h):
+    """Disc of radius r around c: parameters (rho, theta).  Offsets are
+    passed only when the hint is the centre, where they are exact."""
+    at_center = h is not None and np.array_equal(h, c)
+
+    def g(p):
+        off = _disc(p[:, 0], p[:, 1])
+        return f(c + off, off if at_center else None) * p[:, 0]
+
+    hp = None
+    if h is not None:
+        rho0, th0 = _angle(h - c)
+        if rho0 <= r:
+            hp = np.array([rho0, th0])
+    return np.zeros(2), np.array([r, 2 * np.pi]), g, hp
+
+
+def _spherical(f, c, r, h):
+    """3-D ball of radius r around c: parameters (rho, mu, theta), mu the
+    cosine of the polar angle.  Offsets as in the polar map."""
+    at_center = h is not None and np.array_equal(h, c)
+
+    def g(p):
+        rho, mu, th = p[:, 0], p[:, 1], p[:, 2]
+        s = np.sqrt(np.maximum(1.0 - mu**2, 0.0))
+        off = np.stack([rho * s * np.cos(th), rho * s * np.sin(th), rho * mu], axis=-1)
+        return f(c + off, off if at_center else None) * rho**2
+
+    hp = None
+    if h is not None:
+        d = h - c
+        rho0 = float(np.linalg.norm(d))
+        if rho0 <= r:
+            mu0 = 0.0 if rho0 == 0 else d[2] / rho0
+            th0 = float(np.arctan2(d[1], d[0]) % (2 * np.pi))
+            hp = np.array([rho0, mu0, th0 if rho0 > 0 else np.pi])
+    return np.array([0.0, -1.0, 0.0]), np.array([r, 1.0, 2 * np.pi]), g, hp
+
+
+def _slice(f, c, r, lo, hi, h):
+    """Ball of radius r around c cut to lo <= x_last <= hi, as slices of
+    constant x_last.  A slice of half-width w is a chord (2-D, parameter
+    u in [-1, 1]) or a disc (3-D, parameters v in [0, 1] and theta); with
+    a hint inside the span the first parameter is the height above it."""
+    shift = 0.0
+    hp = None
+    if h is not None and lo <= h[-1] <= hi:
+        shift = h[-1]
+        w0 = math.sqrt(max(r**2 - (h[-1] - c[-1]) ** 2, 0.0))
+        if c.size == 2:
+            u0 = 0.0 if w0 == 0 else min(max((h[0] - c[0]) / w0, -1.0), 1.0)
+            hp = np.array([0.0, u0])
+        else:
+            rr, th0 = _angle(h - c)
+            hp = np.array([0.0, 0.0 if w0 == 0 else min(rr / w0, 1.0), th0])
+    else:
+        h = None
+
+    def g(p):
+        x = p[:, 0] + shift
+        w = np.sqrt(np.maximum(r**2 - (x - c[-1]) ** 2, 0.0))
+        if c.size == 2:
+            lat, jac = (p[:, 1] * w)[:, None], 1.0
+        else:
+            jac = p[:, 1] * w
+            lat = _disc(jac, p[:, 2])
+        pts = np.column_stack([c[:-1] + lat, x])
+        off = None if h is None else np.column_stack([pts[:, :-1] - h[:-1], p[:, 0]])
+        return f(pts, off) * jac * w
+
+    if c.size == 2:
+        return np.array([lo - shift, -1.0]), np.array([hi - shift, 1.0]), g, hp
+    return np.array([lo - shift, 0.0, 0.0]), np.array([hi - shift, 1.0, 2 * np.pi]), g, hp
+
+
+def _on_wall(f):
+    """f on the hyperplane {x_last = 0}, called with the other coordinates."""
+
+    def pad(a):
+        return np.column_stack([a, np.zeros(len(a))])
+
+    return lambda q, off: f(pad(q), None if off is None else pad(off))
+
+
+def _region_map(region, f, h):
+    """The one place a region picks its map; h is the hint location or None."""
     if isinstance(region, HalfSpaceBox):
         lo = np.asarray(region.lower, float)
         hi = np.asarray(region.upper, float)
-        hp = None
-        if hint_loc is not None:
-            hp = np.asarray(hint_loc, float)
-            if not (np.all(hp >= lo - 1e-12) and np.all(hp <= hi + 1e-12)):
-                hp = None
-        if hp is None:
-            return lo, hi, (lambda p: f2(p, None)), None
-        h = hp.copy()
-
-        def g(p):
-            return f2(p + h, p)
-
-        return lo - h, hi - h, g, np.zeros_like(h)
-
-    if isinstance(region, TimeInterval):
-        # recentre the singular endpoint at parameter 0
-        t0, t1 = region.t0, region.t1
-        h = None
-        if region.singular_start:
-            h = t0
-        elif region.singular_end:
-            h = t1
-        if hint_loc is not None:
-            h = float(np.atleast_1d(hint_loc)[0])
-        if h is None:
-            return np.array([t0]), np.array([t1]), (lambda p: f2(p, None)), None
-        if h >= t1:  # reverse: parameter u = t1 - s
-            def g(p):
-                return f2(t1 - p, p)
-
-            return np.array([0.0]), np.array([t1 - t0]), g, np.array([0.0])
-
-        def g(p):
-            return f2(p + h, p)
-
-        return np.array([t0 - h]), np.array([t1 - h]), g, np.array([0.0])
+        if h is not None and not (np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)):
+            h = None
+        return _translated(f, lo, hi, h)
 
     if isinstance(region, Ball):
-        ndim = len(region.center)
         c = np.asarray(region.center, float)
         r = region.radius
-
-        if ndim == 1:
-            lo1 = c[0] - r if region.clip_lo is None else max(c[0] - r, region.clip_lo)
-            hi1 = c[0] + r if region.clip_hi is None else min(c[0] + r, region.clip_hi)
-            if not lo1 < hi1:
-                return QuadResult(0.0, 0.0, 1)
-            if hint_loc is not None:
-                h = float(np.atleast_1d(np.asarray(hint_loc, float))[0])
-                if lo1 <= h <= hi1:
-                    def g(p):
-                        return f2(p + h, p)
-
-                    return np.array([lo1 - h]), np.array([hi1 - h]), g, np.array([0.0])
-            return np.array([lo1]), np.array([hi1]), (lambda p: f2(p, None)), None
-
-        clipped = region.clip_lo is not None or region.clip_hi is not None
-        if ndim == 2 and not clipped:
-            # polar (rho, theta); offsets are exact when the hint is the center
-            hint_is_center = hint_loc is not None and np.allclose(
-                np.asarray(hint_loc, float), c, rtol=0, atol=0
-            )
-
-            def g(p):
-                rho, th = p[:, 0], p[:, 1]
-                off = np.stack([rho * np.cos(th), rho * np.sin(th)], axis=-1)
-                return f2(c + off, off if hint_is_center else None) * rho
-
-            hp = None
-            if hint_loc is not None:
-                d = np.asarray(hint_loc, float) - c
-                rho0 = float(np.hypot(d[0], d[1]))
-                if rho0 <= r:
-                    th0 = float(np.arctan2(d[1], d[0]) % (2 * np.pi))
-                    hp = np.array([rho0, th0 if rho0 > 0 else np.pi])
-            return np.array([0.0, 0.0]), np.array([r, 2 * np.pi]), g, hp
-
-        if ndim == 2 and clipped:
-            # slices along the last axis; each slice is a chord
-            lo2 = c[1] - r if region.clip_lo is None else max(c[1] - r, region.clip_lo)
-            hi2 = c[1] + r if region.clip_hi is None else min(c[1] + r, region.clip_hi)
-            if not lo2 < hi2:
-                return QuadResult(0.0, 0.0, 1)
-
-            shift = 0.0
-            hx = None
-            hp = None
-            if hint_loc is not None:
-                hcand = np.asarray(hint_loc, float)
-                if lo2 <= hcand[1] <= hi2 and abs(hcand[0] - c[0]) <= r:
-                    hx = hcand
-                    shift = hx[1]
-                    w0 = math.sqrt(max(r**2 - (hx[1] - c[1]) ** 2, 0.0))
-                    u0 = 0.0 if w0 == 0 else min(max((hx[0] - c[0]) / w0, -1.0), 1.0)
-                    hp = np.array([0.0, u0])
-
-            def g(p):
-                x2 = p[:, 0] + shift
-                u = p[:, 1]
-                w = np.sqrt(np.maximum(r**2 - (x2 - c[1]) ** 2, 0.0))
-                x1 = c[0] + u * w
-                pts = np.stack([x1, x2], axis=-1)
-                if hx is None:
-                    return f2(pts, None) * w
-                off = np.stack([x1 - hx[0], p[:, 0]], axis=-1)
-                return f2(pts, off) * w
-
-            return np.array([lo2 - shift, -1.0]), np.array([hi2 - shift, 1.0]), g, hp
-
-        if ndim == 3 and not clipped:
-            hint_is_center = hint_loc is not None and np.allclose(
-                np.asarray(hint_loc, float), c, rtol=0, atol=0
-            )
-
-            def g(p):
-                rho, mu, th = p[:, 0], p[:, 1], p[:, 2]
-                s = np.sqrt(np.maximum(1.0 - mu**2, 0.0))
-                off = np.stack(
-                    [rho * s * np.cos(th), rho * s * np.sin(th), rho * mu], axis=-1
-                )
-                return f2(c + off, off if hint_is_center else None) * rho**2
-
-            hp = None
-            if hint_loc is not None:
-                d = np.asarray(hint_loc, float) - c
-                rho0 = float(np.linalg.norm(d))
-                if rho0 <= r:
-                    mu0 = 0.0 if rho0 == 0 else d[2] / rho0
-                    th0 = float(np.arctan2(d[1], d[0]) % (2 * np.pi))
-                    hp = np.array([rho0, mu0, th0 if rho0 > 0 else np.pi])
-            return np.array([0.0, -1.0, 0.0]), np.array([r, 1.0, 2 * np.pi]), g, hp
-
-        if ndim == 3 and clipped:
-            lo3 = c[2] - r if region.clip_lo is None else max(c[2] - r, region.clip_lo)
-            hi3 = c[2] + r if region.clip_hi is None else min(c[2] + r, region.clip_hi)
-            if not lo3 < hi3:
-                return QuadResult(0.0, 0.0, 1)
-
-            shift = 0.0
-            hx = None
-            hp = None
-            if hint_loc is not None:
-                hcand = np.asarray(hint_loc, float)
-                if lo3 <= hcand[2] <= hi3:
-                    hx = hcand
-                    shift = hx[2]
-                    w0 = math.sqrt(max(r**2 - (hx[2] - c[2]) ** 2, 0.0))
-                    rr = math.hypot(hx[0] - c[0], hx[1] - c[1])
-                    v0 = 0.0 if w0 == 0 else min(rr / w0, 1.0)
-                    th0 = float(np.arctan2(hx[1] - c[1], hx[0] - c[0]) % (2 * np.pi))
-                    hp = np.array([0.0, v0, th0 if rr > 0 else np.pi])
-
-            def g(p):
-                x3 = p[:, 0] + shift
-                v, th = p[:, 1], p[:, 2]
-                w = np.sqrt(np.maximum(r**2 - (x3 - c[2]) ** 2, 0.0))
-                rho = v * w
-                x1 = c[0] + rho * np.cos(th)
-                x2 = c[1] + rho * np.sin(th)
-                pts = np.stack([x1, x2, x3], axis=-1)
-                if hx is None:
-                    return f2(pts, None) * rho * w
-                off = np.stack([x1 - hx[0], x2 - hx[1], p[:, 0]], axis=-1)
-                return f2(pts, off) * rho * w
-
-            return (
-                np.array([lo3 - shift, 0.0, 0.0]),
-                np.array([hi3 - shift, 1.0, 2 * np.pi]),
-                g,
-                hp,
-            )
-
-        raise ValueError(f"unsupported ball dimension {ndim}")
+        if c.size > 3:
+            raise ValueError(f"unsupported ball dimension {c.size}")
+        lo, hi = region.span()
+        if c.size > 1 and (lo, hi) == (c[-1] - r, c[-1] + r):  # a clip that cuts nothing
+            return (_polar if c.size == 2 else _spherical)(f, c, r, h)
+        if not lo < hi:
+            return QuadResult(0.0, 0.0, 1)
+        if c.size == 1:
+            inside = h is not None and lo <= h[0] <= hi
+            return _translated(f, [lo], [hi], h if inside else None)
+        return _slice(f, c, r, lo, hi, h)
 
     if isinstance(region, BoundaryPatch):
-        ndim = len(region.center)
         c = np.asarray(region.center, float)
         r = region.radius
-        if ndim == 1:
+        if c.size == 1:
             # boundary of the half-line is one point; counting measure
-            val = float(np.asarray(f2(c.reshape(1, 1), None))[0])
-            return QuadResult(val, 0.0, 1)
-        if ndim == 2:
-            shift = 0.0
-            hx = None
-            hp = None
-            if hint_loc is not None:
-                h = np.asarray(hint_loc, float)
-                if abs(h[0] - c[0]) <= r:
-                    hx = h
-                    shift = h[0]
-                    hp = np.array([0.0])
-
-            def g(p):
-                y1 = p[:, 0] + shift
-                pts = np.stack([y1, np.zeros_like(y1)], axis=-1)
-                if hx is None:
-                    return f2(pts, None)
-                off = np.stack([p[:, 0], np.zeros_like(y1)], axis=-1)
-                return f2(pts, off)
-
-            return np.array([c[0] - r - shift]), np.array([c[0] + r - shift]), g, hp
-        if ndim == 3:
-            hint_is_center = hint_loc is not None and np.allclose(
-                np.asarray(hint_loc, float)[:2], c[:2], rtol=0, atol=0
-            )
-
-            def g(p):
-                rho, th = p[:, 0], p[:, 1]
-                o1 = rho * np.cos(th)
-                o2 = rho * np.sin(th)
-                pts = np.stack([c[0] + o1, c[1] + o2, np.zeros_like(rho)], axis=-1)
-                if hint_is_center:
-                    off = np.stack([o1, o2, np.zeros_like(rho)], axis=-1)
-                    return f2(pts, off) * rho
-                return f2(pts, None) * rho
-
-            hp = None
-            if hint_loc is not None:
-                h = np.asarray(hint_loc, float)
-                rho0 = math.hypot(h[0] - c[0], h[1] - c[1])
-                if rho0 <= r:
-                    th0 = float(np.arctan2(h[1] - c[1], h[0] - c[0]) % (2 * np.pi))
-                    hp = np.array([rho0, th0 if rho0 > 0 else np.pi])
-            return np.array([0.0, 0.0]), np.array([r, 2 * np.pi]), g, hp
-        raise ValueError(f"unsupported patch dimension {ndim}")
+            return QuadResult(float(np.asarray(f(c.reshape(1, 1), None))[0]), 0.0, 1)
+        if c.size == 2:
+            inside = h is not None and abs(h[0] - c[0]) <= r
+            return _translated(_on_wall(f), c[:1] - r, c[:1] + r, h[:1] if inside else None)
+        if c.size == 3:
+            return _polar(_on_wall(f), c[:2], r, None if h is None else h[:2])
+        raise ValueError(f"unsupported patch dimension {c.size}")
 
     raise TypeError(f"unknown region type {type(region).__name__}")
+
+
+def _run(mapped, tol: float, relative: bool, max_evals: int) -> QuadResult:
+    """Check the tolerance, map the region and integrate over the box."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    out = mapped()
+    if isinstance(out, QuadResult):
+        return out
+    lo, hi, g, hp = out
+    return _adaptive_box(g, lo, hi, tol, hint=hp, relative=relative, max_evals=max_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -536,29 +457,19 @@ def integrate(
     """Integrate ``f`` over ``region`` to absolute tolerance ``tol``
     (relative when ``relative=True``).
 
-    ``f`` receives an (m, N) array of points and returns (m,) values; an
-    integrand accepting a second positional argument also receives the
-    exact offsets from the declared singular location (None when no hint
-    is active) and should compute distance factors from them.
+    ``f(pts, off)`` receives an (m, N) array of points and returns (m,)
+    values; ``off`` holds the exact offsets of the points from the
+    declared singular location, or None when the map has none (see the
+    module docstring), and distance factors should be computed from it.
     ``singularity_hint`` is a ``(location, exponent)`` pair; the location
     steers geometric cell splitting, the exponent is informational.  On
     budget exhaustion the partial result is returned with its (then
     > tol) error estimate.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    hint_loc = singularity_hint[0] if singularity_hint is not None else None
-    if _accepts_offsets(f):
-        f2 = f
-    else:
-        def f2(p, _off):
-            return f(p)
-
-    out = _transform(region, f2, hint_loc)
-    if isinstance(out, QuadResult):
-        return out
-    lo, hi, g, hp = out
-    return _adaptive_box(g, lo, hi, tol, hint=hp, relative=relative, max_evals=max_evals)
+    h = None
+    if singularity_hint is not None:
+        h = np.atleast_1d(np.asarray(singularity_hint[0], float))
+    return _run(lambda: _region_map(region, f, h), tol, relative, max_evals)
 
 
 def integrate_time(
@@ -573,27 +484,22 @@ def integrate_time(
 ) -> QuadResult:
     """Integrate a scalar function of time over (t0, t1).
 
-    ``g`` receives a 1-D array of times; a two-argument ``g`` also
-    receives the exact distances to the singular endpoint (None if none).
+    ``g(ts, dts)`` receives a 1-D array of times and their exact
+    distances to the singular endpoint, or None when there is none.
     ``endpoint_singularity`` is the (informational) algebraic exponent at
     the singular endpoint; ``singular_start`` selects which endpoint is
     graded toward.
     """
-    region = TimeInterval(
-        t0,
-        t1,
-        singular_start=endpoint_singularity is not None and singular_start,
-        singular_end=endpoint_singularity is not None and not singular_start,
-    )
-    if _accepts_offsets(g):
-        def f2(p, off):
-            return g(p[:, 0], None if off is None else off[:, 0])
-    else:
-        def f2(p, off):
-            return g(p[:, 0])
+    if not t0 < t1:
+        raise ValueError("time interval must have t0 < t1")
+    h = None if endpoint_singularity is None else [t0 if singular_start else t1]
 
-    out = _transform(region, f2, None)
-    if isinstance(out, QuadResult):
-        return out
-    lo, hi, gg, hp = out
-    return _adaptive_box(gg, lo, hi, tol, hint=hp, relative=relative, max_evals=max_evals)
+    def f(p, off):
+        return g(p[:, 0], None if off is None else off[:, 0])
+
+    return _run(
+        lambda: _translated(f, [t0], [t1], h, reverse=not singular_start),
+        tol,
+        relative,
+        max_evals,
+    )

@@ -421,11 +421,6 @@ class _InitialEvaluator:
                 vals = np.where(vals > 0, vals / np.maximum(d, 1e-300), 0.0)
         return vals
 
-    def _dist(self, y: float) -> float:
-        return float(
-            np.asarray(boundary_distance(self.domain, np.array([[y]]))).reshape(-1)[0]
-        )
-
     def _cell_mass_centroid(self, c0, c1):
         """Equivalent plain point mass of one mesh cell.
 
@@ -453,7 +448,7 @@ class _InitialEvaluator:
             eps = 1e-12 * max(abs(c0), abs(c1), 1.0)
             left = max(z - c0, 0.0)
             right = max(c1 - z, 0.0)
-            dz = self._dist(z)
+            dz = boundary_distance(self.domain, [z])
             if dz == 0.0:
                 h = right if right > eps else left
                 m_w = prof.primitive(1.0, h)
@@ -461,7 +456,7 @@ class _InitialEvaluator:
                     return 0.0, 0.5 * (c0 + c1)
                 off = prof.primitive(2.0, h) / m_w
                 cen = z + off if right > eps else z - off
-                return m_w / self._dist(cen), cen
+                return m_w / boundary_distance(self.domain, [cen]), cen
             mass = 0.0
             m1 = 0.0
             if right > eps:
@@ -477,7 +472,8 @@ class _InitialEvaluator:
             return mass, min(max(m1 / mass, c0), c1)
 
         wall = not isinstance(self.domain, WholeSpace) and (
-            self._dist(c0) == 0.0 or self._dist(c1) == 0.0
+            boundary_distance(self.domain, [c0]) == 0.0
+            or boundary_distance(self.domain, [c1]) == 0.0
         )
 
         def f(pts, off=None):
@@ -497,7 +493,7 @@ class _InitialEvaluator:
         m1 = integrate(fm, region, 1e-10, singularity_hint=hint).value
         cen = min(max(m1 / mass, c0), c1)
         if wall:
-            return mass / self._dist(cen), cen
+            return mass / boundary_distance(self.domain, [cen]), cen
         return mass, cen
 
     # -- evaluation

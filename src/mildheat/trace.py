@@ -181,7 +181,7 @@ def psi_d_transform(
     rt = math.sqrt(t)
     for i, x in enumerate(pts):
         smoothed[i] = integrate(
-            lambda ys: kernel_values(domain, x, ys, t) * dens(ys), region, tol
+            lambda ys, _off: kernel_values(domain, x, ys, t) * dens(ys), region, tol
         ).value
         if plain:
             normalized[i] = smoothed[i]
@@ -191,6 +191,6 @@ def psi_d_transform(
             normalized[i] = smoothed[i] / dx
         else:
             normalized[i] = integrate(
-                lambda ys: normal_derivative(domain, ys, x, t) * dens(ys), region, tol
+                lambda ys, _off: normal_derivative(domain, ys, x, t) * dens(ys), region, tol
             ).value
     return smoothed, normalized

@@ -465,6 +465,10 @@ def test_two_argument_densities_are_accepted():
     for part in ("interior", "boundary"):
         rep = power_moment_check(mu, HS2, alpha=1.2, p=1.8, part=part, sigmas=sigmas)
         assert rep.verdict == "consistent"
+    # balls clear of the wall up to radius 0.2 take the polar map
+    wide = np.append(sigmas, [0.07, 0.2])
+    rep = power_moment_check(mu, HS2, alpha=1.2, p=1.8, z_points=[(0.0, 0.5)], sigmas=wide)
+    assert rep.verdict == "consistent"
     assert orlicz_moment_check(mu, HS2, beta=0.3, sigmas=sigmas).verdict == "consistent"
 
 

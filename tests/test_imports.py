@@ -1,5 +1,5 @@
-"""Every imported name is used by the file that imports it, and only the
-quadrature engine looks at an integrand's signature."""
+"""Every imported name is used by the file that imports it, and no file
+looks at a callable's signature."""
 
 import ast
 from pathlib import Path
@@ -57,19 +57,16 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-@pytest.mark.parametrize(
-    "path",
-    [p for p in FILES if p.name != "quadrature.py"],
-    ids=lambda p: f"{p.parent.name}/{p.name}",
-)
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_only_quadrature_dispatches_on_signatures(path):
-    # measure densities are always called as (pts, off); the signature
-    # check belongs to the quadrature engine's own integrand protocol
+    # densities and integrands alike are always called as (pts, off), so
+    # no module, the quadrature engine included, inspects a signature
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    names = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert "_accepts_offsets" not in names
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+            names.update(alias.name for alias in node.names)
+    assert not names & {"inspect", "_accepts_offsets"}

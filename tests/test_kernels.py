@@ -197,7 +197,7 @@ def test_survival_against_quadrature():
     # independent oracle: integrate the kernel directly
     t = 0.25
     r = tail_radius(t, 1e-10)
-    f = lambda p: kernel_values(HS1, (1.0,), p, t)
+    f = lambda p, off: kernel_values(HS1, (1.0,), p, t)
     q = integrate(f, HalfSpaceBox((0.0,), (1.0 + r,)), 1e-10)
     assert abs(q.value - survival_mass(HS1, (1.0,), t)) < 1e-8
 

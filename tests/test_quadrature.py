@@ -19,14 +19,14 @@ from mildheat.quadrature import (
 
 def test_polynomial_box_exact():
     # degree (2,3) is inside the exactness range of both rules
-    f = lambda p: 3.0 * p[:, 0] ** 2 * 4.0 * p[:, 1] ** 3
+    f = lambda p, off: 3.0 * p[:, 0] ** 2 * 4.0 * p[:, 1] ** 3
     res = integrate(f, HalfSpaceBox((0.0, 0.0), (1.0, 1.0)), 1e-12)
     assert abs(res.value - 1.0) < 1e-13
     assert res.evaluations == 15**2
 
 
 def test_gaussian_box():
-    f = lambda p: np.exp(-p[:, 0] ** 2 - p[:, 1] ** 2)
+    f = lambda p, off: np.exp(-p[:, 0] ** 2 - p[:, 1] ** 2)
     res = integrate(f, HalfSpaceBox((-8.0, 0.0), (8.0, 8.0)), 1e-10)
     exact = 0.5 * math.pi * math.erf(8.0)
     assert abs(res.value - exact) < 1e-10
@@ -34,13 +34,13 @@ def test_gaussian_box():
 
 
 def test_disc_area():
-    f = lambda p: np.ones(p.shape[0])
+    f = lambda p, off: np.ones(p.shape[0])
     res = integrate(f, Ball((0.3, -1.2), 2.0), 1e-12)
     assert abs(res.value - 4.0 * math.pi) < 1e-11
 
 
 def test_ball_volume_3d():
-    f = lambda p: np.ones(p.shape[0])
+    f = lambda p, off: np.ones(p.shape[0])
     res = integrate(f, Ball((0.0, 1.0, 2.0), 0.7), 1e-10)
     assert abs(res.value - 4.0 / 3.0 * math.pi * 0.7**3) < 1e-9
 
@@ -72,13 +72,13 @@ def test_weighted_singular_with_linear_factor():
 
 
 def test_clipped_ball_1d():
-    f = lambda p: np.ones(p.shape[0])
+    f = lambda p, off: np.ones(p.shape[0])
     res = integrate(f, Ball((0.1,), 1.0, clip_lo=0.0), 1e-12)
     assert abs(res.value - 1.1) < 1e-12
 
 
 def test_clip_to_empty():
-    f = lambda p: np.ones(p.shape[0])
+    f = lambda p, off: np.ones(p.shape[0])
     res = integrate(f, Ball((5.0,), 1.0, clip_hi=0.0), 1e-12)
     assert res == QuadResult(0.0, 0.0, 1)
 
@@ -120,7 +120,7 @@ def test_ball_3d_singularities():
 
 
 def test_boundary_patch_point():
-    f = lambda p: p[:, 0] ** 2 + 3.0
+    f = lambda p, off: p[:, 0] ** 2 + 3.0
     res = integrate(f, BoundaryPatch((0.0,), 1.0), 1e-12)
     assert res.value == 3.0
     assert res.evaluations == 1
@@ -160,7 +160,7 @@ def test_time_integral_singular_start():
 
 
 def test_time_integral_smooth():
-    res = integrate_time(lambda s: np.cos(s), 0.0, 1.5, 1e-12)
+    res = integrate_time(lambda s, ds: np.cos(s), 0.0, 1.5, 1e-12)
     assert abs(res.value - math.sin(1.5)) < 1e-12
 
 
@@ -208,7 +208,48 @@ def test_invalid_regions(bad):
 
 def test_invalid_tolerance():
     with pytest.raises(ValueError):
-        integrate(lambda p: np.ones(p.shape[0]), Ball((0.0,), 1.0), 0.0)
+        integrate(lambda p, off: np.ones(p.shape[0]), Ball((0.0,), 1.0), 0.0)
+    for tol in (0.0, -1e-9):
+        with pytest.raises(ValueError):
+            integrate_time(lambda s, ds: np.cos(s), 0.0, 1.0, tol)
+
+
+@pytest.mark.parametrize(
+    "center, f",
+    [
+        ((0.1, 0.8), lambda p, off: np.exp(-np.sum(p**2, axis=1)) * (1.0 + p[:, 0])),
+        ((0.1, 0.2, 0.8), lambda p, off: np.exp(p[:, 2])),
+    ],
+)
+def test_clip_that_cuts_nothing_is_no_clip(center, f):
+    # a half-space ball clear of the wall is integrated as an uncut ball
+    clipped = integrate(f, Ball(center, 0.5, clip_lo=0.0), 1e-8, relative=True)
+    assert clipped == integrate(f, Ball(center, 0.5), 1e-8, relative=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    center=st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+    r=st.floats(0.2, 2.0),
+    t=st.floats(-0.9, 0.9),
+    gap=st.floats(0.0, 1.0),
+)
+def test_ball_maps_against_closed_forms(dim, center, r, t, gap):
+    c = tuple(center[:dim])
+    full = math.pi * r**2 if dim == 2 else 4.0 / 3.0 * math.pi * r**3
+    cases = [
+        (Ball(c, r, clip_lo=c[-1] - r - gap), full),  # the clip cuts nothing
+        (Ball(c, r, clip_hi=c[-1] - r - gap), 0.0),  # the clip cuts everything
+    ]
+    if dim == 3:
+        # the cap above height c + t r
+        cap = math.pi * r**3 * (1.0 - t) ** 2 * (2.0 + t) / 3.0
+        cases.append((Ball(c, r, clip_lo=c[-1] + t * r), cap))
+    for region, exact in cases:
+        res = integrate(lambda p, off: np.ones(p.shape[0]), region, 1e-10, relative=True)
+        assert abs(res.value - exact) <= 1e-12 * exact
+        assert res.evaluations <= 15**3
 
 
 @settings(max_examples=25, deadline=None)
@@ -220,7 +261,7 @@ def test_invalid_tolerance():
 def test_quadratic_exactness_property(coefs, a, width):
     c0, c1, c2 = coefs
     b = a + width
-    f = lambda p: c0 + c1 * p[:, 0] + c2 * p[:, 0] ** 2
+    f = lambda p, off: c0 + c1 * p[:, 0] + c2 * p[:, 0] ** 2
     res = integrate(f, HalfSpaceBox((a,), (b,)), 1e-12)
     exact = c0 * (b - a) + c1 * (b**2 - a**2) / 2 + c2 * (b**3 - a**3) / 3
     assert abs(res.value - exact) < 1e-10 * max(1.0, abs(exact))
