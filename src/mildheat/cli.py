@@ -1,4 +1,4 @@
-"""Config-driven experiment runner and the scale-threshold dichotomy sweep.
+"""Config-driven experiment runner.
 
 Commands are described by a flat INI file with one section per concern
 (run, domain, measure, solve, tolerances, plus one section named after
@@ -27,18 +27,24 @@ from .kernels import (
     HalfSpace,
     Interval,
     WholeSpace,
+    certify_gaussian_bounds,
     heat_kernel,
     space_dim,
     survival_mass,
     verify_semigroup,
 )
 from .measures import MeasureSpec, SingularFamily, make_family, pairing
-from .solver import PicardRunner, SpaceTimeGrid, measure_grid, restart_residual
+from .solver import (
+    RATIO_TARGET,
+    PicardRunner,
+    dichotomy_sweep,
+    measure_grid,
+    restart_residual,
+)
 from .trace import bump_test_function, recover_trace
 
 SCHEMA_VERSION = 1
 COMMANDS = ("kernel-check", "solve", "trace", "criteria", "dichotomy")
-RATIO_TARGET = 1.2
 
 
 # ---------------------------------------------------------------------------
@@ -281,119 +287,6 @@ class Manifest:
 
 
 # ---------------------------------------------------------------------------
-# dichotomy sweep
-
-
-@dataclass(frozen=True)
-class DichotomyResult:
-    """Certified scale bracket: below kappa_low the iteration converges,
-    above kappa_high it diverges, both on one shared grid."""
-
-    family: SingularFamily
-    z: tuple
-    p: float
-    kappa_low: float
-    kappa_high: float
-    grid_id: str
-    history: tuple  # (kappa, status, iterations) in evaluation order
-
-    def __post_init__(self):
-        if not self.kappa_low < self.kappa_high:
-            raise ValueError("bracket must satisfy kappa_low < kappa_high")
-
-
-def _grid_id(domain: Domain, grid: SpaceTimeGrid) -> str:
-    return (
-        f"{type(domain).__name__.lower()}"
-        f"-n{grid.nodes.shape[0]}-t{grid.times.size}-h{grid.times[-1]:.6g}"
-    )
-
-
-def dichotomy_sweep(
-    family_kind: str,
-    z,
-    p: float,
-    domain: Domain,
-    T: float,
-    kappa_bracket0,
-    *,
-    grid: Optional[SpaceTimeGrid] = None,
-    max_bisection: int = 24,
-    ratio_target: float = RATIO_TARGET,
-    solver_options: Optional[dict] = None,
-    **grid_options,
-) -> DichotomyResult:
-    """Bisect the data scale between convergence and divergence.
-
-    Starts from ``kappa_bracket0``, widens geometrically until the low
-    end converges and the high end diverges (up to 8 widenings each
-    way), then bisects in log kappa until the bracket ratio drops under
-    ``ratio_target`` or the budget runs out.  Every solve reuses one
-    PicardRunner, so all outcomes live on the same grid.
-    """
-    lo, hi = (float(v) for v in kappa_bracket0)
-    if not (0.0 < lo < hi):
-        raise ValueError("bracket must satisfy 0 < low < high")
-    fam = SingularFamily(family_kind, tuple(np.atleast_1d(z).astype(float)), float(p))
-    mu = make_family(fam, domain)
-    if grid is None:
-        grid = measure_grid(domain, mu, T, **grid_options)
-    runner = PicardRunner(domain, mu, float(p), grid)
-    opts = solver_options or {}
-
-    history = []
-
-    def probe(k: float, **budget):
-        outcome = runner.solve(kappa=k, **{**opts, **budget})
-        history.append((float(k), outcome.status, outcome.iterations))
-        return outcome
-
-    s_lo, s_hi = probe(lo).status, probe(hi).status
-    for _ in range(8):
-        if s_lo == "Converged":
-            break
-        lo /= 4.0
-        s_lo = probe(lo).status
-    for _ in range(8):
-        if s_hi == "Diverged":
-            break
-        hi *= 4.0
-        s_hi = probe(hi).status
-    if s_lo != "Converged" or s_hi != "Diverged":
-        raise ValueError(
-            f"no dichotomy bracket: low end {s_lo} at {lo:.3g}, high end {s_hi} at {hi:.3g}"
-        )
-
-    steps = 0
-    stall = 0
-    weights = (0.5, 0.62, 0.41)  # nudge the split point when a probe stays open
-    while hi / lo >= ratio_target and steps < max_bisection and stall < 3:
-        w = weights[stall]
-        mid = math.exp((1.0 - w) * math.log(lo) + w * math.log(hi))
-        outcome = probe(mid)
-        if outcome.status == "Inconclusive":
-            # the probe used up its whole budget: retry with three times it
-            outcome = probe(mid, max_iter=3 * outcome.iterations)
-        status = outcome.status
-        steps += 1
-        if status == "Converged":
-            lo, stall = mid, 0
-        elif status == "Diverged":
-            hi, stall = mid, 0
-        else:
-            stall += 1
-    return DichotomyResult(
-        family=fam,
-        z=tuple(fam.anchor),
-        p=float(p),
-        kappa_low=lo,
-        kappa_high=hi,
-        grid_id=_grid_id(domain, grid),
-        history=tuple(history),
-    )
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
@@ -416,10 +309,12 @@ def _cmd_kernel_check(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Pa
     weighted_tol = float(cfg.extra.get("weighted_tol", 1e-5))
 
     rows = []
+    triples = []
     for i in range(ns):
         x = _draw_point(domain, rng)
         y = _draw_point(domain, rng)
         t = rng.uniform(0.05, 0.4)
+        triples.append((x, y, t))
         g1 = heat_kernel(domain, x, y, t)
         g2 = heat_kernel(domain, y, x, t)
         rel = abs(g1 - g2) / max(g1, g2, 1e-300)
@@ -432,6 +327,11 @@ def _cmd_kernel_check(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Pa
                 yb[-1] = 0.0
             gb = heat_kernel(domain, x, yb, t)
             rows.append(("boundary_zero", i, gb, 0.0, gb == 0.0))
+    if triples and not isinstance(domain, WholeSpace):
+        # the symmetry samples against the two-sided Gaussian estimate; the
+        # fit stops at the first rate whose amplitude is at most 1e6
+        cert = certify_gaussian_bounds(domain, triples, 0.5)
+        rows.append(("gaussian_bounds", 0, cert.amplitude, 1e6, cert.amplitude <= 1e6))
     for i in range(n_semigroup):
         x = _draw_point(domain, rng)
         y = _draw_point(domain, rng)
@@ -516,7 +416,7 @@ def _cmd_solve(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) -> 
     result = {
         "status": outcome.status,
         "iterations": outcome.iterations,
-        "grid_id": _grid_id(domain, grid),
+        "grid_id": grid.grid_id(),
         "diagnostics": outcome.diagnostics,
     }
     if outcome.status == "Converged" and nt >= 4:
@@ -540,7 +440,7 @@ def _cmd_trace(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) -> 
     for center_text in centers.split(";"):
         center = _floats(center_text)
         psi = bump_test_function(center, width)
-        est = recover_trace(outcome.final, psi, range(levels), domain)
+        est = recover_trace(outcome.final, psi, range(levels))
         ref = pairing(mu, domain, lambda pts, off=None: psi.fn(np.atleast_2d(pts)))
         gap = abs(est.limit - ref)
         tol = max(0.02 * abs(ref), est.error)

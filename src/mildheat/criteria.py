@@ -1148,7 +1148,7 @@ def _trace_strip_limit(
 
     psi = TestFunction(fn=fn, center=(0.5 * L,), radius=0.5 * L, smooth=False)
     idx = tuple(range(min(6, u.grid.times.size)))
-    return recover_trace(u, psi, idx, domain)
+    return recover_trace(u, psi, idx)
 
 
 def _strip_depths(domain: Interval, T: float, sigmas) -> Tuple[float, ...]:

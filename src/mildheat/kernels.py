@@ -11,19 +11,20 @@ wall.  The interval has the images of source and mirror under the shifts
 
     m = max(1, ceil((L + sqrt(4 t ln 1e16)) / (2L))),
 
-so every image left out carries a Gaussian factor below 1e-16.  An
-independent eigenfunction-series evaluator is kept as a cross-check
-oracle.  On top of the plain kernel sits the boundary-weighted kernel,
-the kernel divided by the boundary distance of its second argument, which
-extends continuously up to the boundary where it becomes the inward
-normal derivative.  That closed form is re-derived here and validated in
+so every image left out carries a Gaussian factor below 1e-16.  The
+tests check every image sum against an independent eigenfunction series
+(``tests/oracles.py``).  On top of the plain kernel sits the
+boundary-weighted kernel, the kernel divided by the boundary distance of
+its second argument, which extends continuously up to the boundary where
+it becomes the inward normal derivative.  That closed form is re-derived here and validated in
 the tests against the defining limit.
 
 Also provided: total surviving mass (the kernel integrated in its second
 argument, which is strictly below 1 once absorption is felt), a semigroup
 composition check driven by the quadrature module, and a sampled
 certification that the kernel obeys two-sided Gaussian-profile bounds
-with distance factors.
+with distance factors.  The ``kernel-check`` command reports the last
+two.
 
 All evaluations are pure functions; t below 1e-12 is rejected everywhere
 because the exponentials are no longer resolvable in double precision.
@@ -54,15 +55,14 @@ __all__ = [
     "weighted_kernel",
     "normal_derivative",
     "kernel_values",
-    "interval_eigen_kernel",
-    "interval_eigen_weighted",
     "survival_mass",
     "verify_semigroup",
     "certify_gaussian_bounds",
 ]
 
 T_FLOOR = 1e-12
-# truncation target for the image and eigenfunction series; remainders
+# truncation target for the image series (and the eigenfunction series
+# of the test oracles); remainders
 # beyond this are below double-precision noise of the leading term
 _SERIES_TAU = 1e-16
 _LOG_TAU = math.log(1.0 / _SERIES_TAU)
@@ -210,19 +210,6 @@ def heat_kernel(domain: Domain, x, y, t: float) -> float:
     )
 
 
-def interval_eigen_kernel(domain: Interval, x, y, t: float) -> float:
-    """Eigenfunction-series evaluation, the cross-check oracle for the
-    image sum.  Slow for small t; intended for t >= 0.01 or so."""
-    t = _require_time(t)
-    L = domain.length
-    xs, ys = float(np.reshape(x, -1)[0]), float(np.reshape(y, -1)[0])
-    m_max = int(math.ceil(L / math.pi * math.sqrt(_LOG_TAU / t))) + 1
-    m = np.arange(1, m_max + 1)
-    lam = (m * math.pi / L) ** 2
-    vals = (2.0 / L) * np.sin(m * math.pi * xs / L) * np.sin(m * math.pi * ys / L)
-    return float(np.dot(vals, np.exp(-lam * t)))
-
-
 def kernel_values(domain: Domain, x, ys, t: float) -> np.ndarray:
     """Kernel between one point x and a stack of points ys, shape (m, N)."""
     t = _require_time(t)
@@ -299,19 +286,6 @@ def weighted_kernel(domain: Domain, x, y, t: float) -> float:
     if d >= 1e-6 * (d + math.sqrt(t)):
         return heat_kernel(domain, x, y, t) / d
     return float(normal_derivative(domain, x[None, :], y, t)[0])
-
-
-def interval_eigen_weighted(domain: Interval, x, at_left: bool, t: float) -> float:
-    """Eigenfunction series for the weighted kernel at an endpoint."""
-    t = _require_time(t)
-    L = domain.length
-    xs = float(np.reshape(x, -1)[0])
-    m_max = int(math.ceil(L / math.pi * math.sqrt(_LOG_TAU / t))) + 1
-    m = np.arange(1, m_max + 1)
-    lam = (m * math.pi / L) ** 2
-    sign = np.ones(m_max) if at_left else np.where(m % 2 == 1, 1.0, -1.0)
-    vals = (2.0 / L) * (m * math.pi / L) * np.sin(m * math.pi * xs / L) * sign
-    return float(np.dot(vals, np.exp(-lam * t)))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ __all__ = [
     "weighted_ball_integral",
     "pairing",
     "scale",
-    "from_table",
 ]
 
 
@@ -615,7 +614,7 @@ def pairing(
     """Integral of a (smooth, plain-signature) function against the measure.
 
     The integration region defaults to the measure's support ball; pass an
-    explicit region when the measure has none (e.g. pure tables).
+    explicit region when the measure has none.
     """
     total = 0.0
     hint = None
@@ -650,26 +649,3 @@ def pairing(
         total += m * float(np.asarray(f(arr)).reshape(-1)[0])
     return mu.scale_factor * total
 
-
-def from_table(xs, values, mode: str = "dx") -> MeasureSpec:
-    """Piecewise-constant density from a sorted 1-D table.
-
-    values[i] holds on [xs[i], xs[i+1]); the last value extends to the
-    right, zero to the left of xs[0].
-    """
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if xs.size != values.size or xs.size == 0:
-        raise ValueError("table needs equally many points and values")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("table points must be strictly increasing")
-    if np.any(values < 0):
-        raise ValueError("densities must be nonnegative")
-
-    def density(pts, off=None):
-        x = np.asarray(pts, float)[:, 0]
-        idx = np.searchsorted(xs, x, side="right") - 1
-        out = np.where(idx >= 0, values[np.clip(idx, 0, values.size - 1)], 0.0)
-        return out
-
-    return MeasureSpec(interior_density=density, interior_mode=mode)

@@ -4,6 +4,8 @@ The iteration scheme: start from the linear evolution of the data and
 repeatedly add the memory integral of the p-th power.  All iterates are
 nonnegative and pointwise nondecreasing, so the run either converges, or
 grows past a ceiling and is reported as divergent at this resolution.
+``dichotomy_sweep`` bisects the data scale between the two outcomes,
+every probe solved by one ``PicardRunner`` on one shared grid.
 
 Discretization choices, in one place:
 
@@ -39,7 +41,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import erf as _erf
-from scipy.linalg import solve_banded
 
 from .kernels import (
     Domain,
@@ -52,7 +53,7 @@ from .kernels import (
     normal_derivative,
     space_dim,
 )
-from .measures import MeasureSpec
+from .measures import MeasureSpec, SingularFamily, make_family
 from .quadrature import integrate, Ball
 
 __all__ = [
@@ -64,13 +65,16 @@ __all__ = [
     "measure_grid",
     "PicardRunner",
     "picard_solve",
+    "DichotomyResult",
+    "RATIO_TARGET",
+    "dichotomy_sweep",
     "restart_residual",
-    "fd_reference_solve",
 ]
 
 _INTERIOR_CUT = 1e-3  # sup norms ignore nodes closer to the boundary
 _TAU_FLOOR = 1e-2  # memory-integral tau floor, in units of the first level
 _SLIVER_FLOOR = 1e-3  # lowest sliver edge, in units of the first level
+RATIO_TARGET = 1.2  # dichotomy sweeps stop below this kappa_high / kappa_low
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +143,14 @@ class SpaceTimeGrid:
     @property
     def interior_mask(self) -> np.ndarray:
         return self._bdist > _INTERIOR_CUT
+
+    def grid_id(self) -> str:
+        """Short name of the grid: domain kind, node and level counts,
+        horizon."""
+        return (
+            f"{type(self.domain).__name__.lower()}"
+            f"-n{self.nodes.shape[0]}-t{self.times.size}-h{self.times[-1]:.6g}"
+        )
 
 
 @dataclass(eq=False)
@@ -275,16 +287,16 @@ def measure_grid(domain: Domain, mu: MeasureSpec, horizon: float, **grid_options
 # at their exact centroid.  Both reductions keep every image term.
 
 
-def _gauss_moments(u, c0, c1, t):
-    """(∫ g, ∫ y g) over [c0, c1] for the 1-d heat kernel centred at u."""
-    rt = 2.0 * math.sqrt(t)
-    z0 = (u - c0) / rt
-    z1 = (u - c1) / rt
-    p = 0.5 * (_erf(z0) - _erf(z1))
-    c = (4.0 * math.pi * t) ** -0.5
-    g0 = c * np.exp(-z0 * z0)
-    g1 = c * np.exp(-z1 * z1)
-    m1 = u * p + 2.0 * t * (g0 - g1)
+def _interval_moments(pos, edges, t):
+    """(∫ g, ∫ y g) over each cell between consecutive ``edges`` for the
+    1-d heat kernel g centred at ``pos``; erf and exp are evaluated once
+    per edge.  Broadcasts ``pos`` (..., 1) against ``edges`` (..., k) to
+    cell arrays (..., k - 1)."""
+    z = (edges - pos) / (2.0 * math.sqrt(t))
+    e = _erf(z)
+    g = (4.0 * math.pi * t) ** -0.5 * np.exp(-z * z)
+    p = 0.5 * (e[..., 1:] - e[..., :-1])
+    m1 = pos * p + 2.0 * t * (g[..., :-1] - g[..., 1:])
     return p, m1
 
 
@@ -304,15 +316,9 @@ def _hat_transport_matrix(
     h = np.diff(y)
     if y.size < 2 or np.any(h <= 0):
         raise ValueError("need at least two strictly increasing nodes")
-    rt = 2.0 * math.sqrt(tau)
-    gc = (4.0 * math.pi * tau) ** -0.5
     out = np.zeros((x.size, y.size))
     for sign, pos in images(domain, x[:, None], tau):
-        z = (y[None, :] - pos) / rt
-        e = _erf(z)
-        g = gc * np.exp(-z * z)
-        p = 0.5 * (e[:, 1:] - e[:, :-1])
-        m1 = pos * p + 2.0 * tau * (g[:, :-1] - g[:, 1:])
+        p, m1 = _interval_moments(pos, y[None, :], tau)
         out[:, :-1] += sign * (y[None, 1:] * p - m1) / h[None, :]
         out[:, 1:] += sign * (m1 - y[None, :-1] * p) / h[None, :]
     return np.maximum(out, 0.0)
@@ -394,9 +400,10 @@ class _InitialEvaluator:
         singular |= ratio > 4.0
 
         smooth = ~singular & ((vL > 0) | (vR > 0))
-        beta = np.where(smooth, (vR - vL) / width, 0.0)
-        alpha = np.where(smooth, vL - beta * c0, 0.0)
-        self._lin = (c0[smooth], c1[smooth], alpha[smooth], beta[smooth])
+        if np.any(smooth):
+            # moments over all cells, products over the linearized ones
+            beta = (vR[smooth] - vL[smooth]) / width[smooth]
+            self._lin = (edges, smooth, vL[smooth] - beta * c0[smooth], beta)
 
         for i in np.nonzero(singular)[0]:
             mass, cen = self._cell_mass_centroid(float(c0[i]), float(c1[i]))
@@ -502,9 +509,12 @@ class _InitialEvaluator:
         x = self.x
         out = np.zeros(x.size)
         for sign, pos in images(self.domain, x[:, None], t):
-            if self._lin is not None and self._lin[0].size:
-                c0, c1, alpha, beta = self._lin
-                p, m1 = _gauss_moments(pos, c0[None, :], c1[None, :], t)
+            if self._lin is not None:
+                edges, smooth, alpha, beta = self._lin
+                p, m1 = _interval_moments(pos, edges[None, :], t)
+                # compress returns C order where a boolean index would not,
+                # so the products round as those of dense row-major arrays
+                p, m1 = p.compress(smooth, axis=1), m1.compress(smooth, axis=1)
                 out += sign * (p @ alpha + m1 @ beta)
             for mass, cen in self._point_cells:
                 c = (4.0 * math.pi * t) ** -0.5
@@ -819,6 +829,109 @@ def picard_solve(
     )
 
 
+# ---------------------------------------------------------------------------
+# scale dichotomy
+
+
+@dataclass(frozen=True)
+class DichotomyResult:
+    """Certified scale bracket: below kappa_low the iteration converges,
+    above kappa_high it diverges, both on one shared grid."""
+
+    family: SingularFamily
+    z: tuple
+    p: float
+    kappa_low: float
+    kappa_high: float
+    grid_id: str
+    history: tuple  # (kappa, status, iterations) in evaluation order
+
+    def __post_init__(self):
+        if not self.kappa_low < self.kappa_high:
+            raise ValueError("bracket must satisfy kappa_low < kappa_high")
+
+
+def dichotomy_sweep(
+    family_kind: str,
+    z,
+    p: float,
+    domain: Domain,
+    T: float,
+    kappa_bracket0,
+    *,
+    max_bisection: int = 24,
+    solver_options: Optional[dict] = None,
+    **grid_options,
+) -> DichotomyResult:
+    """Bisect the data scale between convergence and divergence.
+
+    Starts from ``kappa_bracket0``, widens geometrically until the low
+    end converges and the high end diverges (up to 8 widenings each
+    way), then bisects in log kappa until the bracket ratio drops under
+    ``RATIO_TARGET`` or the budget runs out.  Every solve reuses one
+    PicardRunner, so all outcomes live on the same grid.
+    """
+    lo, hi = (float(v) for v in kappa_bracket0)
+    if not (0.0 < lo < hi):
+        raise ValueError("bracket must satisfy 0 < low < high")
+    fam = SingularFamily(family_kind, tuple(np.atleast_1d(z).astype(float)), float(p))
+    mu = make_family(fam, domain)
+    grid = measure_grid(domain, mu, T, **grid_options)
+    runner = PicardRunner(domain, mu, float(p), grid)
+    opts = solver_options or {}
+
+    history = []
+
+    def probe(k: float, **budget):
+        outcome = runner.solve(kappa=k, **{**opts, **budget})
+        history.append((float(k), outcome.status, outcome.iterations))
+        return outcome
+
+    s_lo, s_hi = probe(lo).status, probe(hi).status
+    for _ in range(8):
+        if s_lo == "Converged":
+            break
+        lo /= 4.0
+        s_lo = probe(lo).status
+    for _ in range(8):
+        if s_hi == "Diverged":
+            break
+        hi *= 4.0
+        s_hi = probe(hi).status
+    if s_lo != "Converged" or s_hi != "Diverged":
+        raise ValueError(
+            f"no dichotomy bracket: low end {s_lo} at {lo:.3g}, high end {s_hi} at {hi:.3g}"
+        )
+
+    steps = 0
+    stall = 0
+    weights = (0.5, 0.62, 0.41)  # nudge the split point when a probe stays open
+    while hi / lo >= RATIO_TARGET and steps < max_bisection and stall < 3:
+        w = weights[stall]
+        mid = math.exp((1.0 - w) * math.log(lo) + w * math.log(hi))
+        outcome = probe(mid)
+        if outcome.status == "Inconclusive":
+            # the probe used up its whole budget: retry with three times it
+            outcome = probe(mid, max_iter=3 * outcome.iterations)
+        status = outcome.status
+        steps += 1
+        if status == "Converged":
+            lo, stall = mid, 0
+        elif status == "Diverged":
+            hi, stall = mid, 0
+        else:
+            stall += 1
+    return DichotomyResult(
+        family=fam,
+        z=tuple(fam.anchor),
+        p=float(p),
+        kappa_low=lo,
+        kappa_high=hi,
+        grid_id=grid.grid_id(),
+        history=tuple(history),
+    )
+
+
 def restart_residual(
     u: Union[SolveOutcome, GridFunction],
     t1_index: int,
@@ -886,71 +999,3 @@ def restart_residual(
     res = np.abs(lhs[mask] - rhs[mask]) / np.maximum(lhs[mask], floor)
     return RestartReport(float(np.max(res)), int(mask.sum()), t1, t2)
 
-
-# ---------------------------------------------------------------------------
-# independent finite-difference reference (one dimension, bounded data)
-
-
-def fd_reference_solve(
-    mu_smooth: MeasureSpec,
-    p: float,
-    horizon: float,
-    domain: Domain,
-    resolution=(400, 4000),
-    *,
-    nonlinearity: bool = True,
-    extent: Optional[float] = None,
-    saved_levels: int = 50,
-) -> GridFunction:
-    """Implicit-diffusion, explicit-reaction marching scheme; second
-    order in space, first order in time.  Used only to cross-check the
-    iteration on smooth bounded data."""
-    if space_dim(domain) != 1:
-        raise ValueError("reference scheme is one-dimensional")
-    if mu_smooth.interior_density is None or mu_smooth.singularity is not None:
-        raise ValueError("reference scheme needs a bounded density")
-    if mu_smooth.atoms or mu_smooth.boundary_density is not None:
-        raise ValueError("reference scheme needs a plain density")
-    nx, nt = resolution
-    if nx < 10 or nt < 10:
-        raise ValueError("invalid resolution")
-    lo, hi = _domain_span(domain, [], horizon, extent)
-    xs = np.linspace(lo, hi, nx + 1)
-    h = xs[1] - xs[0]
-    dt = horizon / nt
-
-    u0 = mu_smooth.scale_factor * np.asarray(
-        mu_smooth.interior_density(xs[:, None], None), dtype=float
-    ).reshape(-1)
-    if not np.all(np.isfinite(u0)):
-        raise ValueError("reference scheme needs a bounded density")
-    w = u0.copy()
-    w[0] = w[-1] = 0.0
-
-    n_in = nx - 1
-    band = np.zeros((3, n_in))
-    band[0, 1:] = -dt / h**2
-    band[1, :] = 1.0 + 2.0 * dt / h**2
-    band[2, :-1] = -dt / h**2
-
-    every = max(1, nt // saved_levels)
-    saved_t, saved_u = [], []
-    for m in range(1, nt + 1):
-        inner = w[1:-1]
-        if nonlinearity:
-            if p * dt * float(np.max(inner)) ** (p - 1.0) > 1.0:
-                raise ValueError(
-                    "invalid resolution: reaction term violates the step limit"
-                )
-            rhs = inner + dt * inner**p
-        else:
-            rhs = inner.copy()
-        w = np.concatenate([[0.0], solve_banded((1, 1), band, rhs), [0.0]])
-        if m % every == 0 or m == nt:
-            saved_t.append(m * dt)
-            saved_u.append(w.copy())
-    if len(saved_t) >= 2 and saved_t[-1] == saved_t[-2]:
-        saved_t.pop()
-        saved_u.pop()
-    grid = SpaceTimeGrid(domain, xs[:, None], np.asarray(saved_t), horizon)
-    return GridFunction(grid, np.maximum(np.asarray(saved_u), 0.0))

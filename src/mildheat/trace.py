@@ -2,9 +2,8 @@
 
 The weighted field d(.)u(.,t) paired against compactly supported test
 functions tends, as t -> 0, to the measure the solve started from.  This
-module computes those pairings on grid functions, extrapolates them to
-t = 0, and provides the kernel transform that underlies the consistency
-argument.
+module computes those pairings on grid functions and extrapolates them
+to t = 0.  The grid carries the domain, so no function here takes one.
 """
 
 from __future__ import annotations
@@ -15,27 +14,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import (
-    Domain,
-    WholeSpace,
-    boundary_distance,
-    kernel_values,
-    normal_derivative,
-    space_dim,
-)
-from .cutoffs import smooth_step
-from .measures import _ball_region
-from .quadrature import integrate
 from .solver import GridFunction
 
 __all__ = [
     "TestFunction",
     "TraceEstimate",
     "bump_test_function",
-    "plateau_test_function",
     "trace_pairing",
     "recover_trace",
-    "psi_d_transform",
 ]
 
 
@@ -79,20 +65,7 @@ def bump_test_function(center, radius: float) -> TestFunction:
     return TestFunction(fn, center, float(radius))
 
 
-def plateau_test_function(center, radius: float) -> TestFunction:
-    """Smooth cutoff equal to 1 inside half the support radius."""
-    center = tuple(float(c) for c in np.atleast_1d(center))
-
-    def fn(pts):
-        r = _radial(pts, center)
-        return np.array([smooth_step(2.0 * v / radius) for v in r])
-
-    return TestFunction(fn, center, float(radius))
-
-
-def trace_pairing(
-    u: GridFunction, psi: TestFunction, t_index: int, domain: Domain
-) -> float:
+def trace_pairing(u: GridFunction, psi: TestFunction, t_index: int) -> float:
     """Integral of psi * d * u(., t_k) over the domain."""
     grid = u.grid
     if not -grid.times.size <= t_index < grid.times.size:
@@ -122,10 +95,7 @@ def _extrapolate(s, v, degree):
 
 
 def recover_trace(
-    u: GridFunction,
-    psi: TestFunction,
-    t_indices: Sequence[int],
-    domain: Domain,
+    u: GridFunction, psi: TestFunction, t_indices: Sequence[int]
 ) -> TraceEstimate:
     """Extrapolate the pairing to t = 0.
 
@@ -135,7 +105,7 @@ def recover_trace(
     if len(idx) < 3:
         raise ValueError("need at least three distinct time levels")
     times = u.grid.times[idx]
-    vals = np.array([trace_pairing(u, psi, i, domain) for i in idx])
+    vals = np.array([trace_pairing(u, psi, i) for i in idx])
     s = np.sqrt(times)
 
     main = _extrapolate(s[:4], vals[:4], 2)
@@ -149,48 +119,3 @@ def recover_trace(
         status = "inconclusive"
     return TraceEstimate(times, vals, main, err, status)
 
-
-def psi_d_transform(
-    psi: TestFunction,
-    t: float,
-    domain: Domain,
-    points,
-    tol: float = 1e-9,
-):
-    """Kernel smoothing of d * psi and its weight-normalized form.
-
-    Returns (smoothed, normalized) where smoothed(x) integrates the
-    kernel against d(y) psi(y) and normalized divides by d(x), using the
-    boundary-limit kernel branch where the quotient would cancel."""
-    if not t > 0:
-        raise ValueError("time must be positive")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != space_dim(domain):
-        raise ValueError("point dimension does not match the domain")
-    region = _ball_region(domain, psi.center, psi.radius)
-    plain = isinstance(domain, WholeSpace)
-
-    def dens(ys):
-        v = psi(ys)
-        if not plain:
-            v = v * np.asarray(boundary_distance(domain, ys), float).reshape(-1)
-        return v
-
-    smoothed = np.empty(pts.shape[0])
-    normalized = np.empty(pts.shape[0])
-    rt = math.sqrt(t)
-    for i, x in enumerate(pts):
-        smoothed[i] = integrate(
-            lambda ys, _off: kernel_values(domain, x, ys, t) * dens(ys), region, tol
-        ).value
-        if plain:
-            normalized[i] = smoothed[i]
-            continue
-        dx = float(boundary_distance(domain, x))
-        if dx > 1e-6 * (dx + rt):
-            normalized[i] = smoothed[i] / dx
-        else:
-            normalized[i] = integrate(
-                lambda ys, _off: normal_derivative(domain, ys, x, t) * dens(ys), region, tol
-            ).value
-    return smoothed, normalized

@@ -1,0 +1,109 @@
+"""Independent references that the property tests check the lab against.
+
+The interval kernel is summed over eigenfunctions instead of images, and
+the reference solve marches a finite-difference scheme instead of
+iterating the mild form.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+import numpy as np
+from scipy.linalg import solve_banded
+
+from mildheat.kernels import _LOG_TAU, Domain, Interval, _require_time, space_dim
+from mildheat.measures import MeasureSpec
+from mildheat.solver import GridFunction, SpaceTimeGrid, _domain_span
+
+
+def interval_eigen_kernel(domain: Interval, x, y, t: float) -> float:
+    """Eigenfunction-series evaluation, the cross-check oracle for the
+    image sum.  Slow for small t; intended for t >= 0.01 or so."""
+    t = _require_time(t)
+    L = domain.length
+    xs, ys = float(np.reshape(x, -1)[0]), float(np.reshape(y, -1)[0])
+    m_max = int(math.ceil(L / math.pi * math.sqrt(_LOG_TAU / t))) + 1
+    m = np.arange(1, m_max + 1)
+    lam = (m * math.pi / L) ** 2
+    vals = (2.0 / L) * np.sin(m * math.pi * xs / L) * np.sin(m * math.pi * ys / L)
+    return float(np.dot(vals, np.exp(-lam * t)))
+
+
+def interval_eigen_weighted(domain: Interval, x, at_left: bool, t: float) -> float:
+    """Eigenfunction series for the weighted kernel at an endpoint."""
+    t = _require_time(t)
+    L = domain.length
+    xs = float(np.reshape(x, -1)[0])
+    m_max = int(math.ceil(L / math.pi * math.sqrt(_LOG_TAU / t))) + 1
+    m = np.arange(1, m_max + 1)
+    lam = (m * math.pi / L) ** 2
+    sign = np.ones(m_max) if at_left else np.where(m % 2 == 1, 1.0, -1.0)
+    vals = (2.0 / L) * (m * math.pi / L) * np.sin(m * math.pi * xs / L) * sign
+    return float(np.dot(vals, np.exp(-lam * t)))
+
+
+def fd_reference_solve(
+    mu_smooth: MeasureSpec,
+    p: float,
+    horizon: float,
+    domain: Domain,
+    resolution=(400, 4000),
+    *,
+    nonlinearity: bool = True,
+    extent: Optional[float] = None,
+    saved_levels: int = 50,
+) -> GridFunction:
+    """Implicit-diffusion, explicit-reaction marching scheme; second
+    order in space, first order in time.  Used only to cross-check the
+    iteration on smooth bounded data."""
+    if space_dim(domain) != 1:
+        raise ValueError("reference scheme is one-dimensional")
+    if mu_smooth.interior_density is None or mu_smooth.singularity is not None:
+        raise ValueError("reference scheme needs a bounded density")
+    if mu_smooth.atoms or mu_smooth.boundary_density is not None:
+        raise ValueError("reference scheme needs a plain density")
+    nx, nt = resolution
+    if nx < 10 or nt < 10:
+        raise ValueError("invalid resolution")
+    lo, hi = _domain_span(domain, [], horizon, extent)
+    xs = np.linspace(lo, hi, nx + 1)
+    h = xs[1] - xs[0]
+    dt = horizon / nt
+
+    u0 = mu_smooth.scale_factor * np.asarray(
+        mu_smooth.interior_density(xs[:, None], None), dtype=float
+    ).reshape(-1)
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("reference scheme needs a bounded density")
+    w = u0.copy()
+    w[0] = w[-1] = 0.0
+
+    n_in = nx - 1
+    band = np.zeros((3, n_in))
+    band[0, 1:] = -dt / h**2
+    band[1, :] = 1.0 + 2.0 * dt / h**2
+    band[2, :-1] = -dt / h**2
+
+    every = max(1, nt // saved_levels)
+    saved_t, saved_u = [], []
+    for m in range(1, nt + 1):
+        inner = w[1:-1]
+        if nonlinearity:
+            if p * dt * float(np.max(inner)) ** (p - 1.0) > 1.0:
+                raise ValueError(
+                    "invalid resolution: reaction term violates the step limit"
+                )
+            rhs = inner + dt * inner**p
+        else:
+            rhs = inner.copy()
+        w = np.concatenate([[0.0], solve_banded((1, 1), band, rhs), [0.0]])
+        if m % every == 0 or m == nt:
+            saved_t.append(m * dt)
+            saved_u.append(w.copy())
+    if len(saved_t) >= 2 and saved_t[-1] == saved_t[-2]:
+        saved_t.pop()
+        saved_u.pop()
+    grid = SpaceTimeGrid(domain, xs[:, None], np.asarray(saved_t), horizon)
+    return GridFunction(grid, np.maximum(np.asarray(saved_u), 0.0))

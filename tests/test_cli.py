@@ -6,17 +6,16 @@ import pytest
 from click.testing import CliRunner
 
 from mildheat.cli import (
-    DichotomyResult,
     build_domain,
     build_measure,
-    dichotomy_sweep,
+    dichotomy_sweep,  # the solver's sweep, which the benchmark calls by this name
     load_config,
     main,
     run,
     write_csv,
 )
 from mildheat.kernels import HalfSpace
-from mildheat.solver import make_grid
+from mildheat.solver import DichotomyResult, make_grid
 
 
 def write_ini(path, text):
@@ -128,6 +127,28 @@ def test_kernel_check_command(tmp_path):
     assert rows[0] == "check,sample,value,threshold,ok"
     assert all(line.endswith(",1") for line in rows[1:])
     assert manifest_events(out, "result")[0]["ok"] is True
+
+
+def test_kernel_check_reports_gaussian_bounds(tmp_path):
+    # one two-sided Gaussian estimate row on domains with a boundary
+    domains = {
+        "halfspace": "kind = halfspace\ndim = 1",
+        "interval": "kind = interval\nlength = 1.0",
+        "wholespace": "kind = wholespace\ndim = 1",
+    }
+    for tag, domain in domains.items():
+        out = tmp_path / tag
+        ini = KERNEL_INI.format(out=out).replace("kind = halfspace\ndim = 1", domain)
+        assert run(load_config(write_ini(tmp_path / f"{tag}.ini", ini))) == 0
+        rows = (out / "kernel_check.csv").read_text().splitlines()[1:]
+        bounds = [r.split(",") for r in rows if r.startswith("gaussian_bounds,")]
+        if tag == "wholespace":
+            assert bounds == []
+            continue
+        assert len(bounds) == 1
+        _, _, amplitude, threshold, ok = bounds[0]
+        assert 1.0 <= float(amplitude) <= float(threshold) == 1e6
+        assert ok == "1"
 
 
 def test_zero_measure_solve_trivial(tmp_path):

@@ -1,5 +1,6 @@
-"""Every imported name is used by the file that imports it, and no file
-looks at a callable's signature."""
+"""Every imported name is used by the file that imports it, every name a
+file exports in ``__all__`` is defined there, and no file looks at a
+callable's signature."""
 
 import ast
 from pathlib import Path
@@ -7,9 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "mildheat").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+SRC_FILES = sorted((ROOT / "src" / "mildheat").glob("*.py"))
+FILES = SRC_FILES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -42,6 +42,28 @@ def unused_imports(source: str) -> list:
     )
 
 
+def undefined_exports(source: str) -> list:
+    """Names listed in a literal top-level __all__ that the module never
+    binds at top level (by def, class, assignment or import)."""
+    tree = ast.parse(source)
+    bound = set()
+    exported = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(
+                alias.asname or alias.name.split(".")[0] for alias in node.names
+            )
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            bound.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
 def test_scanner_flags_only_unused_names():
     src = (
         "from __future__ import annotations\n"
@@ -55,6 +77,20 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scanner_flags_only_undefined_exports():
+    src = (
+        "import os\nfrom math import pi as tau\nX: int = 1\nY = Z = 2\n"
+        "def f():\n    gone = 3\nclass C:\n    pass\n"
+        "__all__ = ['os', 'tau', 'X', 'Y', 'Z', 'f', 'C', 'gone', 'pi']\n"
+    )
+    assert undefined_exports(src) == ["gone", "pi"]
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_all_lists_only_defined_names(path):
+    assert undefined_exports(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")

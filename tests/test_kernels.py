@@ -16,8 +16,6 @@ from mildheat.kernels import (
     boundary_distance,
     certify_gaussian_bounds,
     heat_kernel,
-    interval_eigen_kernel,
-    interval_eigen_weighted,
     kernel_values,
     survival_mass,
     tail_radius,
@@ -25,6 +23,7 @@ from mildheat.kernels import (
     weighted_kernel,
 )
 from mildheat.quadrature import HalfSpaceBox, integrate
+from oracles import interval_eigen_kernel, interval_eigen_weighted
 
 HS1 = HalfSpace(1)
 HS2 = HalfSpace(2)

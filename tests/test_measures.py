@@ -13,7 +13,6 @@ from mildheat.measures import (
     SingularFamily,
     ball_mass,
     critical_exponent,
-    from_table,
     make_family,
     pairing,
     scale,
@@ -203,14 +202,12 @@ def test_scaling_property(kappa, sigma):
 
 
 def test_table_measure():
-    mu = from_table([0.0, 0.5], [2.0, 3.0])
     # density 2 on [0, 0.5), 3 on [0.5, inf); ball [0.2, 0.6]
+    mu = MeasureSpec(
+        interior_density=lambda pts, off: np.where(pts[:, 0] < 0.5, 2.0, 3.0)
+    )
     v = ball_mass(mu, IV1, (0.4,), 0.2, tol=1e-9)
     assert v == pytest.approx(2.0 * 0.3 + 3.0 * 0.1, abs=1e-8)
-    with pytest.raises(ValueError):
-        from_table([0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        from_table([0.0, 1.0], [1.0, -1.0])
 
 
 def test_pairing():
@@ -232,7 +229,7 @@ def test_pairing():
 
 
 def test_pairing_needs_region_without_support():
-    mu = from_table([0.0, 1.0], [1.0, 1.0])
+    mu = MeasureSpec(interior_density=lambda pts, off: np.ones(pts.shape[0]))
     with pytest.raises(ValueError):
         pairing(mu, IV1, lambda p: np.ones(p.shape[0]))
 

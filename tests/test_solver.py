@@ -19,12 +19,12 @@ from mildheat.solver import (
     GridFunction,
     PicardRunner,
     SpaceTimeGrid,
-    fd_reference_solve,
     make_grid,
     measure_grid,
     picard_solve,
     restart_residual,
 )
+from oracles import fd_reference_solve
 
 HS1 = HalfSpace(1)
 IV1 = Interval(1.0)

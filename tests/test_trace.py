@@ -1,4 +1,4 @@
-"""Pairing, extrapolated trace limits and the kernel transform."""
+"""Pairing and extrapolated trace limits."""
 
 import numpy as np
 import pytest
@@ -16,8 +16,6 @@ from mildheat.trace import (
     TestFunction,
     TraceEstimate,
     bump_test_function,
-    plateau_test_function,
-    psi_d_transform,
     recover_trace,
     trace_pairing,
 )
@@ -55,13 +53,13 @@ def test_pairing_zero_field():
     g = make_grid(HS1, 0.1, target_nodes=60)
     u = GridFunction(g, np.zeros((g.times.size, g.nodes.shape[0])))
     psi = bump_test_function((1.0,), 0.5)
-    assert trace_pairing(u, psi, 0, HS1) == 0.0
+    assert trace_pairing(u, psi, 0) == 0.0
 
 
 def test_pairing_disjoint_supports(smooth_solve):
     _, out = smooth_solve
     psi = bump_test_function((30.0,), 1.0)
-    assert abs(trace_pairing(out.final, psi, 0, HS1)) < 1e-12
+    assert abs(trace_pairing(out.final, psi, 0)) < 1e-12
 
 
 def test_pairing_is_bilinear(smooth_solve):
@@ -69,12 +67,12 @@ def test_pairing_is_bilinear(smooth_solve):
     u = out.final
     psi = bump_test_function((1.0,), 0.5)
     two = GridFunction(u.grid, 2.0 * u.values)
-    assert trace_pairing(two, psi, 3, HS1) == pytest.approx(
-        2.0 * trace_pairing(u, psi, 3, HS1), rel=1e-12
+    assert trace_pairing(two, psi, 3) == pytest.approx(
+        2.0 * trace_pairing(u, psi, 3), rel=1e-12
     )
     half = TestFunction(lambda pts: 0.5 * psi(pts), psi.center, psi.radius)
-    assert trace_pairing(u, half, 3, HS1) == pytest.approx(
-        0.5 * trace_pairing(u, psi, 3, HS1), rel=1e-12
+    assert trace_pairing(u, half, 3) == pytest.approx(
+        0.5 * trace_pairing(u, psi, 3), rel=1e-12
     )
 
 
@@ -86,7 +84,7 @@ def test_pairing_atom_short_time_limit():
     psi = bump_test_function((1.0,), 0.8)
     # small but resolvable time: the field must span a few mesh cells
     k = int(np.argmin(np.abs(g.times - 1e-3)))
-    got = trace_pairing(u1, psi, k, HS1)
+    got = trace_pairing(u1, psi, k)
     assert got == pytest.approx(m * float(psi(np.array([a]))[0]), rel=0.02)
 
 
@@ -96,8 +94,8 @@ def test_recover_constant_sequence():
     vals[:, g.boundary_mask] = 0.0
     u = GridFunction(g, vals)
     psi = bump_test_function((1.0,), 0.5)
-    est = recover_trace(u, psi, range(6), HS1)
-    base = trace_pairing(u, psi, 0, HS1)
+    est = recover_trace(u, psi, range(6))
+    base = trace_pairing(u, psi, 0)
     assert est.limit == pytest.approx(base, rel=1e-9)
     assert est.error <= 1e-9 * abs(base)
     assert est.status == "ok"
@@ -106,7 +104,7 @@ def test_recover_constant_sequence():
 def test_recover_trace_matches_measure(smooth_solve):
     mu, out = smooth_solve
     psi = bump_test_function((1.0,), 0.7)
-    est = recover_trace(out.final, psi, range(6), HS1)
+    est = recover_trace(out.final, psi, range(6))
     ref = measure_pairing(mu, HS1, psi)
     assert est.status == "ok"
     assert abs(est.limit - ref) <= max(0.02 * abs(ref), est.error)
@@ -116,7 +114,7 @@ def test_recover_trace_validation(smooth_solve):
     _, out = smooth_solve
     psi = bump_test_function((1.0,), 0.5)
     with pytest.raises(ValueError):
-        recover_trace(out.final, psi, [0, 1], HS1)
+        recover_trace(out.final, psi, [0, 1])
     with pytest.raises(ValueError):
         TraceEstimate(np.ones(3), np.ones(3), 1.0, -1.0, "ok")
     with pytest.raises(ValueError):
@@ -127,8 +125,8 @@ def test_two_subsequences_agree(smooth_solve):
     # different decreasing level subsequences give one limit within bars
     _, out = smooth_solve
     psi = bump_test_function((1.0,), 0.7)
-    a = recover_trace(out.final, psi, range(0, 10, 2), HS1)
-    b = recover_trace(out.final, psi, range(1, 11, 2), HS1)
+    a = recover_trace(out.final, psi, range(0, 10, 2))
+    b = recover_trace(out.final, psi, range(1, 11, 2))
     tol = a.error + b.error + 1e-3 * abs(a.limit)
     assert abs(a.limit - b.limit) <= tol
 
@@ -142,45 +140,6 @@ def test_boundary_localized_pairings_shrink():
     vals = []
     for radius in (0.4, 0.2, 0.1):
         psi = bump_test_function((0.0,), radius)
-        vals.append(trace_pairing(out.final, psi, 0, IV1))
+        vals.append(trace_pairing(out.final, psi, 0))
     assert vals[0] > vals[1] > vals[2] > 0
 
-
-def test_normalized_transform_near_one_in_the_interior():
-    psi = plateau_test_function((2.0,), 4.0)
-    _, star = psi_d_transform(psi, 1e-3, HS1, [[2.0]])
-    assert star[0] == pytest.approx(1.0, abs=1e-3)
-
-
-def test_normalized_transform_gap_decreases():
-    psi = plateau_test_function((1.5,), 2.0)
-    xs = np.linspace(0.5, 2.5, 9)[:, None]
-    ref = psi(xs)
-    gaps = []
-    for t in (0.1, 0.05, 0.025, 0.0125):
-        _, star = psi_d_transform(psi, t, HS1, xs)
-        gaps.append(float(np.max(np.abs(star - ref))))
-    assert all(b <= a * (1 + 1e-9) for a, b in zip(gaps, gaps[1:]))
-
-
-def test_transform_vanishes_off_support():
-    psi = bump_test_function((10.0,), 1.0)
-    smoothed, star = psi_d_transform(psi, 0.01, HS1, [[1.0]])
-    assert abs(smoothed[0]) < 1e-12
-    assert abs(star[0]) < 1e-12
-
-
-def test_transform_boundary_branch_is_continuous():
-    psi = plateau_test_function((1.0,), 1.5)
-    _, star = psi_d_transform(psi, 0.01, HS1, [[0.0], [1e-9], [1e-3]])
-    assert np.isfinite(star).all()
-    assert star[0] == pytest.approx(star[1], rel=1e-6)
-    assert star[0] == pytest.approx(star[2], rel=2e-2)
-
-
-def test_transform_validation():
-    psi = bump_test_function((1.0,), 1.0)
-    with pytest.raises(ValueError):
-        psi_d_transform(psi, 0.0, HS1, [[1.0]])
-    with pytest.raises(ValueError):
-        psi_d_transform(psi, 0.1, HS1, [[1.0, 2.0]])
