@@ -21,9 +21,12 @@ Discretization choices, in one place:
   every quadrature node snaps to the nearest ladder entry.  The ladder
   ratio is sqrt(g), g = max(t_1 / t_0, 1.2) from the first two levels,
   widened when the ladder would exceed 140 entries;
-* each matrix row is normalized so the discrete evolution reproduces
-  the exact surviving mass of a point source, which keeps coarse cells
-  honest when the kernel is sharper than the mesh;
+* matrix entries are exact kernel integrals against hat functions, so
+  a row sums to the kernel mass inside the node window (no rescaling);
+  entries whose hat lies beyond the reach sqrt(4 tau ln 1e16) of the
+  target are exact zeros, the truncation of ``kernels.images``;
+* an apply makes one float32 GEMM per cached matrix over all its source
+  rows u(s)^p, then weights the products in float64;
 * below the first time level the iterate follows the shape of the
   linear evolution of the data (the ratio to its first-level values),
   which is exact for the first correction and conservative afterwards;
@@ -43,6 +46,7 @@ import numpy as np
 from scipy.special import erf as _erf
 
 from .kernels import (
+    _LOG_TAU,
     Domain,
     HalfSpace,
     Interval,
@@ -74,6 +78,7 @@ __all__ = [
 _INTERIOR_CUT = 1e-3  # sup norms ignore nodes closer to the boundary
 _TAU_FLOOR = 1e-2  # memory-integral tau floor, in units of the first level
 _SLIVER_FLOOR = 1e-3  # lowest sliver edge, in units of the first level
+_SOURCE_BLOCK = 128  # memory-integral source rows interpolated at once
 RATIO_TARGET = 1.2  # dichotomy sweeps stop below this kappa_high / kappa_low
 
 
@@ -308,20 +313,36 @@ def _hat_transport_matrix(
     Entry (i, j) is the exact integral of the kernel from target i
     against the hat function of node j, so applying the matrix to nodal
     values transports the interpolant with no quadrature error at all.
-    Row sums automatically equal the kernel mass inside the node window,
-    which keeps edge rows honest and makes sharp kernels on coarse cells
-    exact instead of aliased."""
+    Row sums equal the kernel mass inside the node window, which keeps
+    edge rows honest and makes sharp kernels on coarse cells exact
+    instead of aliased.  Entries whose hat support lies farther than
+    R = sqrt(4 tau ln 1e16) from the target are exact zeros: every image
+    is at least as far from it, so each term left out carries the
+    Gaussian factor below 1e-16 that ``kernels.images`` drops."""
     x = np.asarray(targets, dtype=float).reshape(-1)
     y = np.asarray(nodes, dtype=float).reshape(-1)
     h = np.diff(y)
     if y.size < 2 or np.any(h <= 0):
         raise ValueError("need at least two strictly increasing nodes")
-    out = np.zeros((x.size, y.size))
+    reach = math.sqrt(4.0 * tau * _LOG_TAU)
+    # cells [y_c, y_c+1] within reach run from c_lo to c_hi; they touch
+    # the kept columns c_lo..c_hi + 1, whose cells the window covers
+    c_lo = np.searchsorted(y[1:], x - reach, side="left")
+    c_hi = np.searchsorted(y[:-1], x + reach, side="right") - 1
+    first = np.maximum(c_lo - 1, 0)
+    width = max(int(np.max(np.minimum(c_hi + 1, h.size - 1) - first)) + 1, 1)
+    start = np.minimum(first, h.size - width)[:, None]
+    cols = start + np.arange(width + 1)  # window nodes, (targets, width + 1)
+    ye, hw = y[cols], h[cols[:, :-1]]
+    band = np.zeros(cols.shape)
     for sign, pos in images(domain, x[:, None], tau):
-        p, m1 = _interval_moments(pos, y[None, :], tau)
-        out[:, :-1] += sign * (y[None, 1:] * p - m1) / h[None, :]
-        out[:, 1:] += sign * (m1 - y[None, :-1] * p) / h[None, :]
-    return np.maximum(out, 0.0)
+        p, m1 = _interval_moments(pos, ye, tau)
+        band[:, :-1] += sign * (ye[:, 1:] * p - m1) / hw
+        band[:, 1:] += sign * (m1 - ye[:, :-1] * p) / hw
+    kept = (cols >= c_lo[:, None]) & (cols <= c_hi[:, None] + 1) & (c_lo <= c_hi)[:, None]
+    out = np.zeros((x.size, y.size))
+    np.put_along_axis(out, cols, np.where(kept, np.maximum(band, 0.0), 0.0), axis=1)
+    return out
 
 
 class _InitialEvaluator:
@@ -553,9 +574,12 @@ class _InitialEvaluator:
 
 
 class DuhamelOperator:
-    """Precomputed quadrature plans and kernel matrices for the memory
+    """Precomputed quadrature plan and kernel matrices for the memory
     integral on one grid.  Matrices transport the piecewise-linear
-    interpolant exactly (float32, shared across iterations and data)."""
+    interpolant exactly (float32, shared across iterations and data).
+    The plan is kept as index arrays: the source times (slivers, then
+    level interpolations) and, per ladder matrix, the sources it
+    transports, the levels it feeds and their weights."""
 
     def __init__(self, domain: Domain, grid: SpaceTimeGrid):
         self.domain = domain
@@ -580,20 +604,21 @@ class DuhamelOperator:
         t1 = float(times[0])
         self._sliver_edges = t1 * g ** -np.arange(n_sliver + 1)
 
-        sliver_times = set()
-        self._plans = []
-        for ki in range(times.size):
-            plan, s_extra = self._build_plan(ki)
-            self._plans.append(plan)
-            sliver_times |= s_extra
-        self.sliver_times = np.asarray(sorted(sliver_times))
+        plan = [(ki, *e) for ki in range(times.size) for e in self._build_plan(ki)]
+        level, ladder, weight, s = (np.asarray(c) for c in zip(*plan))
+        s, source = np.unique(s, return_inverse=True)
+        self.sliver_times, s = s[s < times[0]], s[s >= times[0]]
+        j = np.clip(np.searchsorted(times, s, side="right") - 1, 0, times.size - 2)
+        self._interp = (j, (s - times[j]) / (times[j + 1] - times[j]))
 
-        # resolve sliver s-values to indices now that the set is fixed
-        lookup = {s: i for i, s in enumerate(self.sliver_times)}
-        for plan in self._plans:
-            for e in plan:
-                if e[2] == "sliver":
-                    e[3] = lookup[e[3]]
+        self._groups = []
+        for m in np.unique(ladder):
+            sel = ladder == m
+            rows, r_idx = np.unique(source[sel], return_inverse=True)
+            levels, l_idx = np.unique(level[sel], return_inverse=True)
+            w = np.zeros((levels.size, rows.size))
+            np.add.at(w, (l_idx, r_idx), weight[sel])
+            self._groups.append((int(m), rows, levels, w))
 
     # -- plan construction
 
@@ -614,38 +639,24 @@ class DuhamelOperator:
         return pieces
 
     def _build_plan(self, ki):
+        """Entries (ladder index, weight, source time s) of level ki."""
         times = self.grid.times
         t_k = float(times[ki])
-        plan = []
-        s_extra = set()
-
-        def add(tau_idx, weight, s):
-            if s >= times[0]:
-                j = int(np.searchsorted(times, s, side="right") - 1)
-                j = min(max(j, 0), times.size - 2)
-                theta = (s - times[j]) / (times[j + 1] - times[j])
-                plan.append([tau_idx, weight, "levels", (j, float(theta))])
-            else:
-                s = float(s)
-                s_extra.add(s)
-                plan.append([tau_idx, weight, "sliver", s])
-
         lo_gap = float(times[ki - 1]) if ki > 0 else self._sliver_edges[1]
-        for idx, w, s in self._kernel_layer(t_k, t_k - lo_gap):
-            add(idx, w, s)
+        plan = self._kernel_layer(t_k, t_k - lo_gap)
 
         # full history windows at their geometric midpoints
         for j in range(1, ki):
             s = math.sqrt(times[j - 1] * times[j])
-            add(self._snap(t_k - s), float(times[j] - times[j - 1]), s)
+            plan.append((self._snap(t_k - s), float(times[j] - times[j - 1]), s))
 
         # data window below the first level
         edges = self._sliver_edges
         start = 1 if ki == 0 else 0
         for i in range(start, edges.size - 1):
             s = math.sqrt(edges[i] * edges[i + 1])
-            add(self._snap(t_k - s), float(edges[i] - edges[i + 1]), s)
-        return plan, s_extra
+            plan.append((self._snap(t_k - s), float(edges[i] - edges[i + 1]), s))
+        return plan
 
     # -- matrices
 
@@ -665,36 +676,27 @@ class DuhamelOperator:
 
     # -- application
 
-    def apply(self, u_levels: np.ndarray, p: float, sliver_ratio=None) -> np.ndarray:
+    def apply(self, u_levels: np.ndarray, p: float, sliver_ratio: np.ndarray) -> np.ndarray:
         """Memory integral of the p-th power of the interpolated field.
 
         ``sliver_ratio`` holds the field shape below the first level as
-        multiples of the first-level values, one row per sliver time;
-        omitted it defaults to frozen first-level values.
+        multiples of the first-level values, one row per sliver time.
         """
-        times = self.grid.times
+        j, theta = self._interp
+        k = self.sliver_times.size
+        v = np.empty((k + j.size, u_levels.shape[1]), np.float32)
+        v[:k] = (u_levels[0] * sliver_ratio) ** p
+        # level sources a block at a time: a float64 copy of all of them
+        # raised the peak memory of a 333-node solve by 8 MB
+        for a in range(0, j.size, _SOURCE_BLOCK):
+            jb, th = j[a:a + _SOURCE_BLOCK], theta[a:a + _SOURCE_BLOCK, None]
+            v[k + a:k + a + jb.size] = ((1.0 - th) * u_levels[jb] + th * u_levels[jb + 1]) ** p
         out = np.zeros_like(u_levels)
-        cache = {}
-        for ki, plan in enumerate(self._plans):
-            acc = np.zeros(u_levels.shape[1])
-            for tau_idx, weight, kind, ref in plan:
-                key = (kind, ref)
-                v = cache.get(key)
-                if v is None:
-                    if kind == "levels":
-                        j, theta = ref
-                        u_s = (1.0 - theta) * u_levels[j] + theta * u_levels[j + 1]
-                    elif sliver_ratio is None:
-                        u_s = u_levels[0]
-                    else:
-                        u_s = u_levels[0] * sliver_ratio[ref]
-                    v = (u_s ** p).astype(np.float32)
-                    cache[key] = v
-                acc += weight * (self._matrix(tau_idx) @ v)
-            # identity tail of the memory integral
-            acc += self.tau_floor * u_levels[ki] ** p
-            acc[self.grid.boundary_mask] = 0.0
-            out[ki] = acc
+        for m, rows, levels, w in self._groups:
+            out[levels] += w @ (v[rows] @ self._matrix(m).T)
+        # identity tail of the memory integral
+        out += self.tau_floor * u_levels ** p
+        out[:, self.grid.boundary_mask] = 0.0
         return out
 
 
@@ -729,12 +731,10 @@ class PicardRunner:
         if not np.all(np.isfinite(self._base)):
             raise ValueError("initial field is not finite; data too singular")
         # the field below the first level as multiples of its first-level values
-        self._rat = None
-        if self.op.sliver_times.size:
-            first = self._base[0]
-            u1s = self._ev.at_times(self.op.sliver_times)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                self._rat = np.where(first > 0, u1s / np.maximum(first, 1e-300), 0.0)
+        first = self._base[0]
+        u1s = self._ev.at_times(self.op.sliver_times)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self._rat = np.where(first > 0, u1s / np.maximum(first, 1e-300), 0.0)
 
     def initial_field(self, kappa: Optional[float] = None) -> GridFunction:
         k = self.mu.scale_factor if kappa is None else float(kappa)

@@ -2,7 +2,9 @@
 
 The interval kernel is summed over eigenfunctions instead of images, and
 the reference solve marches a finite-difference scheme instead of
-iterating the mild form.
+iterating the mild form.  The transport matrix is also assembled densely,
+with every entry kept, and the memory integral applied one plan entry at
+a time, as references for the reach cut and the grouped apply.
 """
 
 from __future__ import annotations
@@ -13,9 +15,15 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from mildheat.kernels import _LOG_TAU, Domain, Interval, _require_time, space_dim
+from mildheat.kernels import _LOG_TAU, Domain, Interval, _require_time, images, space_dim
 from mildheat.measures import MeasureSpec
-from mildheat.solver import GridFunction, SpaceTimeGrid, _domain_span
+from mildheat.solver import (
+    DuhamelOperator,
+    GridFunction,
+    SpaceTimeGrid,
+    _domain_span,
+    _interval_moments,
+)
 
 
 def interval_eigen_kernel(domain: Interval, x, y, t: float) -> float:
@@ -107,3 +115,44 @@ def fd_reference_solve(
         saved_u.pop()
     grid = SpaceTimeGrid(domain, xs[:, None], np.asarray(saved_t), horizon)
     return GridFunction(grid, np.maximum(np.asarray(saved_u), 0.0))
+
+
+def dense_hat_transport_matrix(
+    domain: Domain, targets: np.ndarray, nodes: np.ndarray, tau: float
+) -> np.ndarray:
+    """Hat transport matrix with every entry evaluated over all cells and
+    images, the reference for the reach cut of ``_hat_transport_matrix``."""
+    x = np.asarray(targets, dtype=float).reshape(-1)
+    y = np.asarray(nodes, dtype=float).reshape(-1)
+    h = np.diff(y)
+    out = np.zeros((x.size, y.size))
+    for sign, pos in images(domain, x[:, None], tau):
+        p, m1 = _interval_moments(pos, y[None, :], tau)
+        out[:, :-1] += sign * (y[None, 1:] * p - m1) / h[None, :]
+        out[:, 1:] += sign * (m1 - y[None, :-1] * p) / h[None, :]
+    return np.maximum(out, 0.0)
+
+
+def reference_apply(
+    op: DuhamelOperator, u_levels: np.ndarray, p: float, sliver_ratio: np.ndarray
+) -> np.ndarray:
+    """The memory integral one plan entry at a time: one float32
+    matrix-vector product per entry, each source row built from its own
+    time s, the reference for the grouped ``DuhamelOperator.apply``."""
+    times = op.grid.times
+    out = np.zeros_like(u_levels)
+    for ki in range(times.size):
+        acc = np.zeros(u_levels.shape[1])
+        for tau_idx, weight, s in op._build_plan(ki):
+            if s >= times[0]:
+                j = int(np.searchsorted(times, s, side="right") - 1)
+                j = min(max(j, 0), times.size - 2)
+                theta = float((s - times[j]) / (times[j + 1] - times[j]))
+                u_s = (1.0 - theta) * u_levels[j] + theta * u_levels[j + 1]
+            else:
+                u_s = u_levels[0] * sliver_ratio[np.searchsorted(op.sliver_times, s)]
+            acc += weight * (op._matrix(tau_idx) @ (u_s**p).astype(np.float32))
+        acc += op.tau_floor * u_levels[ki] ** p
+        acc[op.grid.boundary_mask] = 0.0
+        out[ki] = acc
+    return out

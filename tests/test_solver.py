@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mildheat.kernels import (
+    _LOG_TAU,
     HalfSpace,
     Interval,
+    WholeSpace,
     boundary_distance,
     kernel_values,
     weighted_kernel,
@@ -19,12 +21,14 @@ from mildheat.solver import (
     GridFunction,
     PicardRunner,
     SpaceTimeGrid,
+    _hat_transport_matrix,
+    dichotomy_sweep,
     make_grid,
     measure_grid,
     picard_solve,
     restart_residual,
 )
-from oracles import fd_reference_solve
+from oracles import dense_hat_transport_matrix, fd_reference_solve, reference_apply
 
 HS1 = HalfSpace(1)
 IV1 = Interval(1.0)
@@ -252,6 +256,105 @@ def test_second_iterate_matches_tensor_oracle():
     )
     err = np.max(np.abs(u2[k, idx] - ref)) / np.max(ref)
     assert err < 0.02
+
+
+# ---------------------------------------------------------------------------
+# the memory integral: reach-cut matrices and the grouped apply
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    domain=st.sampled_from([HS1, IV1, WholeSpace(1)]),
+    log_tau=st.floats(-9.0, 0.0),
+    nodes=st.integers(20, 120),
+    first=st.floats(1e-5, 0.1),
+    anchor=st.floats(0.1, 0.9),
+)
+def test_reach_cut_matrix_matches_dense_oracle(domain, log_tau, nodes, first, anchor):
+    tau = 10.0**log_tau
+    g = make_grid(domain, 0.25, [(anchor,)], target_nodes=nodes, first_time_fraction=first)
+    y = g.nodes[:, 0]
+    cut = _hat_transport_matrix(domain, y, y, tau)
+    dense = dense_hat_transport_matrix(domain, y, y, tau)
+    # distance from each target to the support [y_j-1, y_j+1] of each hat
+    left = np.concatenate([y[:1], y[:-1]])
+    right = np.concatenate([y[1:], y[-1:]])
+    dist = np.maximum(np.maximum(left[None, :] - y[:, None], y[:, None] - right[None, :]), 0.0)
+    beyond = dist > math.sqrt(4.0 * tau * _LOG_TAU)
+    assert np.all(cut[beyond] == 0.0)
+    assert np.all(np.abs(cut - dense)[~beyond] <= 1e-15)
+    assert np.all(np.abs(cut.sum(axis=1) - dense.sum(axis=1)) <= 1e-15)
+    assert np.all(cut >= 0.0)
+
+
+@pytest.mark.parametrize("domain", [HS1, IV1], ids=["halfspace", "interval"])
+def test_grouped_apply_matches_per_entry_loop(domain):
+    mu = make_family(SingularFamily("interior_point", (0.4,), 3.0, kappa=0.3), domain)
+    grid = make_grid(domain, 0.1, anchors=[(0.4,)], target_nodes=100)
+    runner = PicardRunner(domain, mu, 3.0, grid)
+    u = runner.initial_field().values
+    got = runner.op.apply(u, 3.0, runner._rat)
+    ref = reference_apply(runner.op, u, 3.0, runner._rat)
+    assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(ref)
+
+
+def test_overflowing_iterate_reports_overflow():
+    mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
+    grid = make_grid(HS1, 0.25, anchors=[(1.0,)], target_nodes=80)
+    runner = PicardRunner(HS1, mu, p=4.0, grid=grid)
+    u = runner.initial_field(kappa=1e12).values
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(runner.op.apply(u, 4.0, runner._rat)))
+    out = runner.solve(kappa=1e12, blowup_ceiling=1e300)
+    assert (out.status, out.iterations) == ("Diverged", 1)
+    assert out.diagnostics == "overflow in the power term"
+
+
+def test_operator_keeps_one_float32_copy_per_matrix():
+    mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
+    grid = make_grid(HS1, 0.25, anchors=[(1.0,)], target_nodes=80)
+    runner = PicardRunner(HS1, mu, p=4.0, grid=grid)
+    assert runner.solve(kappa=0.05).status == "Converged"
+    n = grid.nodes.shape[0]
+    op = runner.op
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                yield from arrays(item)
+        elif isinstance(obj, dict):
+            for item in obj.values():
+                yield from arrays(item)
+
+    held = [a for v in vars(op).values() for a in arrays(v) if a.size >= n * n]
+    mats = list(op._mat.values())
+    assert len(mats) == len(op._groups)  # one per ladder index the plan uses
+    assert sorted(map(id, held)) == sorted(map(id, mats))
+    for a in mats:
+        assert a.dtype == np.float32 and a.shape == (n, n)
+        assert a.flags.c_contiguous and a.base is None
+
+
+def test_reference_sweep_history_is_pinned():
+    # the benchmark's dichotomy sweep: every probe's status and iteration count
+    r = dichotomy_sweep(
+        "interior_point", (1.0,), 4.0, HS1, 0.25, (0.05, 0.2),
+        max_bisection=16, solver_options={"max_iter": 40}, target_nodes=80,
+    )
+    kappas, statuses, iterations = zip(*r.history)
+    assert kappas == pytest.approx(
+        [0.05, 0.2, 0.1, 0.1414213562373095, 0.16817928305074292, 0.16817928305074292],
+        rel=1e-12,
+    )
+    assert statuses == ("Converged", "Diverged", "Converged", "Converged",
+                        "Inconclusive", "Diverged")
+    assert iterations == (4, 5, 7, 15, 40, 47)
+    assert (r.kappa_low, r.kappa_high) == pytest.approx(
+        (0.1414213562373095, 0.16817928305074292), rel=1e-12
+    )
+    assert r.grid_id == "halfspace-n142-t28-h0.25"
 
 
 # ---------------------------------------------------------------------------
