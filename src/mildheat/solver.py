@@ -21,10 +21,12 @@ Discretization choices, in one place:
   every quadrature node snaps to the nearest ladder entry.  The ladder
   ratio is sqrt(g), g = max(t_1 / t_0, 1.2) from the first two levels,
   widened when the ladder would exceed 140 entries;
-* matrix entries are exact kernel integrals against hat functions, so
-  a row sums to the kernel mass inside the node window (no rescaling);
-  entries whose hat lies beyond the reach sqrt(4 tau ln 1e16) of the
-  target are exact zeros, the truncation of ``kernels.images``;
+* matrix entries and the data's evolution are exact kernel integrals
+  against hat functions over the cells within the reach sqrt(4 t ln 1e16)
+  of each target, the truncation of ``kernels.images`` (no rescaling: a
+  matrix row sums to the kernel mass in the node window);
+* the data's sources are its density linearized per cell, point masses
+  (interior atoms, cells at a singular anchor) and wall masses;
 * an apply makes one float32 GEMM per cached matrix over all its source
   rows u(s)^p, then weights the products in float64;
 * below the first time level the iterate follows the shape of the
@@ -79,6 +81,7 @@ _INTERIOR_CUT = 1e-3  # sup norms ignore nodes closer to the boundary
 _TAU_FLOOR = 1e-2  # memory-integral tau floor, in units of the first level
 _SLIVER_FLOOR = 1e-3  # lowest sliver edge, in units of the first level
 _SOURCE_BLOCK = 128  # memory-integral source rows interpolated at once
+_TARGET_BLOCK = 32  # data-evolution targets evaluated at once
 RATIO_TARGET = 1.2  # dichotomy sweeps stop below this kappa_high / kappa_low
 
 
@@ -284,12 +287,13 @@ def measure_grid(domain: Domain, mu: MeasureSpec, horizon: float, **grid_options
 
 
 # ---------------------------------------------------------------------------
-# linear evolution of the data on the grid nodes
+# the kernel against linear cells: transport matrices and the data's
+# linear evolution on the grid nodes
 #
-# The integral of kernel * density over each mesh cell is computed from
-# closed-form Gaussian moments with the density linearized per cell;
-# cells hugging a singular anchor fall back to their exact mass placed
-# at their exact centroid.  Both reductions keep every image term.
+# Both take per-cell hat weights from ``_hat_weights``, cut at the reach
+# R(t) = sqrt(4 t ln 1e16): every image is at least as far from a cell
+# beyond it, so each term left out carries the Gaussian factor below
+# 1e-16 that ``kernels.images`` drops.
 
 
 def _interval_moments(pos, edges, t):
@@ -305,6 +309,34 @@ def _interval_moments(pos, edges, t):
     return p, m1
 
 
+def _hat_weights(domain: Domain, x: np.ndarray, y: np.ndarray, t: float):
+    """Reach window and per-image hat weights of the kernel from targets
+    ``x`` against the cells between sorted edges ``y``: ``(cols, c_lo,
+    c_hi, weights)``.  Cells c_lo[i]..c_hi[i] are within reach of target
+    i; its window of edges ``cols[i]`` (one width for all targets) adds a
+    cell on each side, so each hat on an in-reach cell is whole.
+    ``weights`` yields per image the signed weights (left, right) of the
+    window cells, ∫ g (y1 - y) / h and ∫ g (y - y0) / h over [y0, y1]."""
+    h = np.diff(y)
+    if y.size < 2 or np.any(h <= 0):
+        raise ValueError("need at least two strictly increasing nodes")
+    reach = math.sqrt(4.0 * t * _LOG_TAU)
+    c_lo = np.searchsorted(y[1:], x - reach, side="left")
+    c_hi = np.searchsorted(y[:-1], x + reach, side="right") - 1
+    first = np.maximum(c_lo - 1, 0)
+    width = max(int(np.max(np.minimum(c_hi + 1, h.size - 1) - first)) + 1, 1)
+    start = np.minimum(first, h.size - width)[:, None]
+    cols = start + np.arange(width + 1)
+    ye, hw = y[cols], h[cols[:, :-1]]
+
+    def weights():
+        for sign, pos in images(domain, x[:, None], t):
+            p, m1 = _interval_moments(pos, ye, t)
+            yield sign * (ye[:, 1:] * p - m1) / hw, sign * (m1 - ye[:, :-1] * p) / hw
+
+    return cols, c_lo, c_hi, weights()
+
+
 def _hat_transport_matrix(
     domain: Domain, targets: np.ndarray, nodes: np.ndarray, tau: float
 ) -> np.ndarray:
@@ -315,30 +347,16 @@ def _hat_transport_matrix(
     values transports the interpolant with no quadrature error at all.
     Row sums equal the kernel mass inside the node window, which keeps
     edge rows honest and makes sharp kernels on coarse cells exact
-    instead of aliased.  Entries whose hat support lies farther than
-    R = sqrt(4 tau ln 1e16) from the target are exact zeros: every image
-    is at least as far from it, so each term left out carries the
-    Gaussian factor below 1e-16 that ``kernels.images`` drops."""
+    instead of aliased.  Entries whose hat support lies beyond the reach
+    of ``_hat_weights`` are exact zeros."""
     x = np.asarray(targets, dtype=float).reshape(-1)
     y = np.asarray(nodes, dtype=float).reshape(-1)
-    h = np.diff(y)
-    if y.size < 2 or np.any(h <= 0):
-        raise ValueError("need at least two strictly increasing nodes")
-    reach = math.sqrt(4.0 * tau * _LOG_TAU)
-    # cells [y_c, y_c+1] within reach run from c_lo to c_hi; they touch
-    # the kept columns c_lo..c_hi + 1, whose cells the window covers
-    c_lo = np.searchsorted(y[1:], x - reach, side="left")
-    c_hi = np.searchsorted(y[:-1], x + reach, side="right") - 1
-    first = np.maximum(c_lo - 1, 0)
-    width = max(int(np.max(np.minimum(c_hi + 1, h.size - 1) - first)) + 1, 1)
-    start = np.minimum(first, h.size - width)[:, None]
-    cols = start + np.arange(width + 1)  # window nodes, (targets, width + 1)
-    ye, hw = y[cols], h[cols[:, :-1]]
+    cols, c_lo, c_hi, weights = _hat_weights(domain, x, y, tau)
+    # hat j is the right weight of cell j - 1 plus the left weight of cell j
     band = np.zeros(cols.shape)
-    for sign, pos in images(domain, x[:, None], tau):
-        p, m1 = _interval_moments(pos, ye, tau)
-        band[:, :-1] += sign * (ye[:, 1:] * p - m1) / hw
-        band[:, 1:] += sign * (m1 - ye[:, :-1] * p) / hw
+    for left, right in weights:
+        band[:, :-1] += left
+        band[:, 1:] += right
     kept = (cols >= c_lo[:, None]) & (cols <= c_hi[:, None] + 1) & (c_lo <= c_hi)[:, None]
     out = np.zeros((x.size, y.size))
     np.put_along_axis(out, cols, np.where(kept, np.maximum(band, 0.0), 0.0), axis=1)
@@ -347,7 +365,13 @@ def _hat_transport_matrix(
 
 class _InitialEvaluator:
     """Evaluates the linear evolution of a measure on fixed nodes for
-    arbitrary times, scale factor removed (multiply by it afterwards)."""
+    arbitrary times, scale factor removed (multiply by it afterwards).
+    The measure is reduced once to three source lists: ``_cells`` (edges
+    and the endpoint values vL, vR of each linearized cell, zero
+    elsewhere), ``_points`` (position, plain mass) for ``kernel_values``,
+    among them the exact mass of each cell at a singular anchor at its
+    exact centroid, and ``_walls`` (wall position, mass) for
+    ``normal_derivative``."""
 
     def __init__(self, domain: Domain, mu: MeasureSpec, nodes: np.ndarray):
         if space_dim(domain) != 1:
@@ -355,36 +379,34 @@ class _InitialEvaluator:
         self.domain = domain
         self.mu = mu
         self.x = np.asarray(nodes, dtype=float).reshape(-1)
-        self._bdist = np.asarray(boundary_distance(domain, nodes), float).reshape(-1)
+        self._wall_nodes = np.asarray(boundary_distance(domain, nodes)).reshape(-1) == 0.0
         self._anchor = None
         if mu.singularity is not None:
             self._anchor = np.asarray(mu.singularity[0], dtype=float).reshape(-1)
+        self._cells, self._points, self._walls = None, [], []
         self._build_cells()
+        for a, m in mu.atoms:
+            pa = np.asarray(a, dtype=float).reshape(-1)
+            da = float(boundary_distance(domain, pa))
+            # interior atoms pair with d(a); wall atoms and the line's keep m
+            sources = self._walls if da == 0.0 else self._points
+            sources.append((pa, m / da if 0.0 < da < math.inf else m))
+        if mu.boundary_density is not None and not isinstance(domain, WholeSpace):
+            walls = [[0.0]] + ([[domain.length]] if isinstance(domain, Interval) else [])
+            dens = np.asarray(mu.boundary_density(np.array(walls), None), float).reshape(-1)
+            self._walls += [(np.array(b), w) for b, w in zip(walls, dens) if w > 0]
 
     # -- mesh over the measure support
 
-    def _support_range(self):
+    def _build_cells(self):
         domain, mu = self.domain, self.mu
-        if isinstance(domain, Interval):
-            lo, hi = 0.0, domain.length
-        elif isinstance(domain, HalfSpace):
-            lo, hi = 0.0, float(self.x[-1])
-        else:
-            lo, hi = float(self.x[0]), float(self.x[-1])
+        lo = float(self.x[0]) if isinstance(domain, WholeSpace) else 0.0
+        hi = domain.length if isinstance(domain, Interval) else float(self.x[-1])
         if mu.support_center is not None and mu.support_radius is not None:
             c = float(np.asarray(mu.support_center).reshape(-1)[0])
             lo = max(lo, c - mu.support_radius)
             hi = min(hi, c + mu.support_radius)
-        return lo, hi
-
-    def _build_cells(self):
-        mu = self.mu
-        self._lin = None
-        self._point_cells = []
-        if mu.interior_density is None:
-            return
-        lo, hi = self._support_range()
-        if not hi > lo:
+        if mu.interior_density is None or not hi > lo:
             return
         anchor = None if self._anchor is None else float(self._anchor[0])
         specials = sorted({lo, hi} | ({anchor} if anchor is not None else set()))
@@ -407,7 +429,6 @@ class _InitialEvaluator:
         edges[-1] = hi
 
         c0, c1 = edges[:-1], edges[1:]
-        width = c1 - c0
         singular = np.zeros(c0.size, dtype=bool)
         if anchor is not None:
             singular |= (np.abs(c0 - anchor) < 1e-12 * span) | (
@@ -422,14 +443,12 @@ class _InitialEvaluator:
 
         smooth = ~singular & ((vL > 0) | (vR > 0))
         if np.any(smooth):
-            # moments over all cells, products over the linearized ones
-            beta = (vR[smooth] - vL[smooth]) / width[smooth]
-            self._lin = (edges, smooth, vL[smooth] - beta * c0[smooth], beta)
+            self._cells = (edges, np.where(smooth, vL, 0.0), np.where(smooth, vR, 0.0))
 
         for i in np.nonzero(singular)[0]:
             mass, cen = self._cell_mass_centroid(float(c0[i]), float(c1[i]))
             if mass > 0:
-                self._point_cells.append((mass, cen))
+                self._points.append((np.array([cen]), mass))
 
     def _density(self, pts, off=None):
         """Density against the plain kernel at (m, 1) points: the boundary
@@ -529,41 +548,24 @@ class _InitialEvaluator:
     def at_time(self, t: float) -> np.ndarray:
         x = self.x
         out = np.zeros(x.size)
-        for sign, pos in images(self.domain, x[:, None], t):
-            if self._lin is not None:
-                edges, smooth, alpha, beta = self._lin
-                p, m1 = _interval_moments(pos, edges[None, :], t)
-                # compress returns C order where a boolean index would not,
-                # so the products round as those of dense row-major arrays
-                p, m1 = p.compress(smooth, axis=1), m1.compress(smooth, axis=1)
-                out += sign * (p @ alpha + m1 @ beta)
-            for mass, cen in self._point_cells:
-                c = (4.0 * math.pi * t) ** -0.5
-                out += sign * mass * c * np.exp(-((pos[:, 0] - cen) ** 2) / (4.0 * t))
-        for a, m in self.mu.atoms:
-            pa = np.asarray(a, dtype=float).reshape(-1)
-            da = float(boundary_distance(self.domain, pa))
-            if da == 0.0:
-                out += m * normal_derivative(self.domain, x[:, None], pa, t)
-            else:
-                weight = da if np.isfinite(da) else 1.0
-                out += m * kernel_values(self.domain, pa, x[:, None], t) / weight
-        if self.mu.boundary_density is not None:
-            for b in self._boundary_points():
-                w = float(
-                    np.asarray(self.mu.boundary_density(np.array([[b]]), None)).reshape(-1)[0]
-                )
-                if w > 0:
-                    out += w * normal_derivative(self.domain, x[:, None], (b,), t)
-        out[self._bdist == 0.0] = 0.0
+        if self._cells is not None:
+            edges, vL, vR = self._cells
+            # targets a block at a time, so the window arrays stay small
+            for a in range(0, x.size, _TARGET_BLOCK):
+                rows = slice(a, a + _TARGET_BLOCK)
+                cols, c_lo, c_hi, weights = _hat_weights(self.domain, x[rows], edges, t)
+                cells = cols[:, :-1]
+                cut = (cells < c_lo[:, None]) | (cells > c_hi[:, None])
+                wl, wr = np.where(cut, 0.0, vL[cells]), np.where(cut, 0.0, vR[cells])
+                for left, right in weights:
+                    out[rows] += np.einsum("ij,ij->i", left, wl)
+                    out[rows] += np.einsum("ij,ij->i", right, wr)
+        for pos, m in self._points:
+            out += m * kernel_values(self.domain, pos, x[:, None], t)
+        for pos, m in self._walls:
+            out += m * normal_derivative(self.domain, x[:, None], pos, t)
+        out[self._wall_nodes] = 0.0
         return np.maximum(out, 0.0)
-
-    def _boundary_points(self):
-        if isinstance(self.domain, HalfSpace):
-            return [0.0]
-        if isinstance(self.domain, Interval):
-            return [0.0, self.domain.length]
-        return []
 
     def at_times(self, times) -> np.ndarray:
         return np.stack([self.at_time(float(t)) for t in np.asarray(times).reshape(-1)])
@@ -663,16 +665,11 @@ class DuhamelOperator:
     def _matrix(self, idx: int) -> np.ndarray:
         mat = self._mat.get(idx)
         if mat is None:
-            tau = float(self._ladder[idx])
-            mat = self._assemble(tau)
-            self._mat[idx] = mat
+            xs = self.grid.nodes[:, 0]
+            a = _hat_transport_matrix(self.domain, xs, xs, float(self._ladder[idx]))
+            a[self.grid.boundary_mask, :] = 0.0
+            mat = self._mat[idx] = a.astype(np.float32)
         return mat
-
-    def _assemble(self, tau: float) -> np.ndarray:
-        xs = self.grid.nodes[:, 0]
-        a = _hat_transport_matrix(self.domain, xs, xs, tau)
-        a[self.grid.boundary_mask, :] = 0.0
-        return a.astype(np.float32)
 
     # -- application
 
@@ -691,6 +688,7 @@ class DuhamelOperator:
         for a in range(0, j.size, _SOURCE_BLOCK):
             jb, th = j[a:a + _SOURCE_BLOCK], theta[a:a + _SOURCE_BLOCK, None]
             v[k + a:k + a + jb.size] = ((1.0 - th) * u_levels[jb] + th * u_levels[jb + 1]) ** p
+        v[v < np.finfo(np.float32).tiny] = 0.0  # subnormal sources slow the GEMMs
         out = np.zeros_like(u_levels)
         for m, rows, levels, w in self._groups:
             out[levels] += w @ (v[rows] @ self._matrix(m).T)

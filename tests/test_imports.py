@@ -1,6 +1,7 @@
 """Every imported name is used by the file that imports it, every name a
-file exports in ``__all__`` is defined there, and no file looks at a
-callable's signature."""
+file exports in ``__all__`` is defined there, no file looks at a
+callable's signature, and one function owns the kernel against linear
+cells."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,47 @@ def test_only_quadrature_dispatches_on_signatures(path):
             names.add(node.module)
             names.update(alias.name for alias in node.names)
     assert not names & {"inspect", "_accepts_offsets"}
+
+
+def readers(source: str, name: str) -> list:
+    """Owners of the reads of ``name`` in a module, one entry per read:
+    the top-level function (``f``) or method (``C.f``) that holds it, a
+    read inside a nested function counting for its outermost one.
+    Assignments to the name and imports of it are not reads."""
+    units = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                method = isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                units.append((f"{node.name}.{m.name}" if method else node.name, m))
+        else:
+            units.append((getattr(node, "name", "<module>"), node))
+    return sorted(
+        owner
+        for owner, unit in units
+        for n in ast.walk(unit)
+        if isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_readers_scanner_finds_every_caller():
+    src = (
+        "from m import f\nf2 = None\n"
+        "def one(x):\n    def inner():\n        return f(x)\n    return inner\n"
+        "class C:\n    g = f\n    def two(self):\n        h = f\n        return h(1) + f(2)\n"
+        "f = one\n"
+    )
+    assert readers(src, "f") == ["C", "C.two", "C.two", "one"]
+    assert readers(src, "f2") == []
+
+
+def test_kernel_against_linear_cells_has_one_owner():
+    # the Gaussian cell moments have one caller, the reach-windowed hat
+    # weights, and the reach is read only there and by the image truncation
+    found = {"_interval_moments": [], "_LOG_TAU": []}
+    for path in SRC_FILES:
+        source = path.read_text(encoding="utf-8")
+        for name, owners in found.items():
+            owners += [f"{path.stem}.{owner}" for owner in readers(source, name)]
+    assert found["_interval_moments"] == ["solver._hat_weights"]
+    assert found["_LOG_TAU"] == ["kernels.images", "solver._hat_weights"]

@@ -22,13 +22,19 @@ from mildheat.solver import (
     PicardRunner,
     SpaceTimeGrid,
     _hat_transport_matrix,
+    _InitialEvaluator,
     dichotomy_sweep,
     make_grid,
     measure_grid,
     picard_solve,
     restart_residual,
 )
-from oracles import dense_hat_transport_matrix, fd_reference_solve, reference_apply
+from oracles import (
+    dense_hat_transport_matrix,
+    dense_initial_evolution,
+    fd_reference_solve,
+    reference_apply,
+)
 
 HS1 = HalfSpace(1)
 IV1 = Interval(1.0)
@@ -141,16 +147,19 @@ def test_initial_kernel_zero_measure():
     assert np.all(u1.values == 0.0)
 
 
-def test_initial_kernel_atom_is_exact():
+@pytest.mark.parametrize(
+    "domain,a,weight",
+    [(HS1, 0.7, 0.7), (IV1, 0.4, 0.4), (WholeSpace(1), 0.7, 1.0)],
+    ids=["halfspace", "interval", "wholespace"],
+)
+def test_initial_kernel_atom_is_exact(domain, a, weight):
     # a unit point mass evolves as the kernel itself, divided by the
-    # boundary weight at the atom for the weighted pairing
-    a = (0.7,)
-    mu = MeasureSpec(atoms=((a, 1.0),))
-    g = make_grid(HS1, 0.1, anchors=[a], target_nodes=80)
-    u1 = PicardRunner(HS1, mu, 2.0, g).initial_field()
-    for k in (0, g.times.size - 1):
-        t = float(g.times[k])
-        ref = kernel_values(HS1, np.array(a), g.nodes, t) / 0.7
+    # boundary weight at the atom for the weighted pairing (none on the line)
+    mu = MeasureSpec(atoms=(((a,), 1.0),))
+    g = make_grid(domain, 0.1, anchors=[(a,)], target_nodes=80)
+    u1 = PicardRunner(domain, mu, 2.0, g).initial_field()
+    for k, t in enumerate(g.times):
+        ref = kernel_values(domain, np.array([a]), g.nodes, float(t)) / weight
         ref[g.boundary_mask] = 0.0
         assert u1.values[k] == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
@@ -179,6 +188,46 @@ def test_initial_kernel_boundary_atoms(domain, mu):
         )
         assert u1.values[k] == pytest.approx(ref, rel=1e-12, abs=1e-300)
     assert np.all(u1.values[:, g.boundary_mask] == 0.0)
+
+
+EVOLUTION_CASES = {
+    "interior-halfspace": (HS1, SingularFamily("interior_point", (0.5,), 4.0)),
+    "interior-critical-halfspace": (HS1, SingularFamily("interior_point", (0.5,), 3.0)),
+    "interior-interval": (IV1, SingularFamily("interior_point", (0.4,), 5.0)),
+    "interior-critical-interval": (IV1, SingularFamily("interior_point", (0.4,), 3.0)),
+    "interior-line": (WholeSpace(1), SingularFamily("interior_point", (0.0,), 4.0)),
+    "interior-critical-line": (WholeSpace(1), SingularFamily("interior_point", (0.0,), 3.0)),
+    "boundary-halfspace": (HS1, SingularFamily("boundary_point", (0.0,), 3.0)),
+    "boundary-critical-halfspace": (HS1, SingularFamily("boundary_point", (0.0,), 2.0)),
+    "boundary-interval": (IV1, SingularFamily("boundary_point", (0.0,), 3.0)),
+    "boundary-critical-interval": (IV1, SingularFamily("boundary_point", (0.0,), 2.0)),
+    "bump-halfspace": (HS1, None),
+    "bump-interval": (IV1, None),
+    "bump-line": (WholeSpace(1), None),
+}
+_evaluators = {}
+
+
+def _evaluator(case):
+    if case not in _evaluators:
+        domain, fam = EVOLUTION_CASES[case]
+        mu = smooth_bump(0.5, 0.3) if fam is None else make_family(fam, domain)
+        grid = measure_grid(domain, mu, 1.0, target_nodes=100)
+        _evaluators[case] = _InitialEvaluator(domain, mu, grid.nodes)
+    return _evaluators[case]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(EVOLUTION_CASES)), log_t=st.floats(-9.0, 0.0))
+def test_evolution_matches_dense_oracle(case, log_t):
+    # the reach cut drops no cell that matters: every cell and every image
+    # kept give the same field, which is nonnegative and zero on the wall
+    ev = _evaluator(case)
+    t = 10.0**log_t
+    got = ev.at_time(t)
+    ref = dense_initial_evolution(ev, t)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
+    assert np.all(got >= 0.0) and np.all(got[ev._wall_nodes] == 0.0)
 
 
 def test_initial_kernel_density_dense_oracle():
@@ -293,9 +342,16 @@ def test_grouped_apply_matches_per_entry_loop(domain):
     grid = make_grid(domain, 0.1, anchors=[(0.4,)], target_nodes=100)
     runner = PicardRunner(domain, mu, 3.0, grid)
     u = runner.initial_field().values
-    got = runner.op.apply(u, 3.0, runner._rat)
-    ref = reference_apply(runner.op, u, 3.0, runner._rat)
-    assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(ref)
+    # a second iterate that decays away from the anchor until its cube is
+    # subnormal in float32, then below 1e-40: apply drops those sources
+    tail = u * np.exp(-(((grid.nodes[:, 0] - 0.4) / 0.1) ** 2))
+    cube = (tail**3).astype(np.float32)
+    assert np.any((cube > 0) & (cube < np.finfo(np.float32).tiny))
+    assert np.any((tail > 0) & (tail**3 < 1e-40))
+    for it in (u, tail):
+        got = runner.op.apply(it, 3.0, runner._rat)
+        ref = reference_apply(runner.op, it, 3.0, runner._rat)
+        assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(ref)
 
 
 def test_overflowing_iterate_reports_overflow():
