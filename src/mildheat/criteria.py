@@ -73,6 +73,7 @@ from .measures import (
     _hint_for,
     _interior_integral,
     _sphere_area,
+    _weighted_density,
 )
 from .quadrature import BoundaryPatch, integrate
 from .solver import GridFunction, SolveOutcome
@@ -425,25 +426,8 @@ def _rate_constant(series, rate, predicted: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# densities relative to the weighted volume
-
-
-def _weighted_density(mu: MeasureSpec, domain: Domain) -> Callable:
-    """Interior density relative to d(y) dy, including the scale."""
-    if mu.interior_density is None:
-        raise ValueError("measure has no interior density")
-    dens = mu.interior_density
-    scale = mu.scale_factor
-    plain = mu.interior_mode == "dx"
-
-    def f(pts, off=None):
-        vals = np.asarray(dens(pts, off), dtype=float).reshape(-1)
-        if plain:
-            d = np.asarray(boundary_distance(domain, pts), float).reshape(-1)
-            vals = np.where(vals > 0, vals / np.maximum(d, 1e-300), 0.0)
-        return scale * vals
-
-    return f
+# densities relative to the weighted volume: the interior density against
+# w(y) dy is measures._weighted_density; the surface density needs no weight
 
 
 def _surface_density(mu: MeasureSpec) -> Callable:
@@ -770,8 +754,9 @@ def power_moment_check(
     """Power moments of the density against their admissible scaling.
 
     Interior part: sup over z of the integral of (d/(d+sigma)) f^alpha
-    over the ball, where f is the density relative to d(y) dy; the
-    admissible rate is sigma^(N - 2 alpha/(p-1)).  Boundary part: the
+    (the factor is 1 without a wall) over the ball, where f is the
+    density relative to w(y) dy; the admissible rate is
+    sigma^(N - 2 alpha/(p-1)).  Boundary part: the
     surface integral of h^alpha with rate sigma^(N-1-2 alpha (2-p)/(p-1));
     once p reaches 2 the surface density must vanish outright.
     """
@@ -790,36 +775,32 @@ def power_moment_check(
     sigmas = _radii(T, sigmas)
     z_points = _centers(mu, domain, z_points, boundary=part == "boundary")
 
-    anchor = None
-    base_expo = 0.0
-    if mu.singularity is not None:
-        anchor = np.asarray(mu.singularity[0], dtype=float)
-        base_expo = float(mu.singularity[1])
     surf_dim = n if part == "interior" else n - 1
-    if anchor is not None:
+    if mu.singularity is not None:
+        anchor, base_expo = mu.singularity
         # the distance factor restores one power near a wall anchor
-        wall = boundary_distance(domain, anchor) <= 1e-12
+        wall = boundary_distance(domain, np.asarray(anchor, float)) <= 1e-12
         bonus = 1.0 if part == "interior" and wall else 0.0
-        if alpha * (-base_expo) >= surf_dim + bonus:
+        if alpha * -float(base_expo) >= surf_dim + bonus:
             raise ValueError("the power moment diverges at this order")
     if part == "interior":
-        f = _weighted_density(mu, domain)
+        dens = _weighted_density(mu, domain)
+        f = lambda pts, off: mu.scale_factor * dens(pts, off)
         predicted = n - 2.0 * alpha / (p - 1.0)
     else:
         f = _surface_density(mu)
         predicted = (n - 1.0) - 2.0 * alpha * (2.0 - p) / (p - 1.0)
 
     def cells(z, sg):
-        hint = None
-        if anchor is not None:
-            ref = 1.0 + float(np.max(np.abs(anchor)))
-            if np.linalg.norm(np.asarray(z) - anchor) <= sg + 1e-12 * ref:
-                hint = (tuple(anchor), alpha * base_expo)
+        hint = _hint_for(mu, z, sg)
         if part == "interior":
 
             def g(pts, off=None):
+                v = f(pts, off) ** alpha
+                if isinstance(domain, WholeSpace):
+                    return v  # no wall: the factor d/(d + sigma) is 1
                 d = np.asarray(boundary_distance(domain, pts), float).reshape(-1)
-                return (d / (d + sg)) * f(pts, off) ** alpha
+                return (d / (d + sg)) * v
 
             return sg, integrate(
                 g, _ball_region(domain, z, sg), 1e-10, singularity_hint=hint
@@ -946,7 +927,7 @@ def orlicz_moment_check(
     """Log-weighted moments of an interior density at a borderline exponent.
 
     Integrates d^ell * Psi(T^(1/(p-1)) f) over shrinking balls, where
-    Psi(r) = r log(e+r)^beta, f the density relative to d(y) dy, and
+    Psi(r) = r log(e+r)^beta, f the density relative to w(y) dy, and
     ell is 0 for an interior anchor, 1 for a boundary anchor.  The
     admissible decay is log(e + sqrt(T)/sigma)^(beta - (N+ell)/2), and
     the borderline families saturate it exactly; their anchor integrals
@@ -983,15 +964,11 @@ def orlicz_moment_check(
 
     def g_off(pts, off=None):
         d = np.asarray(boundary_distance(domain, pts), float).reshape(-1)
-        x = horizon_scale * dens(pts, off)
+        x = horizon_scale * (mu.scale_factor * dens(pts, off))
         return d**ell * _orlicz(x, beta)
 
     def moment(z, sg):
-        hint = None
-        if anchor is not None and not radial:
-            ref = 1.0 + float(np.max(np.abs(anchor)))
-            if np.linalg.norm(np.asarray(z) - anchor) <= sg + 1e-12 * ref:
-                hint = (tuple(anchor), float(mu.singularity[1]))
+        hint = None if radial else _hint_for(mu, z, sg)
         region = _ball_region(domain, z, sg)
         return integrate(g_off, region, 1e-9, singularity_hint=hint).value
 

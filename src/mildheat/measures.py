@@ -28,6 +28,16 @@ growth exponents.
 
 Scaling by kappa multiplies the final integrals, never the density
 callables, so scaled measures reproduce exactly linear ball masses.
+
+Two decisions shape every integral of a measure, and both are made here
+only.  The weight w(y) of the boundary-weighted kernel (``_weight``) is
+the boundary distance d(y) on a domain with a wall and 1 on the whole
+space: a "d_dx" density is taken against w(y) dy, and
+``_weighted_density`` gives either mode's density relative to w(y) dy.
+The anchor rule (``_touches``, and ``_hint_for`` for one ball): a ball
+of radius r about c holds the measure's singular point a, and carries it
+as its quadrature hint, when |a - c| <= r + 1e-12 (1 + max|a|); radius 0
+asks whether c is a.
 """
 
 from __future__ import annotations
@@ -339,13 +349,57 @@ def _ball_region(domain: Domain, center, radius: float) -> Ball:
     return Ball(center, radius)
 
 
-def _hint_for(mu: MeasureSpec, center, radius: float):
+def _weight(domain: Domain, pts):
+    """The weight w(y): d(y) with a wall, 1 on the whole space; shaped
+    like ``boundary_distance``."""
+    d = boundary_distance(domain, pts)
+    if not isinstance(domain, WholeSpace):
+        return d
+    return np.ones_like(d) if np.ndim(d) else 1.0
+
+
+def _weighted_density(mu: MeasureSpec, domain: Domain) -> Callable:
+    """The interior density against w(y) dy, before the scale factor.
+
+    A plain-mode density is divided by the weight (0 where it vanishes),
+    a "d_dx" density is returned as it is.  Offsets from the singular
+    point default to pts - location.
+    """
+    if mu.interior_density is None:
+        raise ValueError("measure has no interior density")
+    dens = mu.interior_density
+    plain = mu.interior_mode == "dx"
+    loc = None
+    if mu.singularity is not None:
+        loc = np.asarray(mu.singularity[0], float).reshape(-1)
+
+    def f(pts, off=None):
+        if off is None and loc is not None:
+            off = pts - loc[None, :]
+        vals = np.asarray(dens(pts, off), dtype=float).reshape(-1)
+        if plain:
+            w = np.asarray(_weight(domain, pts), float).reshape(-1)
+            vals = np.where(vals > 0, vals / np.maximum(w, 1e-300), 0.0)
+        return vals
+
+    return f
+
+
+def _touches(mu: MeasureSpec, centers, radii) -> np.ndarray:
+    """Which of the balls (centers (m, N), radii (m,)) hold the measure's
+    singular point by the anchor rule above; none when it has none."""
+    radii = np.asarray(radii, float).reshape(-1)
     if mu.singularity is None:
-        return None
-    loc = np.asarray(mu.singularity[0], float)
-    if np.linalg.norm(loc - np.asarray(center, float)) <= radius * (1 + 1e-12):
-        return (tuple(loc), mu.singularity[1])
-    return None
+        return np.zeros(radii.size, dtype=bool)
+    loc = np.asarray(mu.singularity[0], float).reshape(-1)
+    gap = np.linalg.norm(np.asarray(centers, float).reshape(radii.size, -1) - loc, axis=1)
+    return gap <= radii + 1e-12 * (1.0 + float(np.max(np.abs(loc))))
+
+
+def _hint_for(mu: MeasureSpec, center, radius: float):
+    """The measure's singularity when the ball of the given radius about
+    center holds it (``_touches``), else None."""
+    return mu.singularity if _touches(mu, [center], [radius])[0] else None
 
 
 def _boundary_patch(domain: Domain, center, radius: float):
@@ -380,7 +434,7 @@ def _point_value(fn, pt) -> float:
 
 
 def _split_radial_1d(
-    mu: MeasureSpec, domain: Domain, lo: float, hi: float, f, tol: float, weighted: bool
+    mu: MeasureSpec, lo: float, hi: float, f, tol: float, weight
 ) -> float:
     """Integral of f * weight * density over [lo, hi] through the anchor.
 
@@ -395,7 +449,7 @@ def _split_radial_1d(
     anchor = np.asarray(prof.anchor, float)
     z = float(anchor[0])
     fz = 1.0 if f is None else _point_value(f, anchor)
-    dz = boundary_distance(domain, anchor) if weighted else 0.0
+    dz = weight(anchor)
 
     total = 0.0
     for direction in (1.0, -1.0):
@@ -403,15 +457,12 @@ def _split_radial_1d(
         if length <= 0.0:
             continue
         eps = min(1e-8 * length, 0.5 * length)
-        if weighted:
-            probe = anchor.copy()
-            probe[0] = z + direction * eps
-            slope = (boundary_distance(domain, probe) - dz) / eps
-            inner = slope * prof.primitive(1.0, eps)
-            if dz > 0.0:
-                inner += dz * prof.primitive(0.0, eps)
-        else:
-            inner = prof.primitive(0.0, eps)
+        probe = anchor.copy()
+        probe[0] = z + direction * eps
+        slope = (weight(probe) - dz) / eps
+        inner = slope * prof.primitive(1.0, eps)
+        if dz > 0.0:
+            inner += dz * prof.primitive(0.0, eps)
         total += fz * inner
 
         def outer(pts, off=None):
@@ -419,8 +470,7 @@ def _split_radial_1d(
             v = dens(pts, off)
             if f is not None:
                 v = v * np.asarray(f(pts), float).reshape(-1)
-            if weighted:
-                v = v * boundary_distance(domain, pts)
+            v = v * weight(pts)
             return np.where(r >= eps, v, 0.0)
 
         a = z if direction > 0 else z - length
@@ -448,43 +498,30 @@ def _half_ball_moment(k: int) -> float:
 
 
 def _interior_integral(mu: MeasureSpec, domain: Domain, region, tol, hint, f) -> float:
-    """Integral of f * weight * interior density over a ball region.
+    """Integral of f * interior density over a ball region, against
+    w(y) dy in "d_dx" mode and dy in plain mode.
 
     Routes 1-d family measures through the exact anchor split whenever
     the singular anchor lies inside; otherwise falls back to plain
-    adaptive quadrature.  On the whole space the boundary weight is
-    identically one.
+    adaptive quadrature.
     """
-    n = space_dim(domain)
-    weighted = mu.interior_mode == "d_dx" and not isinstance(domain, WholeSpace)
-    if mu.radial_profile is not None and hint is not None and n == 1:
-        lo, hi = region.span()
-        z = mu.radial_profile.anchor[0]
-        if lo < hi and lo <= z <= hi:
-            return _split_radial_1d(mu, domain, lo, hi, f, tol, weighted)
-
-    if not weighted:
-        extra = f
-    elif f is None:
-        extra = lambda pts: boundary_distance(domain, pts)
+    if mu.interior_mode == "d_dx":
+        weight = lambda pts: _weight(domain, pts)
     else:
-        extra = lambda pts: np.asarray(f(pts), float).reshape(-1) * boundary_distance(
-            domain, pts
-        )
+        weight = lambda pts: 1.0
+    if mu.radial_profile is not None and hint is not None and space_dim(domain) == 1:
+        z = mu.radial_profile.anchor[0]
+        # an edge at the anchor by the anchor rule is the anchor
+        lo, hi = (z if _hint_for(mu, (e,), 0.0) else e for e in region.span())
+        if lo < hi and lo <= z <= hi:
+            return _split_radial_1d(mu, lo, hi, f, tol, weight)
     dens = mu.interior_density
 
     def g(pts, off):
-        v = dens(pts, off)
-        return v if extra is None else v * extra(pts)
+        extra = 1.0 if f is None else np.asarray(f(pts), float).reshape(-1)
+        return dens(pts, off) * (extra * weight(pts))
 
     return integrate(g, region, tol, singularity_hint=hint, relative=True).value
-
-
-def _at_anchor(prof: RadialProfile, center) -> bool:
-    """Whether center sits at the profile's anchor, to rounding."""
-    anchor = np.asarray(prof.anchor, float)
-    c = np.asarray(center, float).reshape(-1)
-    return np.max(np.abs(c - anchor)) <= 1e-12 * (1.0 + float(np.max(np.abs(anchor))))
 
 
 def _centered_ball_exact(mu: MeasureSpec, domain: Domain, center, sigma: float):
@@ -494,7 +531,7 @@ def _centered_ball_exact(mu: MeasureSpec, domain: Domain, center, sigma: float):
     n = space_dim(domain)
     if prof is None or n < 2 or mu.interior_density is None:
         return None
-    if not _at_anchor(prof, center):
+    if _hint_for(mu, center, 0.0) is None:
         return None
     anchor = np.asarray(prof.anchor, float)
     if isinstance(domain, WholeSpace):
@@ -538,7 +575,7 @@ def _surface_part(
         return sum(float(dens(arr, None)[0]) / divisor for arr in points)
     prof = mu.radial_profile
     n = space_dim(domain)
-    if prof is not None and prof.dim == n - 1 and _at_anchor(prof, patch.center):
+    if prof is not None and prof.dim == n - 1 and _hint_for(mu, patch.center, 0.0):
         return _sphere_area(n - 1) * prof.primitive(0.0, patch.radius) / divisor
 
     def part(pts, off=None):

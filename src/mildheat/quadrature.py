@@ -411,8 +411,8 @@ def _region_map(region, f, h):
         if not lo < hi:
             return QuadResult(0.0, 0.0, 1)
         if c.size == 1:
-            inside = h is not None and lo <= h[0] <= hi
-            return _translated(f, [lo], [hi], h if inside else None)
+            # a hint outside stays the origin: offsets near it stay exact
+            return _translated(f, [lo], [hi], h)
         return _slice(f, c, r, lo, hi, h)
 
     if isinstance(region, BoundaryPatch):

@@ -59,7 +59,14 @@ from .kernels import (
     normal_derivative,
     space_dim,
 )
-from .measures import MeasureSpec, SingularFamily, make_family
+from .measures import (
+    MeasureSpec,
+    SingularFamily,
+    _touches,
+    _weight,
+    _weighted_density,
+    make_family,
+)
 from .quadrature import integrate, Ball
 
 __all__ = [
@@ -128,7 +135,7 @@ class SpaceTimeGrid:
             w = np.ones(nodes.shape[0])
         object.__setattr__(self, "_weights", w)
         object.__setattr__(self, "_bdist", d)
-        object.__setattr__(self, "_bweights", w * np.where(np.isinf(d), 1.0, d))
+        object.__setattr__(self, "_bweights", w * _weight(self.domain, nodes))
 
     @property
     def node_weights(self) -> np.ndarray:
@@ -136,8 +143,8 @@ class SpaceTimeGrid:
 
     @property
     def boundary_weights(self) -> np.ndarray:
-        """Node weights times the boundary distance d, the quadrature of
-        d(x) dx (plain node weights where d is infinite)."""
+        """Node weights times the weight w (d with a wall, 1 on the whole
+        space), the quadrature of w(x) dx."""
         return self._bweights
 
     @property
@@ -371,7 +378,11 @@ class _InitialEvaluator:
     elsewhere), ``_points`` (position, plain mass) for ``kernel_values``,
     among them the exact mass of each cell at a singular anchor at its
     exact centroid, and ``_walls`` (wall position, mass) for
-    ``normal_derivative``."""
+    ``normal_derivative``.  The data act through the boundary-weighted
+    kernel G/w, so the plain kernel G takes the density against w(y) dy,
+    ``measures._weighted_density``, and an interior atom m at a the mass
+    m / w(a).  The evaluator's own input check is that a plain-mode
+    density vanish on the cell edges at the wall."""
 
     def __init__(self, domain: Domain, mu: MeasureSpec, nodes: np.ndarray):
         if space_dim(domain) != 1:
@@ -387,10 +398,12 @@ class _InitialEvaluator:
         self._build_cells()
         for a, m in mu.atoms:
             pa = np.asarray(a, dtype=float).reshape(-1)
-            da = float(boundary_distance(domain, pa))
-            # interior atoms pair with d(a); wall atoms and the line's keep m
-            sources = self._walls if da == 0.0 else self._points
-            sources.append((pa, m / da if 0.0 < da < math.inf else m))
+            w = _weight(domain, pa)
+            # atoms on a wall are wall masses; any other pairs with w(a)
+            if w == 0.0:
+                self._walls.append((pa, m))
+            else:
+                self._points.append((pa, m / w))
         if mu.boundary_density is not None and not isinstance(domain, WholeSpace):
             walls = [[0.0]] + ([[domain.length]] if isinstance(domain, Interval) else [])
             dens = np.asarray(mu.boundary_density(np.array(walls), None), float).reshape(-1)
@@ -408,6 +421,7 @@ class _InitialEvaluator:
             hi = min(hi, c + mu.support_radius)
         if mu.interior_density is None or not hi > lo:
             return
+        self._density = _weighted_density(mu, domain)
         anchor = None if self._anchor is None else float(self._anchor[0])
         specials = sorted({lo, hi} | ({anchor} if anchor is not None else set()))
         span = hi - lo
@@ -429,15 +443,14 @@ class _InitialEvaluator:
         edges[-1] = hi
 
         c0, c1 = edges[:-1], edges[1:]
-        singular = np.zeros(c0.size, dtype=bool)
-        if anchor is not None:
-            singular |= (np.abs(c0 - anchor) < 1e-12 * span) | (
-                np.abs(c1 - anchor) < 1e-12 * span
-            )
+        touches = _touches(mu, 0.5 * (c0 + c1), 0.5 * (c1 - c0))
         vL = self._density(c0[:, None])
         vR = self._density(c1[:, None])
+        wall = np.asarray(boundary_distance(domain, edges[:, None])) < 1e-12
+        if mu.interior_mode == "dx" and np.any(wall & (np.append(vL, vR[-1]) > 0)):
+            raise ValueError("plain-mode density must vanish at the absorbing boundary")
         with np.errstate(invalid="ignore"):
-            singular |= ~np.isfinite(vL) | ~np.isfinite(vR)
+            singular = touches | ~np.isfinite(vL) | ~np.isfinite(vR)
             ratio = np.maximum(vL, vR) / np.maximum(np.minimum(vL, vR), 1e-300)
         singular |= ratio > 4.0
 
@@ -446,64 +459,39 @@ class _InitialEvaluator:
             self._cells = (edges, np.where(smooth, vL, 0.0), np.where(smooth, vR, 0.0))
 
         for i in np.nonzero(singular)[0]:
-            mass, cen = self._cell_mass_centroid(float(c0[i]), float(c1[i]))
+            mass, cen = self._cell_mass_centroid(float(c0[i]), float(c1[i]), touches[i])
             if mass > 0:
                 self._points.append((np.array([cen]), mass))
 
-    def _density(self, pts, off=None):
-        """Density against the plain kernel at (m, 1) points: the boundary
-        weight is divided out in plain-mode measures and cancels otherwise.
-        Offsets from the singular anchor default to pts - anchor."""
-        mu = self.mu
-        if off is None and self._anchor is not None:
-            off = pts - self._anchor[None, :]
-        vals = np.asarray(mu.interior_density(pts, off), dtype=float).reshape(-1)
-        if mu.interior_mode == "dx":
-            d = np.asarray(boundary_distance(self.domain, pts), float).reshape(-1)
-            if np.any((d < 1e-12) & (vals > 0)):
-                raise ValueError(
-                    "plain-mode density must vanish at the absorbing boundary"
-                )
-            with np.errstate(divide="ignore"):
-                vals = np.where(vals > 0, vals / np.maximum(d, 1e-300), 0.0)
-        return vals
-
-    def _cell_mass_centroid(self, c0, c1):
-        """Equivalent plain point mass of one mesh cell.
+    def _cell_mass_centroid(self, c0, c1, touches):
+        """Equivalent plain point mass of one mesh cell; touches says
+        whether it touches the singular point (``measures._touches``).
 
         Cells reaching the absorbing wall are reduced in weighted form
         (mass of d * density, then divided by the weight at the
         centroid): their plain effective density need not be integrable
         there.  Family cells touching the anchor use the closed-form
         radial primitives, the only way to capture the borderline
-        profiles whose mass tail is invisible to quadrature."""
+        profiles whose mass tail is invisible to quadrature.  Every other
+        cell is integrated with the anchor as the quadrature's origin, so
+        its offsets stay exact next to the anchor."""
         mu = self.mu
         prof = mu.radial_profile
-        hint = None
-        z = None
-        if self._anchor is not None:
-            z = float(self._anchor[0])
-            if c0 - 1e-12 <= z <= c1 + 1e-12:
-                hint = ((z,), mu.singularity[1])
+        domain = self.domain
 
-        if (
-            prof is not None
-            and prof.dim == 1
-            and hint is not None
-            and mu.interior_mode == "d_dx"
-        ):
+        if prof is not None and prof.dim == 1 and touches and mu.interior_mode == "d_dx":
+            z = float(self._anchor[0])
             eps = 1e-12 * max(abs(c0), abs(c1), 1.0)
             left = max(z - c0, 0.0)
             right = max(c1 - z, 0.0)
-            dz = boundary_distance(self.domain, [z])
-            if dz == 0.0:
+            if _weight(domain, [z]) == 0.0:
                 h = right if right > eps else left
                 m_w = prof.primitive(1.0, h)
                 if m_w <= 0:
                     return 0.0, 0.5 * (c0 + c1)
                 off = prof.primitive(2.0, h) / m_w
                 cen = z + off if right > eps else z - off
-                return m_w / boundary_distance(self.domain, [cen]), cen
+                return m_w / _weight(domain, [cen]), cen
             mass = 0.0
             m1 = 0.0
             if right > eps:
@@ -518,29 +506,23 @@ class _InitialEvaluator:
                 return 0.0, 0.5 * (c0 + c1)
             return mass, min(max(m1 / mass, c0), c1)
 
-        wall = not isinstance(self.domain, WholeSpace) and (
-            boundary_distance(self.domain, [c0]) == 0.0
-            or boundary_distance(self.domain, [c1]) == 0.0
-        )
+        wall = _weight(domain, [c0]) == 0.0 or _weight(domain, [c1]) == 0.0
 
         def f(pts, off=None):
             vals = self._density(pts, off)
-            if wall:
-                d = np.asarray(boundary_distance(self.domain, pts), float).reshape(-1)
-                vals = vals * d
-            return vals
+            return vals * _weight(domain, pts) if wall else vals
 
         def fm(pts, off=None):
             return f(pts, off) * pts[:, 0]
 
         region = Ball(center=(0.5 * (c0 + c1),), radius=0.5 * (c1 - c0))
-        mass = integrate(f, region, 1e-10, singularity_hint=hint).value
+        mass = integrate(f, region, 1e-10, singularity_hint=mu.singularity).value
         if mass <= 0:
             return 0.0, 0.5 * (c0 + c1)
-        m1 = integrate(fm, region, 1e-10, singularity_hint=hint).value
+        m1 = integrate(fm, region, 1e-10, singularity_hint=mu.singularity).value
         cen = min(max(m1 / mass, c0), c1)
         if wall:
-            return mass / boundary_distance(self.domain, [cen]), cen
+            return mass / _weight(domain, [cen]), cen
         return mass, cen
 
     # -- evaluation

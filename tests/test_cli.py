@@ -165,6 +165,20 @@ def test_zero_measure_solve_trivial(tmp_path):
     assert (out / "profile.csv").exists()
 
 
+def test_whole_space_bump_solve_is_not_zero(tmp_path):
+    # a plain density on the line pairs with the weight 1, not with d = inf
+    out = tmp_path / "line"
+    path = write_ini(
+        tmp_path / "l.ini",
+        f"[run]\ncommand = solve\nout = {out}\n\n[domain]\nkind = wholespace\ndim = 1\n\n"
+        "[measure]\nkind = bump\ncenter = 0.0\nwidth = 0.5\nfactor = 1.0\n\n"
+        "[solve]\np = 2.0\nhorizon = 0.25\ntarget_nodes = 80\n",
+    )
+    assert run(load_config(path)) == 0
+    rows = (out / "profile.csv").read_text().splitlines()[1:]
+    assert max(float(row.split(",")[-1]) for row in rows) > 0.1
+
+
 def test_criteria_command_reports_consistent(tmp_path):
     out = tmp_path / "crit"
     path = write_ini(

@@ -472,6 +472,28 @@ def test_two_argument_densities_are_accepted():
     assert orlicz_moment_check(mu, HS2, beta=0.3, sigmas=sigmas).verdict == "consistent"
 
 
+def test_whole_space_plain_density_is_its_weighted_twin():
+    # no wall, so the weight is 1: a "dx" density equals its "d_dx" twin,
+    # and the moment factor d/(d + sigma) is 1 instead of inf/inf
+    def bump(pts, off=None):
+        return np.maximum(1.0 - np.atleast_2d(pts)[:, 0] ** 2, 0.0) ** 2
+
+    line = WholeSpace(1)
+    sigmas = np.geomspace(1e-3, 0.1, 5)
+    reports = []
+    for mode in ("dx", "d_dx"):
+        mu = MeasureSpec(
+            interior_density=bump, interior_mode=mode, support_center=(0.0,), support_radius=1.0
+        )
+        power = power_moment_check(mu, line, alpha=1.5, p=3.0, sigmas=sigmas)
+        orlicz = orlicz_moment_check(mu, line, beta=0.3, z_points=[(0.0,)], sigmas=sigmas)
+        reports.append((power, orlicz))
+    assert reports[0] == reports[1]
+    power = reports[0][0]
+    assert power.empirical_constant > 0 and power.fitted_exponent > 0.5
+    assert all(row[-1] > 0 for row in reports[0][1].samples)
+
+
 def test_log_moments_without_a_fittable_trend_are_inconclusive():
     # four radii are too few for a trend fit, which must not raise
     sigmas = np.geomspace(1e-3, 0.2, 4)

@@ -1,7 +1,8 @@
 """Every imported name is used by the file that imports it, every name a
 file exports in ``__all__`` is defined there, no file looks at a
-callable's signature, and one function owns the kernel against linear
-cells."""
+callable's signature, one function owns the kernel against linear
+cells, and the measures module alone owns the measure's weight, its
+weighted density and its anchor rule."""
 
 import ast
 from pathlib import Path
@@ -151,3 +152,49 @@ def test_kernel_against_linear_cells_has_one_owner():
             owners += [f"{path.stem}.{owner}" for owner in readers(source, name)]
     assert found["_interval_moments"] == ["solver._hat_weights"]
     assert found["_LOG_TAU"] == ["kernels.images", "solver._hat_weights"]
+
+
+def defined_names(source: str) -> set:
+    """Names a module defines: every function, nested ones and methods
+    included, and every name bound by a top-level assignment."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def attribute_reads(source: str, attr: str) -> list:
+    """Lines that read ``<anything>.attr``; assignments to it are not reads."""
+    return sorted(
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_owner_scanners_find_nested_and_assigned_names():
+    src = (
+        "def outer(mu):\n    def _weight(d):\n        return mu.interior_mode\n"
+        "    return _weight\n"
+        "class C:\n    def _hint_for(self):\n        pass\n"
+        "_weighted_density = outer\nmu.interior_mode = 'dx'\n"
+    )
+    assert defined_names(src) == {"outer", "_weight", "_hint_for", "_weighted_density"}
+    assert attribute_reads(src, "interior_mode") == [3]
+
+
+def test_measure_weight_and_anchor_have_one_owner():
+    # the weight w(y), the density against w(y) dy and the anchor rule are
+    # made in measures.py only; criteria never asks which mode a density is in
+    owners = {"_weight": [], "_weighted_density": [], "_touches": [], "_hint_for": []}
+    for path in SRC_FILES:
+        found = defined_names(path.read_text(encoding="utf-8"))
+        for name, where in owners.items():
+            where += [path.stem] if name in found else []
+    assert owners == {name: ["measures"] for name in owners}
+    criteria = (ROOT / "src" / "mildheat" / "criteria.py").read_text(encoding="utf-8")
+    assert attribute_reads(criteria, "interior_mode") == []

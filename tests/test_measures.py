@@ -71,6 +71,21 @@ def test_interior_point_dense_oracle():
     assert v == pytest.approx(oracle, rel=1e-8)
 
 
+@settings(max_examples=40, deadline=None)
+@given(log_h=st.floats(-8.0, math.log10(0.5)))
+def test_ball_from_the_anchor_matches_radial_primitives(log_h):
+    # the ball [z, z + h] as floats: rounding the centre may move the
+    # anchor an ulp off the ball's edge, which the anchor rule absorbs
+    mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
+    prof = mu.radial_profile
+    h = 10.0**log_h
+    c, r = 1.0 + 0.5 * h, 0.5 * h
+    hh = (c + r) - 1.0  # the ball's right edge, exactly
+    dz = 1.0
+    exact = dz * prof.primitive(0.0, hh) + prof.primitive(1.0, hh)
+    assert ball_mass(mu, HS1, (c,), r) == pytest.approx(exact, rel=1e-9)
+
+
 def test_scaling_is_exactly_linear():
     mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
     a = ball_mass(mu, HS1, (1.0,), 0.1)

@@ -1,6 +1,7 @@
 """Grid construction, the monotone iteration and its cross-checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mildheat.kernels import (
     kernel_values,
     weighted_kernel,
 )
+from mildheat import quadrature
 from mildheat.measures import MeasureSpec, SingularFamily, make_family, scale
 from mildheat.solver import (
     GridFunction,
@@ -228,6 +230,48 @@ def test_evolution_matches_dense_oracle(case, log_t):
     ref = dense_initial_evolution(ev, t)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
     assert np.all(got >= 0.0) and np.all(got[ev._wall_nodes] == 0.0)
+
+
+def test_right_wall_cells_integrate_from_the_anchor(monkeypatch):
+    # critical boundary_point data at the right wall: the cells next to the
+    # anchor cell are integrated in offsets from the anchor; in absolute
+    # coordinates near 1 they take about 1.7M evaluations
+    evaluations = []
+    real = quadrature._adaptive_box
+
+    def counted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        evaluations.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(quadrature, "_adaptive_box", counted)
+    ev = {}
+    for z in (0.0, 1.0):
+        mu = make_family(SingularFamily("boundary_point", (z,), 2.0), IV1)
+        ev[z] = _InitialEvaluator(IV1, mu, measure_grid(IV1, mu, 1.0, target_nodes=100).nodes)
+    assert sum(evaluations) <= 20_000
+    # the meshes are stepped from the left, so compare cell by cell: each
+    # right-wall cell holds its mirror image's mass, to the rounding of the
+    # weight 1 - x next to x = 1 (ulp(1) over offsets of 1e-7)
+    edges = ev[1.0]._cells[0]
+    for c0, c1 in zip(edges[-6:-1], edges[-5:]):
+        right = ev[1.0]._cell_mass_centroid(c0, c1, c1 == 1.0)
+        left = ev[0.0]._cell_mass_centroid(1.0 - c1, 1.0 - c0, c1 == 1.0)
+        assert right[0] == pytest.approx(left[0], rel=1e-7)
+        assert abs((1.0 - right[1]) - left[1]) <= 1e-8 * (c1 - c0)
+
+
+def test_whole_space_plain_density_evolves_like_its_weighted_twin():
+    # the weight is 1 without a wall, so "dx" and "d_dx" are one measure
+    line = WholeSpace(1)
+    twin = smooth_bump(0.5, 0.3)
+    grid = measure_grid(line, twin, 0.1, target_nodes=60)
+    fields = [
+        PicardRunner(line, mu, 2.0, grid).initial_field().values
+        for mu in (replace(twin, interior_mode="dx"), twin)
+    ]
+    assert np.array_equal(fields[0], fields[1])
+    assert np.max(fields[0]) > 0.1
 
 
 def test_initial_kernel_density_dense_oracle():
