@@ -33,7 +33,7 @@ from .kernels import (
     survival_mass,
     verify_semigroup,
 )
-from .measures import MeasureSpec, SingularFamily, make_family, pairing
+from .measures import FAMILIES, MeasureSpec, SingularFamily, make_family, pairing
 from .solver import (
     RATIO_TARGET,
     PicardRunner,
@@ -143,7 +143,7 @@ def load_config(path, command: Optional[str] = None, out: Optional[str] = None) 
     kind = measure["kind"]
     if kind == "family":
         measure["family"] = get("measure", "family", required=True)
-        if measure["family"] not in ("interior_point", "boundary_point", "boundary_surface"):
+        if measure["family"] not in FAMILIES:
             errors.append(f"[measure] family: unknown {measure['family']!r}")
         measure["anchor"] = get("measure", "anchor", _floats, default=(0.0,))
         measure["p"] = get("measure", "p", float, required=True)

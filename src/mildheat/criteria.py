@@ -48,7 +48,7 @@ sufficient_integral_check reads a violated rung as inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -73,6 +73,7 @@ from .measures import (
     _hint_for,
     _interior_integral,
     _sphere_area,
+    _surface_part,
     _weighted_density,
 )
 from .quadrature import BoundaryPatch, integrate
@@ -110,6 +111,11 @@ _LOG = (0.2, 0.35)
 _RATE = (0.1, 0.25)
 # The small-time exponent of the sufficiency integrand against -1.
 _SMALL_TIME = (-0.05, 0.05)
+# Points on the geometric s-ladders of necessary_ball_bound (the
+# infimum over s) and sufficient_integral_check (the time integral, from
+# _S_FLOOR * T up to T).
+_S_COUNT = 48
+_S_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -464,7 +470,6 @@ def necessary_ball_bound(
     T: float = 1.0,
     z_points=None,
     sigmas=None,
-    s_count: int = 48,
 ) -> CriterionReport:
     """Ball masses against the power-form necessary growth bound.
 
@@ -489,14 +494,14 @@ def necessary_ball_bound(
     def cells(z, sg):
         # no wall: the distance weight degenerates and drops out
         d = 0.0 if whole else boundary_distance(domain, z)
-        s_lad = np.geomspace(sg, rt * (1.0 - 1e-12), s_count)
+        s_lad = np.geomspace(sg, rt * (1.0 - 1e-12), _S_COUNT)
         wfac = 1.0 if whole else d + s_lad
         return _mass_ratio(mu, domain, z, sg, d, float(np.min(wfac * s_lad**expo)))
 
     rows, series = _sup_sweep(z_points, sigmas, cells)
     return _trend_report(
         "necessary_ball_bound",
-        _params({"p": p, "T": T, "s_count": s_count, "z_count": len(z_points)}),
+        _params({"p": p, "T": T, "s_count": _S_COUNT, "z_count": len(z_points)}),
         _columns(n, "d", "sigma", "mass", "bound", "ratio"),
         rows,
         series,
@@ -580,13 +585,11 @@ def boundary_mass_check(
     m_surface = 0.0
     if mu.boundary_density is not None:
         center = mu.support_center
-        if mu.radial_profile is not None:
-            center = mu.radial_profile.anchor
         if center is None:
             raise ValueError("surface measure without a support ball")
         radius = (mu.support_radius or 1.0) * 1.01 + 0.01
-        stripped = replace(mu, interior_density=None, atoms=())
-        m_surface = ball_mass(stripped, domain, center, radius)
+        hint = _hint_for(mu, center, radius)
+        m_surface = mu.scale_factor * _surface_part(mu, domain, center, radius, 1e-10, hint, None)
 
     m_atoms = 0.0
     for a, m in mu.atoms:
@@ -691,8 +694,6 @@ def sufficient_integral_check(
     p: Optional[float] = None,
     T: float = 1.0,
     z_points=None,
-    s_count: int = 48,
-    s_floor: float = 1e-8,
 ) -> CriterionReport:
     """Time integral of the weighted-ball supremum that grants existence.
 
@@ -711,7 +712,7 @@ def sufficient_integral_check(
     z_points = _centers(mu, domain, z_points)
 
     n = space_dim(domain)
-    s_grid = np.geomspace(T * s_floor, T, s_count)
+    s_grid = np.geomspace(T * _S_FLOOR, T, _S_COUNT)
     rows = []
     gs = []
     for s in s_grid:
@@ -724,7 +725,7 @@ def sufficient_integral_check(
     value = float(np.trapezoid(gs * s_grid, np.log(s_grid)))
     return _trend_report(
         "sufficient_integral_check",
-        _params({"p": p, "T": T, "s_count": s_count}),
+        _params({"p": p, "T": T, "s_count": _S_COUNT}),
         ("s", "weighted_sup", "integrand"),
         rows,
         list(zip(s_grid, gs)),

@@ -10,17 +10,17 @@ near a declared singular point are evaluated from exact offsets.
 
 The module ships three built-in singular families, each anchored at a
 point z, cut off outside the unit ball around z, and carrying a scale
-factor kappa.  Writing a = 2/(p-1):
+factor kappa.  One rule makes all three; ``FAMILIES`` holds one row per
+kind.  Let k = N for an anchor inside the domain and k = N + 1 for an
+anchor on the wall.  A family is admissible from p = 1 + 2/k on, and its
+density is |x-z|^(-power) with power 2/(p-1) - shift; at p = 1 + 2/k the
+power is k - shift and the density gains the factor
+[log(e + 1/|x-z|)]^(-(k/2 + 1)).
 
-- ``interior_point``: density |x-z|^(-a) against d(x)dx, z interior;
-  admissible for p at or above 1 + 2/N.  At the critical p the power
-  becomes -N with an extra factor [log(e + 1/|x-z|)]^(-N/2-1).
-- ``boundary_point``: the same weighted density with z on the boundary;
-  admissible for p at or above 1 + 2/(N+1); critical power -(N+1) with
-  log exponent -(N+1)/2 - 1.
-- ``boundary_surface``: a surface density |x-z|^(-2(2-p)/(p-1)) on the
-  boundary, z on the boundary, for 1 + 2/(N+1) <= p < 2 (needs N >= 2);
-  critical power -(N-1) with the same log exponent as boundary_point.
+    kind              anchor  shift  support
+    interior_point    inside  0      density against d(x)dx
+    boundary_point    wall    0      density against d(x)dx
+    boundary_surface  wall    2      density on the boundary (N >= 2, p < 2)
 
 These are the strongest admissible local singularities at their
 respective exponent ranges; the criteria module measures their ball-mass
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import quad as _quad
@@ -53,6 +53,7 @@ from .kernels import Domain, HalfSpace, Interval, WholeSpace, boundary_distance,
 from .quadrature import Ball, BoundaryPatch, integrate
 
 __all__ = [
+    "FAMILIES",
     "MeasureSpec",
     "SingularFamily",
     "RadialProfile",
@@ -132,8 +133,8 @@ def _profile_integral(sigma: float, q: float, beta: float) -> float:
 class RadialProfile:
     """Closed-form radial structure of a built-in family density.
 
-    The density equals r^(-power) * (log(e + 1/r))^(-log_power) for
-    r = |y - anchor| up to 1, zero beyond, carried by a surface of the
+    The density (``density``) equals r^(-power) * (log(e + 1/r))^(-log_power)
+    for r = |y - anchor| up to 1, zero beyond, carried by a surface of the
     stated dimension (the ambient space for interior densities, the
     boundary for surface ones).  ``primitive`` integrates the density
     against r^q_extra over a radial segment [0, sigma], including the
@@ -148,6 +149,15 @@ class RadialProfile:
     def primitive(self, q_extra: float, sigma: float) -> float:
         q = self.dim - 1 + q_extra - self.power
         return _profile_integral(min(sigma, 1.0), q, self.log_power)
+
+    def density(self, pts, off=None):
+        """The density at pts, offsets off from the anchor (see ``MeasureSpec``)."""
+        r = _offset_norm(np.asarray(pts, float), off, self.anchor)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            v = r**-self.power
+            if self.log_power:
+                v = v * np.log(np.e + 1.0 / r) ** -self.log_power
+        return np.where(r <= 1.0, v, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,20 +196,35 @@ class MeasureSpec:
                 raise ValueError("atom masses must be positive")
 
 
+class _Rule(NamedTuple):
+    """One family kind's row of the family rule (module docstring)."""
+
+    wall: bool  # the anchor sits on the wall (k = N + 1), else inside (k = N)
+    shift: float  # how far the power falls below 2/(p-1)
+    surface: bool  # a density on the boundary, else one against d(x)dx
+
+
+FAMILIES = {
+    "interior_point": _Rule(wall=False, shift=0.0, surface=False),
+    "boundary_point": _Rule(wall=True, shift=0.0, surface=False),
+    "boundary_surface": _Rule(wall=True, shift=2.0, surface=True),
+}
+
+
 @dataclass(frozen=True)
 class SingularFamily:
     """Parameters of a built-in singular measure family."""
 
-    kind: str  # interior_point | boundary_point | boundary_surface
+    kind: str  # a key of FAMILIES
     anchor: tuple
     p: float
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("interior_point", "boundary_point", "boundary_surface"):
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if not self.p > 1:
-            raise ValueError("exponent p must exceed 1")
+        if not 1 < self.p < math.inf:
+            raise ValueError("exponent p must be finite and exceed 1")
         if not self.kappa >= 0:
             raise ValueError("kappa must be nonnegative")
 
@@ -217,111 +242,42 @@ def _offset_norm(pts, off, anchor):
     return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
-def _power_density(anchor: np.ndarray, a: float):
-    def density(pts, off=None):
-        r = _offset_norm(np.asarray(pts, float), off, anchor)
-        with np.errstate(divide="ignore", over="ignore"):
-            v = r**-a
-        return np.where(r <= 1.0, v, 0.0)
-
-    return density
-
-
-def _log_power_density(anchor: np.ndarray, a: float, logpow: float):
-    def density(pts, off=None):
-        r = _offset_norm(np.asarray(pts, float), off, anchor)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            v = r**-a * np.log(np.e + 1.0 / r) ** logpow
-        return np.where(r <= 1.0, v, 0.0)
-
-    return density
-
-
 def make_family(family: SingularFamily, domain: Domain) -> MeasureSpec:
-    """Build the measure for a singular family on the given domain."""
+    """Build the measure for a singular family on the given domain by the
+    family rule (module docstring)."""
+    rule = FAMILIES[family.kind]
     n = space_dim(domain)
     anchor = np.asarray(family.anchor, dtype=float)
     if anchor.size != n:
         raise ValueError("anchor dimension does not match the domain")
     d_anchor = boundary_distance(domain, anchor)
-    p = family.p
-
-    if family.kind == "interior_point":
-        p_min = critical_exponent(n)
-        if not d_anchor > 0:
-            raise ValueError("interior_point anchor must be interior")
-        if p < p_min - _CRIT_MATCH:
-            raise ValueError(f"interior_point needs p >= {p_min}")
-        if abs(p - p_min) <= _CRIT_MATCH:
-            dens = _log_power_density(anchor, float(n), -n / 2.0 - 1.0)
-            expo = -float(n)
-            prof = RadialProfile(tuple(anchor), n, float(n), n / 2.0 + 1.0)
-        else:
-            a = 2.0 / (p - 1.0)
-            dens = _power_density(anchor, a)
-            expo = -a
-            prof = RadialProfile(tuple(anchor), n, a)
-        return MeasureSpec(
-            interior_density=dens,
-            interior_mode="d_dx",
-            support_center=tuple(anchor),
-            support_radius=1.0,
-            singularity=(tuple(anchor), expo),
-            scale_factor=family.kappa,
-            family=family.kind,
-            p=p,
-            radial_profile=prof,
-        )
-
-    if d_anchor != 0:
-        raise ValueError(f"{family.kind} anchor must lie on the boundary")
-    if isinstance(domain, WholeSpace):
-        raise ValueError("boundary families need a domain with boundary")
-    p_min = critical_exponent(n + 1)
-
-    if family.kind == "boundary_point":
-        if p < p_min - _CRIT_MATCH:
-            raise ValueError(f"boundary_point needs p >= {p_min}")
-        if abs(p - p_min) <= _CRIT_MATCH:
-            dens = _log_power_density(anchor, float(n + 1), -(n + 1) / 2.0 - 1.0)
-            expo = -float(n + 1)
-            prof = RadialProfile(tuple(anchor), n, float(n + 1), (n + 1) / 2.0 + 1.0)
-        else:
-            a = 2.0 / (p - 1.0)
-            dens = _power_density(anchor, a)
-            expo = -a
-            prof = RadialProfile(tuple(anchor), n, a)
-        return MeasureSpec(
-            interior_density=dens,
-            interior_mode="d_dx",
-            support_center=tuple(anchor),
-            support_radius=1.0,
-            singularity=(tuple(anchor), expo),
-            scale_factor=family.kappa,
-            family=family.kind,
-            p=p,
-            radial_profile=prof,
-        )
-
-    # boundary_surface
-    if n < 2:
-        raise ValueError("boundary_surface needs ambient dimension >= 2")
-    if not (p_min - _CRIT_MATCH <= p < 2.0):
-        raise ValueError(f"boundary_surface needs {p_min} <= p < 2")
+    if not (d_anchor == 0 if rule.wall else d_anchor > 0):
+        where = "on the boundary" if rule.wall else "interior"
+        raise ValueError(f"{family.kind} anchor must be {where}")
+    p, k = family.p, n + rule.wall
+    p_min = critical_exponent(k)
+    if p < p_min - _CRIT_MATCH:
+        raise ValueError(f"{family.kind} needs p >= {p_min}")
+    if rule.surface and not (n >= 2 and p < 2.0):
+        # the boundary of a line is points, and from p = 2 on solvable
+        # data cannot charge the boundary at all
+        raise ValueError(f"{family.kind} needs N >= 2 and p < 2")
     if abs(p - p_min) <= _CRIT_MATCH:
-        dens = _log_power_density(anchor, float(n - 1), -(n + 1) / 2.0 - 1.0)
-        expo = -float(n - 1)
-        prof = RadialProfile(tuple(anchor), n - 1, float(n - 1), (n + 1) / 2.0 + 1.0)
+        power, log_power = k - rule.shift, k / 2.0 + 1.0
     else:
-        a = 2.0 * (2.0 - p) / (p - 1.0)
-        dens = _power_density(anchor, a)
-        expo = -a
-        prof = RadialProfile(tuple(anchor), n - 1, a)
+        # 2/(p-1) - shift, rounded once: exactly 2(2-p)/(p-1) at shift 2
+        power, log_power = (2.0 - rule.shift * (p - 1.0)) / (p - 1.0), 0.0
+    z = tuple(anchor)
+    prof = RadialProfile(z, n - rule.surface, power, log_power)
+    if rule.surface:
+        pieces = {"boundary_density": prof.density}
+    else:
+        pieces = {"interior_density": prof.density, "interior_mode": "d_dx"}
     return MeasureSpec(
-        boundary_density=dens,
-        support_center=tuple(anchor),
+        **pieces,
+        support_center=z,
         support_radius=1.0,
-        singularity=(tuple(anchor), expo),
+        singularity=(z, -power),
         scale_factor=family.kappa,
         family=family.kind,
         p=p,
@@ -433,23 +389,29 @@ def _point_value(fn, pt) -> float:
     return float(np.asarray(fn(np.asarray(pt, float)[None, :])).reshape(-1)[0])
 
 
-def _split_radial_1d(
-    mu: MeasureSpec, lo: float, hi: float, f, tol: float, weight
-) -> float:
-    """Integral of f * weight * density over [lo, hi] through the anchor.
+def _split_radial_1d(mu: MeasureSpec, domain: Domain, lo: float, hi: float, f, tol) -> float:
+    """Integral of f * density over [lo, hi] through the anchor, against
+    w(y) dy in "d_dx" mode and dy in plain mode.
 
     The segment within eps of the anchor is integrated in closed form
     with f frozen there and the piecewise-linear weight expanded
     exactly; the remainder is adaptive with the density masked below
     eps.  The closed form is essential for the borderline profiles,
-    whose mass below any representable radius is not negligible.
+    whose mass below any representable radius is not negligible.  The
+    weight is taken from the exact offsets from the anchor: L - y next
+    to a right wall at L would lose the digits the offset keeps.
     """
     prof = mu.radial_profile
     dens = mu.interior_density
     anchor = np.asarray(prof.anchor, float)
     z = float(anchor[0])
+    if mu.interior_mode == "dx" or isinstance(domain, WholeSpace):
+        weight = lambda off: 1.0
+    else:
+        right = (domain.length if isinstance(domain, Interval) else math.inf) - z
+        weight = lambda off: np.minimum(z + off, right - off)
     fz = 1.0 if f is None else _point_value(f, anchor)
-    dz = weight(anchor)
+    dz = float(weight(0.0))
 
     total = 0.0
     for direction in (1.0, -1.0):
@@ -457,20 +419,18 @@ def _split_radial_1d(
         if length <= 0.0:
             continue
         eps = min(1e-8 * length, 0.5 * length)
-        probe = anchor.copy()
-        probe[0] = z + direction * eps
-        slope = (weight(probe) - dz) / eps
+        slope = (float(weight(direction * eps)) - dz) / eps
         inner = slope * prof.primitive(1.0, eps)
         if dz > 0.0:
             inner += dz * prof.primitive(0.0, eps)
         total += fz * inner
 
-        def outer(pts, off=None):
+        def outer(pts, off):
             r = _offset_norm(np.asarray(pts, float), off, anchor)
             v = dens(pts, off)
             if f is not None:
                 v = v * np.asarray(f(pts), float).reshape(-1)
-            v = v * weight(pts)
+            v = v * weight(off[:, 0])
             return np.where(r >= eps, v, 0.0)
 
         a = z if direction > 0 else z - length
@@ -505,17 +465,17 @@ def _interior_integral(mu: MeasureSpec, domain: Domain, region, tol, hint, f) ->
     the singular anchor lies inside; otherwise falls back to plain
     adaptive quadrature.
     """
-    if mu.interior_mode == "d_dx":
-        weight = lambda pts: _weight(domain, pts)
-    else:
-        weight = lambda pts: 1.0
     if mu.radial_profile is not None and hint is not None and space_dim(domain) == 1:
         z = mu.radial_profile.anchor[0]
         # an edge at the anchor by the anchor rule is the anchor
         lo, hi = (z if _hint_for(mu, (e,), 0.0) else e for e in region.span())
         if lo < hi and lo <= z <= hi:
-            return _split_radial_1d(mu, lo, hi, f, tol, weight)
+            return _split_radial_1d(mu, domain, lo, hi, f, tol)
     dens = mu.interior_density
+    if mu.interior_mode == "d_dx":
+        weight = lambda pts: _weight(domain, pts)
+    else:
+        weight = lambda pts: 1.0
 
     def g(pts, off):
         extra = 1.0 if f is None else np.asarray(f(pts), float).reshape(-1)
@@ -556,15 +516,14 @@ def _atom_sum(mu: MeasureSpec, center, radius, weight=None):
     return total
 
 
-def _surface_part(
-    mu: MeasureSpec, domain: Domain, center, radius: float, tol, hint, divisor: float
-) -> float:
-    """Boundary-density mass of the ball, divided by divisor.
+def _surface_part(mu: MeasureSpec, domain: Domain, center, radius: float, tol, hint, g) -> float:
+    """Integral of g * boundary density over the ball's part of the
+    boundary; g = None integrates the density alone, the mass.
 
-    A built-in surface family's anchor-centered patch is integrated in
-    closed form, any other patch by quadrature; on one-dimensional
-    domains the boundary is the endpoints, whose density values count
-    as point masses.
+    The mass of a built-in surface family's anchor-centered patch is
+    integrated in closed form, any other patch by quadrature; on
+    one-dimensional domains the boundary is the endpoints, whose density
+    values count as point masses.
     """
     dens = mu.boundary_density
     patch = _boundary_patch(domain, center, radius)
@@ -572,15 +531,15 @@ def _surface_part(
         return 0.0
     if not isinstance(patch, BoundaryPatch):
         points = (np.asarray(pt, float)[None, :] for pt in patch)
-        return sum(float(dens(arr, None)[0]) / divisor for arr in points)
+        return sum(
+            float(dens(arr, None)[0]) * (1.0 if g is None else float(g(arr)[0]))
+            for arr in points
+        )
     prof = mu.radial_profile
     n = space_dim(domain)
-    if prof is not None and prof.dim == n - 1 and _hint_for(mu, patch.center, 0.0):
-        return _sphere_area(n - 1) * prof.primitive(0.0, patch.radius) / divisor
-
-    def part(pts, off=None):
-        return dens(pts, off) / divisor
-
+    if g is None and prof is not None and prof.dim == n - 1 and _hint_for(mu, patch.center, 0.0):
+        return _sphere_area(n - 1) * prof.primitive(0.0, patch.radius)
+    part = dens if g is None else (lambda pts, off=None: dens(pts, off) * g(pts))
     return integrate(part, patch, tol, singularity_hint=hint, relative=True).value
 
 
@@ -604,7 +563,7 @@ def ball_mass(
             )
 
     if mu.boundary_density is not None:
-        total += _surface_part(mu, domain, center, sigma, tol, hint, 1.0)
+        total += _surface_part(mu, domain, center, sigma, tol, hint, None)
 
     total += _atom_sum(mu, center, sigma)
     return mu.scale_factor * total
@@ -622,67 +581,39 @@ def weighted_ball_integral(
     rs = math.sqrt(s)
     total = 0.0
     hint = _hint_for(mu, center, rs)
+    f = lambda pts: 1.0 / (boundary_distance(domain, pts) + rs)
 
     if mu.interior_density is not None:
-        f = lambda pts: 1.0 / (boundary_distance(domain, pts) + rs)
         total += _interior_integral(
             mu, domain, _ball_region(domain, center, rs), tol, hint, f
         )
 
     if mu.boundary_density is not None:
-        total += _surface_part(mu, domain, center, rs, tol, hint, rs)
+        # d = 0 on the boundary: the weight there is the constant 1/sqrt(s)
+        total += _surface_part(mu, domain, center, rs, tol, hint, None) / rs
 
-    total += _atom_sum(
-        mu,
-        center,
-        rs,
-        weight=lambda a: 1.0 / (boundary_distance(domain, a) + rs),
-    )
+    total += _atom_sum(mu, center, rs, weight=f)
     return mu.scale_factor * total
 
 
-def pairing(
-    mu: MeasureSpec,
-    domain: Domain,
-    f: Callable,
-    tol: float = 1e-9,
-    region: Optional[Ball] = None,
-) -> float:
-    """Integral of a (smooth, plain-signature) function against the measure.
+def pairing(mu: MeasureSpec, domain: Domain, f: Callable, tol: float = 1e-9) -> float:
+    """Integral of a (smooth, plain-signature) function against the whole
+    measure: its densities over its support ball, and every atom.
 
-    The integration region defaults to the measure's support ball; pass an
-    explicit region when the measure has none.
+    A measure with a density needs a support ball.
     """
     total = 0.0
-    hint = None
-    if region is None:
+    if mu.interior_density is not None or mu.boundary_density is not None:
         if mu.support_center is None:
-            if mu.interior_density is not None or mu.boundary_density is not None:
-                raise ValueError("measure has no support ball; pass a region")
-        else:
-            region = _ball_region(domain, mu.support_center, mu.support_radius)
-            hint = _hint_for(mu, mu.support_center, mu.support_radius)
-    elif mu.support_center is not None:
-        hint = _hint_for(mu, region.center, region.radius)
-
-    if mu.interior_density is not None:
-        total += _interior_integral(mu, domain, region, tol, hint, f)
-
-    if mu.boundary_density is not None:
-        patch = _boundary_patch(domain, region.center, region.radius)
-
-        def bdens(pts, off=None):
-            return mu.boundary_density(pts, off) * f(pts)
-
-        if isinstance(patch, BoundaryPatch):
-            total += integrate(bdens, patch, tol, singularity_hint=hint, relative=True).value
-        elif patch is not None:
-            for pt in patch:
-                arr = np.asarray(pt, float)[None, :]
-                total += float(mu.boundary_density(arr, None)[0]) * float(f(arr)[0])
+            raise ValueError("measure has no support ball")
+        center, radius = mu.support_center, mu.support_radius
+        hint = _hint_for(mu, center, radius)
+        if mu.interior_density is not None:
+            region = _ball_region(domain, center, radius)
+            total += _interior_integral(mu, domain, region, tol, hint, f)
+        if mu.boundary_density is not None:
+            total += _surface_part(mu, domain, center, radius, tol, hint, f)
 
     for pt, m in mu.atoms:
-        arr = np.asarray(pt, float)[None, :]
-        total += m * float(np.asarray(f(arr)).reshape(-1)[0])
+        total += m * _point_value(f, pt)
     return mu.scale_factor * total
-

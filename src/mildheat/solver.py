@@ -90,6 +90,7 @@ _SLIVER_FLOOR = 1e-3  # lowest sliver edge, in units of the first level
 _SOURCE_BLOCK = 128  # memory-integral source rows interpolated at once
 _TARGET_BLOCK = 32  # data-evolution targets evaluated at once
 RATIO_TARGET = 1.2  # dichotomy sweeps stop below this kappa_high / kappa_low
+_RESTART_MARGIN = 0.05  # restart checks skip nodes this near the wall, per unit length
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +919,6 @@ def restart_residual(
     t2_index: int,
     domain: Domain,
     p: Optional[float] = None,
-    *,
-    interior_margin: float = 0.05,
 ) -> RestartReport:
     """Consistency of the field with its own evolution between two
     levels: value at the later level vs kernel transport from the
@@ -969,7 +968,7 @@ def restart_residual(
         scale = float(nodes[-1, 0])
     elif isinstance(domain, Interval):
         scale = domain.length
-    mask = grid.node_boundary_distance > interior_margin * scale
+    mask = grid.node_boundary_distance > _RESTART_MARGIN * scale
     if isinstance(domain, HalfSpace):
         mask &= nodes[:, 0] < 0.7 * nodes[-1, 0]
     if not np.any(mask):

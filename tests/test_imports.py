@@ -2,7 +2,8 @@
 file exports in ``__all__`` is defined there, no file looks at a
 callable's signature, one function owns the kernel against linear
 cells, and the measures module alone owns the measure's weight, its
-weighted density and its anchor rule."""
+weighted density, its anchor rule and the names of its singular
+families."""
 
 import ast
 from pathlib import Path
@@ -198,3 +199,24 @@ def test_measure_weight_and_anchor_have_one_owner():
     assert owners == {name: ["measures"] for name in owners}
     criteria = (ROOT / "src" / "mildheat" / "criteria.py").read_text(encoding="utf-8")
     assert attribute_reads(criteria, "interior_mode") == []
+
+
+def string_literals(source: str) -> set:
+    """Every string constant in a module, docstrings included."""
+    return {
+        n.value
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+
+
+def test_families_have_one_owner():
+    # the kinds are rows of measures.FAMILIES; everyone else checks a kind
+    # against that table instead of spelling the names out
+    kinds = {"interior_point", "boundary_point", "boundary_surface"}
+    holders = [
+        path.stem
+        for path in SRC_FILES
+        if string_literals(path.read_text(encoding="utf-8")) & kinds
+    ]
+    assert holders == ["measures"]

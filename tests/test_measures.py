@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mildheat import quadrature
 from mildheat.kernels import HalfSpace, Interval, WholeSpace
 from mildheat.measures import (
     MeasureSpec,
@@ -18,7 +19,6 @@ from mildheat.measures import (
     scale,
     weighted_ball_integral,
 )
-from mildheat.quadrature import Ball
 
 HS1 = HalfSpace(1)
 HS2 = HalfSpace(2)
@@ -48,6 +48,8 @@ def test_family_validation():
         SingularFamily("no_such_family", (0.0,), 4.0)
     with pytest.raises(ValueError):
         SingularFamily("interior_point", (1.0,), 0.5)
+    with pytest.raises(ValueError):
+        SingularFamily("interior_point", (1.0,), math.inf)
 
 
 def test_interior_point_exact_mass():
@@ -228,8 +230,11 @@ def test_table_measure():
 def test_pairing():
     mu_atom = MeasureSpec(atoms=(((1.0,), 5.0),))
     f = lambda p: np.cos(p[:, 0])
-    v = pairing(mu_atom, HS1, f, region=Ball((1.0,), 0.5, clip_lo=0.0))
+    v = pairing(mu_atom, HS1, f)
     assert v == pytest.approx(5.0 * math.cos(1.0), rel=1e-12)
+    # the pairing is with the whole measure, every atom included
+    two = MeasureSpec(atoms=(((1.0,), 5.0), ((3.0,), 7.0)))
+    assert pairing(two, HS1, lambda p: np.ones(p.shape[0])) == 12.0
 
     mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
     got = pairing(mu, HS1, f, tol=1e-9)
@@ -243,10 +248,13 @@ def test_pairing():
     assert got == pytest.approx(oracle, rel=1e-7)
 
 
-def test_pairing_needs_region_without_support():
-    mu = MeasureSpec(interior_density=lambda pts, off: np.ones(pts.shape[0]))
-    with pytest.raises(ValueError):
-        pairing(mu, IV1, lambda p: np.ones(p.shape[0]))
+def test_pairing_needs_a_support_ball():
+    for mu in (
+        MeasureSpec(interior_density=lambda pts, off: np.ones(pts.shape[0])),
+        MeasureSpec(boundary_density=lambda pts, off: np.ones(pts.shape[0])),
+    ):
+        with pytest.raises(ValueError):
+            pairing(mu, IV1, lambda p: np.ones(p.shape[0]))
 
 
 def test_invalid_arguments():
@@ -283,3 +291,83 @@ def test_interval_endpoint_boundary_measure():
     assert ball_mass(mu, IV1, (0.1,), 0.2) == 2.5  # only endpoint 0
     assert ball_mass(mu, IV1, (0.5,), 0.7) == 5.0  # both endpoints
     assert ball_mass(mu, IV1, (0.5,), 0.3) == 0.0
+
+
+# every domain each kind allows, with an anchor where its rule puts it:
+# (k - N, shift) of the family rule, the density's support, and the cases
+_CONTRACT = {
+    "interior_point": (0, 0.0, "interior", [
+        (HalfSpace(1), (0.7,)), (HalfSpace(2), (0.3, 0.7)), (HalfSpace(3), (0.3, -0.2, 0.7)),
+        (IV1, (0.4,)), (WholeSpace(1), (0.2,)), (WholeSpace(2), (0.2, -0.1)),
+        (WholeSpace(3), (0.2, -0.1, 0.3)),
+    ]),
+    "boundary_point": (1, 0.0, "interior", [
+        (HalfSpace(1), (0.0,)), (HalfSpace(2), (0.3, 0.0)), (HalfSpace(3), (0.3, -0.2, 0.0)),
+        (IV1, (0.0,)), (IV1, (1.0,)),
+    ]),
+    "boundary_surface": (1, 2.0, "boundary", [
+        (HalfSpace(2), (0.3, 0.0)), (HalfSpace(3), (0.3, -0.2, 0.0)),
+    ]),
+}
+
+
+@pytest.mark.parametrize("critical", [True, False], ids=["critical", "off-critical"])
+@pytest.mark.parametrize(
+    "kind,domain,anchor",
+    [(kind, d, a) for kind, (_, _, _, cases) in _CONTRACT.items() for d, a in cases],
+    ids=lambda v: v if isinstance(v, str) else repr(v).replace(" ", ""),
+)
+def test_family_density_follows_its_radial_profile(kind, domain, anchor, critical):
+    # the closed forms integrate the profile, so the density must be it
+    extra, shift, support, _ = _CONTRACT[kind]
+    n = len(anchor)
+    k = n + extra
+    p_min = critical_exponent(k)
+    p = p_min if critical else (p_min + 2.0) / 2.0 if shift else p_min + 0.7
+    mu = make_family(SingularFamily(kind, anchor, p), domain)
+    prof = mu.radial_profile
+    if critical:
+        assert (prof.power, prof.log_power) == (k - shift, k / 2.0 + 1.0)
+    else:
+        assert prof.power == pytest.approx(2.0 / (p - 1.0) - shift, rel=1e-14)
+        assert prof.log_power == 0.0
+    assert mu.singularity == (anchor, -prof.power)
+    assert mu.support_center == anchor
+    dens = mu.interior_density if support == "interior" else mu.boundary_density
+    assert (mu.interior_density, mu.boundary_density).count(None) == 1
+
+    rng = np.random.default_rng(n + 10 * extra)
+    u = rng.normal(size=(64, n))
+    r = np.concatenate([10.0 ** rng.uniform(-8.0, 0.0, 48), rng.uniform(1.0 + 1e-9, 3.0, 16)])
+    off = u / np.linalg.norm(u, axis=1)[:, None] * r[:, None]
+    pts = np.asarray(anchor) + off
+    want = np.where(r <= 1.0, r**-prof.power * np.log(math.e + 1.0 / r) ** -prof.log_power, 0.0)
+    np.testing.assert_allclose(dens(pts, off), want, rtol=1e-12)
+    # without offsets the distance is taken from the points
+    ra = np.linalg.norm(pts - np.asarray(anchor), axis=1)
+    want = np.where(ra <= 1.0, ra**-prof.power * np.log(math.e + 1.0 / ra) ** -prof.log_power, 0.0)
+    np.testing.assert_allclose(dens(pts, None), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_right_wall_masses_mirror_the_left_wall(p, monkeypatch):
+    # the weight next to the right wall is taken from the anchor offsets,
+    # not from 1 - y, which rounds away the digits of a small offset
+    evaluations = []
+    real = quadrature._adaptive_box
+
+    def counted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        evaluations.append(res.evaluations)
+        return res
+
+    left = make_family(SingularFamily("boundary_point", (0.0,), p), IV1)
+    right = make_family(SingularFamily("boundary_point", (1.0,), p), IV1)
+    for sigma in (1e-3, 1e-2, 0.1, 0.5):
+        mirror = ball_mass(left, IV1, (0.0,), sigma)
+        monkeypatch.setattr(quadrature, "_adaptive_box", counted)
+        evaluations.clear()
+        got = ball_mass(right, IV1, (1.0,), sigma)
+        monkeypatch.undo()
+        assert sum(evaluations) <= 20_000
+        assert got == pytest.approx(mirror, rel=1e-12)
