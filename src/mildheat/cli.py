@@ -1,10 +1,12 @@
 """Config-driven experiment runner.
 
 Commands are described by a flat INI file with one section per concern
-(run, domain, measure, solve, tolerances, plus one section named after
-the command).  Every run writes a ``manifest.jsonl`` with the full
-config echo, library versions and timings, and one or more CSV data
-files whose bytes depend only on the config.
+(run, domain, measure, solve, tolerances, plus the command's own: kernel
+for kernel-check, trace, criteria or dichotomy).  ``OPTIONS`` is the
+reference for the config keys; unknown sections and keys are errors.
+Every run writes a ``manifest.jsonl`` with the full config echo, defaults
+included, library versions and timings, and one or more CSV data files
+whose bytes depend only on the config.
 """
 
 import configparser
@@ -44,8 +46,6 @@ from .solver import (
 from .trace import bump_test_function, recover_trace
 
 SCHEMA_VERSION = 1
-COMMANDS = ("kernel-check", "solve", "trace", "criteria", "dichotomy")
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -64,151 +64,179 @@ class RunConfig:
     extra: dict
 
 
-_SOLVE_DEFAULTS = {
-    "p": None,
-    "horizon": 1.0,
-    "target_nodes": 400.0,
-    "time_ratio": 1.3,
-    "first_time_fraction": 1e-3,
-    "min_spacing": 1e-4,
-    "extent": None,
-}
-
-_TOL_DEFAULTS = {
-    "conv_tol": 1e-7,
-    "blowup_ceiling": 1e8,
-    "max_iter": 30.0,
-}
-
-
 def _floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+    values = tuple(float(v) for v in text.replace(",", " ").split())
+    if not values:
+        raise ValueError("no numbers")
+    return values
+
+
+def _count(text: str) -> int:
+    value = float(text)
+    if not (value.is_integer() and value >= 0):
+        raise ValueError("not a whole number")
+    return int(value)
 
 
 def _parse_atoms(text: str) -> tuple:
-    atoms = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
+    parts = [part.rpartition(":") for part in text.split(";") if part.strip()]
+    if not parts:
+        raise ValueError("empty list")
+    return tuple((_floats(pos), float(mass)) for pos, _, mass in parts)
+
+
+def _points(text: str) -> tuple:
+    return tuple(_floats(part) for part in text.split(";"))
+
+
+REQUIRED = "required"
+_POSITIVE = (lambda v: v > 0, "must be positive")
+
+# every config key: its parser, its default or REQUIRED, and None or the
+# (condition, message) its value must meet.  A REQUIRED key must be given
+# in each section the command reads.
+OPTIONS = {
+    ("run", "command"): (str, REQUIRED, (lambda v: v in COMMANDS, "unknown command")),
+    ("run", "out"): (str, "runs/out", None),
+    ("run", "seed"): (_count, 0, None),
+    ("domain", "kind"): (str, "halfspace", (lambda v: ("domain", v) in CHOICES, "not a kind")),
+    ("domain", "length"): (float, 1.0, (lambda v: 0 < v < math.inf, "must be positive, finite")),
+    ("domain", "dim"): (_count, 1, (lambda v: v in (1, 2, 3), "must be 1, 2 or 3")),
+    ("measure", "kind"): (str, "zero", (lambda v: ("measure", v) in CHOICES, "not a kind")),
+    ("measure", "family"): (str, REQUIRED, (lambda v: v in FAMILIES, "unknown family")),
+    ("measure", "anchor"): (_floats, (0.0,), None),
+    ("measure", "p"): (float, REQUIRED, None),
+    ("measure", "kappa"): (float, 1.0, _POSITIVE),
+    ("measure", "atoms"): (_parse_atoms, REQUIRED, None),
+    ("measure", "factor"): (float, 1.0, None),
+    ("measure", "center"): (_floats, (1.0,), None),
+    ("measure", "width"): (float, 0.5, _POSITIVE),
+    ("solve", "p"): (float, REQUIRED, (lambda v: v > 1, "must exceed 1")),
+    ("solve", "horizon"): (float, 1.0, _POSITIVE),
+    ("solve", "target_nodes"): (_count, 400, None),
+    ("solve", "first_time_fraction"): (float, 1e-3, None),
+    ("solve", "extent"): (float, None, None),
+    ("tolerances", "conv_tol"): (float, 1e-7, _POSITIVE),
+    ("tolerances", "blowup_ceiling"): (float, 1e8, _POSITIVE),
+    ("tolerances", "max_iter"): (_count, 30, _POSITIVE),
+    ("kernel", "samples"): (_count, 50, None),
+    ("kernel", "semigroup_samples"): (_count, 8, None),
+    ("trace", "centers"): (_points, ((1.0,),), None),
+    ("trace", "width"): (float, 0.5, None),
+    ("trace", "levels"): (_count, 4, None),
+    ("criteria", "check"): (str, REQUIRED, (lambda v: ("criteria", v) in CHOICES, "not a check")),
+    ("criteria", "t"): (float, 1.0, None),
+    ("criteria", "p"): (float, None, None),
+    ("criteria", "variant"): (str, "interior", None),
+    ("criteria", "radius"): (float, 1.0, None),
+    ("criteria", "alpha"): (float, 1.2, None),
+    ("criteria", "part"): (str, None, None),
+    ("criteria", "beta"): (float, 0.5, None),
+    ("dichotomy", "z"): (_floats, None, None),
+    ("dichotomy", "bracket_low"): (float, 0.5, None),
+    ("dichotomy", "bracket_high"): (float, 2.0, None),
+    ("dichotomy", "max_bisection"): (_count, 24, None),
+}
+SECTIONS = tuple(dict.fromkeys(section for section, _ in OPTIONS))
+
+# the keys each [domain] kind, [measure] kind and [criteria] check reads,
+# besides the selecting key itself; ("p", REQUIRED) makes p required for
+# that check alone.  A check calls the function of its name in criteria.
+SELECTORS = {"domain": "kind", "measure": "kind", "criteria": "check"}
+CHOICES = {
+    ("domain", "halfspace"): ("dim",),
+    ("domain", "interval"): ("length",),
+    ("domain", "wholespace"): ("dim",),
+    ("measure", "zero"): (),
+    ("measure", "uniform"): ("factor",),
+    ("measure", "bump"): ("center", "width", "factor"),
+    ("measure", "atoms"): ("atoms",),
+    ("measure", "family"): ("family", "anchor", "p", "kappa"),
+    ("criteria", "necessary_ball_bound"): ("p", "t"),
+    ("criteria", "necessary_log_bound"): ("variant", "t"),
+    ("criteria", "boundary_mass_check"): ("p",),
+    ("criteria", "uniform_mass_check"): ("radius",),
+    ("criteria", "sufficient_integral_check"): ("p", "t"),
+    ("criteria", "power_moment_check"): ("alpha", "p", "t", "part"),
+    ("criteria", "orlicz_moment_check"): ("beta", "t"),
+    ("criteria", "orlicz_boundary_check"): ("beta", "t"),
+    ("criteria", "weighted_strip_bound"): (("p", REQUIRED), "t"),
+    ("criteria", "boundary_strip_rate"): (("p", REQUIRED), "t"),
+}
+
+
+def _section(section: str, given: dict, read: bool, errors: list) -> dict:
+    """The typed values of the keys one section reads, defaults included;
+    a selecting key narrows them to the keys of its value.  A required key
+    is missing only when the command reads the section (``read``)."""
+    defaults = {key: spec[1] for (s, key), spec in OPTIONS.items() if s == section}
+    reads = defaults
+    selector = SELECTORS.get(section)
+    choice = given.get(selector)
+    if (section, choice) in CHOICES:
+        reads = {selector: defaults[selector]}
+        for key in CHOICES[section, choice]:
+            key, default = key if isinstance(key, tuple) else (key, defaults[key])
+            reads[key] = default
+    for key in sorted(given.keys() - reads.keys()):
+        why = f"not read by {selector} = {choice}" if key in defaults else "unknown key"
+        errors.append(f"[{section}] {key}: {why}")
+
+    values = {}
+    for key, default in reads.items():
+        parse, _, rule = OPTIONS[section, key]
+        values[key] = None if default is REQUIRED else default
+        if key not in given:
+            if default is REQUIRED and read:
+                errors.append(f"[{section}] {key}: required")
             continue
-        pos, _, mass = part.rpartition(":")
-        atoms.append((_floats(pos), float(mass)))
-    return tuple(atoms)
+        try:
+            values[key] = parse(given[key])
+            if rule is not None and not rule[0](values[key]):
+                raise ValueError(rule[1])
+        except ValueError as exc:
+            errors.append(f"[{section}] {key} = {given[key]}: {exc}")
+    return values
 
 
 def load_config(path, command: Optional[str] = None, out: Optional[str] = None) -> RunConfig:
-    """Parse and validate an INI run description.
-
-    Validation is collective: every violated field is listed in the
-    single raised error, not just the first one found.
-    """
+    """Parse and validate an INI run description against ``OPTIONS``,
+    listing every error in the one raised, not just the first one found.
+    ``command`` and ``out`` override the [run] keys of the same names."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
-    errors = []
-    if not read:
+    if not cp.read(path):
         raise ValueError(f"config file {path} is unreadable")
-
-    def get(section, key, cast=str, default=None, required=False):
-        if not cp.has_option(section, key):
-            if required:
-                errors.append(f"[{section}] {key}: required")
-            return default
-        raw = cp.get(section, key).strip()
-        try:
-            return cast(raw)
-        except (TypeError, ValueError):
-            errors.append(f"[{section}] {key}: cannot parse {raw!r}")
-            return default
-
-    command = command or get("run", "command", required=True)
-    if command is not None and command not in COMMANDS:
-        errors.append(f"[run] command: {command!r} not one of {COMMANDS}")
-    out = out or get("run", "out", default="runs/out")
-    seed = get("run", "seed", int, default=0)
-
-    domain_kind = get("domain", "kind", default="halfspace")
-    if domain_kind not in ("halfspace", "interval", "wholespace"):
-        errors.append(f"[domain] kind: unknown {domain_kind!r}")
-        domain_kind = "halfspace"
-    if domain_kind == "interval":
-        domain_size = get("domain", "length", float, default=1.0)
-        if domain_size is not None and not domain_size > 0:
-            errors.append("[domain] length: must be positive")
-    else:
-        domain_size = get("domain", "dim", float, default=1.0)
-        if domain_size is not None and (domain_size < 1 or domain_size != int(domain_size)):
-            errors.append("[domain] dim: must be a positive integer")
-
-    measure = {"kind": get("measure", "kind", default="zero")}
-    kind = measure["kind"]
-    if kind == "family":
-        measure["family"] = get("measure", "family", required=True)
-        if measure["family"] not in FAMILIES:
-            errors.append(f"[measure] family: unknown {measure['family']!r}")
-        measure["anchor"] = get("measure", "anchor", _floats, default=(0.0,))
-        measure["p"] = get("measure", "p", float, required=True)
-        measure["kappa"] = get("measure", "kappa", float, default=1.0)
-        if measure["kappa"] is not None and not measure["kappa"] > 0:
-            errors.append("[measure] kappa: must be positive")
-    elif kind == "atoms":
-        measure["atoms"] = get("measure", "atoms", _parse_atoms, required=True)
-        if measure["atoms"] is not None and not measure["atoms"]:
-            errors.append("[measure] atoms: empty list")
-    elif kind == "uniform":
-        measure["factor"] = get("measure", "factor", float, default=1.0)
-    elif kind == "bump":
-        measure["center"] = get("measure", "center", _floats, default=(1.0,))
-        measure["width"] = get("measure", "width", float, default=0.5)
-        measure["factor"] = get("measure", "factor", float, default=1.0)
-        if measure["width"] is not None and not measure["width"] > 0:
-            errors.append("[measure] width: must be positive")
-    elif kind != "zero":
-        errors.append(f"[measure] kind: unknown {kind!r}")
-
-    solve = {}
-    for key, dv in _SOLVE_DEFAULTS.items():
-        solve[key] = get("solve", key, float, default=dv)
-    if solve["p"] is not None and not solve["p"] > 1:
-        errors.append("[solve] p: must exceed 1")
-    if solve["horizon"] is not None and not solve["horizon"] > 0:
-        errors.append("[solve] horizon: must be positive")
-
-    tolerances = {}
-    for key, dv in _TOL_DEFAULTS.items():
-        tolerances[key] = get("tolerances", key, float, default=dv)
-        if tolerances[key] is not None and not tolerances[key] > 0:
-            errors.append(f"[tolerances] {key}: must be positive")
-
-    section = {
-        "kernel-check": "kernel",
-        "solve": "solve",
-        "trace": "trace",
-        "criteria": "criteria",
-        "dichotomy": "dichotomy",
-    }.get(command or "", "")
-    extra = dict(cp[section]) if section and cp.has_section(section) else {}
-
+    errors = [f"[{s}]: unknown section" for s in cp.sections() if s not in SECTIONS]
+    values = {}
+    reads = ("run", "domain")
+    for section in SECTIONS:  # [run] first: its command decides what is read
+        given = dict(cp[section]) if cp.has_section(section) else {}
+        if section == "run":
+            given.update((k, v) for k, v in (("command", command), ("out", out)) if v)
+        checked = _section(section, given, section in reads, errors)
+        values[section] = checked if section in reads else {}
+        if section == "run" and checked["command"] in COMMANDS:
+            reads += COMMANDS[checked["command"]][1]
     if errors:
         raise ValueError("invalid config:\n" + "\n".join(errors))
+
+    run, domain = values["run"], values["domain"]
     return RunConfig(
-        command=command,
-        out=str(out),
-        seed=int(seed),
-        domain_kind=domain_kind,
-        domain_size=float(domain_size),
-        measure=measure,
-        solve=solve,
-        tolerances=tolerances,
-        extra=extra,
+        command=run["command"],
+        out=run["out"],
+        seed=run["seed"],
+        domain_kind=domain["kind"],
+        domain_size=domain["length" if domain["kind"] == "interval" else "dim"],
+        measure=values["measure"],
+        solve=values["solve"],
+        tolerances=values["tolerances"],
+        extra=values[reads[-1]],
     )
 
 
 def build_domain(cfg: RunConfig) -> Domain:
-    if cfg.domain_kind == "interval":
-        return Interval(cfg.domain_size)
-    if cfg.domain_kind == "wholespace":
-        return WholeSpace(int(cfg.domain_size))
-    return HalfSpace(int(cfg.domain_size))
+    kind = {"halfspace": HalfSpace, "interval": Interval, "wholespace": WholeSpace}
+    return kind[cfg.domain_kind](cfg.domain_size)
 
 
 def build_measure(cfg: RunConfig, domain: Domain) -> MeasureSpec:
@@ -221,14 +249,14 @@ def build_measure(cfg: RunConfig, domain: Domain) -> MeasureSpec:
     if kind == "atoms":
         return MeasureSpec(atoms=spec["atoms"])
     if kind == "uniform":
-        f = float(spec["factor"])
+        f = spec["factor"]
         return MeasureSpec(
             interior_density=lambda pts, off=None: np.full(len(np.atleast_2d(pts)), f)
         )
     if kind == "bump":
         center = np.asarray(spec["center"], float)
-        width = float(spec["width"])
-        factor = float(spec["factor"])
+        width = spec["width"]
+        factor = spec["factor"]
         if center.size != n:
             raise ValueError("bump center does not match the domain dimension")
 
@@ -302,15 +330,9 @@ def _draw_point(domain: Domain, rng) -> np.ndarray:
 
 def _cmd_kernel_check(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) -> int:
     rng = np.random.default_rng(cfg.seed)
-    ns = int(float(cfg.extra.get("samples", 50)))
-    n_semigroup = int(float(cfg.extra.get("semigroup_samples", 8)))
-    sym_tol = float(cfg.extra.get("symmetry_tol", 1e-12))
-    semi_tol = float(cfg.extra.get("semigroup_tol", 1e-6))
-    weighted_tol = float(cfg.extra.get("weighted_tol", 1e-5))
-
     rows = []
     triples = []
-    for i in range(ns):
+    for i in range(cfg.extra["samples"]):
         x = _draw_point(domain, rng)
         y = _draw_point(domain, rng)
         t = rng.uniform(0.05, 0.4)
@@ -318,7 +340,7 @@ def _cmd_kernel_check(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Pa
         g1 = heat_kernel(domain, x, y, t)
         g2 = heat_kernel(domain, y, x, t)
         rel = abs(g1 - g2) / max(g1, g2, 1e-300)
-        rows.append(("symmetry", i, rel, sym_tol, rel <= sym_tol))
+        rows.append(("symmetry", i, rel, 1e-12, rel <= 1e-12))
         if not isinstance(domain, WholeSpace):
             yb = y.copy()
             if isinstance(domain, Interval):
@@ -332,17 +354,16 @@ def _cmd_kernel_check(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Pa
         # fit stops at the first rate whose amplitude is at most 1e6
         cert = certify_gaussian_bounds(domain, triples, 0.5)
         rows.append(("gaussian_bounds", 0, cert.amplitude, 1e6, cert.amplitude <= 1e6))
-    for i in range(n_semigroup):
+    for i in range(cfg.extra["semigroup_samples"]):
         x = _draw_point(domain, rng)
         y = _draw_point(domain, rng)
         t, s = rng.uniform(0.05, 0.3, size=2)
         rep = verify_semigroup(domain, x, y, t, s)
-        rows.append(("semigroup", i, rep.rel_residual, semi_tol, rep.rel_residual <= semi_tol))
+        rows.append(("semigroup", i, rep.rel_residual, 1e-6, rep.rel_residual <= 1e-6))
         if not isinstance(domain, WholeSpace):
             rep = verify_semigroup(domain, x, y, t, s, weighted=True)
             rows.append(
-                ("weighted_semigroup", i, rep.rel_residual, weighted_tol,
-                 rep.rel_residual <= weighted_tol)
+                ("weighted_semigroup", i, rep.rel_residual, 1e-5, rep.rel_residual <= 1e-5)
             )
     if isinstance(domain, HalfSpace) and domain.dim == 1:
         val = survival_mass(domain, (1.0,), 0.25)
@@ -358,33 +379,16 @@ def _cmd_kernel_check(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Pa
     return 0 if ok else 1
 
 
-def _solve_options(cfg: RunConfig):
-    """Grid and solver options of the [solve] and [tolerances] sections,
-    shared by every command that solves."""
-    sv = cfg.solve
-    if sv["p"] is None:
-        raise ValueError("[solve] p: required for this command")
-    grid_options = dict(
-        target_nodes=int(sv["target_nodes"]),
-        time_ratio=sv["time_ratio"],
-        first_time_fraction=sv["first_time_fraction"],
-        min_spacing=sv["min_spacing"],
-        extent=sv["extent"],
-    )
-    solver_options = dict(
-        max_iter=int(cfg.tolerances["max_iter"]),
-        conv_tol=cfg.tolerances["conv_tol"],
-        blowup_ceiling=cfg.tolerances["blowup_ceiling"],
-    )
-    return grid_options, solver_options
+def _grid_options(cfg: RunConfig) -> dict:
+    """The [solve] keys that shape the grid of every command that solves."""
+    return {k: v for k, v in cfg.solve.items() if k not in ("p", "horizon")}
 
 
 def _solve_measure(cfg: RunConfig, domain: Domain, man: Manifest):
     """The configured measure and its solve on the grid anchored at it."""
     mu = build_measure(cfg, domain)
-    grid_options, solver_options = _solve_options(cfg)
-    grid = measure_grid(domain, mu, cfg.solve["horizon"], **grid_options)
-    outcome = PicardRunner(domain, mu, cfg.solve["p"], grid).solve(**solver_options)
+    grid = measure_grid(domain, mu, cfg.solve["horizon"], **_grid_options(cfg))
+    outcome = PicardRunner(domain, mu, cfg.solve["p"], grid).solve(**cfg.tolerances)
     man.timing("solve")
     return mu, outcome
 
@@ -432,15 +436,12 @@ def _cmd_trace(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) -> 
         man.event("result", status=outcome.status, detail="no converged field to trace")
         return 1
 
-    centers = cfg.extra.get("centers", "1.0")
-    width = float(cfg.extra.get("width", 0.5))
-    levels = int(float(cfg.extra.get("levels", 4)))
+    width = cfg.extra["width"]
     rows = []
     ok = True
-    for center_text in centers.split(";"):
-        center = _floats(center_text)
+    for center in cfg.extra["centers"]:
         psi = bump_test_function(center, width)
-        est = recover_trace(outcome.final, psi, range(levels))
+        est = recover_trace(outcome.final, psi, range(cfg.extra["levels"]))
         ref = pairing(mu, domain, lambda pts, off=None: psi.fn(np.atleast_2d(pts)))
         gap = abs(est.limit - ref)
         tol = max(0.02 * abs(ref), est.error)
@@ -457,57 +458,17 @@ def _cmd_trace(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) -> 
     return 0 if ok else 1
 
 
-def _run_criterion(name: str, mu: MeasureSpec, domain: Domain, opts: dict):
-    fget = lambda key, dv=None: float(opts[key]) if key in opts else dv
-    T = fget("t", 1.0)
-    p = fget("p")
-    if name in ("weighted_strip_bound", "boundary_strip_rate") and p is None:
-        raise ValueError("[criteria] p: required for strip checks")
-    if name == "necessary_ball_bound":
-        return crit.necessary_ball_bound(mu, domain, p=p, T=T)
-    if name == "necessary_log_bound":
-        return crit.necessary_log_bound(mu, domain, opts.get("variant", "interior"), T=T)
-    if name == "boundary_mass_check":
-        return crit.boundary_mass_check(mu, domain, p=p)
-    if name == "uniform_mass_check":
-        return crit.uniform_mass_check(mu, domain, radius=fget("radius", 1.0))
-    if name == "sufficient_integral_check":
-        return crit.sufficient_integral_check(mu, domain, p=p, T=T)
-    if name == "power_moment_check":
-        return crit.power_moment_check(
-            mu, domain, alpha=fget("alpha", 1.2), p=p, T=T, part=opts.get("part")
-        )
-    if name == "orlicz_moment_check":
-        return crit.orlicz_moment_check(mu, domain, beta=fget("beta", 0.5), T=T)
-    if name == "orlicz_boundary_check":
-        return crit.orlicz_boundary_check(mu, domain, beta=fget("beta", 0.5), T=T)
-    if name == "weighted_strip_bound":
-        return crit.weighted_strip_bound(mu, domain, p=p, T=T)
-    if name == "boundary_strip_rate":
-        return crit.boundary_strip_rate(mu, domain, p=p, T=T)
-    raise ValueError(f"unknown criterion {name!r}")
-
-
 def _cmd_criteria(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) -> int:
-    name = cfg.extra.get("check")
-    if not name:
-        raise ValueError("[criteria] check: required")
+    name = cfg.extra["check"]
+    options = {("T" if k == "t" else k): v for k, v in cfg.extra.items() if k != "check"}
     mu = build_measure(cfg, domain)
-    report = _run_criterion(name, mu, domain, cfg.extra)
+    report = getattr(crit, name)(mu, domain, **options)
     man.timing("criterion")
     count = write_csv(out_dir / f"criteria_{name}.csv", report.columns, report.samples)
     man.event("artifact", path=f"criteria_{name}.csv", rows=count)
-    man.event(
-        "result",
-        criterion=report.criterion,
-        verdict=report.verdict,
-        fitted_exponent=report.fitted_exponent,
-        fit_band=report.fit_band,
-        predicted_exponent=report.predicted_exponent,
-        empirical_constant=report.empirical_constant,
-        detail=report.detail,
-        params=dict(report.params),
-    )
+    # every field of the report but its table, which the CSV holds
+    result = {k: v for k, v in asdict(report).items() if k not in ("columns", "samples")}
+    man.event("result", **{**result, "params": dict(report.params)})
     return 0
 
 
@@ -515,21 +476,16 @@ def _cmd_dichotomy(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path)
     spec = cfg.measure
     if spec["kind"] != "family":
         raise ValueError("[measure] kind: dichotomy sweeps a singular family")
-    grid_options, solver_options = _solve_options(cfg)
-    z = _floats(cfg.extra.get("z", " ".join(map(str, spec["anchor"]))))
-    lo = float(cfg.extra.get("bracket_low", 0.5))
-    hi = float(cfg.extra.get("bracket_high", 2.0))
-    max_bisection = int(float(cfg.extra.get("max_bisection", 24)))
     result = dichotomy_sweep(
         spec["family"],
-        z,
+        cfg.extra["z"] or spec["anchor"],
         cfg.solve["p"],
         domain,
         cfg.solve["horizon"],
-        (lo, hi),
-        max_bisection=max_bisection,
-        solver_options=solver_options,
-        **grid_options,
+        (cfg.extra["bracket_low"], cfg.extra["bracket_high"]),
+        max_bisection=cfg.extra["max_bisection"],
+        solver_options=cfg.tolerances,
+        **_grid_options(cfg),
     )
     man.timing("sweep")
     rows = [(i, k, status, its) for i, (k, status, its) in enumerate(result.history)]
@@ -545,6 +501,17 @@ def _cmd_dichotomy(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path)
         solves=len(result.history),
     )
     return 0 if result.kappa_high / result.kappa_low < RATIO_TARGET else 1
+
+
+# each command's function and the sections it reads besides [run] and
+# [domain]; the last is the command's own, echoed as the config's ``extra``
+COMMANDS = {
+    "kernel-check": (_cmd_kernel_check, ("kernel",)),
+    "solve": (_cmd_solve, ("measure", "tolerances", "solve")),
+    "trace": (_cmd_trace, ("measure", "solve", "tolerances", "trace")),
+    "criteria": (_cmd_criteria, ("measure", "criteria")),
+    "dichotomy": (_cmd_dichotomy, ("measure", "solve", "tolerances", "dichotomy")),
+}
 
 
 def run(cfg: RunConfig, verbose: bool = False) -> int:
@@ -563,16 +530,8 @@ def run(cfg: RunConfig, verbose: bool = False) -> int:
             "mildheat": __version__,
         },
     )
-    domain = build_domain(cfg)
-    command = {
-        "kernel-check": _cmd_kernel_check,
-        "solve": _cmd_solve,
-        "trace": _cmd_trace,
-        "criteria": _cmd_criteria,
-        "dichotomy": _cmd_dichotomy,
-    }[cfg.command]
     try:
-        code = command(cfg, domain, man, out_dir)
+        code = COMMANDS[cfg.command][0](cfg, build_domain(cfg), man, out_dir)
     except ValueError as exc:
         man.event("error", message=str(exc))
         if verbose:
@@ -589,7 +548,7 @@ def run(cfg: RunConfig, verbose: bool = False) -> int:
 @click.option("--out", default=None, type=click.Path(file_okay=False),
               help="override the output directory")
 @click.option("--command", "command_override", default=None,
-              type=click.Choice(COMMANDS), help="override the configured command")
+              type=click.Choice(tuple(COMMANDS)), help="override the configured command")
 @click.option("--verbose", is_flag=True)
 def main(config_path, out, command_override, verbose):
     """Run one configured experiment and write its artifacts."""

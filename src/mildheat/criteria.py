@@ -921,7 +921,6 @@ def orlicz_moment_check(
     domain: Domain,
     beta: float,
     T: float = 1.0,
-    ell: Optional[int] = None,
     z_points=None,
     sigmas=None,
 ) -> CriterionReport:
@@ -939,10 +938,7 @@ def orlicz_moment_check(
     anchor = None
     if mu.singularity is not None:
         anchor = np.asarray(mu.singularity[0], dtype=float)
-    if ell is None:
-        ell = 1 if anchor is not None and boundary_distance(domain, anchor) <= 1e-12 else 0
-    if ell not in (0, 1):
-        raise ValueError("the distance power must be 0 or 1")
+    ell = 1 if anchor is not None and boundary_distance(domain, anchor) <= 1e-12 else 0
     sigmas = _radii(T, sigmas)
     p_req, horizon_scale = _borderline(mu, beta, T, n + ell)
     prof = mu.radial_profile

@@ -91,6 +91,8 @@ _SOURCE_BLOCK = 128  # memory-integral source rows interpolated at once
 _TARGET_BLOCK = 32  # data-evolution targets evaluated at once
 RATIO_TARGET = 1.2  # dichotomy sweeps stop below this kappa_high / kappa_low
 _RESTART_MARGIN = 0.05  # restart checks skip nodes this near the wall, per unit length
+_TIME_RATIO = 1.3  # ratio of consecutive grid time levels
+_MIN_SPACING = 1e-4  # finest node spacing of a grid cluster
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +239,7 @@ def make_grid(
     anchors: Sequence = (),
     *,
     target_nodes: int = 400,
-    time_ratio: float = 1.3,
     first_time_fraction: float = 1e-3,
-    min_spacing: float = 1e-4,
     extent: Optional[float] = None,
 ) -> SpaceTimeGrid:
     """Graded grid: geometric node clusters at the boundary and at each
@@ -248,8 +248,6 @@ def make_grid(
         raise NotImplementedError("grids are built in one space dimension")
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    if time_ratio <= 1.0:
-        raise ValueError("time_ratio must exceed 1")
     anc = [float(np.asarray(a, dtype=float).reshape(-1)[0]) for a in anchors]
     lo, hi = _domain_span(domain, anc, horizon, extent)
     span = hi - lo
@@ -258,7 +256,7 @@ def make_grid(
     specials = [lo, hi] + [a for a in anc if lo < a < hi]
     pts = list(np.arange(lo, hi, h_bg)) + [hi]
     for c in specials:
-        w = min_spacing
+        w = _MIN_SPACING
         while w < h_bg:
             for cand in (c - w, c + w):
                 if lo < cand < hi:
@@ -267,11 +265,11 @@ def make_grid(
     pts = np.unique(np.asarray(pts, dtype=float))
     # drop generic points that crowd a special one, then merge greedily
     for c in specials:
-        pts = pts[(np.abs(pts - c) > 0.3 * min_spacing) | (pts == c)]
+        pts = pts[(np.abs(pts - c) > 0.3 * _MIN_SPACING) | (pts == c)]
     pts = np.unique(np.concatenate([pts, np.asarray(specials)]))
     keep = [pts[0]]
     for x in pts[1:]:
-        if x - keep[-1] >= 0.2 * min_spacing:
+        if x - keep[-1] >= 0.2 * _MIN_SPACING:
             keep.append(x)
     if keep[-1] != hi:
         keep[-1] = hi
@@ -281,7 +279,7 @@ def make_grid(
     times = []
     while t < horizon * (1.0 - 1e-9):
         times.append(t)
-        t *= time_ratio
+        t *= _TIME_RATIO
     times.append(horizon)
     return SpaceTimeGrid(domain, nodes, np.asarray(times), horizon)
 
@@ -800,12 +798,7 @@ def picard_solve(
     """Monotone iteration from the data's linear evolution."""
     if grid is None:
         grid = measure_grid(domain, mu, horizon, **grid_options)
-    try:
-        runner = PicardRunner(domain, mu, p, grid)
-    except ValueError as exc:
-        empty = GridFunction(grid, np.zeros((grid.times.size, grid.nodes.shape[0])))
-        return SolveOutcome("Inconclusive", 0, empty, [], str(exc))
-    return runner.solve(
+    return PicardRunner(domain, mu, p, grid).solve(
         max_iter=max_iter, conv_tol=conv_tol, blowup_ceiling=blowup_ceiling
     )
 

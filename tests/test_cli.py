@@ -232,6 +232,110 @@ def test_cli_entry_and_validation_exit_codes(tmp_path):
     assert "[run] command" in res.output
 
 
+CRITERIA_INI = """
+[run]
+command = criteria
+out = {out}
+
+[domain]
+kind = halfspace
+dim = 1
+
+[measure]
+kind = uniform
+
+[criteria]
+"""
+
+SOLVE_INI = """
+[run]
+command = {command}
+out = {out}
+
+[measure]
+kind = family
+family = interior_point
+anchor = 1.0
+p = 4.0
+
+[solve]
+p = 4.0
+horizon = 0.25
+"""
+
+# each invalid config, with every error its listing must name
+BAD_CONFIGS = {
+    "criteria_typos": (
+        CRITERIA_INI + "check = necessary_ball_bound\npp = 3.0\ntee = 0.5\n",
+        ["[criteria] pp: unknown key", "[criteria] tee: unknown key"],
+    ),
+    "solve_typos": (
+        SOLVE_INI.format(command="solve", out="{out}")
+        + "target_node = 900\n\n[tolerances]\nconv_tl = 1e-9\n",
+        ["[solve] target_node: unknown key", "[tolerances] conv_tl: unknown key"],
+    ),
+    "dichotomy_typo": (
+        SOLVE_INI.format(command="dichotomy", out="{out}") + "\n[dichotomy]\nbracket_lo = 0.1\n",
+        ["[dichotomy] bracket_lo: unknown key"],
+    ),
+    "key_of_another_check": (
+        CRITERIA_INI + "check = necessary_ball_bound\nalpha = 1.5\n",
+        ["[criteria] alpha: not read by check = necessary_ball_bound"],
+    ),
+    "key_of_another_kind": (
+        CRITERIA_INI.replace("kind = uniform", "kind = uniform\nkappa = 2.0")
+        + "check = uniform_mass_check\n",
+        ["[measure] kappa: not read by kind = uniform"],
+    ),
+    "fractional_counts": (
+        SOLVE_INI.format(command="dichotomy", out="{out}")
+        + "target_nodes = 60.9\n\n[dichotomy]\nmax_bisection = 2.5\n",
+        ["[solve] target_nodes = 60.9: not a whole number",
+         "[dichotomy] max_bisection = 2.5: not a whole number"],
+    ),
+    "unknown_check": (
+        CRITERIA_INI + "check = necessary_ball_bund\n",
+        ["[criteria] check = necessary_ball_bund: not a check"],
+    ),
+    "four_dimensions": (
+        CRITERIA_INI.replace("dim = 1", "dim = 4") + "check = uniform_mass_check\n",
+        ["[domain] dim = 4: must be 1, 2 or 3"],
+    ),
+    "strip_check_without_p": (
+        CRITERIA_INI + "check = weighted_strip_bound\n[extra]\n",
+        ["[criteria] p: required", "[extra]: unknown section"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_CONFIGS)
+def test_invalid_configs_exit_2_listing_every_error(tmp_path, name):
+    text, expected = BAD_CONFIGS[name]
+    out = tmp_path / "out"
+    path = write_ini(tmp_path / "bad.ini", text.format(out=out))
+    res = CliRunner().invoke(main, ["--config", path])
+    assert res.exit_code == 2
+    errors = res.output.splitlines()[1:]
+    assert sorted(errors) == sorted(expected)
+    assert not out.exists()
+
+
+def test_criteria_start_event_echoes_resolved_options(tmp_path):
+    # the check's options as the run used them, the defaults included
+    out = tmp_path / "crit"
+    path = write_ini(
+        tmp_path / "c.ini",
+        CRITERIA_INI.format(out=out) + "check = power_moment_check\np = 4.0\n",
+    )
+    run(load_config(path))
+    config = manifest_events(out, "start")[0]["config"]
+    assert config["extra"] == {
+        "check": "power_moment_check", "alpha": 1.2, "p": 4.0, "t": 1.0, "part": None,
+    }
+    assert config["measure"] == {"kind": "uniform", "factor": 1.0}
+    assert config["solve"] == config["tolerances"] == {}
+
+
 # ---------------------------------------------------------------------------
 # dichotomy
 

@@ -1,14 +1,16 @@
 """Every imported name is used by the file that imports it, every name a
 file exports in ``__all__`` is defined there, no file looks at a
 callable's signature, one function owns the kernel against linear
-cells, and the measures module alone owns the measure's weight, its
+cells, the measures module alone owns the measure's weight, its
 weighted density, its anchor rule and the names of its singular
-families."""
+families, and the CLI's option table alone owns the config defaults."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from mildheat import cli, criteria
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_FILES = sorted((ROOT / "src" / "mildheat").glob("*.py"))
@@ -220,3 +222,29 @@ def test_families_have_one_owner():
         if string_literals(path.read_text(encoding="utf-8")) & kinds
     ]
     assert holders == ["measures"]
+
+
+def test_config_defaults_have_one_owner():
+    # a config key's default lives in cli.OPTIONS only: no command reads a
+    # config dict with .get(key, default); every check is a criteria
+    # function, and every key of a selected section is read by some choice
+    tree = ast.parse((ROOT / "src" / "mildheat" / "cli.py").read_text(encoding="utf-8"))
+    defaulted_gets = [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "get"
+        and len(n.args) + len(n.keywords) > 1
+    ]
+    assert defaulted_gets == []
+    checks = {choice for section, choice in cli.CHOICES if section == "criteria"}
+    assert len(checks) == 10 and checks <= set(criteria.__all__)
+    for section, selector in cli.SELECTORS.items():
+        read = {
+            key if isinstance(key, str) else key[0]
+            for (s, _), keys in cli.CHOICES.items()
+            if s == section
+            for key in keys
+        }
+        assert read == {key for s, key in cli.OPTIONS if s == section} - {selector}

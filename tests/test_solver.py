@@ -505,6 +505,15 @@ def test_solver_validation():
         picard_solve(mu, 2.0, 0.1, HS1, grid=g, max_iter=1)
 
 
+def test_picard_solve_raises_what_the_runner_raises():
+    # bad input is an error, not an Inconclusive outcome with a zero field
+    with pytest.raises(ValueError, match="exponent must exceed 1"):
+        picard_solve(smooth_bump(), 1.0, 0.1, HS1, target_nodes=60)
+    flat = MeasureSpec(interior_density=lambda pts, off=None: np.ones(len(pts)))
+    with pytest.raises(ValueError, match="must vanish at the absorbing boundary"):
+        picard_solve(flat, 2.0, 0.1, HS1, target_nodes=60)
+
+
 def test_iterates_are_pointwise_monotone():
     mu = smooth_bump()
     g = make_grid(HS1, 0.1, anchors=[(1.0,)], target_nodes=120)
