@@ -1120,7 +1120,7 @@ def _trace_strip_limit(
             return np.where(mask, f(pts), 0.0)
         return np.where(mask, 1.0, 0.0)
 
-    psi = TestFunction(fn=fn, center=(0.5 * L,), radius=0.5 * L, smooth=False)
+    psi = TestFunction(fn=fn, center=(0.5 * L,), radius=0.5 * L)
     idx = tuple(range(min(6, u.grid.times.size)))
     return recover_trace(u, psi, idx)
 

@@ -3,31 +3,31 @@
 Three domains are supported: all of R^N, the half-space {x_N > 0}, and a
 finite interval (0, L).  Every kernel sum runs over one list of signed
 image sources, ``images``: the kernel at y is the sum of sign * g_t(pos - y)
-with g_t the free Gaussian.  The half-space has the source and its mirror
-image; its point formula is their closed form, the Gaussian times a
-reflection factor written with expm1, which does not cancel near the
-wall.  The interval has the images of source and mirror under the shifts
-2kL for k = -m..m, with the single truncation rule
+with g_t the free Gaussian.  The half-space has the source and its mirror,
+summed in closed form as the Gaussian times a reflection factor written
+with expm1, which does not cancel near the wall; the interval has the
+images of both under the shifts 2kL, k = -m..m.  One reach,
+``_reach(t) = sqrt(4 t ln 1e16)``, beyond which g_t is below 1e-16 of its
+peak, sets every truncation: m = max(1, ceil((L + _reach(t)) / (2L))),
+the solver's cell windows and the semigroup check's box.  The tests check
+every image sum against an eigenfunction series (``tests/oracles.py``).
 
-    m = max(1, ceil((L + sqrt(4 t ln 1e16)) / (2L))),
+Each kernel has one evaluator, on a stack of points: ``kernel_values``
+(G), ``normal_derivative`` (G's inward normal derivative in y at the wall)
+and ``_over_distance`` (G / d(y), switching to the normal derivative
+below d(y) = 1e-6 (d(y) + sqrt t)).  ``heat_kernel`` and
+``weighted_kernel`` are one-point views of them, exactly zero on the wall.
+Also provided: surviving mass, a semigroup composition check driven by
+the quadrature module, and sampled two-sided Gaussian bounds.
 
-so every image left out carries a Gaussian factor below 1e-16.  The
-tests check every image sum against an independent eigenfunction series
-(``tests/oracles.py``).  On top of the plain kernel sits the
-boundary-weighted kernel, the kernel divided by the boundary distance of
-its second argument, which extends continuously up to the boundary where
-it becomes the inward normal derivative.  That closed form is re-derived here and validated in
-the tests against the defining limit.
-
-Also provided: total surviving mass (the kernel integrated in its second
-argument, which is strictly below 1 once absorption is felt), a semigroup
-composition check driven by the quadrature module, and a sampled
-certification that the kernel obeys two-sided Gaussian-profile bounds
-with distance factors.  The ``kernel-check`` command reports the last
-two.
-
-All evaluations are pure functions; t below 1e-12 is rejected everywhere
-because the exponentials are no longer resolvable in double precision.
+The ``kernel-check`` rows compare: ``symmetry``, ``kernel_values`` from x
+at y against from y at x (different image lists); ``boundary_zero``,
+``kernel_values`` from a wall source through its whole image series;
+``semigroup`` and ``weighted_semigroup``, ``verify_semigroup``;
+``survival_mass`` (one dimension with a wall), its closed form against
+quadrature of ``kernel_values`` up to the reach; ``gaussian_bounds``, the
+fitted amplitude.  t below 1e-12 is rejected everywhere because the
+exponentials are no longer resolvable in double precision.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "KernelBoundsCert",
     "space_dim",
     "boundary_distance",
-    "tail_radius",
     "images",
     "heat_kernel",
     "weighted_kernel",
@@ -61,11 +60,15 @@ __all__ = [
 ]
 
 T_FLOOR = 1e-12
-# truncation target for the image series (and the eigenfunction series
-# of the test oracles); remainders
-# beyond this are below double-precision noise of the leading term
-_SERIES_TAU = 1e-16
-_LOG_TAU = math.log(1.0 / _SERIES_TAU)
+# the image series (and the test oracles' eigenfunction series) stop where
+# every term left out is below 1e-16 of the leading one
+_LOG_TAU = math.log(1.0 / 1e-16)
+
+
+def _reach(t: float) -> float:
+    """Distance beyond which the free Gaussian g_t is below 1e-16 of its
+    peak: the one truncation rule of every kernel sum and integral."""
+    return math.sqrt(4.0 * t * _LOG_TAU)
 
 
 @dataclass(frozen=True)
@@ -142,29 +145,16 @@ def _check_point(domain: Domain, x) -> np.ndarray:
     return x
 
 
-def tail_radius(t: float, tol: float) -> float:
-    """Radius beyond which the Gaussian factor is below tol * 1e-2.
-
-    Spatial integrals of kernel expressions may be truncated at this
-    distance from the relevant centers.
-    """
-    if not (t > 0 and tol > 0):
-        raise ValueError("t and tol must be positive")
-    tau = tol * 1e-2
-    return math.sqrt(4.0 * t * max(math.log(1.0 / tau), 1.0))
-
-
 def images(domain: Domain, x, t: float) -> list:
     """Signed image sources of the kernel from x: (sign, pos) pairs with
 
         G(x, y, t) = sum of sign * g_t(pos - y),
 
-    g_t the free Gaussian.  ``x`` is one point (N,) or a stack (..., N),
-    and on the interval also a number.  There the pairs run over
-    k = -m..m, source image x - 2kL before mirror image 2kL - x, with the
-    truncation rule of the module docstring."""
-    if not isinstance(x, float):
-        x = np.asarray(x, dtype=float)
+    g_t the free Gaussian.  ``x`` is one point (N,) or a stack (..., N).
+    On the interval the pairs run over k = -m..m, source image x - 2kL
+    before mirror image 2kL - x, with the truncation rule of the module
+    docstring."""
+    x = np.asarray(x, dtype=float)
     if isinstance(domain, WholeSpace):
         return [(1.0, x)]
     if isinstance(domain, HalfSpace):
@@ -172,7 +162,7 @@ def images(domain: Domain, x, t: float) -> list:
         mirror[..., -1] = -mirror[..., -1]
         return [(1.0, x), (-1.0, mirror)]
     L = domain.length
-    m = max(1, math.ceil((L + math.sqrt(4.0 * t * _LOG_TAU)) / (2.0 * L)))
+    m = max(1, math.ceil((L + _reach(t)) / (2.0 * L)))
     out = []
     for k in range(-m, m + 1):
         out += [(1.0, x - 2.0 * k * L), (-1.0, 2.0 * k * L - x)]
@@ -184,30 +174,18 @@ def images(domain: Domain, x, t: float) -> list:
 
 
 def heat_kernel(domain: Domain, x, y, t: float) -> float:
-    """Kernel value at a single pair of points.
-
-    Exactly zero (short-circuit, no series evaluation) when either
-    argument lies on the absorbing boundary.
-    """
+    """Kernel value at a single pair of points: ``kernel_values`` at one
+    point.  Exactly zero when either argument lies on the absorbing
+    boundary.  On the interval the smaller point is the source, so
+    swapping x and y is exactly symmetric."""
     t = _require_time(t)
     x = _check_point(domain, x)
     y = _check_point(domain, y)
     if boundary_distance(domain, x) == 0.0 or boundary_distance(domain, y) == 0.0:
         return 0.0
-    c = (4.0 * math.pi * t) ** (-space_dim(domain) / 2.0)
-    if not isinstance(domain, Interval):
-        q = float(np.dot(x - y, x - y))
-        g = c * math.exp(-q / (4.0 * t))
-        if isinstance(domain, WholeSpace):
-            return g
-        return g * -math.expm1(-x[-1] * y[-1] / t)
-    # images of the smaller point, so swapping x and y is exactly symmetric;
-    # fsum rounds the whole series once, whatever its cancellation
-    lo, hi = sorted((float(x[0]), float(y[0])))
-    return math.fsum(
-        sign * c * math.exp(-((pos - hi) ** 2) / (4.0 * t))
-        for sign, pos in images(domain, lo, t)
-    )
+    if isinstance(domain, Interval) and y[0] < x[0]:
+        x, y = y, x
+    return float(kernel_values(domain, x, y[None, :], t)[0])
 
 
 def kernel_values(domain: Domain, x, ys, t: float) -> np.ndarray:
@@ -267,14 +245,21 @@ def normal_derivative(domain: Domain, xs, y, t: float) -> np.ndarray:
     return out * ((4.0 * math.pi * t) ** (-space_dim(domain) / 2.0) / (2.0 * t))
 
 
-def weighted_kernel(domain: Domain, x, y, t: float) -> float:
-    """Kernel divided by the boundary distance of y, extended continuously
-    to boundary y by the inward normal derivative.
+def _over_distance(domain: Domain, xs, y, t: float) -> np.ndarray:
+    """Kernel divided by the boundary distance of y, for a stack of points
+    xs (m, N), extended continuously to boundary y by the inward normal
+    derivative.  For y so close to the boundary that the ratio would
+    cancel (d(y) below 1e-6 of d(y) + sqrt(t)) the normal derivative at
+    the projection of y is used instead."""
+    d = boundary_distance(domain, y)
+    if d >= 1e-6 * (d + math.sqrt(t)):
+        return kernel_values(domain, y, xs, t) / d
+    return normal_derivative(domain, xs, y, t)
 
-    For y so close to the boundary that the ratio would cancel
-    catastrophically (d(y) below 1e-6 of d(y)+sqrt(t)) the boundary closed
-    form at the projection of y is used instead.
-    """
+
+def weighted_kernel(domain: Domain, x, y, t: float) -> float:
+    """``_over_distance`` at a single point x; exactly zero when x lies on
+    the absorbing boundary."""
     t = _require_time(t)
     if isinstance(domain, WholeSpace):
         raise ValueError("weighted kernel needs a domain with boundary")
@@ -282,10 +267,7 @@ def weighted_kernel(domain: Domain, x, y, t: float) -> float:
     y = _check_point(domain, y)
     if boundary_distance(domain, x) == 0.0:
         return 0.0
-    d = boundary_distance(domain, y)
-    if d >= 1e-6 * (d + math.sqrt(t)):
-        return heat_kernel(domain, x, y, t) / d
-    return float(normal_derivative(domain, x[None, :], y, t)[0])
+    return float(_over_distance(domain, x[None, :], y, t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +289,8 @@ def survival_mass(domain: Domain, x, t: float) -> float:
     # every image's Gaussian integrated over (0, L)
     L, r = domain.length, 2.0 * math.sqrt(t)
     mass = math.fsum(
-        sign * 0.5 * (math.erf(pos / r) - math.erf((pos - L) / r))
-        for sign, pos in images(domain, float(x[0]), t)
+        sign * 0.5 * (math.erf(pos[0] / r) - math.erf((pos[0] - L) / r))
+        for sign, pos in images(domain, x, t)
     )
     return min(max(mass, 0.0), 1.0)
 
@@ -347,24 +329,12 @@ def verify_semigroup(
     else:
         lhs = heat_kernel(domain, x, y, t + s)
 
-    if weighted:
-        dy = boundary_distance(domain, y)
-
-        def second(zs):
-            if dy >= 1e-6 * (dy + math.sqrt(s)):
-                return kernel_values(domain, y, zs, s) / dy
-            # boundary y: normal-derivative form, first slot running
-            return normal_derivative(domain, zs, y, s)
-
-    else:
-
-        def second(zs):
-            return kernel_values(domain, y, zs, s)
-
     def integrand(zs, _off):
-        return kernel_values(domain, x, zs, t) * second(zs)
+        if weighted:
+            return kernel_values(domain, x, zs, t) * _over_distance(domain, zs, y, s)
+        return kernel_values(domain, x, zs, t) * kernel_values(domain, y, zs, s)
 
-    r = max(tail_radius(t, tol), tail_radius(s, tol))
+    r = _reach(max(t, s))
     if isinstance(domain, Interval):
         lo, hi = (0.0,), (domain.length,)
     else:

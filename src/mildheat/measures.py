@@ -182,7 +182,6 @@ class MeasureSpec:
     support_radius: Optional[float] = None
     singularity: Optional[tuple] = None  # (location, algebraic exponent)
     scale_factor: float = 1.0
-    family: Optional[str] = None
     p: Optional[float] = None
     radial_profile: Optional[RadialProfile] = None
 
@@ -279,7 +278,6 @@ def make_family(family: SingularFamily, domain: Domain) -> MeasureSpec:
         support_radius=1.0,
         singularity=(z, -power),
         scale_factor=family.kappa,
-        family=family.kind,
         p=p,
         radial_profile=prof,
     )

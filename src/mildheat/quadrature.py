@@ -34,8 +34,8 @@ given, to avoid catastrophic cancellation.
 
 Node placement is deterministic and results are reduced in a canonical
 order, so repeated calls are bit-identical.  Unbounded domains are not
-handled: callers truncate first (the kernel module supplies Gaussian tail
-radii) and pass bounded regions.
+handled: callers truncate first (the kernel module's reach bounds the
+Gaussian tails) and pass bounded regions.
 """
 
 from __future__ import annotations
@@ -281,16 +281,14 @@ def _adaptive_box(
 # singular location.  Degenerate regions return a QuadResult directly.
 
 
-def _translated(f, lo, hi, h=None, reverse=False):
-    """The box [lo, hi]; with a hint h the parameter is the offset from h
-    (taken backwards when reverse), so h sits at parameter 0."""
+def _translated(f, lo, hi, h=None):
+    """The box [lo, hi]; with a hint h the parameter is the offset from h,
+    so h sits at parameter 0."""
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
     if h is None:
         return lo, hi, (lambda p: f(p, None)), None
     h = np.array(h, float)
-    if reverse:
-        return h - hi, h - lo, (lambda p: f(h - p, p)), np.zeros_like(h)
     return lo - h, hi - h, (lambda p: f(p + h, p)), np.zeros_like(h)
 
 
@@ -477,28 +475,15 @@ def integrate_time(
     t0: float,
     t1: float,
     tol: float,
-    endpoint_singularity: Optional[float] = None,
-    singular_start: bool = True,
     relative: bool = False,
     max_evals: int = 2_000_000,
 ) -> QuadResult:
-    """Integrate a scalar function of time over (t0, t1).
-
-    ``g(ts, dts)`` receives a 1-D array of times and their exact
-    distances to the singular endpoint, or None when there is none.
-    ``endpoint_singularity`` is the (informational) algebraic exponent at
-    the singular endpoint; ``singular_start`` selects which endpoint is
-    graded toward.
-    """
+    """Integrate a smooth scalar function of time over (t0, t1); ``g(ts)``
+    receives a 1-D array of times."""
     if not t0 < t1:
         raise ValueError("time interval must have t0 < t1")
-    h = None if endpoint_singularity is None else [t0 if singular_start else t1]
-
-    def f(p, off):
-        return g(p[:, 0], None if off is None else off[:, 0])
-
     return _run(
-        lambda: _translated(f, [t0], [t1], h, reverse=not singular_start),
+        lambda: _translated(lambda p, _off: g(p[:, 0]), [t0], [t1]),
         tol,
         relative,
         max_evals,

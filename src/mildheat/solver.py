@@ -15,15 +15,16 @@ Discretization choices, in one place:
 * every kernel sum, in the transport matrices and in the data's linear
   evolution, runs over the signed image sources of ``kernels.images``
   with its single truncation rule: on the interval the shifts 2kL for
-  k = -m..m, m = max(1, ceil((L + sqrt(4 t ln 1e16)) / (2L)));
+  k = -m..m, m = max(1, ceil((L + R(t)) / (2L))) with R(t) =
+  sqrt(4 t ln 1e16), the reach ``kernels._reach``;
 * the memory integral uses exact kernel matrices, never interpolated
   kernels; matrices are cached on a geometric ladder of time offsets and
   every quadrature node snaps to the nearest ladder entry.  The ladder
   ratio is sqrt(g), g = max(t_1 / t_0, 1.2) from the first two levels,
   widened when the ladder would exceed 140 entries;
 * matrix entries and the data's evolution are exact kernel integrals
-  against hat functions over the cells within the reach sqrt(4 t ln 1e16)
-  of each target, the truncation of ``kernels.images`` (no rescaling: a
+  against hat functions over the cells within the reach R(t) of each
+  target, the truncation of ``kernels.images`` (no rescaling: a
   matrix row sums to the kernel mass in the node window);
 * the data's sources are its density linearized per cell, point masses
   (interior atoms, cells at a singular anchor) and wall masses;
@@ -48,7 +49,7 @@ import numpy as np
 from scipy.special import erf as _erf
 
 from .kernels import (
-    _LOG_TAU,
+    _reach,
     Domain,
     HalfSpace,
     Interval,
@@ -326,7 +327,7 @@ def _hat_weights(domain: Domain, x: np.ndarray, y: np.ndarray, t: float):
     h = np.diff(y)
     if y.size < 2 or np.any(h <= 0):
         raise ValueError("need at least two strictly increasing nodes")
-    reach = math.sqrt(4.0 * t * _LOG_TAU)
+    reach = _reach(t)
     c_lo = np.searchsorted(y[1:], x - reach, side="left")
     c_hi = np.searchsorted(y[:-1], x + reach, side="right") - 1
     first = np.maximum(c_lo - 1, 0)

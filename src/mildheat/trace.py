@@ -34,7 +34,6 @@ class TestFunction:
     fn: Callable
     center: tuple
     radius: float
-    smooth: bool = True
 
     def __post_init__(self):
         if not (self.radius > 0 and math.isfinite(self.radius)):

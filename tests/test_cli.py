@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mildheat import cli
 from mildheat.cli import (
     build_domain,
     build_measure,
@@ -127,6 +129,27 @@ def test_kernel_check_command(tmp_path):
     assert rows[0] == "check,sample,value,threshold,ok"
     assert all(line.endswith(",1") for line in rows[1:])
     assert manifest_events(out, "result")[0]["ok"] is True
+
+
+def test_kernel_check_rows_fail_on_a_broken_kernel(tmp_path, monkeypatch):
+    # symmetry and survival_mass compare two different evaluations, so a
+    # kernel 1e-9 off in one direction and a mass 1e-3 off each fail theirs
+    values, mass = cli.kernel_values, cli.survival_mass
+
+    def skewed(domain, x, ys, t):
+        up = np.asarray(ys, float)[:, 0] > np.asarray(x, float)[0]
+        return values(domain, x, ys, t) * np.where(up, 1.0 + 1e-9, 1.0)
+
+    monkeypatch.setattr(cli, "kernel_values", skewed)
+    monkeypatch.setattr(cli, "survival_mass", lambda domain, x, t: mass(domain, x, t) + 1e-3)
+    out = tmp_path / "kc"
+    path = write_ini(tmp_path / "k.ini", KERNEL_INI.format(out=out))
+    assert CliRunner().invoke(main, ["--config", path]).exit_code == 1
+    rows = [r.split(",") for r in (out / "kernel_check.csv").read_text().splitlines()[1:]]
+    failed = {check for check, _, _, _, ok in rows if ok == "0"}
+    assert failed == {"symmetry", "survival_mass"}
+    assert all(ok == "0" for check, _, _, _, ok in rows if check in failed)
+    assert manifest_events(out, "result")[0]["ok"] is False
 
 
 def test_kernel_check_reports_gaussian_bounds(tmp_path):

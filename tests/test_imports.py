@@ -116,8 +116,9 @@ def test_only_quadrature_dispatches_on_signatures(path):
 def readers(source: str, name: str) -> list:
     """Owners of the reads of ``name`` in a module, one entry per read:
     the top-level function (``f``) or method (``C.f``) that holds it, a
-    read inside a nested function counting for its outermost one.
-    Assignments to the name and imports of it are not reads."""
+    read inside a nested function counting for its outermost one.  An
+    attribute by that name (``np.f``) is read too.  Assignments to the
+    name and imports of it are not reads."""
     units = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
@@ -130,7 +131,9 @@ def readers(source: str, name: str) -> list:
         owner
         for owner, unit in units
         for n in ast.walk(unit)
-        if isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+        if isinstance(n, (ast.Name, ast.Attribute))
+        and (n.id if isinstance(n, ast.Name) else n.attr) == name
+        and isinstance(n.ctx, ast.Load)
     )
 
 
@@ -138,23 +141,24 @@ def test_readers_scanner_finds_every_caller():
     src = (
         "from m import f\nf2 = None\n"
         "def one(x):\n    def inner():\n        return f(x)\n    return inner\n"
-        "class C:\n    g = f\n    def two(self):\n        h = f\n        return h(1) + f(2)\n"
+        "class C:\n    g = f\n    def two(self):\n        h = f\n"
+        "        return h(1) + f(2) + np.f(3)\n"
         "f = one\n"
     )
-    assert readers(src, "f") == ["C", "C.two", "C.two", "one"]
+    assert readers(src, "f") == ["C", "C.two", "C.two", "C.two", "one"]
     assert readers(src, "f2") == []
 
 
 def test_kernel_against_linear_cells_has_one_owner():
     # the Gaussian cell moments have one caller, the reach-windowed hat
-    # weights, and the reach is read only there and by the image truncation
+    # weights, and the reach's constant is read only by the reach
     found = {"_interval_moments": [], "_LOG_TAU": []}
     for path in SRC_FILES:
         source = path.read_text(encoding="utf-8")
         for name, owners in found.items():
             owners += [f"{path.stem}.{owner}" for owner in readers(source, name)]
     assert found["_interval_moments"] == ["solver._hat_weights"]
-    assert found["_LOG_TAU"] == ["kernels.images", "solver._hat_weights"]
+    assert found["_LOG_TAU"] == ["kernels._reach"]
 
 
 def defined_names(source: str) -> set:
@@ -177,6 +181,29 @@ def attribute_reads(source: str, attr: str) -> list:
         for n in ast.walk(ast.parse(source))
         if isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.ctx, ast.Load)
     )
+
+
+def test_each_kernel_has_one_evaluator():
+    # the image sums, the half-space reflection factor, the wall limit and
+    # the reach each have one owner; the scalar kernels are views of them
+    owners = {
+        "images": [
+            "kernels.kernel_values",
+            "kernels.normal_derivative",
+            "kernels.survival_mass",
+            "solver._hat_weights",
+        ],
+        "expm1": ["kernels.kernel_values"],
+        "normal_derivative": ["kernels._over_distance", "solver._InitialEvaluator.at_time"],
+        "_LOG_TAU": ["kernels._reach"],
+    }
+    found = {name: [] for name in owners}
+    for path in SRC_FILES:
+        source = path.read_text(encoding="utf-8")
+        for name, where in found.items():
+            where += [f"{path.stem}.{owner}" for owner in readers(source, name)]
+        assert "tail_radius" not in defined_names(source)
+    assert found == owners
 
 
 def test_owner_scanners_find_nested_and_assigned_names():

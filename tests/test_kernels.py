@@ -13,12 +13,13 @@ from mildheat.kernels import (
     Interval,
     KernelBoundsCert,
     WholeSpace,
+    _over_distance,
+    _reach,
     boundary_distance,
     certify_gaussian_bounds,
     heat_kernel,
     kernel_values,
     survival_mass,
-    tail_radius,
     verify_semigroup,
     weighted_kernel,
 )
@@ -99,6 +100,39 @@ def test_interval_symmetry_and_positivity(x, y, t):
     b = heat_kernel(IV1, (y,), (x,), t)
     assert a == b
     assert a > 0.0
+
+
+@st.composite
+def interior_pairs(draw):
+    """A domain, two points off its wall and a time."""
+    kinds = [HalfSpace(1), HalfSpace(2), HalfSpace(3), IV1]
+    domain = draw(st.sampled_from(kinds + [WholeSpace(1), WholeSpace(2), WholeSpace(3)]))
+
+    def point():
+        if isinstance(domain, Interval):
+            return np.array([draw(st.floats(1e-6, 1.0 - 1e-6))])
+        q = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(domain.dim)])
+        if isinstance(domain, HalfSpace):
+            q[-1] = draw(st.floats(1e-6, 2.0))
+        return q
+
+    return domain, point(), point(), draw(st.floats(1e-3, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=interior_pairs())
+def test_scalar_kernels_are_one_point_views(case):
+    # the scalar names evaluate the stacked kernels, bit for bit: on the
+    # interval at the ordered pair, smaller point as the source
+    domain, x, y, t = case
+    lo, hi = sorted((x, y), key=lambda p: p[0]) if isinstance(domain, Interval) else (x, y)
+    assert heat_kernel(domain, x, y, t) == kernel_values(domain, lo, [hi], t)[0]
+    if isinstance(domain, WholeSpace):
+        return
+    yb = y.copy()
+    yb[-1] = 0.0
+    for b in (y, yb):
+        assert weighted_kernel(domain, x, b, t) == _over_distance(domain, x[None, :], b, t)[0]
 
 
 def test_weighted_interior_is_exact_ratio():
@@ -195,7 +229,7 @@ def test_survival_half_space_spot():
 def test_survival_against_quadrature():
     # independent oracle: integrate the kernel directly
     t = 0.25
-    r = tail_radius(t, 1e-10)
+    r = _reach(t)
     f = lambda p, off: kernel_values(HS1, (1.0,), p, t)
     q = integrate(f, HalfSpaceBox((0.0,), (1.0 + r,)), 1e-10)
     assert abs(q.value - survival_mass(HS1, (1.0,), t)) < 1e-8
@@ -299,12 +333,3 @@ def test_boundary_distance():
     assert boundary_distance(WholeSpace(1), (5.0,)) == math.inf
     d = boundary_distance(IV1, np.array([[0.1], [0.9], [0.5]]))
     assert np.allclose(d, [0.1, 0.1, 0.5])
-
-
-def test_tail_radius():
-    assert tail_radius(0.04, 1e-8) == pytest.approx(
-        math.sqrt(4 * 0.04 * math.log(1e10))
-    )
-    assert tail_radius(0.01, 1e-6) < tail_radius(0.04, 1e-6)
-    with pytest.raises(ValueError):
-        tail_radius(0.0, 1e-6)
