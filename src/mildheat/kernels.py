@@ -1,16 +1,22 @@
 """Heat kernels with absorbing boundary on explicit domains.
 
 Three domains are supported: all of R^N, the half-space {x_N > 0}, and a
-finite interval (0, L).  Every kernel sum runs over one list of signed
-image sources, ``images``: the kernel at y is the sum of sign * g_t(pos - y)
-with g_t the free Gaussian.  The half-space has the source and its mirror,
-summed in closed form as the Gaussian times a reflection factor written
-with expm1, which does not cancel near the wall; the interval has the
-images of both under the shifts 2kL, k = -m..m.  One reach,
-``_reach(t) = sqrt(4 t ln 1e16)``, beyond which g_t is below 1e-16 of its
-peak, sets every truncation: m = max(1, ceil((L + _reach(t)) / (2L))),
-the solver's cell windows and the semigroup check's box.  The tests check
-every image sum against an eigenfunction series (``tests/oracles.py``).
+finite interval (0, L).  Every kernel sum in this module runs over one
+list of signed image sources, ``images``: the kernel at y is the sum of
+sign * g_t(pos - y) with g_t the free Gaussian.  The half-space has the
+source and its mirror, summed in closed form as the Gaussian times a
+reflection factor written with expm1, which does not cancel near the
+wall; the interval has the images of both under the shifts 2kL, k =
+-m..m.  The solver's transport matrices and data evolution use these
+images too, except on the interval at t >= tau_s L^2, the switch of
+``solver._mode_count``: there they sum the eigenfunction series (2/L)
+sum_k sin(omega x) sin(omega y) exp(-omega^2 t), omega = k pi / L.
+One reach, ``_reach(t) = sqrt(4 t ln 1e16)``, beyond which g_t is below
+1e-16 of its peak, sets every truncation: m = max(1, ceil((L +
+_reach(t)) / (2L))), the mode count K = ceil(L _reach(t) / (2 pi t)) +
+1 (exp(-omega_K^2 t) <= 1e-16), the solver's cell windows and the
+semigroup check's box.  The tests check every image sum against an
+eigenfunction series (``tests/oracles.py``).
 
 Each kernel has one evaluator, on a stack of points: ``kernel_values``
 (G), ``normal_derivative`` (G's inward normal derivative in y at the wall)

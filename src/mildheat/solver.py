@@ -13,19 +13,25 @@ Discretization choices, in one place:
   spatial nodes are graded toward the absorbing boundary and toward the
   data's singular anchors (one spatial dimension only);
 * every kernel sum, in the transport matrices and in the data's linear
-  evolution, runs over the signed image sources of ``kernels.images``
-  with its single truncation rule: on the interval the shifts 2kL for
-  k = -m..m, m = max(1, ceil((L + R(t)) / (2L))) with R(t) =
-  sqrt(4 t ln 1e16), the reach ``kernels._reach``;
+  evolution, has two regimes, switched by ``_mode_count`` alone: on the
+  interval at t >= tau_s L^2 (tau_s = 1e-4) it runs over the sine modes
+  (2/L) sin(omega x) sin(omega y) exp(-omega^2 t), omega = k pi / L for
+  k = 1..K, K = ceil(L R(t) / (2 pi t)) + 1; everywhere else over the
+  signed image sources of ``kernels.images``, on the interval the shifts
+  2kL for k = -m..m, m = max(1, ceil((L + R(t)) / (2L))).  One reach,
+  R(t) = sqrt(4 t ln 1e16) (``kernels._reach``), sets both the image
+  count and the mode count;
 * the memory integral uses exact kernel matrices, never interpolated
   kernels; matrices are cached on a geometric ladder of time offsets and
   every quadrature node snaps to the nearest ladder entry.  The ladder
   ratio is sqrt(g), g = max(t_1 / t_0, 1.2) from the first two levels,
   widened when the ladder would exceed 140 entries;
 * matrix entries and the data's evolution are exact kernel integrals
-  against hat functions over the cells within the reach R(t) of each
-  target, the truncation of ``kernels.images`` (no rescaling: a
-  matrix row sums to the kernel mass in the node window);
+  against hat functions, closed forms per cell; the image sums take
+  only the cells within the reach R(t) of each target, the truncation
+  of ``kernels.images``, and the mode sums' matrices zero the entries
+  of hats beyond it (no rescaling: a matrix row sums to the kernel mass
+  in the node window);
 * the data's sources are its density linearized per cell, point masses
   (interior atoms, cells at a singular anchor) and wall masses;
 * an apply makes one float32 GEMM per cached matrix over all its source
@@ -89,11 +95,21 @@ _INTERIOR_CUT = 1e-3  # sup norms ignore nodes closer to the boundary
 _TAU_FLOOR = 1e-2  # memory-integral tau floor, in units of the first level
 _SLIVER_FLOOR = 1e-3  # lowest sliver edge, in units of the first level
 _SOURCE_BLOCK = 128  # memory-integral source rows interpolated at once
-_TARGET_BLOCK = 32  # data-evolution targets evaluated at once
+_TARGET_BLOCK = 32  # targets, or cells of a sine-mode sum, evaluated at once
 RATIO_TARGET = 1.2  # dichotomy sweeps stop below this kappa_high / kappa_low
 _RESTART_MARGIN = 0.05  # restart checks skip nodes this near the wall, per unit length
 _TIME_RATIO = 1.3  # ratio of consecutive grid time levels
 _MIN_SPACING = 1e-4  # finest node spacing of a grid cluster
+# tau_s: on the interval, kernels at t >= tau_s L^2 are summed over sine
+# modes (at most 195 of them), below it over images
+_SPECTRAL_FROM = 1e-4
+# the positive half of the 8-point Gauss-Legendre rule on [-1, 1] (nodes,
+# weights; Abramowitz & Stegun 25.4), as literals because computing the
+# rule at import runs LAPACK and adds 0.9 MB to a process's peak memory
+_GL_X = (0.183434642495649805, 0.525532409916328986,
+         0.796666477413626740, 0.960289856497536232)
+_GL_W = (0.362683783378361983, 0.313706645877887287,
+         0.222381034453374471, 0.101228536290376259)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +313,11 @@ def measure_grid(domain: Domain, mu: MeasureSpec, horizon: float, **grid_options
 # the kernel against linear cells: transport matrices and the data's
 # linear evolution on the grid nodes
 #
-# Both take per-cell hat weights from ``_hat_weights``, cut at the reach
-# R(t) = sqrt(4 t ln 1e16): every image is at least as far from a cell
-# beyond it, so each term left out carries the Gaussian factor below
-# 1e-16 that ``kernels.images`` drops.
+# Below the switch of ``_mode_count`` both take per-cell hat weights from
+# ``_hat_weights``, cut at the reach R(t) = sqrt(4 t ln 1e16): every image
+# is at least as far from a cell beyond it, so each term left out carries
+# the Gaussian factor below 1e-16 that ``kernels.images`` drops.  From it
+# on, both take the cells' sine-mode weights from ``_sine_cell_weights``.
 
 
 def _interval_moments(pos, edges, t):
@@ -344,6 +361,59 @@ def _hat_weights(domain: Domain, x: np.ndarray, y: np.ndarray, t: float):
     return cols, c_lo, c_hi, weights()
 
 
+def _mode_count(domain: Domain, t: float) -> int:
+    """Number of sine modes sin(k pi y / L), k = 1..K, that carry the
+    kernel at time t, or 0 where the image sum serves instead: every
+    domain but the interval, and the interval below tau_s L^2.  K is the
+    reach's truncation, the first mode with exp(-omega^2 t) below 1e-16:
+    omega_K >= sqrt(ln 1e16 / t) = R(t) / (2t)."""
+    if not isinstance(domain, Interval) or t < _SPECTRAL_FROM * domain.length**2:
+        return 0
+    return math.ceil(domain.length * _reach(t) / (2.0 * t * math.pi)) + 1
+
+
+def _sine_phases(z: np.ndarray, k: int):
+    """sin and cos of pi j z for j = 1..k, arrays (z.size, k), z = y / L
+    in [0, 1].  The product j z is split so that it is reduced exactly to
+    n + r with n an integer and |r| <= 1/2 (j * hi is exact for j <
+    2**12): each value keeps its relative accuracy next to the zeros at
+    the walls, up to the top mode."""
+    hi = np.round(z * 2.0**40) * 2.0**-40
+    j = np.arange(1, k + 1)
+    whole = np.fmod(np.outer(hi, j), 2.0)
+    n = np.round(whole)
+    phase = np.pi * ((whole - n) + np.outer(z - hi, j))
+    sign = 1.0 - 2.0 * (n == 1.0)
+    return sign * np.sin(phase), sign * np.cos(phase)
+
+
+def _sine_cell_weights(edges: np.ndarray, length: float, k: int):
+    """Sine-mode weights of the cells between sorted ``edges``, a block
+    of cells at a time: yields ``(cells, left, right)``, the block's
+    slice and its weights ∫ sin(omega y) (y1 - y) / h and ∫ sin(omega y)
+    (y - y0) / h over each cell [y0, y1], omega = j pi / L for j = 1..k,
+    arrays (block, k).  About the midpoint m, with phi = omega h / 2,
+    they are (h / 2) (sin(omega m) sin(phi) / phi -+ cos(omega m)
+    j1(phi)), the closed form of sin b - sin a = 2 cos((a + b) / 2)
+    sin((b - a) / 2).  j1(phi) = (sin phi - phi cos phi) / phi^2 cancels
+    for small phi, so cells with omega h < 1 take it from 8-point
+    Gauss-Legendre."""
+    omega = np.arange(1, k + 1) * (math.pi / length)
+    for a in range(0, edges.size - 1, _TARGET_BLOCK):
+        y = edges[a:a + _TARGET_BLOCK + 1]
+        h = np.diff(y)
+        s, c = _sine_phases(0.5 * (y[:-1] + y[1:]) / length, k)
+        phi = np.outer(0.5 * h, omega)
+        even = np.sin(phi) / phi
+        odd = (even - np.cos(phi)) / phi
+        small = phi < 0.5
+        odd[small] = sum(w * x * np.sin(phi[small] * x) for x, w in zip(_GL_X, _GL_W))
+        s *= even
+        c *= odd
+        half = 0.5 * h[:, None]
+        yield slice(a, a + h.size), half * (s - c), half * (s + c)
+
+
 def _hat_transport_matrix(
     domain: Domain, targets: np.ndarray, nodes: np.ndarray, tau: float
 ) -> np.ndarray:
@@ -355,9 +425,35 @@ def _hat_transport_matrix(
     Row sums equal the kernel mass inside the node window, which keeps
     edge rows honest and makes sharp kernels on coarse cells exact
     instead of aliased.  Entries whose hat support lies beyond the reach
-    of ``_hat_weights`` are exact zeros."""
+    of ``_hat_weights`` are exact zeros.
+
+    Two regimes, switched by ``_mode_count``: the windowed image sum of
+    ``_hat_weights``, and on the interval from tau_s L^2 on the sine
+    series (2/L) sum_k sin(omega x) sin(omega y) exp(-omega^2 tau), the
+    matrix S(x) diag((2/L) exp(-omega^2 tau)) P(y)^T with P the hats'
+    ``_sine_cell_weights``."""
     x = np.asarray(targets, dtype=float).reshape(-1)
     y = np.asarray(nodes, dtype=float).reshape(-1)
+    k = _mode_count(domain, tau)
+    if k:
+        length = domain.length
+        omega = np.arange(1, k + 1) * (math.pi / length)
+        hats = np.zeros((y.size, k))
+        for cells, left, right in _sine_cell_weights(y, length, k):
+            hats[cells] += left  # hat j: left weight of cell j, right of cell j - 1
+            hats[cells.start + 1:cells.stop + 1] += right
+        hats *= (2.0 / length) * np.exp(-omega * omega * tau)
+        out = np.empty((x.size, y.size))
+        for a in range(0, x.size, _TARGET_BLOCK):
+            rows = slice(a, a + _TARGET_BLOCK)
+            out[rows] = _sine_phases(x[rows] / length, k)[0] @ hats.T
+        # hats j with support [y_j-1, y_j+1] beyond the reach of target i
+        reach = _reach(tau)
+        first = np.searchsorted(y[1:], x - reach, side="left")
+        stop = np.searchsorted(y[:-1], x + reach, side="right") + 1
+        j = np.arange(y.size)
+        out[(j < first[:, None]) | (j >= stop[:, None])] = 0.0
+        return np.maximum(out, 0.0, out=out)
     cols, c_lo, c_hi, weights = _hat_weights(domain, x, y, tau)
     # hat j is the right weight of cell j - 1 plus the left weight of cell j
     band = np.zeros(cols.shape)
@@ -382,7 +478,15 @@ class _InitialEvaluator:
     kernel G/w, so the plain kernel G takes the density against w(y) dy,
     ``measures._weighted_density``, and an interior atom m at a the mass
     m / w(a).  The evaluator's own input check is that a plain-mode
-    density vanish on the cell edges at the wall."""
+    density vanish on the cell edges at the wall.
+
+    The two regimes of ``_mode_count``: below tau_s L^2, and on every
+    other domain, ``at_time`` sums the images of each source over the
+    cells within reach.  On the interval from tau_s L^2 on, the sources
+    are projected once, on first use, onto the sine modes: the cells by
+    ``_sine_cell_weights``, a point mass m at a as m sin(omega a), a wall
+    mass m as m omega at 0 and -m omega cos(omega L) at L.  Each such time
+    is then one (n x K) product."""
 
     def __init__(self, domain: Domain, mu: MeasureSpec, nodes: np.ndarray):
         if space_dim(domain) != 1:
@@ -395,6 +499,7 @@ class _InitialEvaluator:
         if mu.singularity is not None:
             self._anchor = np.asarray(mu.singularity[0], dtype=float).reshape(-1)
         self._cells, self._points, self._walls = None, [], []
+        self._mode_weights = None  # the sources' sine-mode weights, built on first use
         self._build_cells()
         for a, m in mu.atoms:
             pa = np.asarray(a, dtype=float).reshape(-1)
@@ -527,7 +632,46 @@ class _InitialEvaluator:
 
     # -- evaluation
 
+    def _projected(self, k: int) -> np.ndarray:
+        """The sources' weights on the first k sine modes, computed for the
+        largest k asked so far."""
+        if self._mode_weights is None or self._mode_weights.size < k:
+            length = self.domain.length
+            omega = np.arange(1, k + 1) * (math.pi / length)
+            q = np.zeros(k)
+            if self._cells is not None:
+                edges, vL, vR = self._cells
+                for cells, left, right in _sine_cell_weights(edges, length, k):
+                    q += vL[cells] @ left + vR[cells] @ right
+            for pos, m in self._points:
+                q += m * _sine_phases(pos / length, k)[0][0]
+            for pos, m in self._walls:
+                inward = 1.0 if pos[0] == 0.0 else -1.0
+                q += inward * m * omega * _sine_phases(pos / length, k)[1][0]
+            self._mode_weights = q
+        return self._mode_weights[:k]
+
+    def _mode_sum(self, times: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The evolution at each time from its ``counts`` sine modes,
+        targets a block at a time."""
+        k = int(np.max(counts))
+        length = self.domain.length
+        omega = np.arange(1, k + 1) * (math.pi / length)
+        decay = np.where(
+            np.arange(k) < counts[:, None], np.exp(-np.outer(times, omega * omega)), 0.0
+        )
+        decay *= (2.0 / length) * self._projected(k)
+        out = np.empty((times.size, self.x.size))
+        for a in range(0, self.x.size, _TARGET_BLOCK):
+            rows = slice(a, a + _TARGET_BLOCK)
+            out[:, rows] = decay @ _sine_phases(self.x[rows] / length, k)[0].T
+        out[:, self._wall_nodes] = 0.0
+        return np.maximum(out, 0.0, out=out)
+
     def at_time(self, t: float) -> np.ndarray:
+        k = _mode_count(self.domain, t)
+        if k:
+            return self._mode_sum(np.array([t]), np.array([k]))[0]
         x = self.x
         out = np.zeros(x.size)
         if self._cells is not None:
@@ -550,7 +694,15 @@ class _InitialEvaluator:
         return np.maximum(out, 0.0)
 
     def at_times(self, times) -> np.ndarray:
-        return np.stack([self.at_time(float(t)) for t in np.asarray(times).reshape(-1)])
+        times = np.asarray(times, dtype=float).reshape(-1)
+        counts = np.array([_mode_count(self.domain, t) for t in times], dtype=int)
+        out = np.empty((times.size, self.x.size))
+        for i in np.nonzero(counts == 0)[0]:
+            out[i] = self.at_time(float(times[i]))
+        wide = counts > 0
+        if np.any(wide):
+            out[wide] = self._mode_sum(times[wide], counts[wide])
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ the reference solve marches a finite-difference scheme instead of
 iterating the mild form.  The transport matrix is also assembled densely,
 with every entry kept, the data's evolution summed over every cell and
 image, and the memory integral applied one plan entry at a time, as
-references for the reach cut and the grouped apply.
+references for the reach cut and the grouped apply.  Those two share the
+solver's cell moments, which lose digits on narrow cells at wide times;
+on the interval, where the solver sums wide kernels over sine modes, the
+references are instead composite Gauss-Legendre over every cell of an
+image sum paired at the walls, which uses neither.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from mildheat.kernels import (
     _LOG_TAU,
     Domain,
     Interval,
+    _reach,
     _require_time,
     images,
     kernel_values,
@@ -213,3 +218,77 @@ def reference_apply(
         acc[op.grid.boundary_mask] = 0.0
         out[ki] = acc
     return out
+
+
+def paired_interval_kernel(domain: Interval, x, y, t: float) -> np.ndarray:
+    """The interval kernel G(x, y) (arrays that broadcast) as an image sum
+    whose pairs straddling a wall are summed in closed form.  With q the
+    one of x, y nearer a wall, reflected about L/2 to sit near 0, p the
+    other and u = p - 2kL, each pair g(u - q) - g(u + q) is sign(u)
+    g(|u| - q) (-expm1(-|u| q / t)).  A point next to a wall keeps its
+    digits, where the plain image sum of ``kernel_values`` cancels."""
+    L = domain.length
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    swap = np.minimum(x, L - x) < np.minimum(y, L - y)
+    p, q = np.where(swap, y, x), np.where(swap, x, y)
+    flip = q > 0.5 * L
+    p, q = np.where(flip, L - p, p), np.where(flip, L - q, q)
+    m = math.ceil((L + _reach(t)) / (2.0 * L)) + 1
+    out = np.zeros(p.shape)
+    for k in range(-m, m + 1):
+        u = p - 2.0 * k * L
+        a = np.abs(u)
+        out += np.sign(u) * np.exp(-((a - q) ** 2) / (4.0 * t)) * -np.expm1(-a * q / t)
+    return out / math.sqrt(4.0 * math.pi * t)
+
+
+def gauss_hat_weights(domain: Interval, x, edges, t: float):
+    """Hat weights (left, right), arrays (targets, cells), of the kernel
+    from every target x against the cells between ``edges``: ∫ G (y1 -
+    y) / h and ∫ G (y - y0) / h, each cell cut into 4 equal parts with 8
+    Gauss-Legendre points per part, G from ``paired_interval_kernel``."""
+    pieces = 4
+    xi, wq = np.polynomial.legendre.leggauss(8)
+    frac = ((np.arange(pieces)[:, None] + 0.5 * (xi + 1.0)) / pieces).reshape(-1)
+    wts = np.tile(wq, pieces) / (2.0 * pieces)
+    y0, h = edges[:-1], np.diff(edges)
+    ys = (y0[:, None] + h[:, None] * frac).reshape(-1)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    left = np.empty((x.size, h.size))
+    right = np.empty((x.size, h.size))
+    for i, target in enumerate(x):
+        g = paired_interval_kernel(domain, target, ys, t).reshape(h.size, -1) * wts
+        left[i] = h * (g @ (1.0 - frac))
+        right[i] = h * (g @ frac)
+    return left, right
+
+
+def gauss_hat_transport_matrix(domain: Interval, targets, nodes, tau: float) -> np.ndarray:
+    """Hat transport matrix from ``gauss_hat_weights``, the reference for
+    the sine-mode matrices of ``_hat_transport_matrix``."""
+    y = np.asarray(nodes, dtype=float).reshape(-1)
+    left, right = gauss_hat_weights(domain, targets, y, tau)
+    out = np.zeros((left.shape[0], y.size))
+    out[:, :-1] += left
+    out[:, 1:] += right
+    return out
+
+
+def gauss_initial_evolution(ev: _InitialEvaluator, t: float) -> np.ndarray:
+    """The data's linear evolution on the interval with the cells from
+    ``gauss_hat_weights`` and the point masses from
+    ``paired_interval_kernel``, the reference for the sine-mode sum of
+    ``_InitialEvaluator``; the wall masses take ``normal_derivative``,
+    whose image terms all have one sign."""
+    x = ev.x
+    out = np.zeros(x.size)
+    if ev._cells is not None:
+        y, vL, vR = ev._cells
+        left, right = gauss_hat_weights(ev.domain, x, y, t)
+        out += left @ vL + right @ vR
+    for a, m in ev._points:
+        out += m * paired_interval_kernel(ev.domain, x, a[0], t)
+    for b, m in ev._walls:
+        out += m * normal_derivative(ev.domain, x[:, None], b, t)
+    out[ev._wall_nodes] = 0.0
+    return np.maximum(out, 0.0)

@@ -1,9 +1,10 @@
 """Every imported name is used by the file that imports it, every name a
 file exports in ``__all__`` is defined there, no file looks at a
 callable's signature, one function owns the kernel against linear
-cells, the measures module alone owns the measure's weight, its
-weighted density, its anchor rule and the names of its singular
-families, and the CLI's option table alone owns the config defaults."""
+cells and one the switch to the interval's sine modes, the measures
+module alone owns the measure's weight, its weighted density, its anchor
+rule and the names of its singular families, and the CLI's option table
+alone owns the config defaults."""
 
 import ast
 from pathlib import Path
@@ -159,6 +160,28 @@ def test_kernel_against_linear_cells_has_one_owner():
             owners += [f"{path.stem}.{owner}" for owner in readers(source, name)]
     assert found["_interval_moments"] == ["solver._hat_weights"]
     assert found["_LOG_TAU"] == ["kernels._reach"]
+
+
+def test_spectral_switch_has_one_owner():
+    # tau_s is read by the mode count alone, which both kernel layers ask,
+    # and both take the sine-mode cell weights from one function
+    found = {"_SPECTRAL_FROM": [], "_mode_count": [], "_sine_cell_weights": []}
+    for path in SRC_FILES:
+        source = path.read_text(encoding="utf-8")
+        for name, owners in found.items():
+            owners += [f"{path.stem}.{owner}" for owner in readers(source, name)]
+    assert found == {
+        "_SPECTRAL_FROM": ["solver._mode_count"],
+        "_mode_count": [
+            "solver._InitialEvaluator.at_time",
+            "solver._InitialEvaluator.at_times",
+            "solver._hat_transport_matrix",
+        ],
+        "_sine_cell_weights": [
+            "solver._InitialEvaluator._projected",
+            "solver._hat_transport_matrix",
+        ],
+    }
 
 
 def defined_names(source: str) -> set:

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from mildheat.solver import (
     SpaceTimeGrid,
     _hat_transport_matrix,
     _InitialEvaluator,
+    _mode_count,
     dichotomy_sweep,
     make_grid,
     measure_grid,
@@ -35,6 +37,8 @@ from oracles import (
     dense_hat_transport_matrix,
     dense_initial_evolution,
     fd_reference_solve,
+    gauss_hat_transport_matrix,
+    gauss_initial_evolution,
     reference_apply,
 )
 
@@ -156,14 +160,17 @@ def test_initial_kernel_zero_measure():
 )
 def test_initial_kernel_atom_is_exact(domain, a, weight):
     # a unit point mass evolves as the kernel itself, divided by the
-    # boundary weight at the atom for the weighted pairing (none on the line)
+    # boundary weight at the atom for the weighted pairing (none on the line);
+    # a sine-mode sum is exact to rounding of its largest terms, not down to
+    # values of 1e-173, so there the floor is absolute
     mu = MeasureSpec(atoms=(((a,), 1.0),))
     g = make_grid(domain, 0.1, anchors=[(a,)], target_nodes=80)
     u1 = PicardRunner(domain, mu, 2.0, g).initial_field()
     for k, t in enumerate(g.times):
         ref = kernel_values(domain, np.array([a]), g.nodes, float(t)) / weight
         ref[g.boundary_mask] = 0.0
-        assert u1.values[k] == pytest.approx(ref, rel=1e-10, abs=1e-300)
+        floor = 1e-14 * np.max(ref) if _mode_count(domain, t) else 1e-300
+        assert u1.values[k] == pytest.approx(ref, rel=1e-10, abs=floor)
 
 
 @pytest.mark.parametrize(
@@ -188,7 +195,8 @@ def test_initial_kernel_boundary_atoms(domain, mu):
         ref = np.array(
             [sum(m * weighted_kernel(domain, x, a, t) for a, m in sources) for x in g.nodes]
         )
-        assert u1.values[k] == pytest.approx(ref, rel=1e-12, abs=1e-300)
+        floor = 1e-14 * np.max(ref) if _mode_count(domain, t) else 1e-300
+        assert u1.values[k] == pytest.approx(ref, rel=1e-12, abs=floor)
     assert np.all(u1.values[:, g.boundary_mask] == 0.0)
 
 
@@ -223,11 +231,13 @@ def _evaluator(case):
 @given(case=st.sampled_from(sorted(EVOLUTION_CASES)), log_t=st.floats(-9.0, 0.0))
 def test_evolution_matches_dense_oracle(case, log_t):
     # the reach cut drops no cell that matters: every cell and every image
-    # kept give the same field, which is nonnegative and zero on the wall
+    # kept give the same field, which is nonnegative and zero on the wall;
+    # the interval's sine-mode sum is checked against Gauss-Legendre cells
     ev = _evaluator(case)
     t = 10.0**log_t
     got = ev.at_time(t)
-    ref = dense_initial_evolution(ev, t)
+    spectral = _mode_count(ev.domain, t)
+    ref = (gauss_initial_evolution if spectral else dense_initial_evolution)(ev, t)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
     assert np.all(got >= 0.0) and np.all(got[ev._wall_nodes] == 0.0)
 
@@ -368,16 +378,23 @@ def test_reach_cut_matrix_matches_dense_oracle(domain, log_tau, nodes, first, an
     g = make_grid(domain, 0.25, [(anchor,)], target_nodes=nodes, first_time_fraction=first)
     y = g.nodes[:, 0]
     cut = _hat_transport_matrix(domain, y, y, tau)
-    dense = dense_hat_transport_matrix(domain, y, y, tau)
     # distance from each target to the support [y_j-1, y_j+1] of each hat
     left = np.concatenate([y[:1], y[:-1]])
     right = np.concatenate([y[1:], y[-1:]])
     dist = np.maximum(np.maximum(left[None, :] - y[:, None], y[:, None] - right[None, :]), 0.0)
     beyond = dist > math.sqrt(4.0 * tau * _LOG_TAU)
     assert np.all(cut[beyond] == 0.0)
+    assert np.all(cut >= 0.0)
+    if _mode_count(domain, tau):
+        # the interval's sine-mode matrices against Gauss-Legendre cells, row
+        # by row: near tau = 1 the reference's own image sum cancels to 1e-13
+        ref = gauss_hat_transport_matrix(domain, y, y, tau)
+        assert np.all(np.abs(cut - ref) <= 1e-11 * np.max(ref, axis=1, keepdims=True))
+        assert np.all(np.abs(cut.sum(axis=1) - ref.sum(axis=1)) <= 1e-11 * ref.sum(axis=1))
+        return
+    dense = dense_hat_transport_matrix(domain, y, y, tau)
     assert np.all(np.abs(cut - dense)[~beyond] <= 1e-15)
     assert np.all(np.abs(cut.sum(axis=1) - dense.sum(axis=1)) <= 1e-15)
-    assert np.all(cut >= 0.0)
 
 
 @pytest.mark.parametrize("domain", [HS1, IV1], ids=["halfspace", "interval"])
@@ -455,6 +472,93 @@ def test_reference_sweep_history_is_pinned():
         (0.1414213562373095, 0.16817928305074292), rel=1e-12
     )
     assert r.grid_id == "halfspace-n142-t28-h0.25"
+
+
+# ---------------------------------------------------------------------------
+# the interval's wide kernels against high-precision sums
+
+
+def _mp_hat_entry(length, x, nodes, j, tau):
+    """Entry (x, j) of the interval's hat transport matrix at 50 digits:
+    every image of the kernel against both halves of hat j, each in
+    closed form (erf and exp), with two images more than the reach asks."""
+    with mpmath.workdps(50):
+        L, t = mpmath.mpf(length), mpmath.mpf(tau)
+        s = 2 * mpmath.sqrt(t)
+        c = 1 / mpmath.sqrt(4 * mpmath.pi * t)
+        halves = []
+        if j > 0:  # rising half on [y_j-1, y_j]
+            halves.append((mpmath.mpf(nodes[j - 1]), mpmath.mpf(nodes[j]), True))
+        if j < len(nodes) - 1:  # falling half on [y_j, y_j+1]
+            halves.append((mpmath.mpf(nodes[j]), mpmath.mpf(nodes[j + 1]), False))
+        m = math.ceil((length + math.sqrt(4.0 * tau * _LOG_TAU)) / (2.0 * length)) + 2
+        total = mpmath.mpf(0)
+        for k in range(-m, m + 1):
+            for sign, pos in ((1, x - 2 * k * L), (-1, 2 * k * L - x)):
+                for a, b, rising in halves:
+                    za, zb = (a - pos) / s, (b - pos) / s
+                    p = (mpmath.erf(zb) - mpmath.erf(za)) / 2
+                    m1 = pos * p + 2 * t * c * (mpmath.exp(-za * za) - mpmath.exp(-zb * zb))
+                    total += sign * ((m1 - a * p) if rising else (b * p - m1)) / (b - a)
+        return float(total)
+
+
+def test_wide_interval_matrix_entries_match_mpmath():
+    # W1's grid, whose narrowest hats (3.5e-5 wide) sit at the walls: entries
+    # in the targets' rows next to both walls and in the middle
+    mu = make_family(SingularFamily("boundary_point", (0.0,), 3.0), IV1)
+    y = measure_grid(IV1, mu, 0.2, target_nodes=560, first_time_fraction=1e-5).nodes[:, 0]
+    n = y.size
+    width = y[2:] - y[:-2]
+    narrow = [1 + int(np.argmin(width[: n // 2])), n // 2 + 1 + int(np.argmin(width[n // 2:]))]
+    rows = [1, n // 2, n - 2]
+    cols = sorted({1, 2, n // 3, n // 2, 2 * n // 3, n - 3, n - 2, *narrow})
+    for tau in (1e-4, 1e-3, 0.02, 0.2):
+        a = _hat_transport_matrix(IV1, y, y, tau)
+        for i in rows:
+            top = np.max(a[i])
+            for j in cols:
+                ref = _mp_hat_entry(1.0, mpmath.mpf(y[i]), y, j, tau)
+                err = abs(a[i, j] - ref)
+                assert err <= 1e-14 * top
+                if ref > 1e-6 * top:
+                    assert err <= 1e-9 * ref
+
+
+def test_wide_interval_evolution_matches_mpmath():
+    # critical boundary_point data, whose cells next to the anchor are 1e-7
+    # wide: the field against a 40-digit sine sum over the same three source
+    # lists, each projected in closed form
+    mu = make_family(SingularFamily("boundary_point", (0.0,), 2.0), IV1)
+    ev = _InitialEvaluator(IV1, mu, measure_grid(IV1, mu, 1.0, target_nodes=100).nodes)
+    edges, vL, vR = ev._cells
+    with mpmath.workdps(40):
+        pi = mpmath.pi
+        for t in (0.2, 1.0):
+            k_top = math.ceil(math.sqrt(math.log(1e40) / t) / math.pi) + 1
+            q = []
+            for k in range(1, k_top + 1):
+                w = k * pi
+                total = mpmath.mpf(0)
+                for a, b, l, r in zip(edges[:-1], edges[1:], vL, vR):
+                    a, b = mpmath.mpf(a), mpmath.mpf(b)
+                    jump = (mpmath.sin(w * b) - mpmath.sin(w * a)) / (w * w * (b - a))
+                    total += l * (mpmath.cos(w * a) / w - jump)
+                    total += r * (jump - mpmath.cos(w * b) / w)
+                for pos, m in ev._points:
+                    total += m * mpmath.sin(w * mpmath.mpf(pos[0]))
+                for pos, m in ev._walls:
+                    total += m * w * (1 if pos[0] == 0.0 else -mpmath.cos(w))
+                q.append(total)
+            ref = np.array([
+                float(2 * sum(
+                    mpmath.sin(k * pi * mpmath.mpf(x)) * mpmath.exp(-((k * pi) ** 2) * t) * qk
+                    for k, qk in enumerate(q, start=1)
+                ))
+                for x in ev.x
+            ])
+            ref[ev._wall_nodes] = 0.0
+            assert np.max(np.abs(ev.at_time(t) - ref)) <= 1e-12 * np.max(ref)
 
 
 # ---------------------------------------------------------------------------
