@@ -29,6 +29,7 @@ from .kernels import (
     HalfSpace,
     Interval,
     WholeSpace,
+    _project_boundary,
     _reach,
     certify_gaussian_bounds,
     kernel_values,
@@ -118,8 +119,6 @@ OPTIONS = {
     ("solve", "target_nodes"): (_count, 400, None),
     ("solve", "first_time_fraction"): (float, 1e-3, None),
     ("solve", "extent"): (float, None, None),
-    ("tolerances", "conv_tol"): (float, 1e-7, _POSITIVE),
-    ("tolerances", "blowup_ceiling"): (float, 1e8, _POSITIVE),
     ("tolerances", "max_iter"): (_count, 30, _POSITIVE),
     ("kernel", "samples"): (_count, 50, None),
     ("kernel", "semigroup_samples"): (_count, 8, None),
@@ -345,13 +344,8 @@ def _cmd_kernel_check(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Pa
         rel = abs(g1 - g2) / max(g1, g2, 1e-300)
         rows.append(("symmetry", i, rel, 1e-12, rel <= 1e-12))
         if not isinstance(domain, WholeSpace):
-            yb = y.copy()
-            if isinstance(domain, Interval):
-                yb[0] = 0.0 if y[0] < 0.5 * domain.length else domain.length
-            else:
-                yb[-1] = 0.0
             # a wall source runs its whole image series down to round-off
-            gb = float(kernel_values(domain, yb, [x], t)[0])
+            gb = float(kernel_values(domain, _project_boundary(domain, y), [x], t)[0])
             cap = 1e-14 * (4.0 * math.pi * t) ** (-space_dim(domain) / 2.0)
             rows.append(("boundary_zero", i, gb, cap, gb <= cap))
     if triples and not isinstance(domain, WholeSpace):

@@ -66,11 +66,7 @@ def differential_inequality_bound(
         raise ValueError("xi0 must be nonnegative")
 
     quad = integrate_time(
-        lambda s: np.array([weight_fn(v) ** -alpha for v in np.atleast_1d(s)]),
-        a,
-        b,
-        1e-12,
-        relative=True,
+        lambda s: np.array([weight_fn(v) ** -alpha for v in np.atleast_1d(s)]), a, b, 1e-12
     )
     bound = (
         c_star ** (alpha / (alpha - 1.0))

@@ -65,6 +65,9 @@ __all__ = [
     "scale",
 ]
 
+_BALL_TOL = 1e-10  # relative tolerance of ball masses and weighted ball integrals
+_PAIRING_TOL = 1e-9  # relative tolerance of pairings with the whole measure
+
 
 def critical_exponent(k: int) -> float:
     """The threshold exponent 1 + 2/k."""
@@ -541,11 +544,9 @@ def _surface_part(mu: MeasureSpec, domain: Domain, center, radius: float, tol, h
     return integrate(part, patch, tol, singularity_hint=hint, relative=True).value
 
 
-def ball_mass(
-    mu: MeasureSpec, domain: Domain, center, sigma: float, tol: float = 1e-10
-) -> float:
+def ball_mass(mu: MeasureSpec, domain: Domain, center, sigma: float) -> float:
     """Measure of the closed ball of radius sigma around center,
-    intersected with the closed domain.  tol is relative."""
+    intersected with the closed domain, to relative tolerance 1e-10."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     total = 0.0
@@ -557,21 +558,19 @@ def ball_mass(
             total += exact
         else:
             total += _interior_integral(
-                mu, domain, _ball_region(domain, center, sigma), tol, hint, None
+                mu, domain, _ball_region(domain, center, sigma), _BALL_TOL, hint, None
             )
 
     if mu.boundary_density is not None:
-        total += _surface_part(mu, domain, center, sigma, tol, hint, None)
+        total += _surface_part(mu, domain, center, sigma, _BALL_TOL, hint, None)
 
     total += _atom_sum(mu, center, sigma)
     return mu.scale_factor * total
 
 
-def weighted_ball_integral(
-    mu: MeasureSpec, domain: Domain, center, s: float, tol: float = 1e-10
-) -> float:
+def weighted_ball_integral(mu: MeasureSpec, domain: Domain, center, s: float) -> float:
     """Integral of 1/(d(y) + sqrt(s)) over the ball of radius sqrt(s),
-    against the measure."""
+    against the measure, to relative tolerance 1e-10."""
     if not s > 0:
         raise ValueError("s must be positive")
     if isinstance(domain, WholeSpace):
@@ -583,20 +582,21 @@ def weighted_ball_integral(
 
     if mu.interior_density is not None:
         total += _interior_integral(
-            mu, domain, _ball_region(domain, center, rs), tol, hint, f
+            mu, domain, _ball_region(domain, center, rs), _BALL_TOL, hint, f
         )
 
     if mu.boundary_density is not None:
         # d = 0 on the boundary: the weight there is the constant 1/sqrt(s)
-        total += _surface_part(mu, domain, center, rs, tol, hint, None) / rs
+        total += _surface_part(mu, domain, center, rs, _BALL_TOL, hint, None) / rs
 
     total += _atom_sum(mu, center, rs, weight=f)
     return mu.scale_factor * total
 
 
-def pairing(mu: MeasureSpec, domain: Domain, f: Callable, tol: float = 1e-9) -> float:
+def pairing(mu: MeasureSpec, domain: Domain, f: Callable) -> float:
     """Integral of a (smooth, plain-signature) function against the whole
-    measure: its densities over its support ball, and every atom.
+    measure: its densities over its support ball, to relative tolerance
+    1e-9, and every atom.
 
     A measure with a density needs a support ball.
     """
@@ -608,9 +608,9 @@ def pairing(mu: MeasureSpec, domain: Domain, f: Callable, tol: float = 1e-9) -> 
         hint = _hint_for(mu, center, radius)
         if mu.interior_density is not None:
             region = _ball_region(domain, center, radius)
-            total += _interior_integral(mu, domain, region, tol, hint, f)
+            total += _interior_integral(mu, domain, region, _PAIRING_TOL, hint, f)
         if mu.boundary_density is not None:
-            total += _surface_part(mu, domain, center, radius, tol, hint, f)
+            total += _surface_part(mu, domain, center, radius, _PAIRING_TOL, hint, f)
 
     for pt, m in mu.atoms:
         total += m * _point_value(f, pt)

@@ -109,8 +109,7 @@ class HalfSpaceBox:
 class BoundaryPatch:
     """Ball on the hyperplane {x_last = 0}, i.e. a surface patch of the
     half-space boundary.  ``center`` is a full-dimension point with last
-    coordinate 0.  In ambient dimension 1 the boundary is a single point
-    and the "integral" is a point evaluation against counting measure."""
+    coordinate 0, in ambient dimension 2 or 3."""
 
     center: tuple
     radius: float
@@ -416,9 +415,6 @@ def _region_map(region, f, h):
     if isinstance(region, BoundaryPatch):
         c = np.asarray(region.center, float)
         r = region.radius
-        if c.size == 1:
-            # boundary of the half-line is one point; counting measure
-            return QuadResult(float(np.asarray(f(c.reshape(1, 1), None))[0]), 0.0, 1)
         if c.size == 2:
             inside = h is not None and abs(h[0] - c[0]) <= r
             return _translated(_on_wall(f), c[:1] - r, c[:1] + r, h[:1] if inside else None)
@@ -429,15 +425,16 @@ def _region_map(region, f, h):
     raise TypeError(f"unknown region type {type(region).__name__}")
 
 
-def _run(mapped, tol: float, relative: bool, max_evals: int) -> QuadResult:
-    """Check the tolerance, map the region and integrate over the box."""
+def _run(mapped, tol: float, relative: bool) -> QuadResult:
+    """Check the tolerance, map the region and integrate over the box
+    within ``_adaptive_box``'s default budget."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     out = mapped()
     if isinstance(out, QuadResult):
         return out
     lo, hi, g, hp = out
-    return _adaptive_box(g, lo, hi, tol, hint=hp, relative=relative, max_evals=max_evals)
+    return _adaptive_box(g, lo, hi, tol, hint=hp, relative=relative)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +447,6 @@ def integrate(
     tol: float,
     singularity_hint: Optional[tuple] = None,
     relative: bool = False,
-    max_evals: int = 2_000_000,
 ) -> QuadResult:
     """Integrate ``f`` over ``region`` to absolute tolerance ``tol``
     (relative when ``relative=True``).
@@ -460,31 +456,19 @@ def integrate(
     declared singular location, or None when the map has none (see the
     module docstring), and distance factors should be computed from it.
     ``singularity_hint`` is a ``(location, exponent)`` pair; the location
-    steers geometric cell splitting, the exponent is informational.  On
-    budget exhaustion the partial result is returned with its (then
-    > tol) error estimate.
+    steers geometric cell splitting, the exponent is informational.  When
+    the budget of 2,000,000 evaluations runs out, the partial result is
+    returned with its (then > tol) error estimate.
     """
     h = None
     if singularity_hint is not None:
         h = np.atleast_1d(np.asarray(singularity_hint[0], float))
-    return _run(lambda: _region_map(region, f, h), tol, relative, max_evals)
+    return _run(lambda: _region_map(region, f, h), tol, relative)
 
 
-def integrate_time(
-    g,
-    t0: float,
-    t1: float,
-    tol: float,
-    relative: bool = False,
-    max_evals: int = 2_000_000,
-) -> QuadResult:
-    """Integrate a smooth scalar function of time over (t0, t1); ``g(ts)``
-    receives a 1-D array of times."""
+def integrate_time(g, t0: float, t1: float, tol: float) -> QuadResult:
+    """Integrate a smooth scalar function of time over (t0, t1) to
+    relative tolerance ``tol``; ``g(ts)`` receives a 1-D array of times."""
     if not t0 < t1:
         raise ValueError("time interval must have t0 < t1")
-    return _run(
-        lambda: _translated(lambda p, _off: g(p[:, 0]), [t0], [t1]),
-        tol,
-        relative,
-        max_evals,
-    )
+    return _run(lambda: _translated(lambda p, _off: g(p[:, 0]), [t0], [t1]), tol, True)

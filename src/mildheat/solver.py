@@ -32,7 +32,8 @@ Discretization choices, in one place:
   of ``kernels.images``, and the mode sums' matrices zero the entries
   of hats beyond it (no rescaling: a matrix row sums to the kernel mass
   in the node window);
-* the data's sources are its density linearized per cell, point masses
+* the data's linear evolution has one entry, ``_InitialEvaluator.at_times``;
+  its sources are the density linearized per cell, point masses
   (interior atoms, cells at a singular anchor) and wall masses;
 * an apply makes one float32 GEMM per cached matrix over all its source
   rows u(s)^p, then weights the products in float64;
@@ -100,6 +101,8 @@ RATIO_TARGET = 1.2  # dichotomy sweeps stop below this kappa_high / kappa_low
 _RESTART_MARGIN = 0.05  # restart checks skip nodes this near the wall, per unit length
 _TIME_RATIO = 1.3  # ratio of consecutive grid time levels
 _MIN_SPACING = 1e-4  # finest node spacing of a grid cluster
+_CONV_TOL = 1e-7  # a solve converges once its sup and weighted-L1 steps fall below
+_BLOWUP_CEILING = 1e8  # a solve diverges once its interior sup passes this
 # tau_s: on the interval, kernels at t >= tau_s L^2 are summed over sine
 # modes (at most 195 of them), below it over images
 _SPECTRAL_FROM = 1e-4
@@ -313,11 +316,11 @@ def measure_grid(domain: Domain, mu: MeasureSpec, horizon: float, **grid_options
 # the kernel against linear cells: transport matrices and the data's
 # linear evolution on the grid nodes
 #
-# Below the switch of ``_mode_count`` both take per-cell hat weights from
-# ``_hat_weights``, cut at the reach R(t) = sqrt(4 t ln 1e16): every image
-# is at least as far from a cell beyond it, so each term left out carries
-# the Gaussian factor below 1e-16 that ``kernels.images`` drops.  From it
-# on, both take the cells' sine-mode weights from ``_sine_cell_weights``.
+# Both keep the cells of ``_window``, within the reach R(t) = sqrt(4 t ln
+# 1e16): every image is at least as far from a cell beyond it, so each term
+# left out carries the Gaussian factor below 1e-16 that ``kernels.images``
+# drops.  Below the switch of ``_mode_count`` both take per-cell hat weights
+# from ``_hat_weights``, from it on sine-mode ones from ``_sine_cell_weights``.
 
 
 def _interval_moments(pos, edges, t):
@@ -333,20 +336,27 @@ def _interval_moments(pos, edges, t):
     return p, m1
 
 
-def _hat_weights(domain: Domain, x: np.ndarray, y: np.ndarray, t: float):
-    """Reach window and per-image hat weights of the kernel from targets
-    ``x`` against the cells between sorted edges ``y``: ``(cols, c_lo,
-    c_hi, weights)``.  Cells c_lo[i]..c_hi[i] are within reach of target
-    i; its window of edges ``cols[i]`` (one width for all targets) adds a
-    cell on each side, so each hat on an in-reach cell is whole.
-    ``weights`` yields per image the signed weights (left, right) of the
-    window cells, ∫ g (y1 - y) / h and ∫ g (y - y0) / h over [y0, y1]."""
-    h = np.diff(y)
-    if y.size < 2 or np.any(h <= 0):
-        raise ValueError("need at least two strictly increasing nodes")
+def _window(x: np.ndarray, y: np.ndarray, t: float):
+    """``(c_lo, c_hi)``: the cells between sorted edges ``y`` within the
+    reach R(t) of target x[i] are c_lo[i]..c_hi[i]."""
     reach = _reach(t)
     c_lo = np.searchsorted(y[1:], x - reach, side="left")
     c_hi = np.searchsorted(y[:-1], x + reach, side="right") - 1
+    return c_lo, c_hi
+
+
+def _hat_weights(domain: Domain, x: np.ndarray, y: np.ndarray, t: float):
+    """Reach window and per-image hat weights of the kernel from targets
+    ``x`` against the cells between sorted edges ``y``: ``(cols, c_lo,
+    c_hi, weights)``, c_lo and c_hi from ``_window``.  The window of
+    edges ``cols[i]`` (one width for all targets) adds a cell on each
+    side, so each hat on an in-reach cell is whole.  ``weights`` yields
+    per image the signed weights (left, right) of the window cells,
+    ∫ g (y1 - y) / h and ∫ g (y - y0) / h over [y0, y1]."""
+    h = np.diff(y)
+    if y.size < 2 or np.any(h <= 0):
+        raise ValueError("need at least two strictly increasing nodes")
+    c_lo, c_hi = _window(x, y, t)
     first = np.maximum(c_lo - 1, 0)
     width = max(int(np.max(np.minimum(c_hi + 1, h.size - 1) - first)) + 1, 1)
     start = np.minimum(first, h.size - width)[:, None]
@@ -425,7 +435,7 @@ def _hat_transport_matrix(
     Row sums equal the kernel mass inside the node window, which keeps
     edge rows honest and makes sharp kernels on coarse cells exact
     instead of aliased.  Entries whose hat support lies beyond the reach
-    of ``_hat_weights`` are exact zeros.
+    of ``_window`` are exact zeros.
 
     Two regimes, switched by ``_mode_count``: the windowed image sum of
     ``_hat_weights``, and on the interval from tau_s L^2 on the sine
@@ -447,12 +457,10 @@ def _hat_transport_matrix(
         for a in range(0, x.size, _TARGET_BLOCK):
             rows = slice(a, a + _TARGET_BLOCK)
             out[rows] = _sine_phases(x[rows] / length, k)[0] @ hats.T
-        # hats j with support [y_j-1, y_j+1] beyond the reach of target i
-        reach = _reach(tau)
-        first = np.searchsorted(y[1:], x - reach, side="left")
-        stop = np.searchsorted(y[:-1], x + reach, side="right") + 1
+        # hat j touches cells j - 1 and j: keep it when one is in reach
+        c_lo, c_hi = _window(x, y, tau)
         j = np.arange(y.size)
-        out[(j < first[:, None]) | (j >= stop[:, None])] = 0.0
+        out[(j < c_lo[:, None]) | (j > c_hi[:, None] + 1)] = 0.0
         return np.maximum(out, 0.0, out=out)
     cols, c_lo, c_hi, weights = _hat_weights(domain, x, y, tau)
     # hat j is the right weight of cell j - 1 plus the left weight of cell j
@@ -468,22 +476,22 @@ def _hat_transport_matrix(
 
 class _InitialEvaluator:
     """Evaluates the linear evolution of a measure on fixed nodes for
-    arbitrary times, scale factor removed (multiply by it afterwards).
-    The measure is reduced once to three source lists: ``_cells`` (edges
-    and the endpoint values vL, vR of each linearized cell, zero
-    elsewhere), ``_points`` (position, plain mass) for ``kernel_values``,
-    among them the exact mass of each cell at a singular anchor at its
-    exact centroid, and ``_walls`` (wall position, mass) for
-    ``normal_derivative``.  The data act through the boundary-weighted
-    kernel G/w, so the plain kernel G takes the density against w(y) dy,
-    ``measures._weighted_density``, and an interior atom m at a the mass
-    m / w(a).  The evaluator's own input check is that a plain-mode
-    density vanish on the cell edges at the wall.
+    arbitrary times, scale factor removed (multiply by it afterwards),
+    through its one entry ``at_times``.  The measure is reduced once to
+    three source lists: ``_cells`` (edges and the endpoint values vL, vR
+    of each linearized cell, zero elsewhere), ``_points`` (position,
+    plain mass) for ``kernel_values``, among them the exact mass of each
+    cell at a singular anchor at its exact centroid, and ``_walls`` (wall
+    position, mass) for ``normal_derivative``.  The data act through the
+    boundary-weighted kernel G/w, so the plain kernel G takes the density
+    against w(y) dy, ``measures._weighted_density``, and an interior atom
+    m at a the mass m / w(a).  The evaluator's own input check is that a
+    plain-mode density vanish on the cell edges at the wall.
 
     The two regimes of ``_mode_count``: below tau_s L^2, and on every
-    other domain, ``at_time`` sums the images of each source over the
-    cells within reach.  On the interval from tau_s L^2 on, the sources
-    are projected once, on first use, onto the sine modes: the cells by
+    other domain, ``_image_sum`` sums the images of each source over the
+    cells within reach.  On the interval from tau_s L^2 on, ``_mode_sum``
+    projects the sources once per call onto the sine modes: the cells by
     ``_sine_cell_weights``, a point mass m at a as m sin(omega a), a wall
     mass m as m omega at 0 and -m omega cos(omega L) at L.  Each such time
     is then one (n x K) product."""
@@ -499,7 +507,6 @@ class _InitialEvaluator:
         if mu.singularity is not None:
             self._anchor = np.asarray(mu.singularity[0], dtype=float).reshape(-1)
         self._cells, self._points, self._walls = None, [], []
-        self._mode_weights = None  # the sources' sine-mode weights, built on first use
         self._build_cells()
         for a, m in mu.atoms:
             pa = np.asarray(a, dtype=float).reshape(-1)
@@ -632,46 +639,8 @@ class _InitialEvaluator:
 
     # -- evaluation
 
-    def _projected(self, k: int) -> np.ndarray:
-        """The sources' weights on the first k sine modes, computed for the
-        largest k asked so far."""
-        if self._mode_weights is None or self._mode_weights.size < k:
-            length = self.domain.length
-            omega = np.arange(1, k + 1) * (math.pi / length)
-            q = np.zeros(k)
-            if self._cells is not None:
-                edges, vL, vR = self._cells
-                for cells, left, right in _sine_cell_weights(edges, length, k):
-                    q += vL[cells] @ left + vR[cells] @ right
-            for pos, m in self._points:
-                q += m * _sine_phases(pos / length, k)[0][0]
-            for pos, m in self._walls:
-                inward = 1.0 if pos[0] == 0.0 else -1.0
-                q += inward * m * omega * _sine_phases(pos / length, k)[1][0]
-            self._mode_weights = q
-        return self._mode_weights[:k]
-
-    def _mode_sum(self, times: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """The evolution at each time from its ``counts`` sine modes,
-        targets a block at a time."""
-        k = int(np.max(counts))
-        length = self.domain.length
-        omega = np.arange(1, k + 1) * (math.pi / length)
-        decay = np.where(
-            np.arange(k) < counts[:, None], np.exp(-np.outer(times, omega * omega)), 0.0
-        )
-        decay *= (2.0 / length) * self._projected(k)
-        out = np.empty((times.size, self.x.size))
-        for a in range(0, self.x.size, _TARGET_BLOCK):
-            rows = slice(a, a + _TARGET_BLOCK)
-            out[:, rows] = decay @ _sine_phases(self.x[rows] / length, k)[0].T
-        out[:, self._wall_nodes] = 0.0
-        return np.maximum(out, 0.0, out=out)
-
-    def at_time(self, t: float) -> np.ndarray:
-        k = _mode_count(self.domain, t)
-        if k:
-            return self._mode_sum(np.array([t]), np.array([k]))[0]
+    def _image_sum(self, t: float) -> np.ndarray:
+        """The evolution at time t, each source summed over its images."""
         x = self.x
         out = np.zeros(x.size)
         if self._cells is not None:
@@ -690,19 +659,47 @@ class _InitialEvaluator:
             out += m * kernel_values(self.domain, pos, x[:, None], t)
         for pos, m in self._walls:
             out += m * normal_derivative(self.domain, x[:, None], pos, t)
-        out[self._wall_nodes] = 0.0
-        return np.maximum(out, 0.0)
+        return out
+
+    def _mode_sum(self, times: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The evolution at each time from its ``counts`` sine modes: the
+        sources projected once onto the most modes asked, then targets a
+        block at a time."""
+        k = int(np.max(counts))
+        length = self.domain.length
+        omega = np.arange(1, k + 1) * (math.pi / length)
+        q = np.zeros(k)
+        if self._cells is not None:
+            edges, vL, vR = self._cells
+            for cells, left, right in _sine_cell_weights(edges, length, k):
+                q += vL[cells] @ left + vR[cells] @ right
+        for pos, m in self._points:
+            q += m * _sine_phases(pos / length, k)[0][0]
+        for pos, m in self._walls:
+            inward = 1.0 if pos[0] == 0.0 else -1.0
+            q += inward * m * omega * _sine_phases(pos / length, k)[1][0]
+        decay = np.where(
+            np.arange(k) < counts[:, None], np.exp(-np.outer(times, omega * omega)), 0.0
+        )
+        decay *= (2.0 / length) * q
+        out = np.empty((times.size, self.x.size))
+        for a in range(0, self.x.size, _TARGET_BLOCK):
+            rows = slice(a, a + _TARGET_BLOCK)
+            out[:, rows] = decay @ _sine_phases(self.x[rows] / length, k)[0].T
+        return out
 
     def at_times(self, times) -> np.ndarray:
+        """The evolution (times, nodes), 0 on wall nodes and clipped at 0."""
         times = np.asarray(times, dtype=float).reshape(-1)
         counts = np.array([_mode_count(self.domain, t) for t in times], dtype=int)
         out = np.empty((times.size, self.x.size))
         for i in np.nonzero(counts == 0)[0]:
-            out[i] = self.at_time(float(times[i]))
+            out[i] = self._image_sum(float(times[i]))
         wide = counts > 0
         if np.any(wide):
             out[wide] = self._mode_sum(times[wide], counts[wide])
-        return out
+        out[:, self._wall_nodes] = 0.0
+        return np.maximum(out, 0.0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -879,14 +876,12 @@ class PicardRunner:
         with np.errstate(over="ignore", invalid="ignore"):
             return u1 + self.op.apply(u, self.p, self._rat)
 
-    def solve(
-        self,
-        kappa: Optional[float] = None,
-        *,
-        max_iter: int = 30,
-        conv_tol: float = 1e-7,
-        blowup_ceiling: float = 1e8,
-    ) -> SolveOutcome:
+    def solve(self, kappa: Optional[float] = None, *, max_iter: int = 30) -> SolveOutcome:
+        """Iterate at scale ``kappa`` (default the data's own): Converged
+        when the step's interior sup and weighted L1 norm are both below
+        ``_CONV_TOL`` = 1e-7, Diverged when the interior sup passes
+        ``_BLOWUP_CEILING`` = 1e8, doubles after iteration 3 or overflows,
+        Inconclusive after ``max_iter`` iterations."""
         if max_iter < 2:
             raise ValueError("max_iter must be at least 2")
         grid = self.grid
@@ -899,7 +894,7 @@ class PicardRunner:
         history = []
         prev_sup = float(np.max(u[:, interior])) if np.any(interior) else 0.0
         for it in range(1, max_iter + 1):
-            if prev_sup > blowup_ceiling:
+            if prev_sup > _BLOWUP_CEILING:
                 return self._diverged(u, history, it, "ceiling exceeded")
             new = self.step(u, u1)
             if not np.all(np.isfinite(new)):
@@ -917,10 +912,10 @@ class PicardRunner:
                     "l1_diff": l1_diff,
                 }
             )
-            if sup_now > blowup_ceiling or (it > 3 and sup_now > 2.0 * prev_sup):
+            if sup_now > _BLOWUP_CEILING or (it > 3 and sup_now > 2.0 * prev_sup):
                 return self._diverged(new, history, it, "growth past the ceiling"
-                                      if sup_now > blowup_ceiling else "sup doubling")
-            if sup_diff < conv_tol and l1_diff < conv_tol:
+                                      if sup_now > _BLOWUP_CEILING else "sup doubling")
+            if sup_diff < _CONV_TOL and l1_diff < _CONV_TOL:
                 return SolveOutcome("Converged", it, GridFunction(grid, new), history)
             u = new
             prev_sup = sup_now
@@ -937,23 +932,12 @@ class PicardRunner:
 
 
 def picard_solve(
-    mu: MeasureSpec,
-    p: float,
-    horizon: float,
-    domain: Domain,
-    grid: Optional[SpaceTimeGrid] = None,
-    *,
-    max_iter: int = 30,
-    conv_tol: float = 1e-7,
-    blowup_ceiling: float = 1e8,
-    **grid_options,
+    mu: MeasureSpec, p: float, horizon: float, domain: Domain, **grid_options
 ) -> SolveOutcome:
-    """Monotone iteration from the data's linear evolution."""
-    if grid is None:
-        grid = measure_grid(domain, mu, horizon, **grid_options)
-    return PicardRunner(domain, mu, p, grid).solve(
-        max_iter=max_iter, conv_tol=conv_tol, blowup_ceiling=blowup_ceiling
-    )
+    """Monotone iteration from the data's linear evolution on its
+    ``measure_grid``."""
+    grid = measure_grid(domain, mu, horizon, **grid_options)
+    return PicardRunner(domain, mu, p, grid).solve()
 
 
 # ---------------------------------------------------------------------------

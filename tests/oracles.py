@@ -168,8 +168,8 @@ def dense_initial_evolution(ev: _InitialEvaluator, t: float) -> np.ndarray:
     """The data's linear evolution with every cell and every image kept:
     the hat weights of each cell times its endpoint values (vL, vR), plus
     the point and wall sources, the reference for the reach cut of
-    ``_InitialEvaluator.at_time``.  Cells within the reach of a target
-    take their weights from ``_interval_moments``, as ``at_time`` does;
+    ``_InitialEvaluator._image_sum``.  Cells within the reach of a target
+    take their weights from ``_interval_moments``, as ``_image_sum`` does;
     cells beyond it from ``_tail_moments``, since there the plain erf
     differences are rounding only (next to a singular anchor, up to 1e-5
     of the field at a far node, whose true share is below 1e-14)."""

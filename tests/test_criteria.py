@@ -460,7 +460,7 @@ def test_two_argument_densities_are_accepted():
     )
     one = lambda pts: np.ones(len(pts))
     # 0.5 * d over the half unit disk plus 0.5 over the segment [-1, 1]
-    assert pairing(mu, HS2, one, tol=1e-6) == pytest.approx(0.5 * 2.0 / 3.0 + 1.0, rel=1e-6)
+    assert pairing(mu, HS2, one) == pytest.approx(0.5 * 2.0 / 3.0 + 1.0, rel=1e-6)
     sigmas = np.geomspace(1e-4, 5e-3, 5)
     for part in ("interior", "boundary"):
         rep = power_moment_check(mu, HS2, alpha=1.2, p=1.8, part=part, sigmas=sigmas)

@@ -173,15 +173,22 @@ def test_spectral_switch_has_one_owner():
     assert found == {
         "_SPECTRAL_FROM": ["solver._mode_count"],
         "_mode_count": [
-            "solver._InitialEvaluator.at_time",
             "solver._InitialEvaluator.at_times",
             "solver._hat_transport_matrix",
         ],
         "_sine_cell_weights": [
-            "solver._InitialEvaluator._projected",
+            "solver._InitialEvaluator._mode_sum",
             "solver._hat_transport_matrix",
         ],
     }
+
+
+def test_reach_window_has_one_owner():
+    # in the solver the reach sets the cell window and the mode count only;
+    # the hat weights and the sine-mode matrices both take the window
+    source = (ROOT / "src" / "mildheat" / "solver.py").read_text(encoding="utf-8")
+    assert readers(source, "_reach") == ["_mode_count", "_window"]
+    assert readers(source, "_window") == ["_hat_transport_matrix", "_hat_weights"]
 
 
 def defined_names(source: str) -> set:
@@ -217,7 +224,7 @@ def test_each_kernel_has_one_evaluator():
             "solver._hat_weights",
         ],
         "expm1": ["kernels.kernel_values"],
-        "normal_derivative": ["kernels._over_distance", "solver._InitialEvaluator.at_time"],
+        "normal_derivative": ["kernels._over_distance", "solver._InitialEvaluator._image_sum"],
         "_LOG_TAU": ["kernels._reach"],
     }
     found = {name: [] for name in owners}

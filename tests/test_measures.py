@@ -56,7 +56,7 @@ def test_interior_point_exact_mass():
     # int_{0.9}^{1.1} y |y-1|^(-2/3) dy = 6 * 0.1^(1/3): the linear part of
     # the weight cancels by symmetry around the anchor
     mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
-    v = ball_mass(mu, HS1, (1.0,), 0.1, tol=1e-10)
+    v = ball_mass(mu, HS1, (1.0,), 0.1)
     assert v == pytest.approx(6.0 * 0.1 ** (1.0 / 3.0), rel=1e-8)
 
 
@@ -69,7 +69,7 @@ def test_interior_point_dense_oracle():
     du = 0.1 ** (1.0 / 3.0) / m
     u = (np.arange(m) + 0.5) * du
     oracle = float(np.sum(3.0 * ((1.0 + u**3) + (1.0 - u**3))) * du)
-    v = ball_mass(mu, HS1, (1.0,), 0.1, tol=1e-10)
+    v = ball_mass(mu, HS1, (1.0,), 0.1)
     assert v == pytest.approx(oracle, rel=1e-8)
 
 
@@ -134,7 +134,7 @@ def test_boundary_surface_disjoint_ball():
 def test_family_mass_exponents(kind, domain, anchor, p, expected):
     mu = make_family(SingularFamily(kind, anchor, p), domain)
     sigmas = np.geomspace(1e-3, 1e-1, 12)
-    masses = [ball_mass(mu, domain, anchor, s, tol=1e-9) for s in sigmas]
+    masses = [ball_mass(mu, domain, anchor, s) for s in sigmas]
     slope = np.polyfit(np.log(sigmas), np.log(masses), 1)[0]
     assert abs(slope - expected) < 0.05
 
@@ -145,7 +145,7 @@ def test_critical_family_log_sandwich():
     mu = make_family(SingularFamily("interior_point", (1.0,), 3.0), HS1)
     sigmas = np.geomspace(1e-3, 1e-1, 12)
     comp = [
-        ball_mass(mu, HS1, (1.0,), s, tol=1e-9) * math.log(math.e + 1.0 / s) ** 0.5
+        ball_mass(mu, HS1, (1.0,), s) * math.log(math.e + 1.0 / s) ** 0.5
         for s in sigmas
     ]
     assert max(comp) / min(comp) < 2.0
@@ -223,7 +223,7 @@ def test_table_measure():
     mu = MeasureSpec(
         interior_density=lambda pts, off: np.where(pts[:, 0] < 0.5, 2.0, 3.0)
     )
-    v = ball_mass(mu, IV1, (0.4,), 0.2, tol=1e-9)
+    v = ball_mass(mu, IV1, (0.4,), 0.2)
     assert v == pytest.approx(2.0 * 0.3 + 3.0 * 0.1, abs=1e-8)
 
 
@@ -237,7 +237,7 @@ def test_pairing():
     assert pairing(two, HS1, lambda p: np.ones(p.shape[0])) == 12.0
 
     mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
-    got = pairing(mu, HS1, f, tol=1e-9)
+    got = pairing(mu, HS1, f)
     # dense midpoint oracle in the cube-root variable r = u^3 over the
     # full support: int cos(y) y |y-1|^(-2/3) dy on [0, 2]
     m = 200_000

@@ -235,7 +235,7 @@ def test_evolution_matches_dense_oracle(case, log_t):
     # the interval's sine-mode sum is checked against Gauss-Legendre cells
     ev = _evaluator(case)
     t = 10.0**log_t
-    got = ev.at_time(t)
+    got = ev.at_times([t])[0]
     spectral = _mode_count(ev.domain, t)
     ref = (gauss_initial_evolution if spectral else dense_initial_evolution)(ev, t)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
@@ -418,11 +418,17 @@ def test_grouped_apply_matches_per_entry_loop(domain):
 def test_overflowing_iterate_reports_overflow():
     mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
     grid = make_grid(HS1, 0.25, anchors=[(1.0,)], target_nodes=80)
-    runner = PicardRunner(HS1, mu, p=4.0, grid=grid)
-    u = runner.initial_field(kappa=1e12).values
+    out = PicardRunner(HS1, mu, p=4.0, grid=grid).solve(kappa=1e12)
+    assert (out.status, out.iterations) == ("Diverged", 1)
+    assert out.diagnostics == "ceiling exceeded"
+    # under the ceiling, an interior sup of 1e6 to the eighth power
+    # overflows float32
+    runner = PicardRunner(HS1, mu, p=8.0, grid=grid)
+    kappa = 1e6 / np.max(runner.initial_field(kappa=1.0).values[:, grid.interior_mask])
+    u = runner.initial_field(kappa=kappa).values
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.all(np.isfinite(runner.op.apply(u, 4.0, runner._rat)))
-    out = runner.solve(kappa=1e12, blowup_ceiling=1e300)
+        assert not np.all(np.isfinite(runner.op.apply(u, 8.0, runner._rat)))
+    out = runner.solve(kappa=kappa)
     assert (out.status, out.iterations) == ("Diverged", 1)
     assert out.diagnostics == "overflow in the power term"
 
@@ -558,7 +564,24 @@ def test_wide_interval_evolution_matches_mpmath():
                 for x in ev.x
             ])
             ref[ev._wall_nodes] = 0.0
-            assert np.max(np.abs(ev.at_time(t) - ref)) <= 1e-12 * np.max(ref)
+            assert np.max(np.abs(ev.at_times([t])[0] - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_mixed_times_evaluate_as_single_times():
+    # one call over narrow and wide times gives each time's own field: the
+    # image sums bit for bit, the mode sums up to the batched product's
+    # reordering; wall nodes read exactly 0 and nothing is negative
+    mu = make_family(SingularFamily("boundary_point", (0.0,), 2.0), IV1)
+    ev = _InitialEvaluator(IV1, mu, measure_grid(IV1, mu, 1.0, target_nodes=100).nodes)
+    ts = np.array([3e-7, 0.2, 1e-5, 1e-4, 5e-5, 1.0, 2e-3, 9.99e-5, 0.03])
+    got = ev.at_times(ts)
+    for t, row in zip(ts, got):
+        alone = ev.at_times([t])[0]
+        if _mode_count(IV1, t):
+            assert np.max(np.abs(row - alone)) <= 1e-14 * np.max(alone)
+        else:
+            assert np.array_equal(row, alone)
+    assert np.all(got[:, ev._wall_nodes] == 0.0) and np.all(got >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +618,8 @@ def test_large_scale_diverges():
 
 def test_iteration_budget_reports_inconclusive():
     mu = smooth_bump()
-    out = picard_solve(mu, 2.0, 0.1, HS1, target_nodes=80, max_iter=2, conv_tol=0.0)
+    grid = measure_grid(HS1, mu, 0.1, target_nodes=80)
+    out = PicardRunner(HS1, mu, 2.0, grid).solve(max_iter=2)
     assert out.status == "Inconclusive"
     assert out.iterations == 2
 
@@ -606,7 +630,7 @@ def test_solver_validation():
     with pytest.raises(ValueError):
         PicardRunner(HS1, mu, p=1.0, grid=g)
     with pytest.raises(ValueError):
-        picard_solve(mu, 2.0, 0.1, HS1, grid=g, max_iter=1)
+        PicardRunner(HS1, mu, 2.0, g).solve(max_iter=1)
 
 
 def test_picard_solve_raises_what_the_runner_raises():
