@@ -443,15 +443,16 @@ def _cmd_trace(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) -> 
     for center in cfg.extra["centers"]:
         psi = bump_test_function(center, width)
         est = recover_trace(outcome.final, psi, range(cfg.extra["levels"]))
-        ref = pairing(mu, domain, lambda pts, off=None: psi.fn(np.atleast_2d(pts)))
+        ref = pairing(mu, domain, psi)
         gap = abs(est.limit - ref)
         tol = max(0.02 * abs(ref), est.error)
-        good = gap <= tol or (ref == 0.0 and gap <= 1e-12)
+        # an inconclusive extrapolation fails however wide its error bar
+        good = est.status == "ok" and (gap <= tol or (ref == 0.0 and gap <= 1e-12))
         ok = ok and good
-        rows.append((center[0], width, est.limit, est.error, ref, gap, good))
+        rows.append((center[0], width, est.limit, est.error, ref, gap, est.status, good))
     count = write_csv(
         out_dir / "trace.csv",
-        ("center", "width", "recovered", "error", "reference", "gap", "ok"),
+        ("center", "width", "recovered", "error", "reference", "gap", "status", "ok"),
         rows,
     )
     man.event("artifact", path="trace.csv", rows=count)

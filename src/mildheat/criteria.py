@@ -7,6 +7,9 @@ are not available in closed form, every report states computed values,
 fitted exponents, and a verdict based on boundedness or exponent
 agreement rather than absolute thresholds.
 
+Every check takes a measure and integrates it through measures.py:
+ball masses, strip integrals, and density moments by _density_moment.
+
 Suprema over centers are discretized on a small structured lattice
 (anchors, boundary projections, a geometric depth ladder); infima over
 scales use a geometric ladder.  Both are documented in the report
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -68,17 +71,13 @@ from .measures import (
     critical_exponent,
     weighted_ball_integral,
     _ball_region,
-    _boundary_patch,
+    _density_moment,
     _half_ball_moment,
     _hint_for,
     _interior_integral,
     _sphere_area,
     _surface_part,
-    _weighted_density,
 )
-from .quadrature import BoundaryPatch, integrate
-from .solver import GridFunction, SolveOutcome
-from .trace import TestFunction, recover_trace
 
 __all__ = [
     "CriterionReport",
@@ -431,21 +430,12 @@ def _rate_constant(series, rate, predicted: float) -> float:
     return max((v / rate(s) ** predicted for s, v in series if v > 0), default=0.0)
 
 
-# ---------------------------------------------------------------------------
-# densities relative to the weighted volume: the interior density against
-# w(y) dy is measures._weighted_density; the surface density needs no weight
-
-
-def _surface_density(mu: MeasureSpec) -> Callable:
-    if mu.boundary_density is None:
-        raise ValueError("measure has no boundary density")
-    dens = mu.boundary_density
-    scale = mu.scale_factor
-
-    def h(pts, off=None):
-        return scale * np.asarray(dens(pts, off), dtype=float).reshape(-1)
-
-    return h
+def _exponent(mu: MeasureSpec, p: Optional[float]) -> float:
+    """The exponent p, by default the measure's; it must exceed 1."""
+    p = mu.p if p is None else float(p)
+    if p is None or not p > 1:
+        raise ValueError("exponent p must exceed 1")
+    return p
 
 
 def _orlicz(x, beta: float):
@@ -478,9 +468,7 @@ def necessary_ball_bound(
     (d(z)+s) * s^(N - 2/(p-1)), taken here over a geometric s-ladder.
     A ratio that keeps growing as sigma shrinks rules the data out.
     """
-    p = mu.p if p is None else float(p)
-    if p is None or not p > 1:
-        raise ValueError("exponent p must exceed 1")
+    p = _exponent(mu, p)
     n = space_dim(domain)
     if abs(p - critical_exponent(n)) < 1e-12:
         raise ValueError("the power form does not apply at the critical exponent")
@@ -576,8 +564,8 @@ def boundary_mass_check(
     Solvable data cannot charge the boundary once the exponent reaches
     two, so any positive boundary mass rules the pair out.
     """
-    p = mu.p if p is None else float(p)
-    if p is None or not p >= 2:
+    p = _exponent(mu, p)
+    if not p >= 2:
         raise ValueError("the boundary part is unconstrained below p = 2")
     if isinstance(domain, WholeSpace):
         raise ValueError("boundary mass needs a domain with boundary")
@@ -702,9 +690,7 @@ def sufficient_integral_check(
     enough, with a non-explicit margin) guarantees a solution up to T;
     divergence at s -> 0 leaves existence undecided, never disproved.
     """
-    p = mu.p if p is None else float(p)
-    if p is None or not p > 1:
-        raise ValueError("exponent p must exceed 1")
+    p = _exponent(mu, p)
     if not T > 0:
         raise ValueError("horizon must be positive")
     if isinstance(domain, WholeSpace):
@@ -763,9 +749,7 @@ def power_moment_check(
     """
     if not alpha > 1:
         raise ValueError("the moment order must exceed 1")
-    p = mu.p if p is None else float(p)
-    if p is None or not p > 1:
-        raise ValueError("exponent p must exceed 1")
+    p = _exponent(mu, p)
     n = space_dim(domain)
     if part is None:
         part = "interior" if mu.interior_density is not None else "boundary"
@@ -785,35 +769,20 @@ def power_moment_check(
         if alpha * -float(base_expo) >= surf_dim + bonus:
             raise ValueError("the power moment diverges at this order")
     if part == "interior":
-        dens = _weighted_density(mu, domain)
-        f = lambda pts, off: mu.scale_factor * dens(pts, off)
         predicted = n - 2.0 * alpha / (p - 1.0)
     else:
-        f = _surface_density(mu)
         predicted = (n - 1.0) - 2.0 * alpha * (2.0 - p) / (p - 1.0)
+    # the factor d/(d + sigma) weighs the interior part where there is a wall
+    flat = part == "boundary" or isinstance(domain, WholeSpace)
 
     def cells(z, sg):
-        hint = _hint_for(mu, z, sg)
-        if part == "interior":
+        def phi(pts, v):
+            if flat:
+                return v**alpha
+            d = np.asarray(boundary_distance(domain, pts), float).reshape(-1)
+            return (d / (d + sg)) * v**alpha
 
-            def g(pts, off=None):
-                v = f(pts, off) ** alpha
-                if isinstance(domain, WholeSpace):
-                    return v  # no wall: the factor d/(d + sigma) is 1
-                d = np.asarray(boundary_distance(domain, pts), float).reshape(-1)
-                return (d / (d + sg)) * v
-
-            return sg, integrate(
-                g, _ball_region(domain, z, sg), 1e-10, singularity_hint=hint
-            ).value
-        patch = _boundary_patch(domain, z, sg)
-        if not isinstance(patch, BoundaryPatch):
-            raise ValueError("surface moments need a boundary of dimension >= 1")
-
-        def gh(pts, off=None):
-            return f(pts, off) ** alpha
-
-        return sg, integrate(gh, patch, 1e-10, singularity_hint=hint, relative=True).value
+        return sg, _density_moment(mu, domain, z, sg, phi, part, 1e-10)
 
     rows, series = _sup_sweep(z_points, sigmas, cells)
     return _trend_report(
@@ -872,11 +841,17 @@ def _orlicz_radial(c: float, A: float, B: float, beta: float, sigma: float) -> f
     return c * total
 
 
-def _borderline(mu: MeasureSpec, beta: float, T: float, k: int):
-    """Exponent 1 + 2/k of a log-moment check and its horizon scale.
+def _log_sweep(criterion, extra, mu, domain, part, ell, k, beta, T, z_points, sigmas, radial):
+    """Report of an Orlicz moment of the data at the borderline p = 1 + 2/k.
 
-    Validates the data's exponent and the log weight beta, which must
-    stay below k/2 for the moment to converge.
+    Each cell integrates d^ell Psi(T^(1/(p-1)) v) over part ("interior"
+    or "boundary", as in measures._density_moment) of the ball about a
+    center of z_points.  radial = (anchor, angular constant) first gives
+    each radius the row of the anchor-centered ball: that constant times
+    the closed-form radial reduction of the measure's profile.  The
+    moment converges for 0 < beta < k/2; its admissible decay,
+    log(e + sqrt(T)/sigma)^(beta - k/2), is read in the log variable.
+    extra holds the check's parameters besides beta, T and p.
     """
     if not beta > 0:
         raise ValueError("the log weight must be positive")
@@ -885,28 +860,31 @@ def _borderline(mu: MeasureSpec, beta: float, T: float, k: int):
         raise ValueError("measure exponent does not sit at the borderline value")
     if not beta < 0.5 * k:
         raise ValueError("the weighted moment diverges at this log exponent")
-    return p_req, T ** (1.0 / (p_req - 1.0))
-
-
-def _log_sweep(criterion, params, n, T, predicted, z_points, sigmas, moment, radial):
-    """Trend report of a log-weighted moment swept over radii and centers.
-
-    moment(z, sigma) integrates at every center of z_points; a closed
-    form radial = (anchor, value(sigma)) first gives each radius the row
-    of the anchor-centered ball.  The trend is read in the log variable.
-    """
-    cells = lambda z, sg: (sg, moment(z, sg))
+    horizon_scale = T ** (1.0 / (p_req - 1.0))
+    predicted = beta - 0.5 * k
+    prof = mu.radial_profile
+    c = mu.scale_factor * horizon_scale
+    apex = None
     if radial is not None:
         # a fresh tuple: the identity test never matches a caller's center
         apex = tuple(float(v) for v in radial[0])
         z_points = (apex,) + z_points
-        cells = lambda z, sg: (sg, radial[1](sg) if z is apex else moment(z, sg))
+
+    def phi(pts, v):
+        d = np.asarray(boundary_distance(domain, pts), float).reshape(-1)
+        return d**ell * _orlicz(horizon_scale * v, beta)
+
+    def cells(z, sg):
+        if z is apex:
+            return sg, radial[1] * _orlicz_radial(c, prof.power, prof.log_power, beta, sg)
+        return sg, _density_moment(mu, domain, z, sg, phi, part, 1e-9)
+
     rows, series = _sup_sweep(z_points, sigmas, cells)
     rt = math.sqrt(T)
     return _trend_report(
         criterion,
-        params,
-        _columns(n, "sigma", "moment"),
+        _params({"beta": beta, "T": T, "p": p_req, **extra}),
+        _columns(space_dim(domain), "sigma", "moment"),
         rows,
         series,
         lambda ser: fit_log_exponent(ser, T),
@@ -940,7 +918,6 @@ def orlicz_moment_check(
         anchor = np.asarray(mu.singularity[0], dtype=float)
     ell = 1 if anchor is not None and boundary_distance(domain, anchor) <= 1e-12 else 0
     sigmas = _radii(T, sigmas)
-    p_req, horizon_scale = _borderline(mu, beta, T, n + ell)
     prof = mu.radial_profile
     radial = (
         prof is not None
@@ -957,33 +934,20 @@ def orlicz_moment_check(
         else:
             z_points = probe_points(mu, domain)
     z_points = tuple(tuple(float(v) for v in z) for z in z_points)
-    dens = _weighted_density(mu, domain)
-
-    def g_off(pts, off=None):
-        d = np.asarray(boundary_distance(domain, pts), float).reshape(-1)
-        x = horizon_scale * (mu.scale_factor * dens(pts, off))
-        return d**ell * _orlicz(x, beta)
-
-    def moment(z, sg):
-        hint = None if radial else _hint_for(mu, z, sg)
-        region = _ball_region(domain, z, sg)
-        return integrate(g_off, region, 1e-9, singularity_hint=hint).value
-
-    def closed_form(sg):
-        c = mu.scale_factor * horizon_scale
-        angular = _sphere_area(n) if ell == 0 else _half_ball_moment(n)
-        return angular * _orlicz_radial(c, prof.power, prof.log_power, beta, sg)
-
+    angular = _sphere_area(n) if ell == 0 else _half_ball_moment(n)
     return _log_sweep(
         "orlicz_moment_check",
-        _params({"beta": beta, "T": T, "ell": float(ell), "p": p_req}),
-        n,
+        {"ell": float(ell)},
+        mu,
+        domain,
+        "interior",
+        ell,
+        n + ell,
+        beta,
         T,
-        beta - 0.5 * (n + ell),
         z_points,
         sigmas,
-        moment,
-        (anchor, closed_form) if radial else None,
+        (anchor, angular) if radial else None,
     )
 
 
@@ -1009,7 +973,6 @@ def orlicz_boundary_check(
     if mu.boundary_density is None:
         raise ValueError("measure has no surface density")
     sigmas = _radii(T, sigmas)
-    p_req, horizon_scale = _borderline(mu, beta, T, n + 1)
     prof = mu.radial_profile
     radial = prof is not None and prof.log_power > 0 and prof.dim == n - 1
     anchor = np.zeros(n)
@@ -1025,30 +988,19 @@ def orlicz_boundary_check(
     for z in z_points:
         if boundary_distance(domain, z) > 1e-12:
             raise ValueError("surface moments need boundary centers")
-    h = _surface_density(mu)
-
-    def gh(pts, off=None):
-        x = horizon_scale * h(pts, off)
-        return _orlicz(x, beta)
-
-    def moment(z, sg):
-        return integrate(gh, _boundary_patch(domain, z, sg), 1e-9, relative=True).value
-
-    def closed_form(sg):
-        c = mu.scale_factor * horizon_scale
-        angular = _sphere_area(n - 1)
-        return angular * _orlicz_radial(c, prof.power, prof.log_power, beta, sg)
-
     return _log_sweep(
         "orlicz_boundary_check",
-        _params({"beta": beta, "T": T, "p": p_req}),
-        n,
+        {},
+        mu,
+        domain,
+        "boundary",
+        0,
+        n + 1,
+        beta,
         T,
-        beta - 0.5 * (n + 1),
         z_points,
         sigmas,
-        moment,
-        (anchor, closed_form) if radial else None,
+        (anchor, _sphere_area(n - 1)) if radial else None,
     )
 
 
@@ -1062,16 +1014,6 @@ def _eigen_strip(L: float, s: float) -> float:
     return 2.0 * (L / math.pi) * (1.0 - math.cos(math.pi * s / L))
 
 
-def _phi_over_d(L: float):
-    # sin(pi y / L)/min(y, L-y), continuous up to the endpoints
-    def f(pts, off=None):
-        y = np.asarray(pts, float)[:, 0]
-        dd = np.minimum(y, L - y)
-        return (math.pi / L) * np.sinc(dd / L)
-
-    return f
-
-
 def _measure_strip_weighted(mu: MeasureSpec, domain: Interval, sigma: float) -> float:
     """Integral of phi/d over the strip d < sigma, against the measure.
 
@@ -1079,7 +1021,12 @@ def _measure_strip_weighted(mu: MeasureSpec, domain: Interval, sigma: float) -> 
     and boundary atoms do not enter.
     """
     L = domain.length
-    f = _phi_over_d(L)
+
+    def f(pts):
+        # sin(pi y / L)/min(y, L-y), continuous up to the endpoints
+        y = np.asarray(pts, float)[:, 0]
+        return (math.pi / L) * np.sinc(np.minimum(y, L - y) / L)
+
     total = 0.0
     if mu.interior_density is not None:
         halves = [(0.5 * sigma, 0.5 * sigma)]
@@ -1100,31 +1047,6 @@ def _measure_strip_weighted(mu: MeasureSpec, domain: Interval, sigma: float) -> 
     return total
 
 
-def _trace_strip_limit(
-    u: GridFunction, domain: Interval, sigma: float, weighted: bool
-):
-    """Small-time limit of the strip pairing of a solution field.
-
-    weighted pairs phi u over the strip (the quantity the bound
-    controls); unweighted pairs d u, recovering the strip mass of the
-    initial data.
-    """
-    L = domain.length
-    f = _phi_over_d(L)
-
-    def fn(pts):
-        y = np.asarray(pts, float)[:, 0]
-        dd = np.minimum(y, L - y)
-        mask = dd < sigma
-        if weighted:
-            return np.where(mask, f(pts), 0.0)
-        return np.where(mask, 1.0, 0.0)
-
-    psi = TestFunction(fn=fn, center=(0.5 * L,), radius=0.5 * L)
-    idx = tuple(range(min(6, u.grid.times.size)))
-    return recover_trace(u, psi, idx)
-
-
 def _strip_depths(domain: Interval, T: float, sigmas) -> Tuple[float, ...]:
     if not isinstance(domain, Interval):
         raise ValueError("strip bounds are defined on an interval")
@@ -1135,28 +1057,8 @@ def _strip_depths(domain: Interval, T: float, sigmas) -> Tuple[float, ...]:
     return _radii(T, sigmas, ladder)
 
 
-def _strip_value(source, domain: Interval, sigma: float, weighted: bool):
-    """Strip quantity of depth sigma and its error estimate.
-
-    weighted pairs phi/d with the data, otherwise the strip mass is
-    taken; exact for a measure, the small-time trace limit for a field.
-    """
-    if isinstance(source, SolveOutcome):
-        source = source.final
-    if not isinstance(source, MeasureSpec):
-        est = _trace_strip_limit(source, domain, sigma, weighted)
-        return est.limit, est.error
-    if weighted:
-        return _measure_strip_weighted(source, domain, sigma), 0.0
-    L = domain.length
-    m = ball_mass(source, domain, (0.0,), sigma)
-    if sigma < 0.5 * L:
-        m += ball_mass(source, domain, (L,), sigma)
-    return m, 0.0
-
-
 def weighted_strip_bound(
-    source: Union[MeasureSpec, GridFunction, SolveOutcome],
+    mu: MeasureSpec,
     domain: Interval,
     p: float,
     T: float = 1.0,
@@ -1165,7 +1067,7 @@ def weighted_strip_bound(
     """Eigenfunction-weighted strip mass against its admissible ceiling.
 
     On an interval, the integral of phi/d over the strip of depth sigma
-    against the data is bounded by the reciprocal time integral
+    against the measure is bounded by the reciprocal time integral
     (int_{2 sigma^2}^T (int_{d < sqrt(r)} phi)^{-(p-1)} dr)^(-1/(p-1)),
     with phi the first Dirichlet eigenfunction.  The check reports the
     empirical ratio across sigma; a ratio that keeps climbing as the
@@ -1195,10 +1097,10 @@ def weighted_strip_bound(
     rows = []
     ratios = []
     for sg in sigmas:
-        lhs, err = _strip_value(source, domain, sg, weighted=True)
+        lhs = _measure_strip_weighted(mu, domain, sg)
         bound = rhs(sg)
         ratio = lhs / bound
-        rows.append(_row(sg, lhs, bound, ratio, err))
+        rows.append(_row(sg, lhs, bound, ratio))
         ratios.append((sg, ratio))
 
     def fit(series):
@@ -1209,7 +1111,7 @@ def weighted_strip_bound(
     return _trend_report(
         "weighted_strip_bound",
         _params({"p": p, "T": T, "length": L}),
-        ("sigma", "strip_weighted", "bound", "ratio", "trace_error"),
+        ("sigma", "strip_weighted", "bound", "ratio"),
         rows,
         ratios,
         fit,
@@ -1219,7 +1121,7 @@ def weighted_strip_bound(
 
 
 def boundary_strip_rate(
-    source: Union[MeasureSpec, GridFunction, SolveOutcome],
+    mu: MeasureSpec,
     domain: Interval,
     p: float,
     T: float = 1.0,
@@ -1229,7 +1131,7 @@ def boundary_strip_rate(
 
     The mass of the strip d < sigma must vanish like sigma^(2(p-2)/(p-1))
     for p > 2, and like 1/log(e + sqrt(T)/sigma) at p = 2.  Fits the
-    observed rate of the full boundary-strip mass and compares.
+    observed rate of the measure's full boundary-strip mass and compares.
     """
     if not p >= 2:
         raise ValueError("the strip rate applies from p = 2 upward")
@@ -1239,8 +1141,11 @@ def boundary_strip_rate(
     rows = []
     masses = []
     for sg in sigmas:
-        m, err = _strip_value(source, domain, sg, weighted=False)
-        rows.append(_row(sg, m, err))
+        # the strip d <= sigma is the interval's part of the end balls
+        m = ball_mass(mu, domain, (0.0,), sg)
+        if sg < 0.5 * L:
+            m += ball_mass(mu, domain, (L,), sg)
+        rows.append(_row(sg, m))
         masses.append((sg, m))
 
     if p == 2.0:
@@ -1252,7 +1157,7 @@ def boundary_strip_rate(
     return _trend_report(
         "boundary_strip_rate",
         _params({"p": p, "T": T, "length": L}),
-        ("sigma", "strip_mass", "trace_error"),
+        ("sigma", "strip_mass"),
         rows,
         masses,
         lambda series: trend([(s, m) for s, m in series if m > 0]),

@@ -38,6 +38,9 @@ The anchor rule (``_touches``, and ``_hint_for`` for one ball): a ball
 of radius r about c holds the measure's singular point a, and carries it
 as its quadrature hint, when |a - c| <= r + 1e-12 (1 + max|a|); radius 0
 asks whether c is a.
+
+``_density_moment`` owns the integrals of a function of the density
+itself, the power and Orlicz moments that the criteria check.
 """
 
 from __future__ import annotations
@@ -542,6 +545,30 @@ def _surface_part(mu: MeasureSpec, domain: Domain, center, radius: float, tol, h
         return _sphere_area(n - 1) * prof.primitive(0.0, patch.radius)
     part = dens if g is None else (lambda pts, off=None: dens(pts, off) * g(pts))
     return integrate(part, patch, tol, singularity_hint=hint, relative=True).value
+
+
+def _density_moment(
+    mu: MeasureSpec, domain: Domain, center, radius: float, phi, part, tol
+) -> float:
+    """Integral of phi(pts, v) over a part of the ball of the given radius
+    about center, v the density there times the scale factor.
+
+    part "interior" integrates over the ball against w(y) dy, v the
+    interior density relative to w(y) dy, to absolute tolerance tol;
+    part "boundary" over its boundary patch, v the surface density, to
+    relative tolerance tol.  The quadrature hint is the anchor rule's.
+    """
+    if part == "interior":
+        dens, region = _weighted_density(mu, domain), _ball_region(domain, center, radius)
+    elif mu.boundary_density is None:
+        raise ValueError("measure has no boundary density")
+    else:
+        dens, region = mu.boundary_density, _boundary_patch(domain, center, radius)
+        if not isinstance(region, BoundaryPatch):
+            raise ValueError("surface moments need a boundary of dimension >= 1")
+    scale, hint = mu.scale_factor, _hint_for(mu, center, radius)
+    g = lambda pts, off=None: phi(pts, scale * np.asarray(dens(pts, off), float).reshape(-1))
+    return integrate(g, region, tol, singularity_hint=hint, relative=part == "boundary").value
 
 
 def ball_mass(mu: MeasureSpec, domain: Domain, center, sigma: float) -> float:

@@ -17,7 +17,6 @@ import numpy as np
 from .solver import GridFunction
 
 __all__ = [
-    "TestFunction",
     "TraceEstimate",
     "bump_test_function",
     "trace_pairing",
@@ -25,33 +24,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Bounded test function with known compact support."""
-
-    __test__ = False  # keep pytest collection away despite the name
-
-    fn: Callable
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError("support radius must be positive and finite")
-
-    def __call__(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.asarray(self.fn(pts), dtype=float).reshape(-1)
-
-
 def _radial(pts, center):
     c = np.asarray(center, dtype=float)
     return np.sqrt(np.sum((pts - c[None, :]) ** 2, axis=1))
 
 
-def bump_test_function(center, radius: float) -> TestFunction:
+def bump_test_function(center, radius: float) -> Callable:
     """Smooth bump with peak value 1 at the center, vanishing at the
-    support edge to all orders."""
+    support edge to all orders; a function of (m, N) points."""
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError("support radius must be positive and finite")
     center = tuple(float(c) for c in np.atleast_1d(center))
 
     def fn(pts):
@@ -61,11 +43,12 @@ def bump_test_function(center, radius: float) -> TestFunction:
         out[m] = np.exp(1.0 - 1.0 / (1.0 - r[m] ** 2))
         return out
 
-    return TestFunction(fn, center, float(radius))
+    return fn
 
 
-def trace_pairing(u: GridFunction, psi: TestFunction, t_index: int) -> float:
-    """Integral of psi * d * u(., t_k) over the domain."""
+def trace_pairing(u: GridFunction, psi: Callable, t_index: int) -> float:
+    """Integral of psi * d * u(., t_k) over the domain; psi maps the
+    (m, N) grid nodes to m values."""
     grid = u.grid
     if not -grid.times.size <= t_index < grid.times.size:
         raise ValueError("time level out of range")
@@ -94,7 +77,7 @@ def _extrapolate(s, v, degree):
 
 
 def recover_trace(
-    u: GridFunction, psi: TestFunction, t_indices: Sequence[int]
+    u: GridFunction, psi: Callable, t_indices: Sequence[int]
 ) -> TraceEstimate:
     """Extrapolate the pairing to t = 0.
 

@@ -216,19 +216,36 @@ def test_criteria_command_reports_consistent(tmp_path):
     assert (out / "criteria_uniform_mass_check.csv").exists()
 
 
+TRACE_INI = (
+    "[run]\ncommand = trace\nout = {out}\n\n[domain]\nkind = halfspace\ndim = 1\n\n"
+    "[measure]\nkind = bump\ncenter = 1.0\nwidth = 0.5\nfactor = 0.3\n\n"
+    "[solve]\np = 2.0\nhorizon = 0.25\ntarget_nodes = 240\n\n"
+    "[trace]\ncenters = {centers}\nwidth = 0.6\nlevels = 4\n"
+)
+
+
+def trace_rows(out):
+    """The (status, ok) cells of each row of trace.csv."""
+    header, *rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()]
+    assert header[-2:] == ["status", "ok"]
+    return [tuple(row[-2:]) for row in rows]
+
+
 def test_trace_command_matches_pairings(tmp_path):
     out = tmp_path / "trace"
-    path = write_ini(
-        tmp_path / "t.ini",
-        f"[run]\ncommand = trace\nout = {out}\n\n[domain]\nkind = halfspace\ndim = 1\n\n"
-        "[measure]\nkind = bump\ncenter = 1.0\nwidth = 0.5\nfactor = 0.3\n\n"
-        "[solve]\np = 2.0\nhorizon = 0.25\ntarget_nodes = 240\n\n"
-        "[trace]\ncenters = 1.0\nwidth = 0.6\nlevels = 4\n",
-    )
+    path = write_ini(tmp_path / "t.ini", TRACE_INI.format(out=out, centers="1.0"))
     assert run(load_config(path)) == 0
-    rows = (out / "trace.csv").read_text().splitlines()
-    assert rows[0].split(",")[-1] == "ok"
-    assert all(line.endswith(",1") for line in rows[1:])
+    assert trace_rows(out) == [("ok", "1")]
+
+
+def test_inconclusive_trace_row_fails(tmp_path):
+    # at the edge of the data the extrapolation's error bar exceeds its
+    # value: the row fails on its status, not passes on its error bar
+    out = tmp_path / "trace"
+    path = write_ini(tmp_path / "t.ini", TRACE_INI.format(out=out, centers="1.0; 2.0"))
+    assert run(load_config(path)) == 1
+    assert trace_rows(out) == [("ok", "1"), ("inconclusive", "0")]
+    assert manifest_events(out, "result")[0]["ok"] is False
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -35,7 +35,6 @@ from mildheat.measures import (
     pairing,
     scale,
 )
-from mildheat.solver import picard_solve
 
 HS1 = HalfSpace(1)
 HS2 = HalfSpace(2)
@@ -58,21 +57,6 @@ def wall_family():
 def interval_family():
     mu = make_family(SingularFamily("boundary_point", (0.0,), 3.0), IV1)
     return scale(mu, 0.05)
-
-
-@pytest.fixture(scope="module")
-def interval_solution(interval_family):
-    # early output times must resolve strips much thinner than sqrt(t)
-    out = picard_solve(
-        interval_family,
-        3.0,
-        0.2,
-        IV1,
-        target_nodes=900,
-        first_time_fraction=1e-5,
-    )
-    assert out.status == "Converged"
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -562,25 +546,6 @@ def test_strip_rate_log_decay_at_p_two():
     assert rep.verdict == "consistent"
     assert rep.predicted_exponent == pytest.approx(-1.0)
     assert rep.fitted_exponent == pytest.approx(-1.0, abs=0.15)
-
-
-def test_solution_strip_bound_agrees_with_measure(interval_family, interval_solution):
-    ref = weighted_strip_bound(
-        interval_family, IV1, p=3.0, T=0.2, sigmas=np.geomspace(0.009, 0.3, 10)
-    )
-    rep = weighted_strip_bound(
-        interval_solution, IV1, p=3.0, T=0.2, sigmas=np.geomspace(0.009, 0.3, 10)
-    )
-    assert rep.verdict == "consistent"
-    assert rep.empirical_constant == pytest.approx(ref.empirical_constant, rel=0.05)
-
-
-def test_solution_strip_rate(interval_solution):
-    rep = boundary_strip_rate(
-        interval_solution, IV1, p=3.0, T=0.2, sigmas=np.geomspace(0.009, 0.3, 10)
-    )
-    assert rep.verdict == "consistent"
-    assert rep.fitted_exponent == pytest.approx(1.0, abs=0.1)
 
 
 def test_strip_guards(interval_family):

@@ -3,7 +3,8 @@ file exports in ``__all__`` is defined there, no file looks at a
 callable's signature, one function owns the kernel against linear
 cells and one the switch to the interval's sine modes, the measures
 module alone owns the measure's weight, its weighted density, its anchor
-rule and the names of its singular families, and the CLI's option table
+rule and the names of its singular families, the criteria read a
+measure through the measures module alone, and the CLI's option table
 alone owns the config defaults."""
 
 import ast
@@ -305,3 +306,29 @@ def test_config_defaults_have_one_owner():
             for key in keys
         }
         assert read == {key for s, key in cli.OPTIONS if s == section} - {selector}
+
+
+def package_imports(source: str) -> set:
+    """The package modules a module imports from, by relative import."""
+    return {
+        node.module
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+
+
+def test_criteria_read_a_measure_through_measures_alone():
+    # the checks take a measure and integrate it through measures.py: no
+    # solved field, no trace, no direct quadrature
+    criteria = (ROOT / "src" / "mildheat" / "criteria.py").read_text(encoding="utf-8")
+    assert package_imports(criteria) == {"kernels", "measures"}
+    assert readers(criteria, "integrate") == []
+
+
+def test_weighted_density_is_read_by_measures_and_the_solver():
+    found = [
+        path.stem
+        for path in SRC_FILES
+        if readers(path.read_text(encoding="utf-8"), "_weighted_density")
+    ]
+    assert found == ["measures", "solver"]

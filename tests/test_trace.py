@@ -13,7 +13,6 @@ from mildheat.solver import (
     picard_solve,
 )
 from mildheat.trace import (
-    TestFunction,
     TraceEstimate,
     bump_test_function,
     recover_trace,
@@ -70,7 +69,7 @@ def test_pairing_is_bilinear(smooth_solve):
     assert trace_pairing(two, psi, 3) == pytest.approx(
         2.0 * trace_pairing(u, psi, 3), rel=1e-12
     )
-    half = TestFunction(lambda pts: 0.5 * psi(pts), psi.center, psi.radius)
+    half = lambda pts: 0.5 * psi(pts)
     assert trace_pairing(u, half, 3) == pytest.approx(
         0.5 * trace_pairing(u, psi, 3), rel=1e-12
     )
