@@ -94,6 +94,7 @@ def _points(text: str) -> tuple:
 
 REQUIRED = "required"
 _POSITIVE = (lambda v: v > 0, "must be positive")
+_FINITE = (lambda v: 0 < v < math.inf, "must be positive, finite")
 
 # every config key: its parser, its default or REQUIRED, and None or the
 # (condition, message) its value must meet.  A REQUIRED key must be given
@@ -103,7 +104,7 @@ OPTIONS = {
     ("run", "out"): (str, "runs/out", None),
     ("run", "seed"): (_count, 0, None),
     ("domain", "kind"): (str, "halfspace", (lambda v: ("domain", v) in CHOICES, "not a kind")),
-    ("domain", "length"): (float, 1.0, (lambda v: 0 < v < math.inf, "must be positive, finite")),
+    ("domain", "length"): (float, 1.0, _FINITE),
     ("domain", "dim"): (_count, 1, (lambda v: v in (1, 2, 3), "must be 1, 2 or 3")),
     ("measure", "kind"): (str, "zero", (lambda v: ("measure", v) in CHOICES, "not a kind")),
     ("measure", "family"): (str, REQUIRED, (lambda v: v in FAMILIES, "unknown family")),
@@ -117,8 +118,8 @@ OPTIONS = {
     ("solve", "p"): (float, REQUIRED, (lambda v: v > 1, "must exceed 1")),
     ("solve", "horizon"): (float, 1.0, _POSITIVE),
     ("solve", "target_nodes"): (_count, 400, None),
-    ("solve", "first_time_fraction"): (float, 1e-3, None),
-    ("solve", "extent"): (float, None, None),
+    ("solve", "first_time_fraction"): (float, 1e-3, (lambda v: 0 < v < 1, "must lie in (0, 1)")),
+    ("solve", "extent"): (float, None, _FINITE),
     ("tolerances", "max_iter"): (_count, 30, _POSITIVE),
     ("kernel", "samples"): (_count, 50, None),
     ("kernel", "semigroup_samples"): (_count, 8, None),
@@ -133,7 +134,6 @@ OPTIONS = {
     ("criteria", "alpha"): (float, 1.2, None),
     ("criteria", "part"): (str, None, None),
     ("criteria", "beta"): (float, 0.5, None),
-    ("dichotomy", "z"): (_floats, None, None),
     ("dichotomy", "bracket_low"): (float, 0.5, None),
     ("dichotomy", "bracket_high"): (float, 2.0, None),
     ("dichotomy", "max_bisection"): (_count, 24, None),
@@ -389,7 +389,7 @@ def _solve_measure(cfg: RunConfig, domain: Domain, man: Manifest):
     """The configured measure and its solve on the grid anchored at it."""
     mu = build_measure(cfg, domain)
     grid = measure_grid(domain, mu, cfg.solve["horizon"], **_grid_options(cfg))
-    outcome = PicardRunner(domain, mu, cfg.solve["p"], grid).solve(**cfg.tolerances)
+    outcome = PicardRunner(mu, cfg.solve["p"], grid).solve(**cfg.tolerances)
     man.timing("solve")
     return mu, outcome
 
@@ -414,8 +414,7 @@ def _cmd_solve(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) -> 
         t = grid.times[j]
         for k, xq in enumerate(grid.nodes):
             prof_rows.append((t, *xq, outcome.final.values[j, k]))
-    xcols = tuple(f"x{i}" for i in range(grid.nodes.shape[1]))
-    count = write_csv(out_dir / "profile.csv", ("t",) + xcols + ("u",), prof_rows)
+    count = write_csv(out_dir / "profile.csv", ("t", "x0", "u"), prof_rows)
     man.event("artifact", path="profile.csv", rows=count)
 
     result = {
@@ -478,9 +477,11 @@ def _cmd_dichotomy(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path)
     spec = cfg.measure
     if spec["kind"] != "family":
         raise ValueError("[measure] kind: dichotomy sweeps a singular family")
+    if spec["p"] != cfg.solve["p"]:
+        raise ValueError(f"[measure] p = {spec['p']}: must equal [solve] p = {cfg.solve['p']}")
     result = dichotomy_sweep(
         spec["family"],
-        cfg.extra["z"] or spec["anchor"],
+        spec["anchor"],
         cfg.solve["p"],
         domain,
         cfg.solve["horizon"],
@@ -534,7 +535,7 @@ def run(cfg: RunConfig, verbose: bool = False) -> int:
     )
     try:
         code = COMMANDS[cfg.command][0](cfg, build_domain(cfg), man, out_dir)
-    except ValueError as exc:
+    except (ValueError, NotImplementedError) as exc:
         man.event("error", message=str(exc))
         if verbose:
             click.echo(f"error: {exc}", err=True)

@@ -553,10 +553,11 @@ def _density_moment(
     """Integral of phi(pts, v) over a part of the ball of the given radius
     about center, v the density there times the scale factor.
 
-    part "interior" integrates over the ball against w(y) dy, v the
+    part "interior" integrates phi(pts, v) dy over the ball, v the
     interior density relative to w(y) dy, to absolute tolerance tol;
     part "boundary" over its boundary patch, v the surface density, to
-    relative tolerance tol.  The quadrature hint is the anchor rule's.
+    relative tolerance tol.  Any weight, such as d^ell or d / (d +
+    sigma), is phi's to carry.  The quadrature hint is the anchor rule's.
     """
     if part == "interior":
         dens, region = _weighted_density(mu, domain), _ball_region(domain, center, radius)

@@ -5,7 +5,9 @@ repeatedly add the memory integral of the p-th power.  All iterates are
 nonnegative and pointwise nondecreasing, so the run either converges, or
 grows past a ceiling and is reported as divergent at this resolution.
 ``dichotomy_sweep`` bisects the data scale between the two outcomes,
-every probe solved by one ``PicardRunner`` on one shared grid.
+every probe solved by one ``PicardRunner`` on one shared grid.  The
+grid, ``SpaceTimeGrid``, is every solver object's one source of the
+domain, the nodes and the space dimension, which it alone checks.
 
 Discretization choices, in one place:
 
@@ -29,7 +31,7 @@ Discretization choices, in one place:
 * matrix entries and the data's evolution are exact kernel integrals
   against hat functions, closed forms per cell; the image sums take
   only the cells within the reach R(t) of each target, the truncation
-  of ``kernels.images``, and the mode sums' matrices zero the entries
+  of ``kernels.images``, and a matrix of either regime zeros the entries
   of hats beyond it (no rescaling: a matrix row sums to the kernel mass
   in the node window);
 * the data's linear evolution has one entry, ``_InitialEvaluator.at_times``;
@@ -121,10 +123,11 @@ _GL_W = (0.362683783378361983, 0.313706645877887287,
 
 @dataclass(frozen=True, eq=False)
 class SpaceTimeGrid:
-    """Spatial nodes plus geometric time levels on one domain."""
+    """Spatial nodes plus geometric time levels on one domain, the
+    solver's one source for both; the domain has one space dimension."""
 
     domain: Domain
-    nodes: np.ndarray  # (n, N)
+    nodes: np.ndarray  # (n, 1)
     times: np.ndarray  # (M,) strictly increasing, 0 < t <= horizon
     horizon: float
 
@@ -141,21 +144,20 @@ class SpaceTimeGrid:
             raise ValueError("time levels must be positive and increasing")
         if times[-1] > self.horizon * (1 + 1e-12):
             raise ValueError("time levels exceed the horizon")
-        if nodes.shape[1] != space_dim(self.domain):
+        if space_dim(self.domain) != 1:
+            raise NotImplementedError("grids are built in one space dimension")
+        if nodes.shape[1] != 1:
             raise ValueError("node dimension does not match the domain")
         d = np.asarray(boundary_distance(self.domain, nodes), dtype=float).reshape(-1)
         if np.any(d < -1e-12):
             raise ValueError("grid nodes must lie in the closed domain")
-        if nodes.shape[1] == 1:
-            x = nodes[:, 0]
-            if np.any(np.diff(x) <= 0):
-                raise ValueError("one-dimensional nodes must be sorted unique")
-            w = np.empty_like(x)
-            w[1:-1] = 0.5 * (x[2:] - x[:-2])
-            w[0] = 0.5 * (x[1] - x[0])
-            w[-1] = 0.5 * (x[-1] - x[-2])
-        else:
-            w = np.ones(nodes.shape[0])
+        x = nodes[:, 0]
+        if np.any(np.diff(x) <= 0):
+            raise ValueError("one-dimensional nodes must be sorted unique")
+        w = np.empty_like(x)
+        w[1:-1] = 0.5 * (x[2:] - x[:-2])
+        w[0] = 0.5 * (x[1] - x[0])
+        w[-1] = 0.5 * (x[-1] - x[-2])
         object.__setattr__(self, "_weights", w)
         object.__setattr__(self, "_bdist", d)
         object.__setattr__(self, "_bweights", w * _weight(self.domain, nodes))
@@ -264,10 +266,10 @@ def make_grid(
 ) -> SpaceTimeGrid:
     """Graded grid: geometric node clusters at the boundary and at each
     anchor, uniform background, geometric time levels."""
-    if space_dim(domain) != 1:
-        raise NotImplementedError("grids are built in one space dimension")
     if not horizon > 0:
         raise ValueError("horizon must be positive")
+    if not (0 < first_time_fraction < 1 and (extent is None or 0 < extent < math.inf)):
+        raise ValueError("need 0 < first_time_fraction < 1 and 0 < extent < inf")
     anc = [float(np.asarray(a, dtype=float).reshape(-1)[0]) for a in anchors]
     lo, hi = _domain_span(domain, anc, horizon, extent)
     span = hi - lo
@@ -291,8 +293,7 @@ def make_grid(
     for x in pts[1:]:
         if x - keep[-1] >= 0.2 * _MIN_SPACING:
             keep.append(x)
-    if keep[-1] != hi:
-        keep[-1] = hi
+    keep[-1] = hi
     nodes = np.asarray(keep)[:, None]
 
     t = horizon * first_time_fraction
@@ -424,26 +425,25 @@ def _sine_cell_weights(edges: np.ndarray, length: float, k: int):
         yield slice(a, a + h.size), half * (s - c), half * (s + c)
 
 
-def _hat_transport_matrix(
-    domain: Domain, targets: np.ndarray, nodes: np.ndarray, tau: float
-) -> np.ndarray:
+def _hat_transport_matrix(domain: Domain, nodes: np.ndarray, tau: float) -> np.ndarray:
     """Transport matrix for a piecewise-linear field on sorted nodes.
 
-    Entry (i, j) is the exact integral of the kernel from target i
-    against the hat function of node j, so applying the matrix to nodal
-    values transports the interpolant with no quadrature error at all.
-    Row sums equal the kernel mass inside the node window, which keeps
-    edge rows honest and makes sharp kernels on coarse cells exact
-    instead of aliased.  Entries whose hat support lies beyond the reach
-    of ``_window`` are exact zeros.
+    Entry (i, j) is the exact integral of the kernel from node i against
+    the hat function of node j, so applying the matrix to nodal values
+    transports the interpolant with no quadrature error at all.  Row
+    sums equal the kernel mass inside the node window, which keeps edge
+    rows honest and makes sharp kernels on coarse cells exact instead of
+    aliased.
 
-    Two regimes, switched by ``_mode_count``: the windowed image sum of
-    ``_hat_weights``, and on the interval from tau_s L^2 on the sine
-    series (2/L) sum_k sin(omega x) sin(omega y) exp(-omega^2 tau), the
-    matrix S(x) diag((2/L) exp(-omega^2 tau)) P(y)^T with P the hats'
-    ``_sine_cell_weights``."""
-    x = np.asarray(targets, dtype=float).reshape(-1)
+    Two regimes, switched by ``_mode_count``, fill in the hats: the
+    windowed image sum of ``_hat_weights``, and on the interval from
+    tau_s L^2 on the sine series (2/L) sum_k sin(omega x) sin(omega y)
+    exp(-omega^2 tau), the matrix S(x) diag((2/L) exp(-omega^2 tau))
+    P(y)^T with P the hats' ``_sine_cell_weights``.  Both then keep a hat
+    whole when one of its two cells is within the reach of ``_window``,
+    zero every other entry, and clip at 0."""
     y = np.asarray(nodes, dtype=float).reshape(-1)
+    out = np.zeros((y.size, y.size))
     k = _mode_count(domain, tau)
     if k:
         length = domain.length
@@ -453,29 +453,25 @@ def _hat_transport_matrix(
             hats[cells] += left  # hat j: left weight of cell j, right of cell j - 1
             hats[cells.start + 1:cells.stop + 1] += right
         hats *= (2.0 / length) * np.exp(-omega * omega * tau)
-        out = np.empty((x.size, y.size))
-        for a in range(0, x.size, _TARGET_BLOCK):
+        for a in range(0, y.size, _TARGET_BLOCK):
             rows = slice(a, a + _TARGET_BLOCK)
-            out[rows] = _sine_phases(x[rows] / length, k)[0] @ hats.T
-        # hat j touches cells j - 1 and j: keep it when one is in reach
-        c_lo, c_hi = _window(x, y, tau)
-        j = np.arange(y.size)
-        out[(j < c_lo[:, None]) | (j > c_hi[:, None] + 1)] = 0.0
-        return np.maximum(out, 0.0, out=out)
-    cols, c_lo, c_hi, weights = _hat_weights(domain, x, y, tau)
-    # hat j is the right weight of cell j - 1 plus the left weight of cell j
-    band = np.zeros(cols.shape)
-    for left, right in weights:
-        band[:, :-1] += left
-        band[:, 1:] += right
-    kept = (cols >= c_lo[:, None]) & (cols <= c_hi[:, None] + 1) & (c_lo <= c_hi)[:, None]
-    out = np.zeros((x.size, y.size))
-    np.put_along_axis(out, cols, np.where(kept, np.maximum(band, 0.0), 0.0), axis=1)
-    return out
+            out[rows] = _sine_phases(y[rows] / length, k)[0] @ hats.T
+    else:
+        cols, _, _, weights = _hat_weights(domain, y, y, tau)
+        band = np.zeros(cols.shape)
+        for left, right in weights:
+            band[:, :-1] += left
+            band[:, 1:] += right
+        np.put_along_axis(out, cols, band, axis=1)
+    # hat j touches cells j - 1 and j
+    c_lo, c_hi = _window(y, y, tau)
+    j = np.arange(y.size)
+    out[(j < c_lo[:, None]) | (j > c_hi[:, None] + 1)] = 0.0
+    return np.maximum(out, 0.0, out=out)
 
 
 class _InitialEvaluator:
-    """Evaluates the linear evolution of a measure on fixed nodes for
+    """Evaluates the linear evolution of a measure on a grid's nodes for
     arbitrary times, scale factor removed (multiply by it afterwards),
     through its one entry ``at_times``.  The measure is reduced once to
     three source lists: ``_cells`` (edges and the endpoint values vL, vR
@@ -496,16 +492,13 @@ class _InitialEvaluator:
     mass m as m omega at 0 and -m omega cos(omega L) at L.  Each such time
     is then one (n x K) product."""
 
-    def __init__(self, domain: Domain, mu: MeasureSpec, nodes: np.ndarray):
-        if space_dim(domain) != 1:
-            raise NotImplementedError("initial fields are built in 1-d")
-        self.domain = domain
+    def __init__(self, mu: MeasureSpec, grid: SpaceTimeGrid):
+        domain = self.domain = grid.domain
         self.mu = mu
-        self.x = np.asarray(nodes, dtype=float).reshape(-1)
-        self._wall_nodes = np.asarray(boundary_distance(domain, nodes)).reshape(-1) == 0.0
-        self._anchor = None
-        if mu.singularity is not None:
-            self._anchor = np.asarray(mu.singularity[0], dtype=float).reshape(-1)
+        self.x = grid.nodes[:, 0]
+        self._wall_nodes = grid.boundary_mask
+        sing = mu.singularity
+        self._anchor = None if sing is None else float(np.reshape(sing[0], -1)[0])
         self._cells, self._points, self._walls = None, [], []
         self._build_cells()
         for a, m in mu.atoms:
@@ -534,7 +527,7 @@ class _InitialEvaluator:
         if mu.interior_density is None or not hi > lo:
             return
         self._density = _weighted_density(mu, domain)
-        anchor = None if self._anchor is None else float(self._anchor[0])
+        anchor = self._anchor
         specials = sorted({lo, hi} | ({anchor} if anchor is not None else set()))
         span = hi - lo
 
@@ -583,8 +576,10 @@ class _InitialEvaluator:
         (mass of d * density, then divided by the weight at the
         centroid): their plain effective density need not be integrable
         there.  Family cells touching the anchor use the closed-form
-        radial primitives, the only way to capture the borderline
-        profiles whose mass tail is invisible to quadrature.  Every other
+        radial primitives, one per side of the anchor, the only way to
+        capture the borderline profiles whose mass tail is invisible to
+        quadrature; at a wall anchor they carry the weight d = r as one
+        more power of the offset r.  Every other
         cell is integrated with the anchor as the quadrature's origin, so
         its offsets stay exact next to the anchor."""
         mu = self.mu
@@ -592,31 +587,20 @@ class _InitialEvaluator:
         domain = self.domain
 
         if prof is not None and prof.dim == 1 and touches and mu.interior_mode == "d_dx":
-            z = float(self._anchor[0])
+            z = self._anchor
             eps = 1e-12 * max(abs(c0), abs(c1), 1.0)
-            left = max(z - c0, 0.0)
-            right = max(c1 - z, 0.0)
-            if _weight(domain, [z]) == 0.0:
-                h = right if right > eps else left
-                m_w = prof.primitive(1.0, h)
-                if m_w <= 0:
-                    return 0.0, 0.5 * (c0 + c1)
-                off = prof.primitive(2.0, h) / m_w
-                cen = z + off if right > eps else z - off
-                return m_w / _weight(domain, [cen]), cen
-            mass = 0.0
-            m1 = 0.0
-            if right > eps:
-                mr = prof.primitive(0.0, right)
-                mass += mr
-                m1 += mr * z + prof.primitive(1.0, right)
-            if left > eps:
-                ml = prof.primitive(0.0, left)
-                mass += ml
-                m1 += ml * z - prof.primitive(1.0, left)
+            # at a wall anchor the mass is of d * density, d = r: one power more
+            wall = 1.0 if _weight(domain, [z]) == 0.0 else 0.0
+            mass = m1 = 0.0
+            for side, r in ((1.0, c1 - z), (-1.0, z - c0)):
+                if r > eps:
+                    m = prof.primitive(wall, r)
+                    mass += m
+                    m1 += m * z + side * prof.primitive(wall + 1.0, r)
             if mass <= 0:
                 return 0.0, 0.5 * (c0 + c1)
-            return mass, min(max(m1 / mass, c0), c1)
+            cen = min(max(m1 / mass, c0), c1)
+            return (mass / _weight(domain, [cen]) if wall else mass), cen
 
         wall = _weight(domain, [c0]) == 0.0 or _weight(domain, [c1]) == 0.0
 
@@ -714,8 +698,7 @@ class DuhamelOperator:
     level interpolations) and, per ladder matrix, the sources it
     transports, the levels it feeds and their weights."""
 
-    def __init__(self, domain: Domain, grid: SpaceTimeGrid):
-        self.domain = domain
+    def __init__(self, grid: SpaceTimeGrid):
         self.grid = grid
         times = grid.times
         self.tau_floor = _TAU_FLOOR * times[0]
@@ -796,8 +779,7 @@ class DuhamelOperator:
     def _matrix(self, idx: int) -> np.ndarray:
         mat = self._mat.get(idx)
         if mat is None:
-            xs = self.grid.nodes[:, 0]
-            a = _hat_transport_matrix(self.domain, xs, xs, float(self._ladder[idx]))
+            a = _hat_transport_matrix(self.grid.domain, self.grid.nodes, float(self._ladder[idx]))
             a[self.grid.boundary_mask, :] = 0.0
             mat = self._mat[idx] = a.astype(np.float32)
         return mat
@@ -841,21 +823,14 @@ class PicardRunner:
     ``initial_field`` is the data's linear evolution on the grid and
     ``step`` one iteration, the two pieces ``solve`` repeats."""
 
-    def __init__(
-        self,
-        domain: Domain,
-        mu: MeasureSpec,
-        p: float,
-        grid: SpaceTimeGrid,
-    ):
+    def __init__(self, mu: MeasureSpec, p: float, grid: SpaceTimeGrid):
         if not p > 1:
             raise ValueError("exponent must exceed 1")
-        self.domain = domain
         self.mu = mu
         self.p = p
         self.grid = grid
-        self.op = DuhamelOperator(domain, grid)
-        self._ev = _InitialEvaluator(domain, mu, grid.nodes)
+        self.op = DuhamelOperator(grid)
+        self._ev = _InitialEvaluator(mu, grid)
         self._base = self._ev.at_times(grid.times)  # scale factor 1
         if not np.all(np.isfinite(self._base)):
             raise ValueError("initial field is not finite; data too singular")
@@ -937,7 +912,7 @@ def picard_solve(
     """Monotone iteration from the data's linear evolution on its
     ``measure_grid``."""
     grid = measure_grid(domain, mu, horizon, **grid_options)
-    return PicardRunner(domain, mu, p, grid).solve()
+    return PicardRunner(mu, p, grid).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -950,8 +925,6 @@ class DichotomyResult:
     above kappa_high it diverges, both on one shared grid."""
 
     family: SingularFamily
-    z: tuple
-    p: float
     kappa_low: float
     kappa_high: float
     grid_id: str
@@ -988,7 +961,7 @@ def dichotomy_sweep(
     fam = SingularFamily(family_kind, tuple(np.atleast_1d(z).astype(float)), float(p))
     mu = make_family(fam, domain)
     grid = measure_grid(domain, mu, T, **grid_options)
-    runner = PicardRunner(domain, mu, float(p), grid)
+    runner = PicardRunner(mu, float(p), grid)
     opts = solver_options or {}
 
     history = []
@@ -1034,8 +1007,6 @@ def dichotomy_sweep(
             stall += 1
     return DichotomyResult(
         family=fam,
-        z=tuple(fam.anchor),
-        p=float(p),
         kappa_low=lo,
         kappa_high=hi,
         grid_id=grid.grid_id(),
@@ -1050,14 +1021,16 @@ def restart_residual(
     domain: Domain,
     p: Optional[float] = None,
 ) -> RestartReport:
-    """Consistency of the field with its own evolution between two
-    levels: value at the later level vs kernel transport from the
-    earlier one plus the memory integral in between."""
+    """Consistency of the field with its own evolution on its own domain
+    between two levels: value at the later level vs kernel transport
+    from the earlier one plus the memory integral in between."""
     if isinstance(u, SolveOutcome):
         if u.status != "Converged":
             raise ValueError("restart check needs a converged solve")
         u = u.final
     grid = u.grid
+    if domain != grid.domain:
+        raise ValueError(f"the field lives on {grid.domain}, not on {domain}")
     times = grid.times
     if not 0 <= t1_index < t2_index < times.size:
         raise ValueError("need valid level indices t1 < t2")
@@ -1065,7 +1038,7 @@ def restart_residual(
     nodes = grid.nodes
 
     def matrix(tau):
-        return _hat_transport_matrix(domain, nodes[:, 0], nodes[:, 0], tau)
+        return _hat_transport_matrix(domain, nodes, tau)
 
     rhs = matrix(t2 - t1) @ u.values[t1_index]
 

@@ -345,6 +345,12 @@ BAD_CONFIGS = {
         CRITERIA_INI + "check = weighted_strip_bound\n[extra]\n",
         ["[criteria] p: required", "[extra]: unknown section"],
     ),
+    "grid_settings": (
+        CRITERIA_INI + "check = uniform_mass_check\n\n[solve]\nfirst_time_fraction = 0\n"
+        "extent = 0\n",
+        ["[solve] first_time_fraction = 0: must lie in (0, 1)",
+         "[solve] extent = 0: must be positive, finite"],
+    ),
 }
 
 
@@ -358,6 +364,33 @@ def test_invalid_configs_exit_2_listing_every_error(tmp_path, name):
     errors = res.output.splitlines()[1:]
     assert sorted(errors) == sorted(expected)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "trace"])
+def test_solve_in_two_dimensions_exits_2(tmp_path, command):
+    # grids have one space dimension; the refusal is an error event
+    out = tmp_path / "out"
+    path = write_ini(
+        tmp_path / "plane.ini",
+        f"[run]\ncommand = {command}\nout = {out}\n\n[domain]\nkind = halfspace\ndim = 2\n\n"
+        "[measure]\nkind = zero\n\n[solve]\np = 2.0\n",
+    )
+    assert run(load_config(path)) == 2
+    (error,) = manifest_events(out, "error")
+    assert "one space dimension" in error["message"]
+
+
+def test_dichotomy_refuses_another_measure_exponent(tmp_path):
+    # the sweep solves the family of [solve] p; a different [measure] p
+    # would be silently ignored
+    out = tmp_path / "out"
+    text = SOLVE_INI.format(command="dichotomy", out=out).replace("p = 4.0\n", "p = 3.0\n", 1)
+    path = write_ini(
+        tmp_path / "d.ini", text + "target_nodes = 60\n\n[dichotomy]\nmax_bisection = 0\n"
+    )
+    assert run(load_config(path)) == 2
+    (error,) = manifest_events(out, "error")
+    assert "[measure] p" in error["message"]
 
 
 def test_criteria_start_event_echoes_resolved_options(tmp_path):
@@ -447,4 +480,4 @@ def test_sweep_rejects_bad_bracket():
 
 def test_dichotomy_result_validates_bracket():
     with pytest.raises(ValueError):
-        DichotomyResult(None, (1.0,), 4.0, 2.0, 1.0, "g", ())
+        DichotomyResult(None, 2.0, 1.0, "g", ())

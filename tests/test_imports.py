@@ -4,8 +4,9 @@ callable's signature, one function owns the kernel against linear
 cells and one the switch to the interval's sine modes, the measures
 module alone owns the measure's weight, its weighted density, its anchor
 rule and the names of its singular families, the criteria read a
-measure through the measures module alone, and the CLI's option table
-alone owns the config defaults."""
+measure through the measures module alone, the CLI's option table
+alone owns the config defaults, and the solver's objects take their
+domain and dimension from the grid."""
 
 import ast
 from pathlib import Path
@@ -190,6 +191,19 @@ def test_reach_window_has_one_owner():
     source = (ROOT / "src" / "mildheat" / "solver.py").read_text(encoding="utf-8")
     assert readers(source, "_reach") == ["_mode_count", "_window"]
     assert readers(source, "_window") == ["_hat_transport_matrix", "_hat_weights"]
+
+
+def test_solver_takes_its_domain_from_the_grid():
+    # no solver object is built from a domain of its own, and the grid
+    # alone refuses a domain of more than one space dimension
+    source = (ROOT / "src" / "mildheat" / "solver.py").read_text(encoding="utf-8")
+    inits = [
+        [a.arg for a in node.args.args + node.args.kwonlyargs]
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    assert len(inits) == 3 and not any("domain" in args for args in inits)
+    assert readers(source, "NotImplementedError") == ["SpaceTimeGrid.__post_init__"]
 
 
 def defined_names(source: str) -> set:

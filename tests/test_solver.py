@@ -89,6 +89,12 @@ def test_make_grid_validation():
         make_grid(HS1, horizon=0.0)
     with pytest.raises(NotImplementedError):
         make_grid(HalfSpace(2), horizon=0.1)
+    # a first level at or below 0 would append time levels without end
+    for fraction in (0.0, -1e-3, 1.0):
+        with pytest.raises(ValueError):
+            make_grid(HS1, horizon=0.1, first_time_fraction=fraction)
+    with pytest.raises(ValueError):
+        make_grid(HS1, horizon=0.1, extent=0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -149,7 +155,7 @@ def test_weighted_l1_matches_manual_sum():
 
 def test_initial_kernel_zero_measure():
     g = make_grid(HS1, 0.1, target_nodes=60)
-    u1 = PicardRunner(HS1, ZERO, 2.0, g).initial_field()
+    u1 = PicardRunner(ZERO, 2.0, g).initial_field()
     assert np.all(u1.values == 0.0)
 
 
@@ -165,7 +171,7 @@ def test_initial_kernel_atom_is_exact(domain, a, weight):
     # values of 1e-173, so there the floor is absolute
     mu = MeasureSpec(atoms=(((a,), 1.0),))
     g = make_grid(domain, 0.1, anchors=[(a,)], target_nodes=80)
-    u1 = PicardRunner(domain, mu, 2.0, g).initial_field()
+    u1 = PicardRunner(mu, 2.0, g).initial_field()
     for k, t in enumerate(g.times):
         ref = kernel_values(domain, np.array([a]), g.nodes, float(t)) / weight
         ref[g.boundary_mask] = 0.0
@@ -187,7 +193,7 @@ def test_initial_kernel_boundary_atoms(domain, mu):
     # boundary mass evolves as the weighted kernel from the wall: the
     # vectorized normal derivative against the scalar kernel at every node
     g = make_grid(domain, 0.1, target_nodes=80)
-    u1 = PicardRunner(domain, mu, 2.0, g).initial_field()
+    u1 = PicardRunner(mu, 2.0, g).initial_field()
     walls = [(0.0,)] + ([(1.0,)] if isinstance(domain, Interval) else [])
     sources = mu.atoms or [(b, 0.5) for b in walls]
     for k in (0, g.times.size // 2, g.times.size - 1):
@@ -223,7 +229,7 @@ def _evaluator(case):
         domain, fam = EVOLUTION_CASES[case]
         mu = smooth_bump(0.5, 0.3) if fam is None else make_family(fam, domain)
         grid = measure_grid(domain, mu, 1.0, target_nodes=100)
-        _evaluators[case] = _InitialEvaluator(domain, mu, grid.nodes)
+        _evaluators[case] = _InitialEvaluator(mu, grid)
     return _evaluators[case]
 
 
@@ -258,7 +264,7 @@ def test_right_wall_cells_integrate_from_the_anchor(monkeypatch):
     ev = {}
     for z in (0.0, 1.0):
         mu = make_family(SingularFamily("boundary_point", (z,), 2.0), IV1)
-        ev[z] = _InitialEvaluator(IV1, mu, measure_grid(IV1, mu, 1.0, target_nodes=100).nodes)
+        ev[z] = _InitialEvaluator(mu, measure_grid(IV1, mu, 1.0, target_nodes=100))
     assert sum(evaluations) <= 20_000
     # the meshes are stepped from the left, so compare cell by cell: each
     # right-wall cell holds its mirror image's mass, to the rounding of the
@@ -277,7 +283,7 @@ def test_whole_space_plain_density_evolves_like_its_weighted_twin():
     twin = smooth_bump(0.5, 0.3)
     grid = measure_grid(line, twin, 0.1, target_nodes=60)
     fields = [
-        PicardRunner(line, mu, 2.0, grid).initial_field().values
+        PicardRunner(mu, 2.0, grid).initial_field().values
         for mu in (replace(twin, interior_mode="dx"), twin)
     ]
     assert np.array_equal(fields[0], fields[1])
@@ -288,7 +294,7 @@ def test_initial_kernel_density_dense_oracle():
     # midpoint-rule convolution at high resolution over the support
     mu = smooth_bump()
     g = make_grid(HS1, 0.25, anchors=[(1.0,)], target_nodes=400)
-    u1 = PicardRunner(HS1, mu, 2.0, g).initial_field()
+    u1 = PicardRunner(mu, 2.0, g).initial_field()
     ys = np.linspace(0.5, 1.5, 20_000, endpoint=False) + 0.5 / 20_000
     dens = mu.interior_density(ys[:, None])
     dy = ys[1] - ys[0]
@@ -310,7 +316,7 @@ def test_initial_kernel_density_dense_oracle():
 def test_duhamel_step_zero_iterate_returns_linear_part():
     mu = smooth_bump()
     g = make_grid(HS1, 0.1, anchors=[(1.0,)], target_nodes=120)
-    runner = PicardRunner(HS1, mu, 2.0, g)
+    runner = PicardRunner(mu, 2.0, g)
     u1 = runner.initial_field().values
     out = runner.step(np.zeros_like(u1), u1)
     assert out == pytest.approx(u1)
@@ -319,7 +325,7 @@ def test_duhamel_step_zero_iterate_returns_linear_part():
 def test_duhamel_step_dominates_linear_part():
     mu = smooth_bump()
     g = make_grid(HS1, 0.1, anchors=[(1.0,)], target_nodes=120)
-    runner = PicardRunner(HS1, mu, 2.0, g)
+    runner = PicardRunner(mu, 2.0, g)
     u1 = runner.initial_field().values
     out = runner.step(u1, u1)
     assert np.all(out >= u1 - 1e-15)
@@ -348,7 +354,7 @@ def test_second_iterate_matches_tensor_oracle():
     a, m, p = 1.0, 0.1, 2.0
     mu = MeasureSpec(atoms=(((a,), m),))
     g = make_grid(HS1, 0.1, anchors=[(a,)], target_nodes=240)
-    runner = PicardRunner(HS1, mu, p, g)
+    runner = PicardRunner(mu, p, g)
     u1 = runner.initial_field().values
     u2 = runner.step(u1, u1)
     k = g.times.size - 1
@@ -377,7 +383,7 @@ def test_reach_cut_matrix_matches_dense_oracle(domain, log_tau, nodes, first, an
     tau = 10.0**log_tau
     g = make_grid(domain, 0.25, [(anchor,)], target_nodes=nodes, first_time_fraction=first)
     y = g.nodes[:, 0]
-    cut = _hat_transport_matrix(domain, y, y, tau)
+    cut = _hat_transport_matrix(domain, y, tau)
     # distance from each target to the support [y_j-1, y_j+1] of each hat
     left = np.concatenate([y[:1], y[:-1]])
     right = np.concatenate([y[1:], y[-1:]])
@@ -401,7 +407,7 @@ def test_reach_cut_matrix_matches_dense_oracle(domain, log_tau, nodes, first, an
 def test_grouped_apply_matches_per_entry_loop(domain):
     mu = make_family(SingularFamily("interior_point", (0.4,), 3.0, kappa=0.3), domain)
     grid = make_grid(domain, 0.1, anchors=[(0.4,)], target_nodes=100)
-    runner = PicardRunner(domain, mu, 3.0, grid)
+    runner = PicardRunner(mu, 3.0, grid)
     u = runner.initial_field().values
     # a second iterate that decays away from the anchor until its cube is
     # subnormal in float32, then below 1e-40: apply drops those sources
@@ -418,12 +424,12 @@ def test_grouped_apply_matches_per_entry_loop(domain):
 def test_overflowing_iterate_reports_overflow():
     mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
     grid = make_grid(HS1, 0.25, anchors=[(1.0,)], target_nodes=80)
-    out = PicardRunner(HS1, mu, p=4.0, grid=grid).solve(kappa=1e12)
+    out = PicardRunner(mu, p=4.0, grid=grid).solve(kappa=1e12)
     assert (out.status, out.iterations) == ("Diverged", 1)
     assert out.diagnostics == "ceiling exceeded"
     # under the ceiling, an interior sup of 1e6 to the eighth power
     # overflows float32
-    runner = PicardRunner(HS1, mu, p=8.0, grid=grid)
+    runner = PicardRunner(mu, p=8.0, grid=grid)
     kappa = 1e6 / np.max(runner.initial_field(kappa=1.0).values[:, grid.interior_mask])
     u = runner.initial_field(kappa=kappa).values
     with np.errstate(over="ignore", invalid="ignore"):
@@ -436,7 +442,7 @@ def test_overflowing_iterate_reports_overflow():
 def test_operator_keeps_one_float32_copy_per_matrix():
     mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
     grid = make_grid(HS1, 0.25, anchors=[(1.0,)], target_nodes=80)
-    runner = PicardRunner(HS1, mu, p=4.0, grid=grid)
+    runner = PicardRunner(mu, p=4.0, grid=grid)
     assert runner.solve(kappa=0.05).status == "Converged"
     n = grid.nodes.shape[0]
     op = runner.op
@@ -520,7 +526,7 @@ def test_wide_interval_matrix_entries_match_mpmath():
     rows = [1, n // 2, n - 2]
     cols = sorted({1, 2, n // 3, n // 2, 2 * n // 3, n - 3, n - 2, *narrow})
     for tau in (1e-4, 1e-3, 0.02, 0.2):
-        a = _hat_transport_matrix(IV1, y, y, tau)
+        a = _hat_transport_matrix(IV1, y, tau)
         for i in rows:
             top = np.max(a[i])
             for j in cols:
@@ -536,7 +542,7 @@ def test_wide_interval_evolution_matches_mpmath():
     # wide: the field against a 40-digit sine sum over the same three source
     # lists, each projected in closed form
     mu = make_family(SingularFamily("boundary_point", (0.0,), 2.0), IV1)
-    ev = _InitialEvaluator(IV1, mu, measure_grid(IV1, mu, 1.0, target_nodes=100).nodes)
+    ev = _InitialEvaluator(mu, measure_grid(IV1, mu, 1.0, target_nodes=100))
     edges, vL, vR = ev._cells
     with mpmath.workdps(40):
         pi = mpmath.pi
@@ -572,7 +578,7 @@ def test_mixed_times_evaluate_as_single_times():
     # image sums bit for bit, the mode sums up to the batched product's
     # reordering; wall nodes read exactly 0 and nothing is negative
     mu = make_family(SingularFamily("boundary_point", (0.0,), 2.0), IV1)
-    ev = _InitialEvaluator(IV1, mu, measure_grid(IV1, mu, 1.0, target_nodes=100).nodes)
+    ev = _InitialEvaluator(mu, measure_grid(IV1, mu, 1.0, target_nodes=100))
     ts = np.array([3e-7, 0.2, 1e-5, 1e-4, 5e-5, 1.0, 2e-3, 9.99e-5, 0.03])
     got = ev.at_times(ts)
     for t, row in zip(ts, got):
@@ -598,7 +604,7 @@ def test_zero_measure_converges_immediately():
 def test_small_scale_converges_with_monotone_history():
     mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
     grid = make_grid(HS1, 0.25, anchors=[(1.0,)], target_nodes=200)
-    runner = PicardRunner(HS1, mu, p=4.0, grid=grid)
+    runner = PicardRunner(mu, p=4.0, grid=grid)
     out = runner.solve(kappa=0.05)
     assert out.status == "Converged"
     sups = [h["sup"] for h in out.history]
@@ -610,7 +616,7 @@ def test_small_scale_converges_with_monotone_history():
 def test_large_scale_diverges():
     mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
     grid = make_grid(HS1, 0.25, anchors=[(1.0,)], target_nodes=200)
-    runner = PicardRunner(HS1, mu, p=4.0, grid=grid)
+    runner = PicardRunner(mu, p=4.0, grid=grid)
     out = runner.solve(kappa=50.0)
     assert out.status == "Diverged"
     assert np.all(np.isfinite(out.final.values))
@@ -619,7 +625,7 @@ def test_large_scale_diverges():
 def test_iteration_budget_reports_inconclusive():
     mu = smooth_bump()
     grid = measure_grid(HS1, mu, 0.1, target_nodes=80)
-    out = PicardRunner(HS1, mu, 2.0, grid).solve(max_iter=2)
+    out = PicardRunner(mu, 2.0, grid).solve(max_iter=2)
     assert out.status == "Inconclusive"
     assert out.iterations == 2
 
@@ -628,9 +634,9 @@ def test_solver_validation():
     mu = smooth_bump()
     g = make_grid(HS1, 0.1, target_nodes=60)
     with pytest.raises(ValueError):
-        PicardRunner(HS1, mu, p=1.0, grid=g)
+        PicardRunner(mu, p=1.0, grid=g)
     with pytest.raises(ValueError):
-        PicardRunner(HS1, mu, 2.0, g).solve(max_iter=1)
+        PicardRunner(mu, 2.0, g).solve(max_iter=1)
 
 
 def test_picard_solve_raises_what_the_runner_raises():
@@ -645,7 +651,7 @@ def test_picard_solve_raises_what_the_runner_raises():
 def test_iterates_are_pointwise_monotone():
     mu = smooth_bump()
     g = make_grid(HS1, 0.1, anchors=[(1.0,)], target_nodes=120)
-    runner = PicardRunner(HS1, mu, 2.0, g)
+    runner = PicardRunner(mu, 2.0, g)
     u1 = runner.initial_field().values
     u2 = runner.step(u1, u1)
     u3 = runner.step(u2, u1)
@@ -657,7 +663,7 @@ def test_scale_comparison_is_pointwise():
     # same grid and exponent: the smaller datum stays below at every
     # common iteration count
     g = make_grid(HS1, 0.1, anchors=[(1.0,)], target_nodes=120)
-    runner = PicardRunner(HS1, smooth_bump(), 2.0, g)
+    runner = PicardRunner(smooth_bump(), 2.0, g)
     lo = runner.initial_field(0.4).values
     hi = runner.initial_field(1.0).values
     for _ in range(2):
@@ -676,7 +682,7 @@ def test_converged_field_vanishes_on_the_wall():
 def linear_field(mu, horizon, **grid_options):
     """The data's linear evolution on the measure's own half-line grid."""
     grid = measure_grid(HS1, mu, horizon, **grid_options)
-    return PicardRunner(HS1, mu, 2.0, grid).initial_field()
+    return PicardRunner(mu, 2.0, grid).initial_field()
 
 
 def test_heat_only_weighted_mass_dissipates():
@@ -700,7 +706,7 @@ def test_restart_residual_linear_mode():
 def test_restart_residual_converged_nonlinear():
     mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
     grid = make_grid(HS1, 0.25, anchors=[(1.0,)], target_nodes=400)
-    runner = PicardRunner(HS1, mu, p=4.0, grid=grid)
+    runner = PicardRunner(mu, p=4.0, grid=grid)
     out = runner.solve(kappa=0.05)
     assert out.status == "Converged"
     nt = grid.times.size
@@ -711,7 +717,7 @@ def test_restart_residual_converged_nonlinear():
 def test_restart_refuses_diverged_run():
     mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
     grid = make_grid(HS1, 0.25, anchors=[(1.0,)], target_nodes=200)
-    out = PicardRunner(HS1, mu, p=4.0, grid=grid).solve(kappa=50.0)
+    out = PicardRunner(mu, p=4.0, grid=grid).solve(kappa=50.0)
     assert out.status == "Diverged"
     with pytest.raises(ValueError):
         restart_residual(out, 0, 5, HS1, p=4.0)
@@ -723,6 +729,17 @@ def test_restart_rejects_bad_levels():
         restart_residual(f, 5, 5, HS1)
     with pytest.raises(ValueError):
         restart_residual(f, -1, 5, HS1)
+
+
+def test_restart_checks_the_field_on_its_own_domain():
+    # the domain argument must equal the grid's: another domain's kernel
+    # would transport the field with the wrong walls
+    f = linear_field(smooth_bump(), 0.1, target_nodes=80)
+    nt = f.grid.times.size
+    with pytest.raises(ValueError):
+        restart_residual(f, nt - 6, nt - 1, Interval(50.0))
+    rep = restart_residual(f, nt - 6, nt - 1, HalfSpace(1))
+    assert rep == restart_residual(f, nt - 6, nt - 1, f.grid.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +810,7 @@ def test_critical_family_mass_reaches_the_solver():
 
     mu = make_family(SingularFamily("interior_point", (0.4,), 3.0, kappa=0.3), IV1)
     grid = make_grid(IV1, 0.05, anchors=[(0.4,)], target_nodes=800)
-    runner = PicardRunner(IV1, mu, p=3.0, grid=grid)
+    runner = PicardRunner(mu, p=3.0, grid=grid)
     u1 = runner.initial_field()
     d = boundary_distance(IV1, grid.nodes)
     wm = float(np.trapezoid(u1.values[0] * d, grid.nodes[:, 0]))
@@ -804,7 +821,7 @@ def test_critical_family_mass_reaches_the_solver():
 def test_boundary_family_solves_on_interval():
     mu = make_family(SingularFamily("boundary_point", (0.0,), 3.0, kappa=0.2), IV1)
     grid = make_grid(IV1, 0.05, anchors=[(0.0,)], target_nodes=400)
-    runner = PicardRunner(IV1, mu, p=3.0, grid=grid)
+    runner = PicardRunner(mu, p=3.0, grid=grid)
     out = runner.solve()
     assert out.status == "Converged"
     assert np.all(np.isfinite(out.final.values))

@@ -79,7 +79,7 @@ def test_pairing_atom_short_time_limit():
     a, m = (1.2,), 0.7
     mu = MeasureSpec(atoms=((a, m),))
     g = make_grid(HS1, 0.1, anchors=[a], target_nodes=300)
-    u1 = PicardRunner(HS1, mu, 2.0, g).initial_field()
+    u1 = PicardRunner(mu, 2.0, g).initial_field()
     psi = bump_test_function((1.0,), 0.8)
     # small but resolvable time: the field must span a few mesh cells
     k = int(np.argmin(np.abs(g.times - 1e-3)))
@@ -134,7 +134,7 @@ def test_boundary_localized_pairings_shrink():
     # data piling up at the wall still leaves no trace mass on it
     mu = make_family(SingularFamily("boundary_point", (0.0,), 3.0, kappa=0.2), IV1)
     grid = make_grid(IV1, 0.05, anchors=[(0.0,)], target_nodes=300)
-    out = PicardRunner(IV1, mu, p=3.0, grid=grid).solve()
+    out = PicardRunner(mu, p=3.0, grid=grid).solve()
     assert out.status == "Converged"
     vals = []
     for radius in (0.4, 0.2, 0.1):
