@@ -218,6 +218,8 @@ def load_config(path, command: Optional[str] = None, out: Optional[str] = None) 
         values[section] = checked if section in reads else {}
         if section == "run" and checked["command"] in COMMANDS:
             reads += COMMANDS[checked["command"]][1]
+    if values["run"]["command"] == "dichotomy" and cp.has_option("measure", "kappa"):
+        errors.append("[measure] kappa: not read by command = dichotomy, whose sweep chooses it")
     if errors:
         raise ValueError("invalid config:\n" + "\n".join(errors))
 

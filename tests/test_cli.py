@@ -318,6 +318,11 @@ BAD_CONFIGS = {
         SOLVE_INI.format(command="dichotomy", out="{out}") + "\n[dichotomy]\nbracket_lo = 0.1\n",
         ["[dichotomy] bracket_lo: unknown key"],
     ),
+    "dichotomy_kappa": (
+        SOLVE_INI.format(command="dichotomy", out="{out}").replace(
+            "p = 4.0\n", "p = 4.0\nkappa = 0.05\n", 1),
+        ["[measure] kappa: not read by command = dichotomy, whose sweep chooses it"],
+    ),
     "key_of_another_check": (
         CRITERIA_INI + "check = necessary_ball_bound\nalpha = 1.5\n",
         ["[criteria] alpha: not read by check = necessary_ball_bound"],
@@ -450,19 +455,20 @@ def test_sweep_history_is_monotone_valid(reference_sweep):
 
 def test_dichotomy_command_uses_the_solve_grid(tmp_path):
     # [solve] extent shapes the grid of the dichotomy sweep as it does
-    # the grid of a single solve
+    # the grid of a single solve; the sweep chooses kappa itself
     body = (
         "[domain]\nkind = halfspace\ndim = 1\n\n"
         "[measure]\nkind = family\nfamily = interior_point\nanchor = 1.0\n"
-        "p = 4.0\nkappa = 0.05\n\n"
+        "p = 4.0\n{kappa}\n"
         "[solve]\np = 4.0\nhorizon = 0.25\ntarget_nodes = 60\nextent = 3.0\n\n"
         "[dichotomy]\nbracket_low = 0.05\nbracket_high = 50.0\nmax_bisection = 0\n"
     )
     ids = {}
-    for command in ("solve", "dichotomy"):
+    for command, kappa in (("solve", "kappa = 0.05\n"), ("dichotomy", "")):
         out = tmp_path / command
         head = f"[run]\ncommand = {command}\nout = {out}\n\n"
-        run(load_config(write_ini(tmp_path / f"{command}.ini", head + body)))
+        text = head + body.format(kappa=kappa)
+        run(load_config(write_ini(tmp_path / f"{command}.ini", text)))
         ids[command] = manifest_events(out, "result")[0]["grid_id"]
     assert ids["dichotomy"] == ids["solve"]
     narrow = make_grid(HalfSpace(1), 0.25, [(1.0,)], target_nodes=60, extent=3.0)
