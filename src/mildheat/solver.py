@@ -31,9 +31,12 @@ Discretization choices, in one place:
 * matrix entries and the data's evolution are exact kernel integrals
   against hat functions, closed forms per cell; the image sums take
   only the cells within the reach R(t) of each target, the truncation
-  of ``kernels.images``, and a matrix of either regime zeros the entries
+  of ``kernels.images``, skip every image farther than R(t) from all
+  of a call's windows, and a matrix of either regime zeros the entries
   of hats beyond it (no rescaling: a matrix row sums to the kernel mass
-  in the node window);
+  in the node window); the sine modes' node values and hat projections
+  are built once per node set, at the largest mode count, and every
+  sine-series time takes its first K columns;
 * the data's linear evolution has one entry, ``_InitialEvaluator.at_times``;
   its sources are the density linearized per cell, point masses
   (interior atoms, cells at a singular anchor) and wall masses;
@@ -50,6 +53,7 @@ Discretization choices, in one place:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -320,8 +324,10 @@ def measure_grid(domain: Domain, mu: MeasureSpec, horizon: float, **grid_options
 # Both keep the cells of ``_window``, within the reach R(t) = sqrt(4 t ln
 # 1e16): every image is at least as far from a cell beyond it, so each term
 # left out carries the Gaussian factor below 1e-16 that ``kernels.images``
-# drops.  Below the switch of ``_mode_count`` both take per-cell hat weights
-# from ``_hat_weights``, from it on sine-mode ones from ``_sine_cell_weights``.
+# drops; for the same reason an image beyond the reach of every window is
+# left out whole.  Below the switch of ``_mode_count`` both take per-cell
+# hat weights from ``_hat_weights``, from it on sine-mode ones from
+# ``_sine_cell_weights``, the matrices through the nodes' ``_sine_basis``.
 
 
 def _interval_moments(pos, edges, t):
@@ -338,12 +344,12 @@ def _interval_moments(pos, edges, t):
 
 
 def _window(x: np.ndarray, y: np.ndarray, t: float):
-    """``(c_lo, c_hi)``: the cells between sorted edges ``y`` within the
-    reach R(t) of target x[i] are c_lo[i]..c_hi[i]."""
+    """``(c_lo, c_hi, reach)``: the cells between sorted edges ``y``
+    within the reach R(t) of target x[i] are c_lo[i]..c_hi[i]."""
     reach = _reach(t)
     c_lo = np.searchsorted(y[1:], x - reach, side="left")
     c_hi = np.searchsorted(y[:-1], x + reach, side="right") - 1
-    return c_lo, c_hi
+    return c_lo, c_hi, reach
 
 
 def _hat_weights(domain: Domain, x: np.ndarray, y: np.ndarray, t: float):
@@ -353,32 +359,43 @@ def _hat_weights(domain: Domain, x: np.ndarray, y: np.ndarray, t: float):
     edges ``cols[i]`` (one width for all targets) adds a cell on each
     side, so each hat on an in-reach cell is whole.  ``weights`` yields
     per image the signed weights (left, right) of the window cells,
-    ∫ g (y1 - y) / h and ∫ g (y - y0) / h over [y0, y1]."""
+    ∫ g (y1 - y) / h and ∫ g (y - y0) / h over [y0, y1], for every image
+    within the reach of some target's window: the others add only
+    Gaussian tails below 1e-16."""
     h = np.diff(y)
     if y.size < 2 or np.any(h <= 0):
         raise ValueError("need at least two strictly increasing nodes")
-    c_lo, c_hi = _window(x, y, t)
+    c_lo, c_hi, reach = _window(x, y, t)
     first = np.maximum(c_lo - 1, 0)
     width = max(int(np.max(np.minimum(c_hi + 1, h.size - 1) - first)) + 1, 1)
     start = np.minimum(first, h.size - width)[:, None]
     cols = start + np.arange(width + 1)
     ye, hw = y[cols], h[cols[:, :-1]]
+    lo, hi = ye[:, :1] - reach, ye[:, -1:] + reach
 
     def weights():
         for sign, pos in images(domain, x[:, None], t):
+            if not np.any((pos >= lo) & (pos <= hi)):
+                continue
             p, m1 = _interval_moments(pos, ye, t)
             yield sign * (ye[:, 1:] * p - m1) / hw, sign * (m1 - ye[:, :-1] * p) / hw
 
     return cols, c_lo, c_hi, weights()
 
 
-def _mode_count(domain: Domain, t: float) -> int:
+def _mode_count(domain: Domain, t: Optional[float] = None) -> int:
     """Number of sine modes sin(k pi y / L), k = 1..K, that carry the
     kernel at time t, or 0 where the image sum serves instead: every
     domain but the interval, and the interval below tau_s L^2.  K is the
     reach's truncation, the first mode with exp(-omega^2 t) below 1e-16:
-    omega_K >= sqrt(ln 1e16 / t) = R(t) / (2t)."""
-    if not isinstance(domain, Interval) or t < _SPECTRAL_FROM * domain.length**2:
+    omega_K >= sqrt(ln 1e16 / t) = R(t) / (2t).  Without t, the count at
+    tau_s L^2, the largest (195 for every L)."""
+    if not isinstance(domain, Interval):
+        return 0
+    start = _SPECTRAL_FROM * domain.length**2
+    if t is None:
+        t = start
+    elif t < start:
         return 0
     return math.ceil(domain.length * _reach(t) / (2.0 * t * math.pi)) + 1
 
@@ -425,6 +442,28 @@ def _sine_cell_weights(edges: np.ndarray, length: float, k: int):
         yield slice(a, a + h.size), half * (s - c), half * (s + c)
 
 
+@functools.lru_cache(maxsize=1)
+def _sine_basis(domain: Interval, nodes: bytes):
+    """``(S, P)`` of the float64 nodes y packed in ``nodes``, read-only
+    arrays (y.size, K) at the largest mode count K = ``_mode_count``:
+    S[i, j] = sin(omega_j y_i) and P[i, j] the projection of hat i,
+    ∫ sin(omega_j y) hat_i(y) dy.  Mode j's values do not depend on K,
+    so a time with fewer modes takes the first columns.  The memo keeps
+    the last node set asked, the one grid a solve works on."""
+    y = np.frombuffer(nodes)
+    length, k = domain.length, _mode_count(domain)
+    hats = np.zeros((y.size, k))
+    for cells, left, right in _sine_cell_weights(y, length, k):
+        hats[cells] += left  # hat j: left weight of cell j, right of cell j - 1
+        hats[cells.start + 1:cells.stop + 1] += right
+    # a block of nodes at a time, so the phases' temporaries stay small
+    phases = np.empty((y.size, k))
+    for a in range(0, y.size, _TARGET_BLOCK):
+        phases[a:a + _TARGET_BLOCK] = _sine_phases(y[a:a + _TARGET_BLOCK] / length, k)[0]
+    phases.flags.writeable = hats.flags.writeable = False
+    return phases, hats
+
+
 def _hat_transport_matrix(domain: Domain, nodes: np.ndarray, tau: float) -> np.ndarray:
     """Transport matrix for a piecewise-linear field on sorted nodes.
 
@@ -438,35 +477,30 @@ def _hat_transport_matrix(domain: Domain, nodes: np.ndarray, tau: float) -> np.n
     Two regimes, switched by ``_mode_count``, fill in the hats: the
     windowed image sum of ``_hat_weights``, and on the interval from
     tau_s L^2 on the sine series (2/L) sum_k sin(omega x) sin(omega y)
-    exp(-omega^2 tau), the matrix S(x) diag((2/L) exp(-omega^2 tau))
-    P(y)^T with P the hats' ``_sine_cell_weights``.  Both then keep a hat
-    whole when one of its two cells is within the reach of ``_window``,
-    zero every other entry, and clip at 0."""
+    exp(-omega^2 tau), the matrix S diag((2/L) exp(-omega^2 tau)) P^T
+    from the first K columns of the nodes' ``_sine_basis``.  Both then
+    keep a hat whole when one of its two cells is within the reach of
+    ``_window`` (hat j touches cells j - 1 and j), zero every other
+    entry, the image sum within its band of columns and the sine series
+    over the whole matrix, and clip at 0."""
     y = np.asarray(nodes, dtype=float).reshape(-1)
-    out = np.zeros((y.size, y.size))
     k = _mode_count(domain, tau)
     if k:
-        length = domain.length
-        omega = np.arange(1, k + 1) * (math.pi / length)
-        hats = np.zeros((y.size, k))
-        for cells, left, right in _sine_cell_weights(y, length, k):
-            hats[cells] += left  # hat j: left weight of cell j, right of cell j - 1
-            hats[cells.start + 1:cells.stop + 1] += right
-        hats *= (2.0 / length) * np.exp(-omega * omega * tau)
-        for a in range(0, y.size, _TARGET_BLOCK):
-            rows = slice(a, a + _TARGET_BLOCK)
-            out[rows] = _sine_phases(y[rows] / length, k)[0] @ hats.T
+        s, p = _sine_basis(domain, y.tobytes())
+        omega = np.arange(1, k + 1) * (math.pi / domain.length)
+        out = (s[:, :k] * ((2.0 / domain.length) * np.exp(-omega * omega * tau))) @ p[:, :k].T
+        c_lo, c_hi, _ = _window(y, y, tau)
+        j = np.arange(y.size)
+        out[(j < c_lo[:, None]) | (j > c_hi[:, None] + 1)] = 0.0
     else:
-        cols, _, _, weights = _hat_weights(domain, y, y, tau)
+        out = np.zeros((y.size, y.size))
+        cols, c_lo, c_hi, weights = _hat_weights(domain, y, y, tau)
         band = np.zeros(cols.shape)
         for left, right in weights:
             band[:, :-1] += left
             band[:, 1:] += right
+        band[(cols < c_lo[:, None]) | (cols > c_hi[:, None] + 1)] = 0.0
         np.put_along_axis(out, cols, band, axis=1)
-    # hat j touches cells j - 1 and j
-    c_lo, c_hi = _window(y, y, tau)
-    j = np.arange(y.size)
-    out[(j < c_lo[:, None]) | (j > c_hi[:, None] + 1)] = 0.0
     return np.maximum(out, 0.0, out=out)
 
 
@@ -486,11 +520,14 @@ class _InitialEvaluator:
 
     The two regimes of ``_mode_count``: below tau_s L^2, and on every
     other domain, ``_image_sum`` sums the images of each source over the
-    cells within reach.  On the interval from tau_s L^2 on, ``_mode_sum``
-    projects the sources once per call onto the sine modes: the cells by
-    ``_sine_cell_weights``, a point mass m at a as m sin(omega a), a wall
-    mass m as m omega at 0 and -m omega cos(omega L) at L.  Each such time
-    is then one (n x K) product."""
+    cells within reach, a block of targets at a time, and skips the
+    images beyond the reach of every target in the block.  On the
+    interval from tau_s L^2 on, ``_mode_sum`` projects the sources once
+    per call onto the sine modes: the cells by ``_sine_cell_weights``, a
+    point mass m at a as m sin(omega a), a wall mass m as m omega at 0
+    and -m omega cos(omega L) at L.  It reads the nodes' sin(omega x)
+    from the grid's ``_sine_basis``, which the transport matrices share,
+    and evaluates all such times in one product."""
 
     def __init__(self, mu: MeasureSpec, grid: SpaceTimeGrid):
         domain = self.domain = grid.domain
@@ -647,8 +684,8 @@ class _InitialEvaluator:
 
     def _mode_sum(self, times: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The evolution at each time from its ``counts`` sine modes: the
-        sources projected once onto the most modes asked, then targets a
-        block at a time."""
+        sources projected once onto the most modes asked, then one
+        product with the nodes' sine values."""
         k = int(np.max(counts))
         length = self.domain.length
         omega = np.arange(1, k + 1) * (math.pi / length)
@@ -666,11 +703,7 @@ class _InitialEvaluator:
             np.arange(k) < counts[:, None], np.exp(-np.outer(times, omega * omega)), 0.0
         )
         decay *= (2.0 / length) * q
-        out = np.empty((times.size, self.x.size))
-        for a in range(0, self.x.size, _TARGET_BLOCK):
-            rows = slice(a, a + _TARGET_BLOCK)
-            out[:, rows] = decay @ _sine_phases(self.x[rows] / length, k)[0].T
-        return out
+        return decay @ _sine_basis(self.domain, self.x.tobytes())[0][:, :k].T
 
     def at_times(self, times) -> np.ndarray:
         """The evolution (times, nodes), 0 on wall nodes and clipped at 0."""

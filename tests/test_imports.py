@@ -165,9 +165,12 @@ def test_kernel_against_linear_cells_has_one_owner():
 
 
 def test_spectral_switch_has_one_owner():
-    # tau_s is read by the mode count alone, which both kernel layers ask,
-    # and both take the sine-mode cell weights from one function
-    found = {"_SPECTRAL_FROM": [], "_mode_count": [], "_sine_cell_weights": []}
+    # tau_s is read by the mode count alone, which both kernel layers and
+    # the sine basis ask; both layers take the sine-mode cell weights from
+    # one function and the nodes' sine values from one basis
+    found = {
+        "_SPECTRAL_FROM": [], "_mode_count": [], "_sine_cell_weights": [], "_sine_basis": []
+    }
     for path in SRC_FILES:
         source = path.read_text(encoding="utf-8")
         for name, owners in found.items():
@@ -177,8 +180,13 @@ def test_spectral_switch_has_one_owner():
         "_mode_count": [
             "solver._InitialEvaluator.at_times",
             "solver._hat_transport_matrix",
+            "solver._sine_basis",
         ],
         "_sine_cell_weights": [
+            "solver._InitialEvaluator._mode_sum",
+            "solver._sine_basis",
+        ],
+        "_sine_basis": [
             "solver._InitialEvaluator._mode_sum",
             "solver._hat_transport_matrix",
         ],

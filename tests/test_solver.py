@@ -18,15 +18,18 @@ from mildheat.kernels import (
     kernel_values,
     weighted_kernel,
 )
-from mildheat import quadrature
+from mildheat import quadrature, solver
 from mildheat.measures import MeasureSpec, SingularFamily, make_family, scale
 from mildheat.solver import (
+    DuhamelOperator,
     GridFunction,
     PicardRunner,
     SpaceTimeGrid,
     _hat_transport_matrix,
+    _hat_weights,
     _InitialEvaluator,
     _mode_count,
+    _sine_basis,
     dichotomy_sweep,
     make_grid,
     measure_grid,
@@ -217,6 +220,7 @@ EVOLUTION_CASES = {
     "boundary-critical-halfspace": (HS1, SingularFamily("boundary_point", (0.0,), 2.0)),
     "boundary-interval": (IV1, SingularFamily("boundary_point", (0.0,), 3.0)),
     "boundary-critical-interval": (IV1, SingularFamily("boundary_point", (0.0,), 2.0)),
+    "boundary-right-interval": (IV1, SingularFamily("boundary_point", (1.0,), 3.0)),
     "bump-halfspace": (HS1, None),
     "bump-interval": (IV1, None),
     "bump-line": (WholeSpace(1), None),
@@ -401,6 +405,67 @@ def test_reach_cut_matrix_matches_dense_oracle(domain, log_tau, nodes, first, an
     dense = dense_hat_transport_matrix(domain, y, y, tau)
     assert np.all(np.abs(cut - dense)[~beyond] <= 1e-15)
     assert np.all(np.abs(cut.sum(axis=1) - dense.sum(axis=1)) <= 1e-15)
+
+
+def test_sine_basis_memo_keys_on_nodes_and_length():
+    # grids A, B (as many nodes, other places), one on Interval(2), A's
+    # nodes on Interval(2) and A again: every matrix equals a build from an
+    # empty memo, which keeps one node set
+    iv2 = Interval(2.0)
+    a = make_grid(IV1, 0.25, [(0.3,)], target_nodes=60).nodes
+    b = make_grid(IV1, 0.25, [(0.7,)], target_nodes=60).nodes
+    c = make_grid(iv2, 0.25, [(0.6,)], target_nodes=60).nodes
+    assert a.shape == b.shape
+
+    def matrices(domain, nodes):
+        taus = [3e-5 * domain.length**2] + list(np.geomspace(1e-4, 0.5, 6) * domain.length**2)
+        return [_hat_transport_matrix(domain, nodes, tau) for tau in taus]
+
+    for domain, nodes in ((IV1, a), (IV1, b), (iv2, c), (iv2, a), (IV1, a)):
+        got = matrices(domain, nodes)
+        assert _sine_basis.cache_info().currsize <= 1
+        _sine_basis.cache_clear()
+        for one, fresh in zip(got, matrices(domain, nodes)):
+            assert np.array_equal(one, fresh)
+
+
+def test_sine_basis_is_built_once_per_node_set(monkeypatch):
+    # every matrix of one operator reads the nodes' hat projections from one
+    # basis, and the data's evolution on the same grid reads it too
+    calls = []
+    real = solver._sine_cell_weights
+
+    def counted(edges, length, k):
+        calls.append(edges)
+        return real(edges, length, k)
+
+    monkeypatch.setattr(solver, "_sine_cell_weights", counted)
+    _sine_basis.cache_clear()
+    mu = make_family(SingularFamily("boundary_point", (0.0,), 3.0), IV1)
+    grid = measure_grid(IV1, mu, 0.2, target_nodes=120, first_time_fraction=1e-5)
+    op = DuhamelOperator(grid)
+    for m, *_ in op._groups:
+        op._matrix(m)
+    _InitialEvaluator(mu, grid).at_times(grid.times)
+    nodes = grid.nodes[:, 0]
+    assert sum(1 for e in calls if np.array_equal(e, nodes)) == 1
+    assert any(_mode_count(IV1, float(op._ladder[m])) for m, *_ in op._groups)
+
+
+def test_image_sum_skips_images_out_of_reach(monkeypatch):
+    # at tau = 1e-6 on the unit interval only x, -x and 2 - x come within
+    # reach of a node window; the other three images are not evaluated
+    calls = []
+    real = solver._interval_moments
+
+    def counted(pos, edges, t):
+        calls.append(pos)
+        return real(pos, edges, t)
+
+    monkeypatch.setattr(solver, "_interval_moments", counted)
+    y = make_grid(IV1, 0.25, [(0.5,)], target_nodes=100).nodes[:, 0]
+    _, _, _, weights = _hat_weights(IV1, y, y, 1e-6)
+    assert 1 <= len(list(weights)) == len(calls) <= 3
 
 
 @pytest.mark.parametrize("domain", [HS1, IV1], ids=["halfspace", "interval"])
