@@ -5,9 +5,10 @@ repeatedly add the memory integral of the p-th power.  All iterates are
 nonnegative and pointwise nondecreasing, so the run either converges, or
 grows past a ceiling and is reported as divergent at this resolution.
 ``dichotomy_sweep`` bisects the data scale between the two outcomes,
-every probe solved by one ``PicardRunner`` on one shared grid.  The
-grid, ``SpaceTimeGrid``, is every solver object's one source of the
-domain, the nodes and the space dimension, which it alone checks.
+every probe solved by one ``PicardRunner`` on one shared grid; a split
+that ends Inconclusive goes on from its last iterate instead of starting
+again.  The grid, ``SpaceTimeGrid``, is every solver object's one source
+of the domain, the nodes and the space dimension, which it alone checks.
 
 Discretization choices, in one place:
 
@@ -23,9 +24,10 @@ Discretization choices, in one place:
   2kL for k = -m..m, m = max(1, ceil((L + R(t)) / (2L))).  One reach,
   R(t) = sqrt(4 t ln 1e16) (``kernels._reach``), sets both the image
   count and the mode count;
-* the memory integral uses exact kernel matrices, never interpolated
-  kernels; matrices are cached on a geometric ladder of time offsets and
-  every quadrature node snaps to the nearest ladder entry.  The ladder
+* the memory integral uses exact kernel integrals, never interpolated
+  kernels, on a geometric ladder of time offsets to which every
+  quadrature node snaps; image-sum ladder entries are cached as
+  matrices, sine-series ones as their modes' decay.  The ladder
   ratio is sqrt(g), g = max(t_1 / t_0, 1.2) from the first two levels,
   widened when the ladder would exceed 140 entries;
 * matrix entries and the data's evolution are exact kernel integrals
@@ -41,7 +43,12 @@ Discretization choices, in one place:
   its sources are the density linearized per cell, point masses
   (interior atoms, cells at a singular anchor) and wall masses;
 * an apply makes one float32 GEMM per cached matrix over all its source
-  rows u(s)^p, then weights the products in float64;
+  rows u(s)^p, then weights the products in float64; the sine-series
+  entries share one float64 projection of their source rows onto the
+  hats' sine modes, are weighted per entry in mode space, and take one
+  product with the nodes' sine values, so S diag(decay) P^T is never
+  formed; that part keeps the entries beyond the reach and is clipped
+  at 0 per level;
 * below the first time level the iterate follows the shape of the
   linear evolution of the data (the ratio to its first-level values),
   which is exact for the first correction and conservative afterwards;
@@ -464,6 +471,17 @@ def _sine_basis(domain: Interval, nodes: bytes):
     return phases, hats
 
 
+def _sine_decay(domain: Interval, tau: float) -> np.ndarray:
+    """The sine series' diagonal at time tau, (2/L) exp(-omega_j^2 tau)
+    for the K = ``_mode_count(domain, tau)`` modes that carry it and 0
+    after them, up to the basis's largest mode count."""
+    k = _mode_count(domain, tau)
+    omega = np.arange(1, k + 1) * (math.pi / domain.length)
+    out = np.zeros(_mode_count(domain))
+    out[:k] = (2.0 / domain.length) * np.exp(-omega * omega * tau)
+    return out
+
+
 def _hat_transport_matrix(domain: Domain, nodes: np.ndarray, tau: float) -> np.ndarray:
     """Transport matrix for a piecewise-linear field on sorted nodes.
 
@@ -477,18 +495,19 @@ def _hat_transport_matrix(domain: Domain, nodes: np.ndarray, tau: float) -> np.n
     Two regimes, switched by ``_mode_count``, fill in the hats: the
     windowed image sum of ``_hat_weights``, and on the interval from
     tau_s L^2 on the sine series (2/L) sum_k sin(omega x) sin(omega y)
-    exp(-omega^2 tau), the matrix S diag((2/L) exp(-omega^2 tau)) P^T
-    from the first K columns of the nodes' ``_sine_basis``.  Both then
-    keep a hat whole when one of its two cells is within the reach of
-    ``_window`` (hat j touches cells j - 1 and j), zero every other
-    entry, the image sum within its band of columns and the sine series
-    over the whole matrix, and clip at 0."""
+    exp(-omega^2 tau), the matrix S diag(``_sine_decay``) P^T from the
+    first K columns of the nodes' ``_sine_basis``.  Both then keep a hat
+    whole when one of its two cells is within the reach of ``_window``
+    (hat j touches cells j - 1 and j), zero every other entry, the image
+    sum within its band of columns and the sine series over the whole
+    matrix, and clip at 0.  The memory integral forms only image-sum
+    matrices (``DuhamelOperator``); the sine branch serves
+    ``restart_residual`` and the tests."""
     y = np.asarray(nodes, dtype=float).reshape(-1)
     k = _mode_count(domain, tau)
     if k:
         s, p = _sine_basis(domain, y.tobytes())
-        omega = np.arange(1, k + 1) * (math.pi / domain.length)
-        out = (s[:, :k] * ((2.0 / domain.length) * np.exp(-omega * omega * tau))) @ p[:, :k].T
+        out = (s[:, :k] * _sine_decay(domain, tau)[:k]) @ p[:, :k].T
         c_lo, c_hi, _ = _window(y, y, tau)
         j = np.arange(y.size)
         out[(j < c_lo[:, None]) | (j > c_hi[:, None] + 1)] = 0.0
@@ -699,10 +718,7 @@ class _InitialEvaluator:
         for pos, m in self._walls:
             inward = 1.0 if pos[0] == 0.0 else -1.0
             q += inward * m * omega * _sine_phases(pos / length, k)[1][0]
-        decay = np.where(
-            np.arange(k) < counts[:, None], np.exp(-np.outer(times, omega * omega)), 0.0
-        )
-        decay *= (2.0 / length) * q
+        decay = np.array([_sine_decay(self.domain, t)[:k] for t in times]) * q
         return decay @ _sine_basis(self.domain, self.x.tobytes())[0][:, :k].T
 
     def at_times(self, times) -> np.ndarray:
@@ -725,11 +741,13 @@ class _InitialEvaluator:
 
 class DuhamelOperator:
     """Precomputed quadrature plan and kernel matrices for the memory
-    integral on one grid.  Matrices transport the piecewise-linear
-    interpolant exactly (float32, shared across iterations and data).
-    The plan is kept as index arrays: the source times (slivers, then
-    level interpolations) and, per ladder matrix, the sources it
-    transports, the levels it feeds and their weights."""
+    integral on one grid.  The kernels transport the piecewise-linear
+    interpolant exactly.  The plan is kept as index arrays: the source
+    times (slivers, then level interpolations) and, per ladder entry,
+    the sources it transports, the levels it feeds and their weights.
+    Only the image-sum entries keep a float32 matrix (``_matrix``, shared
+    across iterations and data); the sine-series ones keep their modes'
+    decay and act through the nodes' sine basis (``_sine_part``)."""
 
     def __init__(self, grid: SpaceTimeGrid):
         self.grid = grid
@@ -760,14 +778,23 @@ class DuhamelOperator:
         j = np.clip(np.searchsorted(times, s, side="right") - 1, 0, times.size - 2)
         self._interp = (j, (s - times[j]) / (times[j + 1] - times[j]))
 
-        self._groups = []
+        self._groups, sine = [], []
         for m in np.unique(ladder):
             sel = ladder == m
             rows, r_idx = np.unique(source[sel], return_inverse=True)
             levels, l_idx = np.unique(level[sel], return_inverse=True)
             w = np.zeros((levels.size, rows.size))
             np.add.at(w, (l_idx, r_idx), weight[sel])
-            self._groups.append((int(m), rows, levels, w))
+            tau = float(self._ladder[m])
+            if _mode_count(grid.domain, tau):
+                sine.append((rows, levels, w, _sine_decay(grid.domain, tau)))
+            else:
+                self._groups.append((int(m), rows, levels, w))
+        # the sine groups' source rows, projected once per apply; each
+        # group keeps its rows as indices into them
+        self._sine_rows = np.unique(np.concatenate([g[0] for g in sine])) if sine else None
+        self._sine = [(np.searchsorted(self._sine_rows, rows), levels, w, decay)
+                      for rows, levels, w, decay in sine]
 
     # -- plan construction
 
@@ -819,23 +846,58 @@ class DuhamelOperator:
 
     # -- application
 
+    def _sources(self, u_levels: np.ndarray, p: float, sliver_ratio: np.ndarray) -> np.ndarray:
+        """The float32 sources u(s)^p, one row per source time: the
+        slivers, then the level interpolations.  Powers below float32's
+        smallest normal, tiny, are zeroed, since subnormal sources slow
+        the GEMMs; so a base below (tiny / 2)^(1/p) is zeroed before the
+        power, where float64 subnormals among such bases slow pow."""
+        j, theta = self._interp
+        k = self.sliver_times.size
+        tiny = np.finfo(np.float32).tiny
+        cut = (0.5 * tiny) ** (1.0 / p)
+
+        def power(base):
+            base[base < cut] = 0.0
+            return base ** p
+
+        v = np.empty((k + j.size, u_levels.shape[1]), np.float32)
+        v[:k] = power(u_levels[0] * sliver_ratio)
+        # level sources a block at a time: a float64 copy of all of them
+        # raised the peak memory of a 333-node solve by 8 MB
+        for a in range(0, j.size, _SOURCE_BLOCK):
+            jb, th = j[a:a + _SOURCE_BLOCK], theta[a:a + _SOURCE_BLOCK, None]
+            v[k + a:k + a + jb.size] = power((1.0 - th) * u_levels[jb] + th * u_levels[jb + 1])
+        v[v < tiny] = 0.0
+        return v
+
+    def _sine_part(self, v: np.ndarray) -> np.ndarray:
+        """The sine groups' share of the memory integral of the sources
+        ``v`` at every level, through the nodes' basis (S, P): the groups'
+        rows projected once, Q = v P in float64, then Z[levels] += w
+        (Q[rows] * decay) per group and one product Z S^T.  The series
+        drops no entry beyond the reach, where the terms fall below 1e-16
+        of a row's mass like the modes past K, and it is clipped at 0 per
+        level and node: it sums nonnegative terms, so the clip removes
+        rounding alone and u^p never sees a negative base."""
+        out = np.zeros((self.grid.times.size, v.shape[1]))
+        if not self._sine:
+            return out
+        s, p = _sine_basis(self.grid.domain, self.grid.nodes.tobytes())
+        q = v[self._sine_rows].astype(np.float64) @ p
+        z = np.zeros((out.shape[0], q.shape[1]))
+        for rows, lv, w, decay in self._sine:
+            z[lv] += w @ (q[rows] * decay)
+        return np.maximum(np.matmul(z, s.T, out=out), 0.0, out=out)
+
     def apply(self, u_levels: np.ndarray, p: float, sliver_ratio: np.ndarray) -> np.ndarray:
         """Memory integral of the p-th power of the interpolated field.
 
         ``sliver_ratio`` holds the field shape below the first level as
         multiples of the first-level values, one row per sliver time.
         """
-        j, theta = self._interp
-        k = self.sliver_times.size
-        v = np.empty((k + j.size, u_levels.shape[1]), np.float32)
-        v[:k] = (u_levels[0] * sliver_ratio) ** p
-        # level sources a block at a time: a float64 copy of all of them
-        # raised the peak memory of a 333-node solve by 8 MB
-        for a in range(0, j.size, _SOURCE_BLOCK):
-            jb, th = j[a:a + _SOURCE_BLOCK], theta[a:a + _SOURCE_BLOCK, None]
-            v[k + a:k + a + jb.size] = ((1.0 - th) * u_levels[jb] + th * u_levels[jb + 1]) ** p
-        v[v < np.finfo(np.float32).tiny] = 0.0  # subnormal sources slow the GEMMs
-        out = np.zeros_like(u_levels)
+        v = self._sources(u_levels, p, sliver_ratio)
+        out = self._sine_part(v)
         for m, rows, levels, w in self._groups:
             out[levels] += w @ (v[rows] @ self._matrix(m).T)
         # identity tail of the memory integral
@@ -892,16 +954,29 @@ class PicardRunner:
         Inconclusive after ``max_iter`` iterations."""
         if max_iter < 2:
             raise ValueError("max_iter must be at least 2")
-        grid = self.grid
         k = self.mu.scale_factor if kappa is None else float(kappa)
-        u1 = k * self._base
+        return self._iterate(k, max_iter)
+
+    def _iterate(
+        self, kappa: float, max_iter: int, resume: Optional[SolveOutcome] = None
+    ) -> SolveOutcome:
+        """The iteration loop of ``solve`` at scale ``kappa`` up to
+        iteration ``max_iter``, from the linear part, or continued from
+        the Inconclusive outcome ``resume`` of the same scale: its final
+        field, history and iteration count go on as if its budget had
+        been ``max_iter`` from the start."""
+        grid = self.grid
+        u1 = kappa * self._base
         interior = grid.interior_mask
         wl1 = grid.boundary_weights
 
-        u = u1
-        history = []
-        prev_sup = float(np.max(u[:, interior])) if np.any(interior) else 0.0
-        for it in range(1, max_iter + 1):
+        if resume is None:
+            u, history = u1, []
+            prev_sup = float(np.max(u[:, interior])) if np.any(interior) else 0.0
+        else:
+            u, history = resume.final.values, list(resume.history)
+            prev_sup = history[-1]["sup"]
+        for it in range(len(history) + 1, max_iter + 1):
             if prev_sup > _BLOWUP_CEILING:
                 return self._diverged(u, history, it, "ceiling exceeded")
             new = self.step(u, u1)
@@ -985,8 +1060,10 @@ def dichotomy_sweep(
     Starts from ``kappa_bracket0``, widens geometrically until the low
     end converges and the high end diverges (up to 8 widenings each
     way), then bisects in log kappa until the bracket ratio drops under
-    ``RATIO_TARGET`` or the budget runs out.  Every solve reuses one
-    PicardRunner, so all outcomes live on the same grid.
+    ``RATIO_TARGET`` or the budget runs out.  A split that ends
+    Inconclusive is continued from its last iterate up to three times
+    its budget, and recorded twice, open and continued.  Every solve
+    reuses one PicardRunner, so all outcomes live on the same grid.
     """
     lo, hi = (float(v) for v in kappa_bracket0)
     if not (0.0 < lo < hi):
@@ -999,8 +1076,8 @@ def dichotomy_sweep(
 
     history = []
 
-    def probe(k: float, **budget):
-        outcome = runner.solve(kappa=k, **{**opts, **budget})
+    def probe(k: float):
+        outcome = runner.solve(kappa=k, **opts)
         history.append((float(k), outcome.status, outcome.iterations))
         return outcome
 
@@ -1028,8 +1105,10 @@ def dichotomy_sweep(
         mid = math.exp((1.0 - w) * math.log(lo) + w * math.log(hi))
         outcome = probe(mid)
         if outcome.status == "Inconclusive":
-            # the probe used up its whole budget: retry with three times it
-            outcome = probe(mid, max_iter=3 * outcome.iterations)
+            # the probe used up its whole budget: continue it up to three
+            # times that budget
+            outcome = runner._iterate(mid, 3 * outcome.iterations, outcome)
+            history.append((mid, outcome.status, outcome.iterations))
         status = outcome.status
         steps += 1
         if status == "Converged":

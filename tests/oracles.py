@@ -5,7 +5,9 @@ the reference solve marches a finite-difference scheme instead of
 iterating the mild form.  The transport matrix is also assembled densely,
 with every entry kept, the data's evolution summed over every cell and
 image, and the memory integral applied one plan entry at a time, as
-references for the reach cut and the grouped apply.  Those two share the
+references for the reach cut and the grouped apply; the apply's factored
+sine part is checked against the dense sine-series matrices of the same
+plan.  The reach-cut references share the
 solver's cell moments, which lose digits on narrow cells at wide times;
 on the interval, where the solver sums wide kernels over sine modes, the
 references are instead composite Gauss-Legendre over every cell of an
@@ -38,8 +40,10 @@ from mildheat.solver import (
     GridFunction,
     SpaceTimeGrid,
     _domain_span,
+    _hat_transport_matrix,
     _InitialEvaluator,
     _interval_moments,
+    _mode_count,
 )
 
 
@@ -195,28 +199,56 @@ def dense_initial_evolution(ev: _InitialEvaluator, t: float) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
+def _plan_sources(op: DuhamelOperator, u_levels, p: float, sliver_ratio, ki: int):
+    """Level ki's plan entries (ladder index, weight, float32 source row
+    u(s)^p), each row built from its own time s."""
+    times = op.grid.times
+    for tau_idx, weight, s in op._build_plan(ki):
+        if s >= times[0]:
+            j = int(np.searchsorted(times, s, side="right") - 1)
+            j = min(max(j, 0), times.size - 2)
+            theta = float((s - times[j]) / (times[j + 1] - times[j]))
+            u_s = (1.0 - theta) * u_levels[j] + theta * u_levels[j + 1]
+        else:
+            u_s = u_levels[0] * sliver_ratio[np.searchsorted(op.sliver_times, s)]
+        yield tau_idx, weight, (u_s**p).astype(np.float32)
+
+
 def reference_apply(
     op: DuhamelOperator, u_levels: np.ndarray, p: float, sliver_ratio: np.ndarray
 ) -> np.ndarray:
     """The memory integral one plan entry at a time: one float32
     matrix-vector product per entry, each source row built from its own
     time s, the reference for the grouped ``DuhamelOperator.apply``."""
-    times = op.grid.times
     out = np.zeros_like(u_levels)
-    for ki in range(times.size):
+    for ki in range(op.grid.times.size):
         acc = np.zeros(u_levels.shape[1])
-        for tau_idx, weight, s in op._build_plan(ki):
-            if s >= times[0]:
-                j = int(np.searchsorted(times, s, side="right") - 1)
-                j = min(max(j, 0), times.size - 2)
-                theta = float((s - times[j]) / (times[j + 1] - times[j]))
-                u_s = (1.0 - theta) * u_levels[j] + theta * u_levels[j + 1]
-            else:
-                u_s = u_levels[0] * sliver_ratio[np.searchsorted(op.sliver_times, s)]
-            acc += weight * (op._matrix(tau_idx) @ (u_s**p).astype(np.float32))
+        for tau_idx, weight, src in _plan_sources(op, u_levels, p, sliver_ratio, ki):
+            acc += weight * (op._matrix(tau_idx) @ src)
         acc += op.tau_floor * u_levels[ki] ** p
         acc[op.grid.boundary_mask] = 0.0
         out[ki] = acc
+    return out
+
+
+def dense_sine_part(
+    op: DuhamelOperator, u_levels: np.ndarray, p: float, sliver_ratio: np.ndarray
+) -> np.ndarray:
+    """The sine-series share of the memory integral one plan entry at a
+    time: every entry whose ladder time the sine series carries applies
+    the float64 matrix of ``_hat_transport_matrix``, reach cut and clip
+    included, to its source row; the reference for the factored
+    ``DuhamelOperator._sine_part``."""
+    domain, y = op.grid.domain, op.grid.nodes[:, 0]
+    mats = {}
+    out = np.zeros_like(u_levels)
+    for ki in range(op.grid.times.size):
+        for tau_idx, weight, src in _plan_sources(op, u_levels, p, sliver_ratio, ki):
+            tau = float(op._ladder[tau_idx])
+            if _mode_count(domain, tau):
+                if tau_idx not in mats:
+                    mats[tau_idx] = _hat_transport_matrix(domain, y, tau)
+                out[ki] += weight * (mats[tau_idx] @ src.astype(np.float64))
     return out
 
 

@@ -165,11 +165,14 @@ def test_kernel_against_linear_cells_has_one_owner():
 
 
 def test_spectral_switch_has_one_owner():
-    # tau_s is read by the mode count alone, which both kernel layers and
-    # the sine basis ask; both layers take the sine-mode cell weights from
-    # one function and the nodes' sine values from one basis
+    # tau_s is read by the mode count alone, which both kernel layers, the
+    # memory integral's split of its groups, the sine basis and the decay
+    # ask; both layers take the sine-mode cell weights from one function,
+    # the nodes' sine values from one basis and the modes' decay from one
+    # helper, which the factored memory integral shares
     found = {
-        "_SPECTRAL_FROM": [], "_mode_count": [], "_sine_cell_weights": [], "_sine_basis": []
+        "_SPECTRAL_FROM": [], "_mode_count": [], "_sine_cell_weights": [], "_sine_basis": [],
+        "_sine_decay": [],
     }
     for path in SRC_FILES:
         source = path.read_text(encoding="utf-8")
@@ -178,15 +181,24 @@ def test_spectral_switch_has_one_owner():
     assert found == {
         "_SPECTRAL_FROM": ["solver._mode_count"],
         "_mode_count": [
+            "solver.DuhamelOperator.__init__",
             "solver._InitialEvaluator.at_times",
             "solver._hat_transport_matrix",
             "solver._sine_basis",
+            "solver._sine_decay",
+            "solver._sine_decay",
         ],
         "_sine_cell_weights": [
             "solver._InitialEvaluator._mode_sum",
             "solver._sine_basis",
         ],
         "_sine_basis": [
+            "solver.DuhamelOperator._sine_part",
+            "solver._InitialEvaluator._mode_sum",
+            "solver._hat_transport_matrix",
+        ],
+        "_sine_decay": [
+            "solver.DuhamelOperator.__init__",
             "solver._InitialEvaluator._mode_sum",
             "solver._hat_transport_matrix",
         ],

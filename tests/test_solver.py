@@ -39,6 +39,7 @@ from mildheat.solver import (
 from oracles import (
     dense_hat_transport_matrix,
     dense_initial_evolution,
+    dense_sine_part,
     fd_reference_solve,
     gauss_hat_transport_matrix,
     gauss_initial_evolution,
@@ -430,8 +431,8 @@ def test_sine_basis_memo_keys_on_nodes_and_length():
 
 
 def test_sine_basis_is_built_once_per_node_set(monkeypatch):
-    # every matrix of one operator reads the nodes' hat projections from one
-    # basis, and the data's evolution on the same grid reads it too
+    # the factored apply, the data's evolution and a sine-series matrix on
+    # one grid read the nodes' hat projections from one basis
     calls = []
     real = solver._sine_cell_weights
 
@@ -443,13 +444,12 @@ def test_sine_basis_is_built_once_per_node_set(monkeypatch):
     _sine_basis.cache_clear()
     mu = make_family(SingularFamily("boundary_point", (0.0,), 3.0), IV1)
     grid = measure_grid(IV1, mu, 0.2, target_nodes=120, first_time_fraction=1e-5)
-    op = DuhamelOperator(grid)
-    for m, *_ in op._groups:
-        op._matrix(m)
-    _InitialEvaluator(mu, grid).at_times(grid.times)
+    runner = PicardRunner(mu, 3.0, grid)
+    runner.step(runner._base, runner._base)
+    _hat_transport_matrix(IV1, grid.nodes, 0.1)
     nodes = grid.nodes[:, 0]
     assert sum(1 for e in calls if np.array_equal(e, nodes)) == 1
-    assert any(_mode_count(IV1, float(op._ladder[m])) for m, *_ in op._groups)
+    assert runner.op._sine and _mode_count(IV1, 0.1)
 
 
 def test_image_sum_skips_images_out_of_reach(monkeypatch):
@@ -468,6 +468,17 @@ def test_image_sum_skips_images_out_of_reach(monkeypatch):
     assert 1 <= len(list(weights)) == len(calls) <= 3
 
 
+def _plain_sources(op, u, p, sliver_ratio):
+    """The float32 sources u(s)^p in one piece, the powers below float32's
+    smallest normal zeroed."""
+    j, theta = op._interp
+    th = theta[:, None]
+    v = np.vstack([(u[0] * sliver_ratio) ** p, ((1.0 - th) * u[j] + th * u[j + 1]) ** p])
+    v = v.astype(np.float32)
+    v[v < np.finfo(np.float32).tiny] = 0.0
+    return v
+
+
 @pytest.mark.parametrize("domain", [HS1, IV1], ids=["halfspace", "interval"])
 def test_grouped_apply_matches_per_entry_loop(domain):
     mu = make_family(SingularFamily("interior_point", (0.4,), 3.0, kappa=0.3), domain)
@@ -484,6 +495,48 @@ def test_grouped_apply_matches_per_entry_loop(domain):
         got = runner.op.apply(it, 3.0, runner._rat)
         ref = reference_apply(runner.op, it, 3.0, runner._rat)
         assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(ref)
+        assert np.array_equal(runner.op._sources(it, 3.0, runner._rat),
+                              _plain_sources(runner.op, it, 3.0, runner._rat))
+
+
+def test_sources_zero_underflowing_bases_before_the_power():
+    # W2's grid at kappa = 0.16: many interpolated sources lie below the
+    # cut (1/2 float32 tiny)^(1/4), some of them float64 subnormals; the
+    # sources equal the plain formula, and an overflowing field still
+    # gives non-finite ones
+    mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
+    grid = measure_grid(HS1, mu, 0.25, target_nodes=80)
+    runner = PicardRunner(mu, 4.0, grid)
+    u = runner.solve(kappa=0.16, max_iter=6).final.values
+    op = runner.op
+    j, theta = op._interp
+    base = (1.0 - theta[:, None]) * u[j] + theta[:, None] * u[j + 1]
+    cut = (0.5 * np.finfo(np.float32).tiny) ** 0.25
+    assert np.mean((base > 0) & (base < cut)) > 0.1
+    assert np.any((base > 0) & (base < np.finfo(np.float64).tiny))
+    assert np.array_equal(op._sources(u, 4.0, runner._rat), _plain_sources(op, u, 4.0, runner._rat))
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(op._sources(1e12 * u, 4.0, runner._rat)))
+
+
+@pytest.mark.parametrize("case", ["w1", "p2.5"])
+def test_sine_part_matches_dense_products_of_the_plan(case):
+    # the factored sine part, no reach cut and one clip per level, against
+    # the float64 dense sine-series matrices of the same plan entries
+    if case == "w1":
+        p, mu = 3.0, scale(make_family(SingularFamily("boundary_point", (0.0,), 3.0), IV1), 0.05)
+        grid = measure_grid(IV1, mu, 0.2, target_nodes=560, first_time_fraction=1e-5)
+    else:
+        p = 2.5
+        mu = make_family(SingularFamily("boundary_point", (0.0,), p, kappa=0.3), IV1)
+        grid = measure_grid(IV1, mu, 0.1, target_nodes=100)
+    runner = PicardRunner(mu, p, grid)
+    op = runner.op
+    u = runner.initial_field().values
+    got = op._sine_part(op._sources(u, p, runner._rat))
+    ref = dense_sine_part(op, u, p, runner._rat)
+    assert op._sine and np.max(ref) > 0 and np.all(got >= 0.0)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
 
 
 def test_overflowing_iterate_reports_overflow():
@@ -504,13 +557,26 @@ def test_overflowing_iterate_reports_overflow():
     assert out.diagnostics == "overflow in the power term"
 
 
-def test_operator_keeps_one_float32_copy_per_matrix():
-    mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
-    grid = make_grid(HS1, 0.25, anchors=[(1.0,)], target_nodes=80)
-    runner = PicardRunner(mu, p=4.0, grid=grid)
-    assert runner.solve(kappa=0.05).status == "Converged"
+@pytest.mark.parametrize(
+    "domain, mu, p",
+    [(HS1, make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1), 4.0),
+     (IV1, MeasureSpec(atoms=(((0.4,), 0.1),)), 2.5)],
+    ids=["halfspace", "interval"],
+)
+def test_operator_keeps_one_float32_copy_per_matrix(domain, mu, p):
+    # only image-sum ladder indices form a matrix.  On the interval the
+    # atom's evolution underflows to 0 far from it, where the factored
+    # sine part's rounding falls below 0: its clip keeps the solve with a
+    # non-integer power finite and nonnegative
+    grid = measure_grid(domain, mu, 0.25, target_nodes=80)
+    runner = PicardRunner(mu, p=p, grid=grid)
+    out = runner.solve(kappa=0.05)
+    assert out.status == "Converged"
+    assert np.all(np.isfinite(out.final.values)) and np.all(out.final.values >= 0.0)
     n = grid.nodes.shape[0]
     op = runner.op
+    assert bool(op._sine) == isinstance(domain, Interval)
+    assert not any(_mode_count(domain, float(op._ladder[m])) for m in op._mat)
 
     def arrays(obj):
         if isinstance(obj, np.ndarray):
@@ -529,6 +595,63 @@ def test_operator_keeps_one_float32_copy_per_matrix():
     for a in mats:
         assert a.dtype == np.float32 and a.shape == (n, n)
         assert a.flags.c_contiguous and a.base is None
+
+
+def _assert_same_outcome(a, b):
+    assert (a.status, a.iterations, a.diagnostics) == (b.status, b.iterations, b.diagnostics)
+    assert a.history == b.history
+    assert np.array_equal(a.final.values, b.final.values)
+
+
+@pytest.mark.parametrize("kappa, first, budget, status", [
+    (0.16817928305074292, 40, 120, "Diverged"),  # the reference sweep's open probe
+    (0.1414213562373095, 10, 30, "Converged"),
+])
+def test_continued_probe_equals_a_fresh_solve(kappa, first, budget, status):
+    mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
+    runner = PicardRunner(mu, 4.0, measure_grid(HS1, mu, 0.25, target_nodes=80))
+    open_probe = runner.solve(kappa=kappa, max_iter=first)
+    assert (open_probe.status, open_probe.iterations) == ("Inconclusive", first)
+    continued = runner._iterate(kappa, budget, open_probe)
+    assert continued.status == status and len(open_probe.history) == first
+    _assert_same_outcome(continued, runner.solve(kappa=kappa, max_iter=budget))
+
+
+@pytest.fixture(scope="module")
+def small_runner():
+    mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
+    return PicardRunner(mu, 4.0, measure_grid(HS1, mu, 0.25, target_nodes=40,
+                                              first_time_fraction=1e-2))
+
+
+@settings(max_examples=12, deadline=None)
+@given(kappa=st.floats(0.05, 0.4), first=st.integers(2, 12), more=st.integers(1, 24))
+def test_continuing_an_open_solve_is_a_larger_budget(small_runner, kappa, first, more):
+    open_probe = small_runner.solve(kappa=kappa, max_iter=first)
+    fresh = small_runner.solve(kappa=kappa, max_iter=first + more)
+    if open_probe.status != "Inconclusive":
+        _assert_same_outcome(open_probe, fresh)
+        return
+    _assert_same_outcome(small_runner._iterate(kappa, first + more, open_probe), fresh)
+
+
+def test_sweep_continues_its_open_probe(monkeypatch):
+    # the reference sweep's open probe goes on from iteration 41 instead of
+    # repeating its first 40: 4 + 5 + 7 + 15 + 40 + 7 applies
+    calls = []
+    real = DuhamelOperator.apply
+
+    def counted(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(DuhamelOperator, "apply", counted)
+    r = dichotomy_sweep(
+        "interior_point", (1.0,), 4.0, HS1, 0.25, (0.05, 0.2),
+        max_bisection=16, solver_options={"max_iter": 40}, target_nodes=80,
+    )
+    assert [h[1:] for h in r.history[-2:]] == [("Inconclusive", 40), ("Diverged", 47)]
+    assert len(calls) == 78
 
 
 def test_reference_sweep_history_is_pinned():
