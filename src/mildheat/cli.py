@@ -388,11 +388,14 @@ def _grid_options(cfg: RunConfig) -> dict:
 
 
 def _solve_measure(cfg: RunConfig, domain: Domain, man: Manifest):
-    """The configured measure and its solve on the grid anchored at it."""
+    """The configured measure and its solve on the grid anchored at it;
+    the manifest gets the solve's timing and its operator's ``stats``."""
     mu = build_measure(cfg, domain)
     grid = measure_grid(domain, mu, cfg.solve["horizon"], **_grid_options(cfg))
-    outcome = PicardRunner(mu, cfg.solve["p"], grid).solve(**cfg.tolerances)
+    runner = PicardRunner(mu, cfg.solve["p"], grid)
+    outcome = runner.solve(**cfg.tolerances)
     man.timing("solve")
+    man.event("stats", **runner.op.stats())
     return mu, outcome
 
 

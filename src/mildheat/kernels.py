@@ -7,7 +7,9 @@ sign * g_t(pos - y) with g_t the free Gaussian.  The half-space has the
 source and its mirror, summed in closed form as the Gaussian times a
 reflection factor written with expm1, which does not cancel near the
 wall; the interval has the images of both under the shifts 2kL, k =
--m..m.  The solver's transport matrices and data evolution use these
+-m..m, which ``kernel_values`` sums a source and mirror pair at a time
+in the same closed form, so that a point next to either wall keeps its
+digits.  The solver's transport matrices and data evolution use these
 images too, except on the interval at t >= tau_s L^2, the switch of
 ``solver._mode_count``: there they sum the eigenfunction series (2/L)
 sum_k sin(omega x) sin(omega y) exp(-omega^2 t), omega = k pi / L.
@@ -27,7 +29,8 @@ Also provided: surviving mass, a semigroup composition check driven by
 the quadrature module, and sampled two-sided Gaussian bounds.
 
 The ``kernel-check`` rows compare: ``symmetry``, ``kernel_values`` from x
-at y against from y at x (different image lists); ``boundary_zero``,
+at y against from y at x (different image lists; on the interval the
+same pairs, set by the point nearer a wall); ``boundary_zero``,
 ``kernel_values`` from a wall source through its whole image series;
 ``semigroup`` and ``weighted_semigroup``, ``verify_semigroup``;
 ``survival_mass`` (one dimension with a wall), its closed form against
@@ -202,15 +205,29 @@ def kernel_values(domain: Domain, x, ys, t: float) -> np.ndarray:
     if ys.ndim == 1:
         ys = ys[:, None]
     c = (4.0 * math.pi * t) ** (-space_dim(domain) / 2.0)
+    diff = ys - x
+    if isinstance(domain, WholeSpace):
+        return c * np.exp(-np.einsum("ij,ij->i", diff, diff) / (4.0 * t))
+
+    def pair(d2, ab):
+        # a source and its mirror, d2 the squared distance to the nearer
+        # one and ab the product of the two points' wall distances: closed
+        # form with expm1, which does not cancel next to a wall
+        return c * np.exp(-d2 / (4.0 * t)) * -np.expm1(-ab / t)
+
     if isinstance(domain, HalfSpace):
-        diff = ys - x
-        q = np.einsum("ij,ij->i", diff, diff)
-        return c * np.exp(-q / (4.0 * t)) * -np.expm1(-x[-1] * ys[:, -1] / t)
-    out = np.zeros(ys.shape[0])
-    for sign, pos in images(domain, x, t):
-        diff = ys - pos
-        out += sign * np.exp(-np.einsum("ij,ij->i", diff, diff) / (4.0 * t))
-    out *= c
+        return pair(np.einsum("ij,ij->i", diff, diff), x[-1] * ys[:, -1])
+    # q is the point nearer a wall, reflected about L/2 to sit near 0, and
+    # u = p - 2kL runs over the other point's source images: the pair
+    # g(u - q) - g(u + q) is sign(u) g(|u| - q) (-expm1(-|u| q / t))
+    L = domain.length
+    y = ys[:, 0]
+    swap = min(x[0], L - x[0]) < np.minimum(y, L - y)
+    p, q = np.where(swap, y, x[0]), np.where(swap, x[0], y)
+    flip = q > 0.5 * L
+    p, q = np.where(flip, L - p, p), np.where(flip, L - q, q)
+    out = sum(np.sign(u) * pair((np.abs(u) - q) ** 2, np.abs(u) * q)
+              for _, u in images(domain, p, t)[::2])
     np.maximum(out, 0.0, out=out)  # clear series round-off below zero
     out[boundary_distance(domain, ys) == 0.0] = 0.0
     return out

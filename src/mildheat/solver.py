@@ -27,9 +27,9 @@ Discretization choices, in one place:
 * the memory integral uses exact kernel integrals, never interpolated
   kernels, on a geometric ladder of time offsets to which every
   quadrature node snaps; image-sum ladder entries are cached as
-  matrices, sine-series ones as their modes' decay.  The ladder
-  ratio is sqrt(g), g = max(t_1 / t_0, 1.2) from the first two levels,
-  widened when the ladder would exceed 140 entries;
+  matrices (stored as below), sine-series ones as their modes' decay.
+  The ladder ratio is sqrt(g), g = max(t_1 / t_0, 1.2) from the first
+  two levels, widened when the ladder would exceed 140 entries;
 * matrix entries and the data's evolution are exact kernel integrals
   against hat functions, closed forms per cell; the image sums take
   only the cells within the reach R(t) of each target, the truncation
@@ -42,8 +42,13 @@ Discretization choices, in one place:
 * the data's linear evolution has one entry, ``_InitialEvaluator.at_times``;
   its sources are the density linearized per cell, point masses
   (interior atoms, cells at a singular anchor) and wall masses;
-* an apply makes one float32 GEMM per cached matrix over all its source
-  rows u(s)^p, then weights the products in float64; the sine-series
+* an image-sum matrix is cached in float32 as row blocks of 32 targets
+  over their reach band (``_Band``): each block spans the hats its rows
+  keep, all blocks as wide as the widest, and a matrix whose blocks
+  would hold more than n^2 / 2 entries is kept whole;
+* an apply transports all source rows u(s)^p of a cached matrix at
+  once, one batched float32 product over its blocks (one GEMM for a
+  whole matrix), then weights the products in float64; the sine-series
   entries share one float64 projection of their source rows onto the
   hats' sine modes, are weighted per entry in mode space, and take one
   product with the nodes' sine values, so S diag(decay) P^T is never
@@ -482,7 +487,55 @@ def _sine_decay(domain: Interval, tau: float) -> np.ndarray:
     return out
 
 
-def _hat_transport_matrix(domain: Domain, nodes: np.ndarray, tau: float) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class _Band:
+    """A transport matrix (n, n) kept as blocks of target rows: block b
+    holds rows b B .. b B + B - 1 (the last block padded with zero rows)
+    over the W columns ``cols[b]``, consecutive, and every entry of those
+    rows outside them is 0.  A banded matrix takes B = ``_TARGET_BLOCK``
+    rows a block, a whole one a single block of all n rows over all n
+    columns.  ``a @ v`` transports a vector (n,), or each row of a stack
+    (r, n), that is v A^T; ``size`` counts the stored entries;
+    ``toarray`` gives the dense matrix."""
+
+    blocks: np.ndarray  # (blocks, B, W)
+    cols: np.ndarray  # (blocks, W)
+    n: int
+
+    @property
+    def size(self) -> int:
+        return self.blocks.size
+
+    @property
+    def whole(self) -> bool:
+        return self.blocks.shape == (1, self.n, self.n)
+
+    def rows(self) -> np.ndarray:
+        """The n target rows over their block's columns, a view (n, W)."""
+        return self.blocks.reshape(-1, self.blocks.shape[2])[:self.n]
+
+    def astype(self, dtype) -> "_Band":
+        return _Band(self.blocks.astype(dtype), self.cols, self.n)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros((self.n, self.n), self.blocks.dtype)
+        b = self.blocks.shape[1]
+        for k, c in enumerate(self.cols):
+            rows = out[k * b:(k + 1) * b]
+            rows[:, c] = self.blocks[k, :rows.shape[0]]
+        return out
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        if self.whole:
+            return v @ self.blocks[0].T
+        # each block's columns of every source row, (blocks, W, rows), in
+        # one batched product with the blocks
+        stack = v.reshape(-1, self.n)
+        out = np.matmul(self.blocks, stack.T[self.cols])
+        return out.reshape(-1, stack.shape[0])[:self.n].T.reshape(v.shape)
+
+
+def _hat_transport_matrix(domain: Domain, nodes: np.ndarray, tau: float) -> _Band:
     """Transport matrix for a piecewise-linear field on sorted nodes.
 
     Entry (i, j) is the exact integral of the kernel from node i against
@@ -500,27 +553,46 @@ def _hat_transport_matrix(domain: Domain, nodes: np.ndarray, tau: float) -> np.n
     whole when one of its two cells is within the reach of ``_window``
     (hat j touches cells j - 1 and j), zero every other entry, the image
     sum within its band of columns and the sine series over the whole
-    matrix, and clip at 0.  The memory integral forms only image-sum
-    matrices (``DuhamelOperator``); the sine branch serves
-    ``restart_residual`` and the tests."""
+    matrix, and clip at 0.
+
+    The result is a ``_Band`` in float64.  The image sum fills its blocks
+    from the band of each row directly: each block of ``_TARGET_BLOCK``
+    rows spans the kept hats of its rows, W is the widest such span and a
+    block starts at its first kept hat, moved left to n - W at most.  If
+    those blocks would hold more than n^2 / 2 entries, the matrix is kept
+    whole.  The sine series, formed whole, stays whole.  The memory
+    integral forms only image-sum matrices (``DuhamelOperator``); the
+    sine branch serves ``restart_residual`` and the tests."""
     y = np.asarray(nodes, dtype=float).reshape(-1)
+    n = y.size
     k = _mode_count(domain, tau)
     if k:
         s, p = _sine_basis(domain, y.tobytes())
         out = (s[:, :k] * _sine_decay(domain, tau)[:k]) @ p[:, :k].T
         c_lo, c_hi, _ = _window(y, y, tau)
-        j = np.arange(y.size)
+        j = np.arange(n)
         out[(j < c_lo[:, None]) | (j > c_hi[:, None] + 1)] = 0.0
-    else:
-        out = np.zeros((y.size, y.size))
-        cols, c_lo, c_hi, weights = _hat_weights(domain, y, y, tau)
-        band = np.zeros(cols.shape)
-        for left, right in weights:
-            band[:, :-1] += left
-            band[:, 1:] += right
-        band[(cols < c_lo[:, None]) | (cols > c_hi[:, None] + 1)] = 0.0
-        np.put_along_axis(out, cols, band, axis=1)
-    return np.maximum(out, 0.0, out=out)
+        return _Band(np.maximum(out, 0.0, out=out)[None], j[None], n)
+    cols, c_lo, c_hi, weights = _hat_weights(domain, y, y, tau)
+    band = np.zeros(cols.shape)
+    for left, right in weights:
+        band[:, :-1] += left
+        band[:, 1:] += right
+    band[(cols < c_lo[:, None]) | (cols > c_hi[:, None] + 1)] = 0.0
+    np.maximum(band, 0.0, out=band)
+    # the kept hats of row i are c_lo[i] .. c_hi[i] + 1
+    heads = np.arange(0, n, _TARGET_BLOCK)
+    lo = np.minimum.reduceat(c_lo, heads)
+    width = int(np.max(np.maximum.reduceat(c_hi + 1, heads) - lo)) + 1
+    if heads.size * _TARGET_BLOCK * width > 0.5 * n * n:
+        whole = np.zeros((1, n, n))
+        np.put_along_axis(whole[0], cols, band, axis=1)
+        return _Band(whole, np.arange(n)[None], n)
+    starts = np.minimum(lo, n - width)
+    i, k = np.nonzero(band)
+    blocks = np.zeros((heads.size, _TARGET_BLOCK, width))
+    blocks.reshape(-1, width)[i, cols[i, k] - starts[i // _TARGET_BLOCK]] = band[i, k]
+    return _Band(blocks, starts[:, None] + np.arange(width), n)
 
 
 class _InitialEvaluator:
@@ -747,7 +819,11 @@ class DuhamelOperator:
     the sources it transports, the levels it feeds and their weights.
     Only the image-sum entries keep a float32 matrix (``_matrix``, shared
     across iterations and data); the sine-series ones keep their modes'
-    decay and act through the nodes' sine basis (``_sine_part``)."""
+    decay and act through the nodes' sine basis (``_sine_part``).  An
+    image-sum matrix is a ``_Band`` from ``_hat_transport_matrix``, with
+    its wall rows zeroed: row blocks over their reach band where the
+    band is narrow, the whole matrix where it is not.  ``stats`` counts
+    what the operator built and did."""
 
     def __init__(self, grid: SpaceTimeGrid):
         self.grid = grid
@@ -765,6 +841,7 @@ class DuhamelOperator:
         self._ladder = top * rho ** -np.arange(count)
         self._log_rho = math.log(rho)
         self._mat = {}
+        self._applies = 0
 
         # standard subdivision of the window below the first level
         n_sliver = int(math.ceil(-math.log(_SLIVER_FLOOR) / math.log(g)))
@@ -836,13 +913,26 @@ class DuhamelOperator:
 
     # -- matrices
 
-    def _matrix(self, idx: int) -> np.ndarray:
+    def _matrix(self, idx: int) -> _Band:
         mat = self._mat.get(idx)
         if mat is None:
             a = _hat_transport_matrix(self.grid.domain, self.grid.nodes, float(self._ladder[idx]))
-            a[self.grid.boundary_mask, :] = 0.0
+            a.rows()[self.grid.boundary_mask] = 0.0
             mat = self._mat[idx] = a.astype(np.float32)
         return mat
+
+    def stats(self) -> dict:
+        """The image-sum matrices built, banded and kept whole, their
+        stored float32 megabytes, and the applies made."""
+        mats = self._mat.values()
+        whole = sum(a.whole for a in mats)
+        return {
+            "image_matrices": len(mats),
+            "banded": len(mats) - whole,
+            "whole": whole,
+            "stored_mb": 4e-6 * sum(a.size for a in mats),
+            "applies": self._applies,
+        }
 
     # -- application
 
@@ -896,10 +986,11 @@ class DuhamelOperator:
         ``sliver_ratio`` holds the field shape below the first level as
         multiples of the first-level values, one row per sliver time.
         """
+        self._applies += 1
         v = self._sources(u_levels, p, sliver_ratio)
         out = self._sine_part(v)
         for m, rows, levels, w in self._groups:
-            out[levels] += w @ (v[rows] @ self._matrix(m).T)
+            out[levels] += w @ (self._matrix(m) @ v[rows])
         # identity tail of the memory integral
         out += self.tau_floor * u_levels ** p
         out[:, self.grid.boundary_mask] = 0.0
@@ -1135,7 +1226,10 @@ def restart_residual(
 ) -> RestartReport:
     """Consistency of the field with its own evolution on its own domain
     between two levels: value at the later level vs kernel transport
-    from the earlier one plus the memory integral in between."""
+    from the earlier one plus the memory integral in between.  Each
+    kernel is a float64 ``_hat_transport_matrix`` applied through its
+    ``_Band``, so an image-sum time with a narrow band forms no n x n
+    matrix."""
     if isinstance(u, SolveOutcome):
         if u.status != "Converged":
             raise ValueError("restart check needs a converged solve")

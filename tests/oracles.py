@@ -7,11 +7,12 @@ with every entry kept, the data's evolution summed over every cell and
 image, and the memory integral applied one plan entry at a time, as
 references for the reach cut and the grouped apply; the apply's factored
 sine part is checked against the dense sine-series matrices of the same
-plan.  The reach-cut references share the
-solver's cell moments, which lose digits on narrow cells at wide times;
-on the interval, where the solver sums wide kernels over sine modes, the
-references are instead composite Gauss-Legendre over every cell of an
-image sum paired at the walls, which uses neither.
+plan.  The transport matrix filled densely from the solver's own
+windows is the reference for its row blocks.  The reach-cut references
+share the solver's cell moments, which lose digits on narrow cells at
+wide times; on the interval, where the solver sums wide kernels over sine
+modes, the references are instead composite Gauss-Legendre over every
+cell of an image sum paired at the walls, which uses neither.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from mildheat.solver import (
     SpaceTimeGrid,
     _domain_span,
     _hat_transport_matrix,
+    _hat_weights,
     _InitialEvaluator,
     _interval_moments,
     _mode_count,
@@ -154,6 +156,24 @@ def dense_hat_transport_matrix(
     return np.maximum(out, 0.0)
 
 
+def windowed_hat_transport_matrix(domain: Domain, nodes: np.ndarray, tau: float) -> np.ndarray:
+    """Image-sum transport matrix filled densely from the windows of
+    ``_hat_weights``: each row's band of hats put into an n x n array,
+    the hats beyond the reach zeroed, clipped at 0.  The reference for
+    the blocks of ``_hat_transport_matrix``, which it fills from the same
+    band without forming the n x n array."""
+    y = np.asarray(nodes, dtype=float).reshape(-1)
+    out = np.zeros((y.size, y.size))
+    cols, c_lo, c_hi, weights = _hat_weights(domain, y, y, tau)
+    band = np.zeros(cols.shape)
+    for left, right in weights:
+        band[:, :-1] += left
+        band[:, 1:] += right
+    band[(cols < c_lo[:, None]) | (cols > c_hi[:, None] + 1)] = 0.0
+    np.put_along_axis(out, cols, band, axis=1)
+    return np.maximum(out, 0.0)
+
+
 def _tail_moments(pos, edges, t):
     """(∫ g, ∫ y g) over each cell as ``_interval_moments`` gives them,
     but with every erf difference taken between erfc values on the far
@@ -217,14 +237,18 @@ def _plan_sources(op: DuhamelOperator, u_levels, p: float, sliver_ratio, ki: int
 def reference_apply(
     op: DuhamelOperator, u_levels: np.ndarray, p: float, sliver_ratio: np.ndarray
 ) -> np.ndarray:
-    """The memory integral one plan entry at a time: one float32
-    matrix-vector product per entry, each source row built from its own
-    time s, the reference for the grouped ``DuhamelOperator.apply``."""
+    """The memory integral one plan entry at a time: one product of the
+    dense float32 matrix, ``toarray`` of the operator's, with a vector per
+    entry, each source row built from its own time s, the reference for
+    the grouped ``DuhamelOperator.apply``."""
+    mats = {}
     out = np.zeros_like(u_levels)
     for ki in range(op.grid.times.size):
         acc = np.zeros(u_levels.shape[1])
         for tau_idx, weight, src in _plan_sources(op, u_levels, p, sliver_ratio, ki):
-            acc += weight * (op._matrix(tau_idx) @ src)
+            if tau_idx not in mats:
+                mats[tau_idx] = op._matrix(tau_idx).toarray()
+            acc += weight * (mats[tau_idx] @ src)
         acc += op.tau_floor * u_levels[ki] ** p
         acc[op.grid.boundary_mask] = 0.0
         out[ki] = acc
@@ -236,7 +260,7 @@ def dense_sine_part(
 ) -> np.ndarray:
     """The sine-series share of the memory integral one plan entry at a
     time: every entry whose ladder time the sine series carries applies
-    the float64 matrix of ``_hat_transport_matrix``, reach cut and clip
+    the dense float64 matrix of ``_hat_transport_matrix``, reach cut and clip
     included, to its source row; the reference for the factored
     ``DuhamelOperator._sine_part``."""
     domain, y = op.grid.domain, op.grid.nodes[:, 0]
@@ -247,7 +271,7 @@ def dense_sine_part(
             tau = float(op._ladder[tau_idx])
             if _mode_count(domain, tau):
                 if tau_idx not in mats:
-                    mats[tau_idx] = _hat_transport_matrix(domain, y, tau)
+                    mats[tau_idx] = _hat_transport_matrix(domain, y, tau).toarray()
                 out[ki] += weight * (mats[tau_idx] @ src.astype(np.float64))
     return out
 

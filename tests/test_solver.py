@@ -44,6 +44,7 @@ from oracles import (
     gauss_hat_transport_matrix,
     gauss_initial_evolution,
     reference_apply,
+    windowed_hat_transport_matrix,
 )
 
 HS1 = HalfSpace(1)
@@ -388,7 +389,7 @@ def test_reach_cut_matrix_matches_dense_oracle(domain, log_tau, nodes, first, an
     tau = 10.0**log_tau
     g = make_grid(domain, 0.25, [(anchor,)], target_nodes=nodes, first_time_fraction=first)
     y = g.nodes[:, 0]
-    cut = _hat_transport_matrix(domain, y, tau)
+    cut = _hat_transport_matrix(domain, y, tau).toarray()
     # distance from each target to the support [y_j-1, y_j+1] of each hat
     left = np.concatenate([y[:1], y[:-1]])
     right = np.concatenate([y[1:], y[-1:]])
@@ -420,7 +421,7 @@ def test_sine_basis_memo_keys_on_nodes_and_length():
 
     def matrices(domain, nodes):
         taus = [3e-5 * domain.length**2] + list(np.geomspace(1e-4, 0.5, 6) * domain.length**2)
-        return [_hat_transport_matrix(domain, nodes, tau) for tau in taus]
+        return [_hat_transport_matrix(domain, nodes, tau).toarray() for tau in taus]
 
     for domain, nodes in ((IV1, a), (IV1, b), (iv2, c), (iv2, a), (IV1, a)):
         got = matrices(domain, nodes)
@@ -557,23 +558,37 @@ def test_overflowing_iterate_reports_overflow():
     assert out.diagnostics == "overflow in the power term"
 
 
+def _would_be_blocks(y, tau):
+    """Entries of ``_TARGET_BLOCK``-row blocks as wide as the widest span
+    of kept hats, c_lo .. c_hi + 1 per row, from the reach window."""
+    c_lo, c_hi, _ = solver._window(y, y, tau)
+    heads = np.arange(0, y.size, solver._TARGET_BLOCK)
+    span = np.maximum.reduceat(c_hi + 1, heads) - np.minimum.reduceat(c_lo, heads) + 1
+    return heads.size * solver._TARGET_BLOCK * int(np.max(span))
+
+
 @pytest.mark.parametrize(
-    "domain, mu, p",
-    [(HS1, make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1), 4.0),
-     (IV1, MeasureSpec(atoms=(((0.4,), 0.1),)), 2.5)],
-    ids=["halfspace", "interval"],
+    "domain, mu, p, horizon, options",
+    [(HS1, make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1), 4.0, 0.25,
+      {"target_nodes": 80}),
+     (IV1, MeasureSpec(atoms=(((0.4,), 0.1),)), 2.5, 0.25, {"target_nodes": 80}),
+     (IV1, make_family(SingularFamily("boundary_point", (0.0,), 3.0), IV1), 3.0, 0.2,
+      {"target_nodes": 560, "first_time_fraction": 1e-5})],
+    ids=["halfspace", "interval", "w1"],
 )
-def test_operator_keeps_one_float32_copy_per_matrix(domain, mu, p):
-    # only image-sum ladder indices form a matrix.  On the interval the
-    # atom's evolution underflows to 0 far from it, where the factored
-    # sine part's rounding falls below 0: its clip keeps the solve with a
-    # non-integer power finite and nonnegative
-    grid = measure_grid(domain, mu, 0.25, target_nodes=80)
+def test_operator_keeps_one_float32_copy_per_matrix(domain, mu, p, horizon, options):
+    # only image-sum ladder indices form a matrix, one float32 band each,
+    # kept whole exactly when its blocks would hold more than n^2 / 2
+    # entries.  On the interval the atom's evolution underflows to 0 far
+    # from it, where the factored sine part's rounding falls below 0: its
+    # clip keeps the solve with a non-integer power finite and nonnegative
+    grid = measure_grid(domain, mu, horizon, **options)
     runner = PicardRunner(mu, p=p, grid=grid)
     out = runner.solve(kappa=0.05)
     assert out.status == "Converged"
     assert np.all(np.isfinite(out.final.values)) and np.all(out.final.values >= 0.0)
-    n = grid.nodes.shape[0]
+    y = grid.nodes[:, 0]
+    n = y.size
     op = runner.op
     assert bool(op._sine) == isinstance(domain, Interval)
     assert not any(_mode_count(domain, float(op._ladder[m])) for m in op._mat)
@@ -587,14 +602,63 @@ def test_operator_keeps_one_float32_copy_per_matrix(domain, mu, p):
         elif isinstance(obj, dict):
             for item in obj.values():
                 yield from arrays(item)
+        elif isinstance(obj, solver._Band):
+            yield obj.blocks
 
-    held = [a for v in vars(op).values() for a in arrays(v) if a.size >= n * n]
-    mats = list(op._mat.values())
+    mats = op._mat
     assert len(mats) == len(op._groups)  # one per ladder index the plan uses
-    assert sorted(map(id, held)) == sorted(map(id, mats))
-    for a in mats:
-        assert a.dtype == np.float32 and a.shape == (n, n)
-        assert a.flags.c_contiguous and a.base is None
+    for m, a in mats.items():
+        assert a.blocks.dtype == np.float32 and a.blocks.flags.c_contiguous
+        assert a.blocks.base is None
+        assert a.whole == (_would_be_blocks(y, float(op._ladder[m])) > n * n / 2)
+    held = [a for v in vars(op).values() for a in arrays(v) if a.size >= n * n]
+    assert sorted(map(id, held)) == sorted(id(a.blocks) for a in mats.values() if a.whole)
+    stats = op.stats()
+    stored = sum(a.size for a in mats.values())
+    assert stats["image_matrices"] == len(mats)
+    assert stats["stored_mb"] == pytest.approx(4e-6 * stored)
+    assert stats["applies"] == out.iterations
+    if options.get("first_time_fraction"):
+        # W1: its 65 matrices are all banded, in at most 20% of 65 n^2
+        assert (len(mats), stats["banded"], held) == (65, 65, [])
+        assert stored <= 0.2 * 65 * n * n
+    elif isinstance(domain, HalfSpace):
+        # W2's grid keeps some of its matrices whole and bands the others
+        assert stats["banded"] and stats["whole"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    domain=st.sampled_from([HS1, IV1, WholeSpace(1)]),
+    log_tau=st.floats(-9.0, 0.0),
+    nodes=st.integers(20, 200),
+    first=st.floats(1e-5, 0.1),
+    anchor=st.floats(0.1, 0.9),
+)
+def test_band_matches_the_dense_window_fill(domain, log_tau, nodes, first, anchor):
+    # the row blocks hold the entries of the dense fill from the same
+    # windows; their products agree with the dense ones to float32 rounding.
+    # The interval's times move below tau_s L^2, onto the image path
+    tau = 10.0**log_tau
+    if _mode_count(domain, tau):
+        tau *= 0.99 * solver._SPECTRAL_FROM
+    g = make_grid(domain, 0.25, [(anchor,)], target_nodes=nodes, first_time_fraction=first)
+    y = g.nodes[:, 0]
+    band = _hat_transport_matrix(domain, y, tau)
+    dense = windowed_hat_transport_matrix(domain, y, tau)
+    top = np.max(dense, axis=1, keepdims=True)
+    assert np.all(np.abs(band.toarray() - dense) <= 1e-15 * top)
+    assert band.whole == (_would_be_blocks(y, tau) > y.size**2 / 2)
+    if not band.whole:
+        assert band.size <= y.size**2 / 2
+    rng = np.random.default_rng(nodes)
+    v = rng.random((5, y.size)).astype(np.float32)
+    a32, d32 = band.astype(np.float32), dense.astype(np.float32)
+    ref = v @ d32.T
+    assert np.max(np.abs((a32 @ v) - ref)) <= 1e-6 * np.max(ref)
+    assert np.max(np.abs((a32 @ v[0]) - ref[0])) <= 1e-6 * np.max(ref[0])
+    assert np.allclose(band @ v[1].astype(float), dense @ v[1].astype(float),
+                       rtol=0.0, atol=1e-14 * np.max(dense @ v[1].astype(float)))
 
 
 def _assert_same_outcome(a, b):
@@ -714,7 +778,7 @@ def test_wide_interval_matrix_entries_match_mpmath():
     rows = [1, n // 2, n - 2]
     cols = sorted({1, 2, n // 3, n // 2, 2 * n // 3, n - 3, n - 2, *narrow})
     for tau in (1e-4, 1e-3, 0.02, 0.2):
-        a = _hat_transport_matrix(IV1, y, tau)
+        a = _hat_transport_matrix(IV1, y, tau).toarray()
         for i in rows:
             top = np.max(a[i])
             for j in cols:
