@@ -1,12 +1,12 @@
 """Adaptive integration over balls, boxes, boundary patches and time intervals.
 
-The engine is a cell-based adaptive cubature on axis-aligned boxes in a
+Time intervals go to QUADPACK (``scipy.integrate.quad``).  Everything
+else goes to a cell-based adaptive cubature on axis-aligned boxes in a
 parameter space.  Every supported region is mapped onto such a box by a
 smooth transform whose Jacobian is folded into the integrand.  There is
 one map per region shape, chosen in ``_region_map``:
 
-- a translated box, for boxes, 1-D balls, 2-D boundary patches and time
-  intervals;
+- a translated box, for boxes, 1-D balls and 2-D boundary patches;
 - a polar map (rho, theta), for 2-D balls and 3-D boundary patches;
 - a spherical map (rho, cos of the polar angle, azimuth), for 3-D balls;
 - a slice map along the last axis, for 2-D and 3-D balls whose clip
@@ -15,13 +15,17 @@ one map per region shape, chosen in ``_region_map``:
 Each cell carries a nested pair of open Chebyshev-root rules (5 and 15
 points per axis; the 5-point nodes are a subset of the 15-point nodes),
 so one batch of evaluations yields both the value and an embedded error
-estimate.  Open rules matter here: integrands with algebraic or
-logarithmic endpoint singularities are never evaluated at the singular
-point itself.
+estimate.  The pair is built once per dimension as one flat rule (unit
+nodes and a two-column weight matrix, fine and coarse), so a cell's two
+estimates are one matrix product.  Open rules matter here: integrands
+with algebraic or logarithmic endpoint singularities are never evaluated
+at the singular point itself.
 
 Cells are split along their longest axis relative to the root box; cells
 that contain a declared singularity are split geometrically toward it
-with ratio 1/4.  Transforms recentre the singular point at parameter 0,
+with ratio 1/4.  The greedy loop always splits the cell of largest
+error estimate, and evaluates the two children of a split in one
+integrand call.  Transforms recentre the singular point at parameter 0,
 where doubles are dense, so subdivision is not limited by the absolute
 coordinate's ulp.
 
@@ -30,7 +34,9 @@ of points and ``off`` holds the exact offsets of those points from the
 declared singular location, or None when no hint is active (or, in the
 polar and spherical maps, when the hint is not the centre).  Distance
 factors like ``|x - z|^(-a)`` must be computed from ``off`` when it is
-given, to avoid catastrophic cancellation.
+given, to avoid catastrophic cancellation.  Rows are independent: the
+value of a row may depend on that row of ``pts`` and ``off`` alone, since
+one call may hold the points of two cells.
 
 Node placement is deterministic and results are reduced in a canonical
 order, so repeated calls are bit-identical.  Unbounded domains are not
@@ -43,9 +49,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import quad
 
 __all__ = [
     "Ball",
@@ -123,9 +131,15 @@ class BoundaryPatch:
 
 @dataclass(frozen=True)
 class QuadResult:
+    """An integral, its error estimate and the integrand evaluations
+    spent.  ``converged`` is False when the estimate missed the tolerance
+    asked for: the evaluation budget ran out first, or, in
+    ``integrate_time``, QUADPACK reported a failure."""
+
     value: float
     error_estimate: float
     evaluations: int
+    converged: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -150,57 +164,69 @@ def _fejer1(n: int):
     return nodes, weights
 
 
-_NODES_F, _WEIGHTS_F = _fejer1(_N_FINE)
-_WEIGHTS_C = _fejer1(_N_COARSE)[1]
 # coarse node j sits at fine index 3j+1
 _COARSE_IDX = 3 * np.arange(_N_COARSE) + 1
+
+
+@lru_cache(maxsize=None)
+def _flat_rule(ndim: int):
+    """The nested pair on [-1, 1]^ndim as one flat rule: the unit nodes,
+    (ndim, 15^ndim) axis by axis in C order, and a (15^ndim, 2) matrix of
+    the fine and the coarse tensor weights, the coarse weights zero off
+    the coarse nodes.  ``vals @ weights`` then gives a cell's two sums."""
+    nodes, w_fine = _fejer1(_N_FINE)
+    w_coarse = np.zeros(_N_FINE)
+    w_coarse[_COARSE_IDX] = _fejer1(_N_COARSE)[1]
+    grids = np.meshgrid(*([nodes] * ndim), indexing="ij")
+    unit = np.stack([gr.ravel() for gr in grids])
+    fine = coarse = np.ones(())
+    for _ in range(ndim):
+        fine = np.multiply.outer(fine, w_fine)
+        coarse = np.multiply.outer(coarse, w_coarse)
+    return unit, np.column_stack([fine.ravel(), coarse.ravel()])
 
 
 class _Cell:
     __slots__ = ("lo", "hi", "value", "error")
 
-    def __init__(self, lo, hi):
+    def __init__(self, lo, hi, value, error):
         self.lo = lo
         self.hi = hi
-        self.value = 0.0
-        self.error = 0.0
+        self.value = value
+        self.error = error
 
 
-def _eval_cell(g, cell: _Cell, ndim: int) -> int:
-    """Fill cell.value/cell.error with the nested-rule pair; return eval count."""
-    mid = 0.5 * (cell.lo + cell.hi)
-    half = 0.5 * (cell.hi - cell.lo)
-    axes = [mid[k] + half[k] * _NODES_F for k in range(ndim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([gr.ravel() for gr in grids], axis=-1)
-    vals = np.asarray(g(pts), dtype=float).reshape((_N_FINE,) * ndim)
-    if not np.all(np.isfinite(vals)):
+def _eval_cells(g, lo, hi, rule) -> list:
+    """The cells with corners lo, hi (k, ndim) under the flat rule, from
+    one call of g on all k * 15^ndim nodes."""
+    unit, weights = rule
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    # built axis by axis, so that each coordinate is one contiguous run;
+    # the (k 15^ndim, ndim) points are a transposed view
+    pts = (mid.T[:, :, None] + half.T[:, :, None] * unit[:, None, :]).reshape(len(unit), -1).T
+    vals = np.asarray(g(pts), dtype=float).reshape(len(lo), -1)
+    if not np.isfinite(vals).all():
         # a node collided with a singular point at float resolution; the
         # collision set has measure zero so dropping it is harmless
         vals = np.where(np.isfinite(vals), vals, 0.0)
-    scale = float(np.prod(half))
-
-    fine = vals
-    for _ in range(ndim):
-        fine = np.tensordot(_WEIGHTS_F, fine, axes=(0, 0))
-    coarse = vals[np.ix_(*([_COARSE_IDX] * ndim))]
-    for _ in range(ndim):
-        coarse = np.tensordot(_WEIGHTS_C, coarse, axes=(0, 0))
-
-    cell.value = float(fine) * scale
-    cell.error = abs(float(fine) - float(coarse)) * scale
-    return _N_FINE**ndim
+    sums = (vals @ weights).tolist()
+    scales = half.prod(axis=1).tolist()
+    return [
+        _Cell(lo[k], hi[k], fine * scale, abs(fine - coarse) * scale)
+        for k, ((fine, coarse), scale) in enumerate(zip(sums, scales))
+    ]
 
 
 def _contains(cell: _Cell, point) -> bool:
-    return bool(np.all(point >= cell.lo) and np.all(point <= cell.hi))
+    return bool((point >= cell.lo).all() and (point <= cell.hi).all())
 
 
 def _split_cell(cell: _Cell, hint, root_extent):
-    """Split into two children along the axis that is longest relative to
-    the root box; geometric 1/4 splits toward a contained hint."""
-    extent = cell.hi - cell.lo
-    axis = int(np.argmax(extent / root_extent))
+    """Corners (lo, hi), each (2, ndim), of the two children of a cell,
+    split along the axis that is longest relative to the root box;
+    geometric 1/4 splits toward a contained hint."""
+    axis = int(((cell.hi - cell.lo) / root_extent).argmax())
     lo, hi = cell.lo[axis], cell.hi[axis]
     width = hi - lo
     cut = 0.5 * (lo + hi)
@@ -213,11 +239,11 @@ def _split_cell(cell: _Cell, hint, root_extent):
         else:
             # isolate the singular point on a cell corner
             cut = min(max(h, lo + 1e-3 * width), hi - 1e-3 * width)
-    lo_child = _Cell(cell.lo.copy(), cell.hi.copy())
-    hi_child = _Cell(cell.lo.copy(), cell.hi.copy())
-    lo_child.hi[axis] = cut
-    hi_child.lo[axis] = cut
-    return lo_child, hi_child
+    los = np.array([cell.lo, cell.lo])
+    his = np.array([cell.hi, cell.hi])
+    his[0, axis] = cut
+    los[1, axis] = cut
+    return los, his
 
 
 def _adaptive_box(
@@ -229,15 +255,20 @@ def _adaptive_box(
     relative: bool = False,
     max_evals: int = 2_000_000,
 ) -> QuadResult:
+    """Greedy adaptive cubature of g over the box [lo, hi]: the cell of
+    largest error estimate is split until the total estimate meets the
+    target or the next split would pass ``max_evals``.  The two children
+    of a split are evaluated in one call of g."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    ndim = lo.size
+    rule = _flat_rule(lo.size)
+    per_cell = len(rule[1])
     root_extent = np.maximum(hi - lo, 1e-300)
     if hint is not None:
         hint = np.asarray(hint, dtype=float)
 
-    root = _Cell(lo, hi)
-    evals = _eval_cell(g, root, ndim)
+    (root,) = _eval_cells(g, lo[None], hi[None], rule)
+    evals = per_cell
     heap = []
     counter = 0
     heapq.heappush(heap, (-root.error, counter, root))
@@ -249,13 +280,13 @@ def _adaptive_box(
         target = tol if not relative else tol * max(abs(total_val), 1e-300)
         if total_err <= target:
             break
-        if evals + 2 * _N_FINE**ndim > max_evals or not heap:
+        if evals + 2 * per_cell > max_evals or not heap:
             break
         _, _, worst = heapq.heappop(heap)
         total_val -= worst.value
         total_err -= worst.error
-        for child in _split_cell(worst, hint, root_extent):
-            evals += _eval_cell(g, child, ndim)
+        evals += 2 * per_cell
+        for child in _eval_cells(g, *_split_cell(worst, hint, root_extent), rule):
             counter += 1
             if child.error > 0.0:
                 heapq.heappush(heap, (-child.error, counter, child))
@@ -268,7 +299,7 @@ def _adaptive_box(
     cells.sort(key=lambda c: (tuple(c.lo), tuple(c.hi)))
     value = math.fsum(c.value for c in cells)
     error = math.fsum(c.error for c in cells)
-    return QuadResult(value=value, error_estimate=error, evaluations=evals)
+    return QuadResult(value, error, evals, converged=total_err <= target)
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +456,6 @@ def _region_map(region, f, h):
     raise TypeError(f"unknown region type {type(region).__name__}")
 
 
-def _run(mapped, tol: float, relative: bool) -> QuadResult:
-    """Check the tolerance, map the region and integrate over the box
-    within ``_adaptive_box``'s default budget."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    out = mapped()
-    if isinstance(out, QuadResult):
-        return out
-    lo, hi, g, hp = out
-    return _adaptive_box(g, lo, hi, tol, hint=hp, relative=relative)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -455,20 +474,39 @@ def integrate(
     values; ``off`` holds the exact offsets of the points from the
     declared singular location, or None when the map has none (see the
     module docstring), and distance factors should be computed from it.
+    Rows are independent: a value may depend on its own row of ``pts``
+    and ``off`` alone, as one call may hold the points of two cells.
     ``singularity_hint`` is a ``(location, exponent)`` pair; the location
     steers geometric cell splitting, the exponent is informational.  When
     the budget of 2,000,000 evaluations runs out, the partial result is
-    returned with its (then > tol) error estimate.
+    returned with its (then > tol) error estimate and ``converged``
+    False.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     h = None
     if singularity_hint is not None:
         h = np.atleast_1d(np.asarray(singularity_hint[0], float))
-    return _run(lambda: _region_map(region, f, h), tol, relative)
+    out = _region_map(region, f, h)
+    if isinstance(out, QuadResult):
+        return out
+    lo, hi, g, hp = out
+    return _adaptive_box(g, lo, hi, tol, hint=hp, relative=relative)
 
 
 def integrate_time(g, t0: float, t1: float, tol: float) -> QuadResult:
     """Integrate a smooth scalar function of time over (t0, t1) to
-    relative tolerance ``tol``; ``g(ts)`` receives a 1-D array of times."""
+    relative tolerance ``tol`` with QUADPACK's adaptive Gauss-Kronrod
+    rule (``scipy.integrate.quad``); ``g(ts)`` receives a 1-D array of
+    times.  QUADPACK refuses, with ValueError, a ``tol`` below 50 machine
+    epsilons; ``converged`` is False when it reports any other failure."""
     if not t0 < t1:
         raise ValueError("time interval must have t0 < t1")
-    return _run(lambda: _translated(lambda p, _off: g(p[:, 0]), [t0], [t1]), tol, True)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    out = quad(
+        lambda t: float(g(np.array([t]))[0]), t0, t1, epsabs=0.0, epsrel=tol, full_output=1
+    )
+    # a fourth item, the message, is returned exactly when QUADPACK's ier != 0
+    value, error, info = out[:3]
+    return QuadResult(value, error, info["neval"], converged=len(out) == 3)

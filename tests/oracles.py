@@ -13,10 +13,14 @@ share the solver's cell moments, which lose digits on narrow cells at
 wide times; on the interval, where the solver sums wide kernels over sine
 modes, the references are instead composite Gauss-Legendre over every
 cell of an image sum paired at the walls, which uses neither.
+
+The adaptive cubature is checked against its one-cell form: the same
+greedy loop with one integrand call and one tensor contraction per cell.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Optional
 
@@ -36,6 +40,7 @@ from mildheat.kernels import (
     space_dim,
 )
 from mildheat.measures import MeasureSpec
+from mildheat.quadrature import QuadResult, _fejer1
 from mildheat.solver import (
     DuhamelOperator,
     GridFunction,
@@ -348,3 +353,104 @@ def gauss_initial_evolution(ev: _InitialEvaluator, t: float) -> np.ndarray:
         out += m * normal_derivative(ev.domain, x[:, None], b, t)
     out[ev._wall_nodes] = 0.0
     return np.maximum(out, 0.0)
+
+
+class _OneCell:
+    __slots__ = ("lo", "hi", "value", "error")
+
+    def __init__(self, lo, hi):
+        self.lo = lo
+        self.hi = hi
+        self.value = 0.0
+        self.error = 0.0
+
+
+_NODES_15, _WEIGHTS_15 = _fejer1(15)
+_WEIGHTS_5 = _fejer1(5)[1]
+
+
+def _eval_one_cell(g, cell: _OneCell, ndim: int) -> int:
+    """Fill cell.value/cell.error with the nested 5/15-point pair, the
+    coarse nodes at fine indices 3j+1; return the evaluation count."""
+    mid = 0.5 * (cell.lo + cell.hi)
+    half = 0.5 * (cell.hi - cell.lo)
+    axes = [mid[k] + half[k] * _NODES_15 for k in range(ndim)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([gr.ravel() for gr in grids], axis=-1)
+    vals = np.asarray(g(pts), dtype=float).reshape((15,) * ndim)
+    vals = np.where(np.isfinite(vals), vals, 0.0)
+    scale = float(np.prod(half))
+    fine = vals
+    for _ in range(ndim):
+        fine = np.tensordot(_WEIGHTS_15, fine, axes=(0, 0))
+    coarse = vals[np.ix_(*([3 * np.arange(5) + 1] * ndim))]
+    for _ in range(ndim):
+        coarse = np.tensordot(_WEIGHTS_5, coarse, axes=(0, 0))
+    cell.value = float(fine) * scale
+    cell.error = abs(float(fine) - float(coarse)) * scale
+    return 15**ndim
+
+
+def _split_one_cell(cell: _OneCell, hint, root_extent):
+    extent = cell.hi - cell.lo
+    axis = int(np.argmax(extent / root_extent))
+    lo, hi = cell.lo[axis], cell.hi[axis]
+    width = hi - lo
+    cut = 0.5 * (lo + hi)
+    if hint is not None and np.all(hint >= cell.lo) and np.all(hint <= cell.hi):
+        h = hint[axis]
+        if h <= lo + 1e-9 * width:
+            cut = lo + 0.25 * width
+        elif h >= hi - 1e-9 * width:
+            cut = hi - 0.25 * width
+        else:
+            cut = min(max(h, lo + 1e-3 * width), hi - 1e-3 * width)
+    lo_child = _OneCell(cell.lo.copy(), cell.hi.copy())
+    hi_child = _OneCell(cell.lo.copy(), cell.hi.copy())
+    lo_child.hi[axis] = cut
+    hi_child.lo[axis] = cut
+    return lo_child, hi_child
+
+
+def one_cell_adaptive_box(
+    g, lo, hi, tol: float, hint=None, relative: bool = False, max_evals: int = 2_000_000
+) -> QuadResult:
+    """The greedy cubature of ``quadrature._adaptive_box`` with one call of
+    g per cell: the same cells, splits and stopping rule, the reference
+    for the engine that evaluates both children of a split at once."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    ndim = lo.size
+    root_extent = np.maximum(hi - lo, 1e-300)
+    if hint is not None:
+        hint = np.asarray(hint, dtype=float)
+
+    root = _OneCell(lo, hi)
+    evals = _eval_one_cell(g, root, ndim)
+    heap = [(-root.error, 0, root)]
+    counter = 0
+    done = []
+    total_val = root.value
+    total_err = root.error
+    while True:
+        target = tol if not relative else tol * max(abs(total_val), 1e-300)
+        if total_err <= target or evals + 2 * 15**ndim > max_evals or not heap:
+            break
+        _, _, worst = heapq.heappop(heap)
+        total_val -= worst.value
+        total_err -= worst.error
+        for child in _split_one_cell(worst, hint, root_extent):
+            evals += _eval_one_cell(g, child, ndim)
+            counter += 1
+            if child.error > 0.0:
+                heapq.heappush(heap, (-child.error, counter, child))
+            else:
+                done.append(child)
+            total_val += child.value
+            total_err += child.error
+
+    cells = done + [c for _, _, c in heap]
+    cells.sort(key=lambda c: (tuple(c.lo), tuple(c.hi)))
+    value = math.fsum(c.value for c in cells)
+    error = math.fsum(c.error for c in cells)
+    return QuadResult(value, error, evals, converged=total_err <= target)

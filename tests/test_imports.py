@@ -359,6 +359,27 @@ def test_criteria_read_a_measure_through_measures_alone():
     assert readers(criteria, "integrate") == []
 
 
+def test_cubature_has_one_rule_and_one_cell_evaluator():
+    # the flat rule alone reads the 1-d rule pieces and builds a node grid,
+    # the adaptive loop alone evaluates cells, and no per-cell contraction
+    # survives beside the flat rule's one product
+    found = {"_fejer1": [], "_NODES_F": [], "_COARSE_IDX": [], "meshgrid": [],
+             "tensordot": [], "_eval_cells": [], "_eval_cell": []}
+    for path in SRC_FILES:
+        source = path.read_text(encoding="utf-8")
+        for name, owners in found.items():
+            owners += [f"{path.stem}.{owner}" for owner in readers(source, name)]
+    assert found == {
+        "_fejer1": ["quadrature._flat_rule", "quadrature._flat_rule"],
+        "_NODES_F": [],
+        "_COARSE_IDX": ["quadrature._flat_rule"],
+        "meshgrid": ["quadrature._flat_rule"],
+        "tensordot": [],
+        "_eval_cells": ["quadrature._adaptive_box", "quadrature._adaptive_box"],
+        "_eval_cell": [],
+    }
+
+
 def test_weighted_density_is_read_by_measures_and_the_solver():
     found = [
         path.stem

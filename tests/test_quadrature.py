@@ -1,4 +1,5 @@
-"""Closed-form checks for the adaptive cubature engine."""
+"""Closed-form checks for the adaptive cubature engine and the time integral,
+and the engine against its one-cell form in oracles.py."""
 
 import math
 
@@ -16,6 +17,7 @@ from mildheat.quadrature import (
     integrate,
     integrate_time,
 )
+from oracles import one_cell_adaptive_box
 
 
 def test_polynomial_box_exact():
@@ -24,6 +26,7 @@ def test_polynomial_box_exact():
     res = integrate(f, HalfSpaceBox((0.0, 0.0), (1.0, 1.0)), 1e-12)
     assert abs(res.value - 1.0) < 1e-13
     assert res.evaluations == 15**2
+    assert res.converged
 
 
 def test_gaussian_box():
@@ -32,18 +35,21 @@ def test_gaussian_box():
     exact = 0.5 * math.pi * math.erf(8.0)
     assert abs(res.value - exact) < 1e-10
     assert res.error_estimate < 1e-9
+    assert res.converged
 
 
 def test_disc_area():
     f = lambda p, off: np.ones(p.shape[0])
     res = integrate(f, Ball((0.3, -1.2), 2.0), 1e-12)
     assert abs(res.value - 4.0 * math.pi) < 1e-11
+    assert res.converged
 
 
 def test_ball_volume_3d():
     f = lambda p, off: np.ones(p.shape[0])
     res = integrate(f, Ball((0.0, 1.0, 2.0), 0.7), 1e-10)
     assert abs(res.value - 4.0 / 3.0 * math.pi * 0.7**3) < 1e-9
+    assert res.converged
 
 
 @pytest.mark.parametrize("a", [0.5, 2.0 / 3.0])
@@ -54,6 +60,7 @@ def test_singular_origin_1d(a):
     exact = 2.0 / (1.0 - a)
     assert abs(res.value - exact) < 5e-9
     assert res.error_estimate < 1e-8
+    assert res.converged
 
 
 def test_singular_shifted_anchor():
@@ -89,6 +96,7 @@ def test_polar_singular_center():
     f = lambda p, off: np.hypot(off[:, 0], off[:, 1]) ** (-1.0)
     res = integrate(f, Ball((0.0, 0.0), 1.0), 1e-8, singularity_hint=((0.0, 0.0), -1.0))
     assert abs(res.value - 2.0 * math.pi) < 1e-7
+    assert res.converged
 
 
 def test_clipped_ball_singular_on_cut():
@@ -126,6 +134,7 @@ def test_boundary_patch_line():
         f, BoundaryPatch((0.5, 0.0), 1.5), 1e-9, singularity_hint=((0.5, 0.0), -0.5)
     )
     assert abs(res.value - 4.0 * math.sqrt(1.5)) < 1e-8
+    assert res.converged
 
 
 def test_boundary_patch_disc():
@@ -141,8 +150,25 @@ def test_boundary_patch_disc():
 
 
 def test_time_integral_smooth():
-    res = integrate_time(np.cos, 0.0, 1.5, 1e-12)
+    seen = []
+
+    def g(ts):
+        seen.append(np.shape(ts))
+        return np.cos(ts)
+
+    res = integrate_time(g, 0.0, 1.5, 1e-12)
     assert abs(res.value - math.sin(1.5)) < 1e-12
+    assert res.converged and res.error_estimate <= 1e-12 * res.value
+    # one 21-point Gauss-Kronrod panel is enough; g sees 1-D arrays
+    assert res.evaluations == len(seen) == 21
+    assert set(seen) == {(1,)}
+
+
+def test_time_integral_flags_a_missed_tolerance():
+    # sin(1/t) oscillates faster than QUADPACK's 50 subintervals resolve
+    res = integrate_time(lambda ts: np.sin(1.0 / ts), 1e-3, 1.0, 1e-12)
+    assert not res.converged
+    assert res.error_estimate > 1e-12 * abs(res.value)
 
 
 def test_determinism():
@@ -165,6 +191,31 @@ def test_budget_exhaustion_reports_error():
     res = quadrature._adaptive_box(g, [-1.0], [1.0], 1e-14, hint=[0.0], max_evals=20_000)
     assert res.error_estimate > 1e-14
     assert res.evaluations <= 20_000
+    assert not res.converged
+
+
+def test_cut_disc_spends_the_budget_and_says_so():
+    # the slice map's chord Jacobian has square-root ends at the cut disc's
+    # rim, so relative 1e-10 is out of reach within the budget
+    region = Ball((0.0, 0.2), 0.5, clip_lo=0.0)
+    res = integrate(lambda p, off: np.ones(p.shape[0]), region, 1e-10, relative=True)
+    assert res.evaluations == 1_999_575
+    assert 1e-10 * res.value < res.error_estimate < 1e-8
+    assert not res.converged
+
+
+def test_each_split_is_one_integrand_call():
+    # the root cell alone, then both children of every split in one call
+    calls = []
+
+    def g(p):
+        calls.append(len(p))
+        return np.hypot(p[:, 0], p[:, 1]) ** -1.0 * np.exp(p[:, 1])
+
+    res = quadrature._adaptive_box(g, [-1.0, 0.0], [1.0, 1.0], 1e-6, hint=[0.0, 0.0])
+    splits = (res.evaluations - 15**2) // (2 * 15**2)
+    assert splits > 10 and res.converged
+    assert calls == [15**2] + [2 * 15**2] * splits
 
 
 @pytest.mark.parametrize(
@@ -240,3 +291,53 @@ def test_quadratic_exactness_property(coefs, a, width):
     res = integrate(f, HalfSpaceBox((a,), (b,)), 1e-12)
     exact = c0 * (b - a) + c1 * (b**2 - a**2) / 2 + c2 * (b**3 - a**3) / 3
     assert abs(res.value - exact) < 1e-10 * max(1.0, abs(exact))
+
+
+def _integrand(kind: str, z, a: float):
+    if kind == "polynomial":
+        return lambda p: 1.0 + p[:, 0] ** 2 + 2.0 * p[:, -1] ** 4 + (p[:, 0] * p[:, -1]) ** 2
+    r2 = lambda p: np.sum((p - z) ** 2, axis=1)
+    if kind == "gaussian":
+        return lambda p: np.exp(-4.0 * r2(p))
+
+    def power(p):
+        with np.errstate(divide="ignore"):  # a node on z reads inf, then 0
+            return r2(p) ** (-0.5 * a)
+
+    return power
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    corner=st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+    widths=st.lists(st.floats(0.1, 2), min_size=3, max_size=3),
+    at=st.lists(st.floats(-0.5, 1.5), min_size=3, max_size=3),
+    hinted=st.booleans(),
+    kind=st.sampled_from(["polynomial", "gaussian", "power"]),
+    a=st.floats(0.1, 0.8),
+    tol_exp=st.integers(-11, -3),
+    relative=st.booleans(),
+)
+def test_two_child_calls_match_the_one_cell_engine(
+    dim, corner, widths, at, hinted, kind, a, tol_exp, relative
+):
+    # the same cells, splits and counts as one call per cell; the sums
+    # differ by rounding only.  z, the Gaussian's centre and the power's
+    # singular point, lies inside the box or outside it (at < 0 or > 1).
+    # Every integrand is positive, so the value bounds the rounding, and
+    # an estimate at the rounding floor is compared on the value's scale
+    lo = np.array(corner[:dim])
+    hi = lo + np.array(widths[:dim])
+    z = lo + np.array(at[:dim]) * (hi - lo)
+    g = _integrand(kind, z, a)
+    tol = 10.0**tol_exp
+    args = (g, lo, hi, tol)
+    kwargs = dict(hint=z if hinted else None, relative=relative, max_evals=30_000)
+    got = quadrature._adaptive_box(*args, **kwargs)
+    ref = one_cell_adaptive_box(*args, **kwargs)
+    assert got.evaluations == ref.evaluations
+    assert got.converged == ref.converged
+    assert abs(got.value - ref.value) <= 1e-13 * max(abs(ref.value), tol)
+    floor = 1e-13 * abs(ref.value)
+    assert abs(got.error_estimate - ref.error_estimate) <= 1e-10 * ref.error_estimate + floor
