@@ -75,6 +75,7 @@ from .measures import (
     _half_ball_moment,
     _hint_for,
     _interior_integral,
+    _is_critical,
     _sphere_area,
     _surface_part,
 )
@@ -377,7 +378,7 @@ def _centers(mu, domain: Domain, z_points=None, boundary: bool = False, **probe)
         z_points = probe_points(mu, domain, **probe)
     z_points = tuple(tuple(float(v) for v in z) for z in z_points)
     if boundary:
-        z_points = tuple(z for z in z_points if boundary_distance(domain, z) <= 1e-12)
+        z_points = tuple(z for z in z_points if boundary_distance(domain, z) == 0.0)
         if not z_points:
             raise ValueError("no boundary centers in the lattice")
     if not z_points:
@@ -385,11 +386,11 @@ def _centers(mu, domain: Domain, z_points=None, boundary: bool = False, **probe)
     return z_points
 
 
-def _radii(T: float, sigmas, ladder=sigma_ladder) -> Tuple[float, ...]:
-    """Sweep radii as floats, ladder(T) by default."""
+def _radii(T: float, sigmas) -> Tuple[float, ...]:
+    """Sweep radii as floats, sigma_ladder(T) by default."""
     if not T > 0:
         raise ValueError("horizon must be positive")
-    sigmas = tuple(float(s) for s in (ladder(T) if sigmas is None else sigmas))
+    sigmas = tuple(float(s) for s in (sigma_ladder(T) if sigmas is None else sigmas))
     if not sigmas:
         raise ValueError("empty sample sets")
     return sigmas
@@ -412,6 +413,7 @@ def _sup_sweep(z_points, sigmas, cells):
 
     cells(z, sigma) gives the row entries after the center, the swept
     value last; returns the rows and the (sigma, sup over z) series.
+    Every sweep table is built here, one over scales alone at center ().
     """
     rows = []
     series = []
@@ -428,6 +430,13 @@ def _sup_sweep(z_points, sigmas, cells):
 def _rate_constant(series, rate, predicted: float) -> float:
     """Largest value over rate(scale)^predicted, 0 when nothing is positive."""
     return max((v / rate(s) ** predicted for s, v in series if v > 0), default=0.0)
+
+
+def _borderline(mu: MeasureSpec, k: int) -> float:
+    """The borderline exponent 1 + 2/k, which the measure's own must be."""
+    if mu.p is not None and not _is_critical(mu.p, k):
+        raise ValueError("measure exponent does not sit at the borderline value")
+    return critical_exponent(k)
 
 
 def _exponent(mu: MeasureSpec, p: Optional[float]) -> float:
@@ -448,9 +457,31 @@ def _orlicz(x, beta: float):
 # necessary growth bounds on ball masses
 
 
-def _mass_ratio(mu: MeasureSpec, domain: Domain, z, sigma, d, bound):
-    mass = ball_mass(mu, domain, z, sigma)
-    return d, sigma, mass, bound, mass / bound if bound > 0 else math.inf
+def _ball_ratio_report(criterion, extra, mu, domain, T, z_points, sigmas, bound, fit, rule,
+                       boundary=False) -> CriterionReport:
+    """Report of the ball masses over bound(d, sigma), d the center's
+    distance to the wall (0 without one); extra holds the check's
+    parameters besides T and the center count."""
+    sigmas = _radii(T, sigmas)
+    z_points = _centers(mu, domain, z_points, boundary=boundary)
+    whole = isinstance(domain, WholeSpace)
+
+    def cells(z, sg):
+        d = 0.0 if whole else boundary_distance(domain, z)
+        mass, b = ball_mass(mu, domain, z, sg), bound(d, sg)
+        return d, sg, mass, b, mass / b if b > 0 else math.inf
+
+    rows, series = _sup_sweep(z_points, sigmas, cells)
+    return _trend_report(
+        criterion,
+        _params({"T": T, "z_count": len(z_points), **extra}),
+        _columns(space_dim(domain), "d", "sigma", "mass", "bound", "ratio"),
+        rows,
+        series,
+        fit,
+        0.0,
+        rule,
+    )
 
 
 def necessary_ball_bound(
@@ -470,32 +501,20 @@ def necessary_ball_bound(
     """
     p = _exponent(mu, p)
     n = space_dim(domain)
-    if abs(p - critical_exponent(n)) < 1e-12:
+    if _is_critical(p, n):
         raise ValueError("the power form does not apply at the critical exponent")
-    sigmas = _radii(T, sigmas)
-    z_points = _centers(mu, domain, z_points)
-
-    rt = math.sqrt(T)
     expo = n - 2.0 / (p - 1.0)
     whole = isinstance(domain, WholeSpace)
 
-    def cells(z, sg):
+    def bound(d, sg):
+        s_lad = np.geomspace(sg, math.sqrt(T) * (1.0 - 1e-12), _S_COUNT)
         # no wall: the distance weight degenerates and drops out
-        d = 0.0 if whole else boundary_distance(domain, z)
-        s_lad = np.geomspace(sg, rt * (1.0 - 1e-12), _S_COUNT)
         wfac = 1.0 if whole else d + s_lad
-        return _mass_ratio(mu, domain, z, sg, d, float(np.min(wfac * s_lad**expo)))
+        return float(np.min(wfac * s_lad**expo))
 
-    rows, series = _sup_sweep(z_points, sigmas, cells)
-    return _trend_report(
-        "necessary_ball_bound",
-        _params({"p": p, "T": T, "s_count": _S_COUNT, "z_count": len(z_points)}),
-        _columns(n, "d", "sigma", "mass", "bound", "ratio"),
-        rows,
-        series,
-        fit_exponent,
-        0.0,
-        _Trend("mass ratio", *_SLOPE, -1),
+    return _ball_ratio_report(
+        "necessary_ball_bound", {"p": p, "s_count": _S_COUNT}, mu, domain, T, z_points,
+        sigmas, bound, fit_exponent, _Trend("mass ratio", *_SLOPE, -1),
     )
 
 
@@ -522,37 +541,22 @@ def necessary_log_bound(
     n = space_dim(domain)
     if variant not in ("interior", "boundary"):
         raise ValueError(f"unknown variant {variant!r}")
-    if isinstance(domain, WholeSpace) and variant == "boundary":
-        raise ValueError("the boundary variant needs a domain with boundary")
-    p_req = critical_exponent(n if variant == "interior" else n + 1)
-    if mu.p is not None and abs(mu.p - p_req) > 1e-9:
-        raise ValueError("measure exponent does not sit at the borderline value")
-    sigmas = _radii(T, sigmas)
-    z_points = _centers(mu, domain, z_points, boundary=variant == "boundary")
-
-    rt = math.sqrt(T)
-    half = (n if variant == "interior" else n + 1) / 2.0
     whole = isinstance(domain, WholeSpace)
+    if whole and variant == "boundary":
+        raise ValueError("the boundary variant needs a domain with boundary")
+    k = n if variant == "interior" else n + 1
+    _borderline(mu, k)
 
-    def cells(z, sg):
-        # no wall: the distance weight degenerates and drops out
-        d = 0.0 if whole else boundary_distance(domain, z)
+    def bound(d, sg):
+        rt, half = math.sqrt(T), k / 2.0
         if variant == "interior" and not whole:
-            bound = (d + sg) * math.log(math.e + min(d, rt) / sg) ** -half
-        else:
-            bound = math.log(math.e + rt / sg) ** -half
-        return _mass_ratio(mu, domain, z, sg, d, bound)
+            return (d + sg) * math.log(math.e + min(d, rt) / sg) ** -half
+        return math.log(math.e + rt / sg) ** -half
 
-    rows, series = _sup_sweep(z_points, sigmas, cells)
-    return _trend_report(
-        "necessary_log_bound",
-        _params({"T": T, "variant": variant, "z_count": len(z_points)}),
-        _columns(n, "d", "sigma", "mass", "bound", "ratio"),
-        rows,
-        series,
-        lambda ser: fit_log_exponent(ser, T),
-        0.0,
-        _Trend("mass ratio", *_LOG, 1),
+    return _ball_ratio_report(
+        "necessary_log_bound", {"variant": variant}, mu, domain, T, z_points, sigmas, bound,
+        lambda ser: fit_log_exponent(ser, T), _Trend("mass ratio", *_LOG, 1),
+        boundary=variant == "boundary",
     )
 
 
@@ -581,15 +585,11 @@ def boundary_mass_check(
 
     m_atoms = 0.0
     for a, m in mu.atoms:
-        if boundary_distance(domain, a) <= 1e-12:
+        if boundary_distance(domain, a) == 0.0:
             m_atoms += mu.scale_factor * m
 
     total = m_surface + m_atoms
-    rows = (
-        _row(m_surface),
-        _row(m_atoms),
-        _row(total),
-    )
+    rows = tuple(_row(m) for m in (m_surface, m_atoms, total))
     verdict = "violated" if total > 1e-10 else "consistent"
     detail = (
         "positive boundary mass is incompatible with this exponent"
@@ -644,21 +644,18 @@ def uniform_mass_check(
         depths=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
     )
 
-    rows = []
-    samples = []
-    for z in z_points:
+    def cells(z, r):
         d = boundary_distance(domain, z)
-        mass = ball_mass(mu, domain, z, radius)
-        v = mass / (1.0 + d)
-        rows.append(_row(*z, d, mass, v))
-        samples.append((1.0 + d, v))
+        mass = ball_mass(mu, domain, z, r)
+        return d, mass, mass / (1.0 + d)
 
+    rows, _ = _sup_sweep(z_points, (radius,), cells)
     return _trend_report(
         "uniform_mass_check",
         _params({"radius": radius, "z_count": len(z_points)}),
         _columns(space_dim(domain), "d", "mass", "normalized"),
         rows,
-        samples,
+        [(1.0 + row[-3], row[-1]) for row in rows],
         _window_fit,
         0.0,
         _Trend("normalized mass", *_RATE, 1, unfit="consistent"),
@@ -699,14 +696,13 @@ def sufficient_integral_check(
 
     n = space_dim(domain)
     s_grid = np.geomspace(T * _S_FLOOR, T, _S_COUNT)
-    rows = []
-    gs = []
-    for s in s_grid:
+
+    def cells(_, s):
         w = max(weighted_ball_integral(mu, domain, z, float(s)) for z in z_points)
-        g = s ** (-0.5 * n * (p - 1.0)) * w ** (p - 1.0)
-        rows.append(_row(s, w, g))
-        gs.append(g)
-    gs = np.array(gs)
+        return s, w, s ** (-0.5 * n * (p - 1.0)) * w ** (p - 1.0)
+
+    rows, series = _sup_sweep(((),), s_grid, cells)
+    gs = np.array([row[-1] for row in rows])
     # trapezoid in log s; the integrand is power-like on the ladder
     value = float(np.trapezoid(gs * s_grid, np.log(s_grid)))
     return _trend_report(
@@ -714,7 +710,7 @@ def sufficient_integral_check(
         _params({"p": p, "T": T, "s_count": _S_COUNT}),
         ("s", "weighted_sup", "integrand"),
         rows,
-        list(zip(s_grid, gs)),
+        series,
         _small_time_fit,
         # zero data has no small-time exponent to predict
         -0.5 * (n + 1) * (p - 1.0) if gs.any() else None,
@@ -764,7 +760,7 @@ def power_moment_check(
     if mu.singularity is not None:
         anchor, base_expo = mu.singularity
         # the distance factor restores one power near a wall anchor
-        wall = boundary_distance(domain, np.asarray(anchor, float)) <= 1e-12
+        wall = boundary_distance(domain, np.asarray(anchor, float)) == 0.0
         bonus = 1.0 if part == "interior" and wall else 0.0
         if alpha * -float(base_expo) >= surf_dim + bonus:
             raise ValueError("the power moment diverges at this order")
@@ -855,9 +851,7 @@ def _log_sweep(criterion, extra, mu, domain, part, ell, k, beta, T, z_points, si
     """
     if not beta > 0:
         raise ValueError("the log weight must be positive")
-    p_req = critical_exponent(k)
-    if mu.p is not None and abs(mu.p - p_req) > 1e-9:
-        raise ValueError("measure exponent does not sit at the borderline value")
+    p_req = _borderline(mu, k)
     if not beta < 0.5 * k:
         raise ValueError("the weighted moment diverges at this log exponent")
     horizon_scale = T ** (1.0 / (p_req - 1.0))
@@ -916,7 +910,7 @@ def orlicz_moment_check(
     anchor = None
     if mu.singularity is not None:
         anchor = np.asarray(mu.singularity[0], dtype=float)
-    ell = 1 if anchor is not None and boundary_distance(domain, anchor) <= 1e-12 else 0
+    ell = 1 if anchor is not None and boundary_distance(domain, anchor) == 0.0 else 0
     sigmas = _radii(T, sigmas)
     prof = mu.radial_profile
     radial = (
@@ -986,7 +980,7 @@ def orlicz_boundary_check(
         z_points += _side_centers(anchor, domain, max(sigmas))
     z_points = tuple(tuple(float(v) for v in z) for z in z_points)
     for z in z_points:
-        if boundary_distance(domain, z) > 1e-12:
+        if boundary_distance(domain, z) != 0.0:
             raise ValueError("surface moments need boundary centers")
     return _log_sweep(
         "orlicz_boundary_check",
@@ -1050,11 +1044,9 @@ def _measure_strip_weighted(mu: MeasureSpec, domain: Interval, sigma: float) -> 
 def _strip_depths(domain: Interval, T: float, sigmas) -> Tuple[float, ...]:
     if not isinstance(domain, Interval):
         raise ValueError("strip bounds are defined on an interval")
-
-    def ladder(T):
-        return np.geomspace(1e-3, min(0.5 * math.sqrt(T), 0.45 * domain.length), 12)
-
-    return _radii(T, sigmas, ladder)
+    if sigmas is None and T > 0:
+        sigmas = np.geomspace(1e-3, min(0.5 * math.sqrt(T), 0.45 * domain.length), 12)
+    return _radii(T, sigmas)
 
 
 def weighted_strip_bound(
@@ -1094,14 +1086,11 @@ def weighted_strip_bound(
             total += val
         return total ** (-1.0 / (p - 1.0))
 
-    rows = []
-    ratios = []
-    for sg in sigmas:
-        lhs = _measure_strip_weighted(mu, domain, sg)
-        bound = rhs(sg)
-        ratio = lhs / bound
-        rows.append(_row(sg, lhs, bound, ratio))
-        ratios.append((sg, ratio))
+    def cells(_, sg):
+        lhs, bound = _measure_strip_weighted(mu, domain, sg), rhs(sg)
+        return sg, lhs, bound, lhs / bound
+
+    rows, ratios = _sup_sweep(((),), sigmas, cells)
 
     def fit(series):
         # the ceiling degenerates as 2 sigma^2 approaches T, collapsing the
@@ -1138,15 +1127,14 @@ def boundary_strip_rate(
     sigmas = _strip_depths(domain, T, sigmas)
     L = domain.length
 
-    rows = []
-    masses = []
-    for sg in sigmas:
+    def cells(_, sg):
         # the strip d <= sigma is the interval's part of the end balls
         m = ball_mass(mu, domain, (0.0,), sg)
         if sg < 0.5 * L:
             m += ball_mass(mu, domain, (L,), sg)
-        rows.append(_row(sg, m))
-        masses.append((sg, m))
+        return sg, m
+
+    rows, masses = _sup_sweep(((),), sigmas, cells)
 
     if p == 2.0:
         predicted, rule = -1.0, _Trend("strip mass", *_RATE, 1)

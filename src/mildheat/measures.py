@@ -26,6 +26,10 @@ These are the strongest admissible local singularities at their
 respective exponent ranges; the criteria module measures their ball-mass
 growth exponents.
 
+The critical rule: p is 1 + 2/k when within 1e-9 of it (``_is_critical``,
+which the criteria ask too), so a p written to ten decimals builds the
+borderline family.
+
 Scaling by kappa multiplies the final integrals, never the density
 callables, so scaled measures reproduce exactly linear ball masses.
 
@@ -234,7 +238,12 @@ class SingularFamily:
             raise ValueError("kappa must be nonnegative")
 
 
-_CRIT_MATCH = 1e-12
+_CRIT_MATCH = 1e-9  # the critical rule's tolerance (module docstring)
+
+
+def _is_critical(p: float, k: int) -> bool:
+    """Whether p is the threshold exponent 1 + 2/k, by the critical rule."""
+    return abs(p - critical_exponent(k)) <= _CRIT_MATCH
 
 
 def _offset_norm(pts, off, anchor):
@@ -260,14 +269,14 @@ def make_family(family: SingularFamily, domain: Domain) -> MeasureSpec:
         where = "on the boundary" if rule.wall else "interior"
         raise ValueError(f"{family.kind} anchor must be {where}")
     p, k = family.p, n + rule.wall
-    p_min = critical_exponent(k)
-    if p < p_min - _CRIT_MATCH:
+    p_min, critical = critical_exponent(k), _is_critical(p, k)
+    if p < p_min and not critical:
         raise ValueError(f"{family.kind} needs p >= {p_min}")
     if rule.surface and not (n >= 2 and p < 2.0):
         # the boundary of a line is points, and from p = 2 on solvable
         # data cannot charge the boundary at all
         raise ValueError(f"{family.kind} needs N >= 2 and p < 2")
-    if abs(p - p_min) <= _CRIT_MATCH:
+    if critical:
         power, log_power = k - rule.shift, k / 2.0 + 1.0
     else:
         # 2/(p-1) - shift, rounded once: exactly 2(2-p)/(p-1) at shift 2

@@ -1037,27 +1037,25 @@ class PicardRunner:
         with np.errstate(over="ignore", invalid="ignore"):
             return u1 + self.op.apply(u, self.p, self._rat)
 
-    def solve(self, kappa: Optional[float] = None, *, max_iter: int = 30) -> SolveOutcome:
+    def solve(self, kappa: Optional[float] = None, *, max_iter: int = 30,
+              resume: Optional[SolveOutcome] = None) -> SolveOutcome:
         """Iterate at scale ``kappa`` (default the data's own): Converged
         when the step's interior sup and weighted L1 norm are both below
         ``_CONV_TOL`` = 1e-7, Diverged when the interior sup passes
         ``_BLOWUP_CEILING`` = 1e8, doubles after iteration 3 or overflows,
-        Inconclusive after ``max_iter`` iterations."""
+        Inconclusive after ``max_iter`` iterations.
+
+        The iteration starts from the linear part, or, given ``resume``,
+        an Inconclusive outcome of this runner at the same scale, goes on
+        from its final field, history and iteration count as if its
+        budget had been ``max_iter`` from the start."""
         if max_iter < 2:
             raise ValueError("max_iter must be at least 2")
+        if resume is not None and resume.status != "Inconclusive":
+            raise ValueError("only an Inconclusive outcome can be resumed")
         k = self.mu.scale_factor if kappa is None else float(kappa)
-        return self._iterate(k, max_iter)
-
-    def _iterate(
-        self, kappa: float, max_iter: int, resume: Optional[SolveOutcome] = None
-    ) -> SolveOutcome:
-        """The iteration loop of ``solve`` at scale ``kappa`` up to
-        iteration ``max_iter``, from the linear part, or continued from
-        the Inconclusive outcome ``resume`` of the same scale: its final
-        field, history and iteration count go on as if its budget had
-        been ``max_iter`` from the start."""
         grid = self.grid
-        u1 = kappa * self._base
+        u1 = k * self._base
         interior = grid.interior_mask
         wl1 = grid.boundary_weights
 
@@ -1198,7 +1196,7 @@ def dichotomy_sweep(
         if outcome.status == "Inconclusive":
             # the probe used up its whole budget: continue it up to three
             # times that budget
-            outcome = runner._iterate(mid, 3 * outcome.iterations, outcome)
+            outcome = runner.solve(mid, max_iter=3 * outcome.iterations, resume=outcome)
             history.append((mid, outcome.status, outcome.iterations))
         status = outcome.status
         steps += 1

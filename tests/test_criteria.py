@@ -35,6 +35,7 @@ from mildheat.measures import (
     pairing,
     scale,
 )
+from mildheat.solver import _InitialEvaluator, measure_grid
 
 HS1 = HalfSpace(1)
 HS2 = HalfSpace(2)
@@ -235,6 +236,21 @@ def test_log_bound_requires_borderline_exponent(wall_family):
         necessary_log_bound(mu, HS1, "sideways", T=1.0)
 
 
+@pytest.mark.parametrize("p, critical", [(1.6666666667, True), (5.0 / 3.0 + 1e-6, False)])
+def test_family_and_log_bound_share_the_critical_rule(p, critical):
+    # 5/3 is critical for a wall anchor in two dimensions: ten decimals of
+    # it build the family with the log factor, which the log bound accepts,
+    # and an exponent 1e-6 past it builds the power law, which it refuses
+    mu = make_family(SingularFamily("boundary_point", (0.0, 0.0), p), HS2)
+    assert (mu.radial_profile.log_power > 0) == critical
+    try:
+        necessary_log_bound(mu, HS2, "boundary", sigmas=(0.01, 0.02))
+    except ValueError as exc:
+        assert not critical and "borderline" in str(exc)
+    else:
+        assert critical
+
+
 # ---------------------------------------------------------------------------
 # boundary mass
 
@@ -257,6 +273,16 @@ def test_boundary_atom_detected():
     rep = boundary_mass_check(MeasureSpec(atoms=(((0.0,), 0.3),)), HS1, p=2.5)
     assert rep.verdict == "violated"
     assert rep.empirical_constant == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-13])
+def test_boundary_atoms_are_the_data_evolution_wall_masses(a):
+    # one wall rule: an atom is boundary mass exactly when it sits at
+    # distance 0, as the data's evolution on the grid decides it too
+    mu = MeasureSpec(atoms=(((a,), 0.3),))
+    rep = boundary_mass_check(mu, HS1, p=2.5)
+    ev = _InitialEvaluator(mu, measure_grid(HS1, mu, 0.25, target_nodes=40))
+    assert (rep.verdict == "violated") == bool(ev._walls) == (a == 0.0)
 
 
 def test_boundary_mass_needs_p_at_least_two(wall_family):

@@ -3,10 +3,11 @@ file exports in ``__all__`` is defined there, no file looks at a
 callable's signature, one function owns the kernel against linear
 cells and one the switch to the interval's sine modes, the measures
 module alone owns the measure's weight, its weighted density, its anchor
-rule and the names of its singular families, the criteria read a
-measure through the measures module alone, the CLI's option table
-alone owns the config defaults, and the solver's objects take their
-domain and dimension from the grid."""
+rule, the names of its singular families and the rule that p is
+critical, the criteria read a measure through the measures module
+alone, put a point on the wall at distance 0 and build their tables in
+one sweep, the CLI's option table alone owns the config defaults, and
+the solver's objects take their domain and dimension from the grid."""
 
 import ast
 from pathlib import Path
@@ -387,3 +388,84 @@ def test_weighted_density_is_read_by_measures_and_the_solver():
         if readers(path.read_text(encoding="utf-8"), "_weighted_density")
     ]
     assert found == ["measures", "solver"]
+
+
+def compared_numbers(source: str, func: str) -> dict:
+    """Comparisons that read a call of ``func``, or a name assigned from an
+    expression holding one: {line: the numbers they compare against}."""
+
+    def calls(node):
+        return any(
+            isinstance(n, ast.Call) and getattr(n.func, "id", None) == func
+            for n in ast.walk(node)
+        )
+
+    tree = ast.parse(source)
+    names = {
+        t.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Assign) and calls(n.value)
+        for t in n.targets
+        if isinstance(t, ast.Name)
+    }
+
+    def number(node):
+        try:
+            value = ast.literal_eval(node)
+        except ValueError:
+            return None
+        return value if isinstance(value, (int, float)) else None
+
+    found = {}
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Compare):
+            continue
+        operands = [n.left, *n.comparators]
+        reads = any(
+            calls(o) or any(isinstance(m, ast.Name) and m.id in names for m in ast.walk(o))
+            for o in operands
+        )
+        if reads:
+            found[n.lineno] = [v for v in map(number, operands) if v is not None]
+    return found
+
+
+def test_comparison_scanner_follows_assigned_names():
+    src = (
+        "def f(mu, n, z):\n    q = critical_exponent(n)\n"
+        "    if abs(mu.p - q) > 1e-9 or boundary_distance(z) <= -1e-12:\n        pass\n"
+        "    d = 0.0 if n else boundary_distance(z)\n"
+        "    return 0.0 < d < n and mu.p < critical_exponent(n + 1)\n"
+    )
+    assert compared_numbers(src, "critical_exponent") == {3: [1e-9], 6: []}
+    assert compared_numbers(src, "boundary_distance") == {3: [-1e-12], 6: [0.0]}
+
+
+def test_critical_rule_and_wall_rule_each_have_one_form():
+    # "p is critical" is asked of measures._is_critical alone, which holds
+    # the rule's one tolerance; no other module compares an exponent with
+    # critical_exponent's value, and the criteria put a point on the wall
+    # at distance exactly 0, as the measures and the solver do
+    tolerance = []
+    askers = []
+    for path in SRC_FILES:
+        source = path.read_text(encoding="utf-8")
+        tolerance += [f"{path.stem}.{owner}" for owner in readers(source, "_CRIT_MATCH")]
+        askers += [f"{path.stem}.{owner}" for owner in readers(source, "_is_critical")]
+        if path.stem != "measures":
+            assert "_CRIT_MATCH" not in defined_names(source)
+            assert compared_numbers(source, "critical_exponent") == {}
+    assert tolerance == ["measures._is_critical"]
+    assert askers == ["criteria._borderline", "criteria.necessary_ball_bound",
+                      "measures.make_family"]
+    criteria_src = (ROOT / "src" / "mildheat" / "criteria.py").read_text(encoding="utf-8")
+    numbers = compared_numbers(criteria_src, "boundary_distance").values()
+    assert all(v == 0 for line in numbers for v in line)
+
+
+def test_criteria_build_every_sweep_table_in_one_place():
+    # the checks' tables are rows of _sup_sweep; boundary_mass_check's
+    # fixed three mass rows are the one table that is not a sweep
+    source = (ROOT / "src" / "mildheat" / "criteria.py").read_text(encoding="utf-8")
+    assert readers(source, "_row") == ["_sup_sweep", "boundary_mass_check"]
+    assert "_mass_ratio" not in defined_names(source)

@@ -676,9 +676,11 @@ def test_continued_probe_equals_a_fresh_solve(kappa, first, budget, status):
     runner = PicardRunner(mu, 4.0, measure_grid(HS1, mu, 0.25, target_nodes=80))
     open_probe = runner.solve(kappa=kappa, max_iter=first)
     assert (open_probe.status, open_probe.iterations) == ("Inconclusive", first)
-    continued = runner._iterate(kappa, budget, open_probe)
+    continued = runner.solve(kappa=kappa, max_iter=budget, resume=open_probe)
     assert continued.status == status and len(open_probe.history) == first
     _assert_same_outcome(continued, runner.solve(kappa=kappa, max_iter=budget))
+    with pytest.raises(ValueError, match="Inconclusive"):
+        runner.solve(kappa=kappa, max_iter=2 * budget, resume=continued)
 
 
 @pytest.fixture(scope="module")
@@ -696,7 +698,8 @@ def test_continuing_an_open_solve_is_a_larger_budget(small_runner, kappa, first,
     if open_probe.status != "Inconclusive":
         _assert_same_outcome(open_probe, fresh)
         return
-    _assert_same_outcome(small_runner._iterate(kappa, first + more, open_probe), fresh)
+    continued = small_runner.solve(kappa=kappa, max_iter=first + more, resume=open_probe)
+    _assert_same_outcome(continued, fresh)
 
 
 def test_sweep_continues_its_open_probe(monkeypatch):
