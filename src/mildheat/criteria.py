@@ -1119,7 +1119,8 @@ def boundary_strip_rate(
     """Decay rate of the mass near the boundary, for exponents >= 2.
 
     The mass of the strip d < sigma must vanish like sigma^(2(p-2)/(p-1))
-    for p > 2, and like 1/log(e + sqrt(T)/sigma) at p = 2.  Fits the
+    for p > 2, and like 1/log(e + sqrt(T)/sigma) at p = 2, critical for
+    a wall anchor on the line (k = 2 in ``measures._is_critical``).  Fits the
     observed rate of the measure's full boundary-strip mass and compares.
     """
     if not p >= 2:
@@ -1136,7 +1137,7 @@ def boundary_strip_rate(
 
     rows, masses = _sup_sweep(((),), sigmas, cells)
 
-    if p == 2.0:
+    if _is_critical(p, 2):  # k = N + 1 = 2, the strip's mass sits at a wall
         predicted, rule = -1.0, _Trend("strip mass", *_RATE, 1)
         trend = lambda pos: fit_log_exponent(pos, T)
     else:

@@ -10,9 +10,11 @@ wall; the interval has the images of both under the shifts 2kL, k =
 -m..m, which ``kernel_values`` sums a source and mirror pair at a time
 in the same closed form, so that a point next to either wall keeps its
 digits.  The solver's transport matrices and data evolution use these
-images too, except on the interval at t >= tau_s L^2, the switch of
-``solver._mode_count``: there they sum the eigenfunction series (2/L)
-sum_k sin(omega x) sin(omega y) exp(-omega^2 t), omega = k pi / L.
+images too, except on its sine interval [0, L] at t >= tau_s L^2, the
+switch of ``solver._mode_count``: there they sum the eigenfunction series
+(2/L) sum_k sin(omega x) sin(omega y) exp(-omega^2 t), omega = k pi / L,
+of the interval itself, or on the half-line of an interval that ends at
+a virtual wall beyond the reach of the nodes (``solver._sine_interval``).
 One reach, ``_reach(t) = sqrt(4 t ln 1e16)``, beyond which g_t is below
 1e-16 of its peak, sets every truncation: m = max(1, ceil((L +
 _reach(t)) / (2L))), the mode count K = ceil(L _reach(t) / (2 pi t)) +

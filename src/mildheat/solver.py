@@ -17,13 +17,19 @@ Discretization choices, in one place:
   data's singular anchors (one spatial dimension only);
 * every kernel sum, in the transport matrices and in the data's linear
   evolution, has two regimes, switched by ``_mode_count`` alone: on the
-  interval at t >= tau_s L^2 (tau_s = 1e-4) it runs over the sine modes
-  (2/L) sin(omega x) sin(omega y) exp(-omega^2 t), omega = k pi / L for
-  k = 1..K, K = ceil(L R(t) / (2 pi t)) + 1; everywhere else over the
-  signed image sources of ``kernels.images``, on the interval the shifts
-  2kL for k = -m..m, m = max(1, ceil((L + R(t)) / (2L))).  One reach,
-  R(t) = sqrt(4 t ln 1e16) (``kernels._reach``), sets both the image
-  count and the mode count;
+  grid's sine interval [0, L] (``_sine_interval``) at t >= tau_s L^2
+  (tau_s = 1e-4) it runs over the sine modes (2/L) sin(omega x)
+  sin(omega y) exp(-omega^2 t), omega = k pi / L for k = 1..K, K =
+  ceil(L R(t) / (2 pi t)) + 1; everywhere else over the signed image
+  sources of ``kernels.images``, on the interval the shifts 2kL for k =
+  -m..m, m = max(1, ceil((L + R(t)) / (2L))).  The sine interval is the
+  interval itself, and on the half-line the virtual wall L = X + R(T),
+  X the farthest node or source and T the horizon: between points of
+  [0, X] the half-line's kernel is that interval's up to images at
+  distance 2L - 2X >= 2 R(T), below 1e-16 of the peak up to t = 4T.  The
+  whole line keeps its images.  One reach, R(t) = sqrt(4 t ln 1e16)
+  (``kernels._reach``), sets the image count, the mode count and the
+  virtual wall;
 * the memory integral uses exact kernel integrals, never interpolated
   kernels, on a geometric ladder of time offsets to which every
   quadrature node snaps; image-sum ladder entries are cached as
@@ -121,8 +127,8 @@ _TIME_RATIO = 1.3  # ratio of consecutive grid time levels
 _MIN_SPACING = 1e-4  # finest node spacing of a grid cluster
 _CONV_TOL = 1e-7  # a solve converges once its sup and weighted-L1 steps fall below
 _BLOWUP_CEILING = 1e8  # a solve diverges once its interior sup passes this
-# tau_s: on the interval, kernels at t >= tau_s L^2 are summed over sine
-# modes (at most 195 of them), below it over images
+# tau_s: on the sine interval, kernels at t >= tau_s L^2 are summed over
+# sine modes (at most 195 of them), below it over images
 _SPECTRAL_FROM = 1e-4
 # the positive half of the 8-point Gauss-Legendre rule on [-1, 1] (nodes,
 # weights; Abramowitz & Stegun 25.4), as literals because computing the
@@ -339,7 +345,8 @@ def measure_grid(domain: Domain, mu: MeasureSpec, horizon: float, **grid_options
 # drops; for the same reason an image beyond the reach of every window is
 # left out whole.  Below the switch of ``_mode_count`` both take per-cell
 # hat weights from ``_hat_weights``, from it on sine-mode ones from
-# ``_sine_cell_weights``, the matrices through the nodes' ``_sine_basis``.
+# ``_sine_cell_weights``, the matrices through the nodes' ``_sine_basis``,
+# all on the grid's ``_sine_interval``.
 
 
 def _interval_moments(pos, edges, t):
@@ -395,21 +402,37 @@ def _hat_weights(domain: Domain, x: np.ndarray, y: np.ndarray, t: float):
     return cols, c_lo, c_hi, weights()
 
 
-def _mode_count(domain: Domain, t: Optional[float] = None) -> int:
+def _sine_interval(grid: SpaceTimeGrid, sources=()) -> Optional[Interval]:
+    """The interval [0, L] whose sine modes carry the grid's wide
+    kernels: the domain itself on the interval, on the half-line
+    Interval(X + R(T)) with X the largest of the last node and the
+    positions ``sources`` and T the horizon (the virtual wall, which
+    carries no mass), and None on the whole line.  Every sine helper
+    takes this interval, never the domain."""
+    domain = grid.domain
+    if isinstance(domain, Interval):
+        return domain
+    if isinstance(domain, HalfSpace):
+        return Interval(max([float(grid.nodes[-1, 0]), *sources]) + _reach(grid.horizon))
+    return None
+
+
+def _mode_count(sine: Optional[Interval], t: Optional[float] = None) -> int:
     """Number of sine modes sin(k pi y / L), k = 1..K, that carry the
-    kernel at time t, or 0 where the image sum serves instead: every
-    domain but the interval, and the interval below tau_s L^2.  K is the
-    reach's truncation, the first mode with exp(-omega^2 t) below 1e-16:
-    omega_K >= sqrt(ln 1e16 / t) = R(t) / (2t).  Without t, the count at
-    tau_s L^2, the largest (195 for every L)."""
-    if not isinstance(domain, Interval):
+    kernel at time t on the sine interval ``sine`` of ``_sine_interval``,
+    or 0 where the image sum serves instead: below tau_s L^2, and where
+    there is no sine interval.  K is the reach's truncation, the first
+    mode with exp(-omega^2 t) below 1e-16: omega_K >= sqrt(ln 1e16 / t) =
+    R(t) / (2t).  Without t, the count at tau_s L^2, the largest (195 for
+    every L)."""
+    if sine is None:
         return 0
-    start = _SPECTRAL_FROM * domain.length**2
+    start = _SPECTRAL_FROM * sine.length**2
     if t is None:
         t = start
     elif t < start:
         return 0
-    return math.ceil(domain.length * _reach(t) / (2.0 * t * math.pi)) + 1
+    return math.ceil(sine.length * _reach(t) / (2.0 * t * math.pi)) + 1
 
 
 def _sine_phases(z: np.ndarray, k: int):
@@ -455,7 +478,7 @@ def _sine_cell_weights(edges: np.ndarray, length: float, k: int):
 
 
 @functools.lru_cache(maxsize=1)
-def _sine_basis(domain: Interval, nodes: bytes):
+def _sine_basis(sine: Interval, nodes: bytes):
     """``(S, P)`` of the float64 nodes y packed in ``nodes``, read-only
     arrays (y.size, K) at the largest mode count K = ``_mode_count``:
     S[i, j] = sin(omega_j y_i) and P[i, j] the projection of hat i,
@@ -463,7 +486,7 @@ def _sine_basis(domain: Interval, nodes: bytes):
     so a time with fewer modes takes the first columns.  The memo keeps
     the last node set asked, the one grid a solve works on."""
     y = np.frombuffer(nodes)
-    length, k = domain.length, _mode_count(domain)
+    length, k = sine.length, _mode_count(sine)
     hats = np.zeros((y.size, k))
     for cells, left, right in _sine_cell_weights(y, length, k):
         hats[cells] += left  # hat j: left weight of cell j, right of cell j - 1
@@ -476,14 +499,14 @@ def _sine_basis(domain: Interval, nodes: bytes):
     return phases, hats
 
 
-def _sine_decay(domain: Interval, tau: float) -> np.ndarray:
+def _sine_decay(sine: Interval, tau: float) -> np.ndarray:
     """The sine series' diagonal at time tau, (2/L) exp(-omega_j^2 tau)
-    for the K = ``_mode_count(domain, tau)`` modes that carry it and 0
+    for the K = ``_mode_count(sine, tau)`` modes that carry it and 0
     after them, up to the basis's largest mode count."""
-    k = _mode_count(domain, tau)
-    omega = np.arange(1, k + 1) * (math.pi / domain.length)
-    out = np.zeros(_mode_count(domain))
-    out[:k] = (2.0 / domain.length) * np.exp(-omega * omega * tau)
+    k = _mode_count(sine, tau)
+    omega = np.arange(1, k + 1) * (math.pi / sine.length)
+    out = np.zeros(_mode_count(sine))
+    out[:k] = (2.0 / sine.length) * np.exp(-omega * omega * tau)
     return out
 
 
@@ -535,7 +558,7 @@ class _Band:
         return out.reshape(-1, stack.shape[0])[:self.n].T.reshape(v.shape)
 
 
-def _hat_transport_matrix(domain: Domain, nodes: np.ndarray, tau: float) -> _Band:
+def _hat_transport_matrix(grid: SpaceTimeGrid, tau: float) -> _Band:
     """Transport matrix for a piecewise-linear field on sorted nodes.
 
     Entry (i, j) is the exact integral of the kernel from node i against
@@ -545,11 +568,13 @@ def _hat_transport_matrix(domain: Domain, nodes: np.ndarray, tau: float) -> _Ban
     rows honest and makes sharp kernels on coarse cells exact instead of
     aliased.
 
-    Two regimes, switched by ``_mode_count``, fill in the hats: the
-    windowed image sum of ``_hat_weights``, and on the interval from
-    tau_s L^2 on the sine series (2/L) sum_k sin(omega x) sin(omega y)
-    exp(-omega^2 tau), the matrix S diag(``_sine_decay``) P^T from the
-    first K columns of the nodes' ``_sine_basis``.  Both then keep a hat
+    Two regimes, switched by ``_mode_count``, fill in the hats between
+    the grid's nodes: the windowed image sum of ``_hat_weights``, and on
+    the grid's ``_sine_interval`` [0, L] (on the half-line, up to its
+    virtual wall) from tau_s L^2 on the sine series (2/L) sum_k
+    sin(omega x) sin(omega y) exp(-omega^2 tau), the matrix S
+    diag(``_sine_decay``) P^T from the first K columns of the nodes'
+    ``_sine_basis``.  Both then keep a hat
     whole when one of its two cells is within the reach of ``_window``
     (hat j touches cells j - 1 and j), zero every other entry, the image
     sum within its band of columns and the sine series over the whole
@@ -563,17 +588,18 @@ def _hat_transport_matrix(domain: Domain, nodes: np.ndarray, tau: float) -> _Ban
     whole.  The sine series, formed whole, stays whole.  The memory
     integral forms only image-sum matrices (``DuhamelOperator``); the
     sine branch serves ``restart_residual`` and the tests."""
-    y = np.asarray(nodes, dtype=float).reshape(-1)
+    y = grid.nodes[:, 0]
     n = y.size
-    k = _mode_count(domain, tau)
+    sine = _sine_interval(grid)
+    k = _mode_count(sine, tau)
     if k:
-        s, p = _sine_basis(domain, y.tobytes())
-        out = (s[:, :k] * _sine_decay(domain, tau)[:k]) @ p[:, :k].T
+        s, p = _sine_basis(sine, y.tobytes())
+        out = (s[:, :k] * _sine_decay(sine, tau)[:k]) @ p[:, :k].T
         c_lo, c_hi, _ = _window(y, y, tau)
         j = np.arange(n)
         out[(j < c_lo[:, None]) | (j > c_hi[:, None] + 1)] = 0.0
         return _Band(np.maximum(out, 0.0, out=out)[None], j[None], n)
-    cols, c_lo, c_hi, weights = _hat_weights(domain, y, y, tau)
+    cols, c_lo, c_hi, weights = _hat_weights(grid.domain, y, y, tau)
     band = np.zeros(cols.shape)
     for left, right in weights:
         band[:, :-1] += left
@@ -609,16 +635,18 @@ class _InitialEvaluator:
     m at a the mass m / w(a).  The evaluator's own input check is that a
     plain-mode density vanish on the cell edges at the wall.
 
-    The two regimes of ``_mode_count``: below tau_s L^2, and on every
-    other domain, ``_image_sum`` sums the images of each source over the
-    cells within reach, a block of targets at a time, and skips the
-    images beyond the reach of every target in the block.  On the
-    interval from tau_s L^2 on, ``_mode_sum`` projects the sources once
-    per call onto the sine modes: the cells by ``_sine_cell_weights``, a
+    The two regimes of ``_mode_count`` on ``sine_interval``, the grid's
+    ``_sine_interval`` as far as every point source: below tau_s L^2,
+    and on the whole line, ``_image_sum`` sums the images of each source
+    over the cells within reach, a block of targets at a time, and skips
+    the images beyond the reach of every target in the block.  From
+    tau_s L^2 on, ``_mode_sum`` projects the sources once per call onto
+    the sine modes of [0, L]: the cells by ``_sine_cell_weights``, a
     point mass m at a as m sin(omega a), a wall mass m as m omega at 0
-    and -m omega cos(omega L) at L.  It reads the nodes' sin(omega x)
-    from the grid's ``_sine_basis``, which the transport matrices share,
-    and evaluates all such times in one product."""
+    and -m omega cos(omega L) at L (on the half-line the virtual wall at
+    L carries none).  It reads the nodes' sin(omega x) from the grid's
+    ``_sine_basis``, which the transport matrices share, and evaluates
+    all such times in one product."""
 
     def __init__(self, mu: MeasureSpec, grid: SpaceTimeGrid):
         domain = self.domain = grid.domain
@@ -641,6 +669,7 @@ class _InitialEvaluator:
             walls = [[0.0]] + ([[domain.length]] if isinstance(domain, Interval) else [])
             dens = np.asarray(mu.boundary_density(np.array(walls), None), float).reshape(-1)
             self._walls += [(np.array(b), w) for b, w in zip(walls, dens) if w > 0]
+        self.sine_interval = _sine_interval(grid, [float(pos[0]) for pos, _ in self._points])
 
     # -- mesh over the measure support
 
@@ -679,7 +708,7 @@ class _InitialEvaluator:
         touches = _touches(mu, 0.5 * (c0 + c1), 0.5 * (c1 - c0))
         vL = self._density(c0[:, None])
         vR = self._density(c1[:, None])
-        wall = np.asarray(boundary_distance(domain, edges[:, None])) < 1e-12
+        wall = np.asarray(boundary_distance(domain, edges[:, None])) == 0.0
         if mu.interior_mode == "dx" and np.any(wall & (np.append(vL, vR[-1]) > 0)):
             raise ValueError("plain-mode density must vanish at the absorbing boundary")
         with np.errstate(invalid="ignore"):
@@ -778,7 +807,8 @@ class _InitialEvaluator:
         sources projected once onto the most modes asked, then one
         product with the nodes' sine values."""
         k = int(np.max(counts))
-        length = self.domain.length
+        sine = self.sine_interval
+        length = sine.length
         omega = np.arange(1, k + 1) * (math.pi / length)
         q = np.zeros(k)
         if self._cells is not None:
@@ -790,13 +820,13 @@ class _InitialEvaluator:
         for pos, m in self._walls:
             inward = 1.0 if pos[0] == 0.0 else -1.0
             q += inward * m * omega * _sine_phases(pos / length, k)[1][0]
-        decay = np.array([_sine_decay(self.domain, t)[:k] for t in times]) * q
-        return decay @ _sine_basis(self.domain, self.x.tobytes())[0][:, :k].T
+        decay = np.array([_sine_decay(sine, t)[:k] for t in times]) * q
+        return decay @ _sine_basis(sine, self.x.tobytes())[0][:, :k].T
 
     def at_times(self, times) -> np.ndarray:
         """The evolution (times, nodes), 0 on wall nodes and clipped at 0."""
         times = np.asarray(times, dtype=float).reshape(-1)
-        counts = np.array([_mode_count(self.domain, t) for t in times], dtype=int)
+        counts = np.array([_mode_count(self.sine_interval, t) for t in times], dtype=int)
         out = np.empty((times.size, self.x.size))
         for i in np.nonzero(counts == 0)[0]:
             out[i] = self._image_sum(float(times[i]))
@@ -818,7 +848,8 @@ class DuhamelOperator:
     times (slivers, then level interpolations) and, per ladder entry,
     the sources it transports, the levels it feeds and their weights.
     Only the image-sum entries keep a float32 matrix (``_matrix``, shared
-    across iterations and data); the sine-series ones keep their modes'
+    across iterations and data); the sine-series ones, from tau_s L^2 on
+    the grid's ``_sine_interval`` (``sine_interval``), keep their modes'
     decay and act through the nodes' sine basis (``_sine_part``).  An
     image-sum matrix is a ``_Band`` from ``_hat_transport_matrix``, with
     its wall rows zeroed: row blocks over their reach band where the
@@ -842,6 +873,7 @@ class DuhamelOperator:
         self._log_rho = math.log(rho)
         self._mat = {}
         self._applies = 0
+        self.sine_interval = _sine_interval(grid)
 
         # standard subdivision of the window below the first level
         n_sliver = int(math.ceil(-math.log(_SLIVER_FLOOR) / math.log(g)))
@@ -863,8 +895,8 @@ class DuhamelOperator:
             w = np.zeros((levels.size, rows.size))
             np.add.at(w, (l_idx, r_idx), weight[sel])
             tau = float(self._ladder[m])
-            if _mode_count(grid.domain, tau):
-                sine.append((rows, levels, w, _sine_decay(grid.domain, tau)))
+            if _mode_count(self.sine_interval, tau):
+                sine.append((rows, levels, w, _sine_decay(self.sine_interval, tau)))
             else:
                 self._groups.append((int(m), rows, levels, w))
         # the sine groups' source rows, projected once per apply; each
@@ -916,21 +948,26 @@ class DuhamelOperator:
     def _matrix(self, idx: int) -> _Band:
         mat = self._mat.get(idx)
         if mat is None:
-            a = _hat_transport_matrix(self.grid.domain, self.grid.nodes, float(self._ladder[idx]))
+            a = _hat_transport_matrix(self.grid, float(self._ladder[idx]))
             a.rows()[self.grid.boundary_mask] = 0.0
             mat = self._mat[idx] = a.astype(np.float32)
         return mat
 
     def stats(self) -> dict:
         """The image-sum matrices built, banded and kept whole, their
-        stored float32 megabytes, and the applies made."""
+        stored float32 megabytes, the sine-series groups and the length L
+        of their sine interval (None without one; they start at tau_s
+        L^2), and the applies made."""
         mats = self._mat.values()
         whole = sum(a.whole for a in mats)
+        sine = self.sine_interval
         return {
             "image_matrices": len(mats),
             "banded": len(mats) - whole,
             "whole": whole,
             "stored_mb": 4e-6 * sum(a.size for a in mats),
+            "sine_groups": len(self._sine),
+            "sine_length": None if sine is None else sine.length,
             "applies": self._applies,
         }
 
@@ -941,15 +978,24 @@ class DuhamelOperator:
         slivers, then the level interpolations.  Powers below float32's
         smallest normal, tiny, are zeroed, since subnormal sources slow
         the GEMMs; so a base below (tiny / 2)^(1/p) is zeroed before the
-        power, where float64 subnormals among such bases slow pow."""
+        power, where float64 subnormals among such bases slow pow.  An
+        integral p from 2 to 8 is taken by repeated products, cheaper
+        than pow and equal to it within the float32 rounding of the
+        result."""
         j, theta = self._interp
         k = self.sliver_times.size
         tiny = np.finfo(np.float32).tiny
         cut = (0.5 * tiny) ** (1.0 / p)
+        whole = int(p) if p == int(p) and 2 <= p <= 8 else 0
 
         def power(base):
             base[base < cut] = 0.0
-            return base ** p
+            if not whole:
+                return base ** p
+            out = base * base
+            for _ in range(whole - 2):
+                out *= base
+            return out
 
         v = np.empty((k + j.size, u_levels.shape[1]), np.float32)
         v[:k] = power(u_levels[0] * sliver_ratio)
@@ -973,7 +1019,7 @@ class DuhamelOperator:
         out = np.zeros((self.grid.times.size, v.shape[1]))
         if not self._sine:
             return out
-        s, p = _sine_basis(self.grid.domain, self.grid.nodes.tobytes())
+        s, p = _sine_basis(self.sine_interval, self.grid.nodes.tobytes())
         q = v[self._sine_rows].astype(np.float64) @ p
         z = np.zeros((out.shape[0], q.shape[1]))
         for rows, lv, w, decay in self._sine:
@@ -1225,9 +1271,9 @@ def restart_residual(
     """Consistency of the field with its own evolution on its own domain
     between two levels: value at the later level vs kernel transport
     from the earlier one plus the memory integral in between.  Each
-    kernel is a float64 ``_hat_transport_matrix`` applied through its
-    ``_Band``, so an image-sum time with a narrow band forms no n x n
-    matrix."""
+    kernel is a float64 ``_hat_transport_matrix`` of the field's grid,
+    so on its sine interval, applied through its ``_Band``: an image-sum
+    time with a narrow band forms no n x n matrix."""
     if isinstance(u, SolveOutcome):
         if u.status != "Converged":
             raise ValueError("restart check needs a converged solve")
@@ -1242,7 +1288,7 @@ def restart_residual(
     nodes = grid.nodes
 
     def matrix(tau):
-        return _hat_transport_matrix(domain, nodes, tau)
+        return _hat_transport_matrix(grid, tau)
 
     rhs = matrix(t2 - t1) @ u.values[t1_index]
 

@@ -10,9 +10,10 @@ sine part is checked against the dense sine-series matrices of the same
 plan.  The transport matrix filled densely from the solver's own
 windows is the reference for its row blocks.  The reach-cut references
 share the solver's cell moments, which lose digits on narrow cells at
-wide times; on the interval, where the solver sums wide kernels over sine
-modes, the references are instead composite Gauss-Legendre over every
-cell of an image sum paired at the walls, which uses neither.
+wide times; where the solver sums wide kernels over sine modes (the
+interval, and the half-line up to its virtual wall), the references are
+instead composite Gauss-Legendre over every cell of an image sum paired
+at the walls, which uses neither.
 
 The adaptive cubature is checked against its one-cell form: the same
 greedy loop with one integrand call and one tensor contraction per cell.
@@ -31,6 +32,7 @@ from scipy.special import erf, erfc
 from mildheat.kernels import (
     _LOG_TAU,
     Domain,
+    HalfSpace,
     Interval,
     _reach,
     _require_time,
@@ -268,28 +270,32 @@ def dense_sine_part(
     the dense float64 matrix of ``_hat_transport_matrix``, reach cut and clip
     included, to its source row; the reference for the factored
     ``DuhamelOperator._sine_part``."""
-    domain, y = op.grid.domain, op.grid.nodes[:, 0]
     mats = {}
     out = np.zeros_like(u_levels)
     for ki in range(op.grid.times.size):
         for tau_idx, weight, src in _plan_sources(op, u_levels, p, sliver_ratio, ki):
             tau = float(op._ladder[tau_idx])
-            if _mode_count(domain, tau):
+            if _mode_count(op.sine_interval, tau):
                 if tau_idx not in mats:
-                    mats[tau_idx] = _hat_transport_matrix(domain, y, tau).toarray()
+                    mats[tau_idx] = _hat_transport_matrix(op.grid, tau).toarray()
                 out[ki] += weight * (mats[tau_idx] @ src.astype(np.float64))
     return out
 
 
-def paired_interval_kernel(domain: Interval, x, y, t: float) -> np.ndarray:
-    """The interval kernel G(x, y) (arrays that broadcast) as an image sum
-    whose pairs straddling a wall are summed in closed form.  With q the
-    one of x, y nearer a wall, reflected about L/2 to sit near 0, p the
-    other and u = p - 2kL, each pair g(u - q) - g(u + q) is sign(u)
-    g(|u| - q) (-expm1(-|u| q / t)).  A point next to a wall keeps its
-    digits, where the plain image sum of ``kernel_values`` cancels."""
-    L = domain.length
+def paired_kernel(domain: Domain, x, y, t: float) -> np.ndarray:
+    """The kernel G(x, y) (arrays that broadcast) of the interval or the
+    half-line as an image sum whose pairs straddling a wall are summed in
+    closed form.  On the half-line G = g(x - y) (-expm1(-x y / t)).  On
+    the interval, with q the one of x, y nearer a wall, reflected about
+    L/2 to sit near 0, p the other and u = p - 2kL, each pair g(u - q) -
+    g(u + q) is sign(u) g(|u| - q) (-expm1(-|u| q / t)).  A point next to
+    a wall keeps its digits, where the plain image sum of
+    ``kernel_values`` cancels."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if isinstance(domain, HalfSpace):
+        g = np.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+        return g * -np.expm1(-x * y / t)
+    L = domain.length
     swap = np.minimum(x, L - x) < np.minimum(y, L - y)
     p, q = np.where(swap, y, x), np.where(swap, x, y)
     flip = q > 0.5 * L
@@ -303,11 +309,11 @@ def paired_interval_kernel(domain: Interval, x, y, t: float) -> np.ndarray:
     return out / math.sqrt(4.0 * math.pi * t)
 
 
-def gauss_hat_weights(domain: Interval, x, edges, t: float):
+def gauss_hat_weights(domain: Domain, x, edges, t: float):
     """Hat weights (left, right), arrays (targets, cells), of the kernel
     from every target x against the cells between ``edges``: ∫ G (y1 -
     y) / h and ∫ G (y - y0) / h, each cell cut into 4 equal parts with 8
-    Gauss-Legendre points per part, G from ``paired_interval_kernel``."""
+    Gauss-Legendre points per part, G from ``paired_kernel``."""
     pieces = 4
     xi, wq = np.polynomial.legendre.leggauss(8)
     frac = ((np.arange(pieces)[:, None] + 0.5 * (xi + 1.0)) / pieces).reshape(-1)
@@ -318,13 +324,13 @@ def gauss_hat_weights(domain: Interval, x, edges, t: float):
     left = np.empty((x.size, h.size))
     right = np.empty((x.size, h.size))
     for i, target in enumerate(x):
-        g = paired_interval_kernel(domain, target, ys, t).reshape(h.size, -1) * wts
+        g = paired_kernel(domain, target, ys, t).reshape(h.size, -1) * wts
         left[i] = h * (g @ (1.0 - frac))
         right[i] = h * (g @ frac)
     return left, right
 
 
-def gauss_hat_transport_matrix(domain: Interval, targets, nodes, tau: float) -> np.ndarray:
+def gauss_hat_transport_matrix(domain: Domain, targets, nodes, tau: float) -> np.ndarray:
     """Hat transport matrix from ``gauss_hat_weights``, the reference for
     the sine-mode matrices of ``_hat_transport_matrix``."""
     y = np.asarray(nodes, dtype=float).reshape(-1)
@@ -336,9 +342,9 @@ def gauss_hat_transport_matrix(domain: Interval, targets, nodes, tau: float) -> 
 
 
 def gauss_initial_evolution(ev: _InitialEvaluator, t: float) -> np.ndarray:
-    """The data's linear evolution on the interval with the cells from
-    ``gauss_hat_weights`` and the point masses from
-    ``paired_interval_kernel``, the reference for the sine-mode sum of
+    """The data's linear evolution on the interval or the half-line with
+    the cells from ``gauss_hat_weights`` and the point masses from
+    ``paired_kernel``, the reference for the sine-mode sum of
     ``_InitialEvaluator``; the wall masses take ``normal_derivative``,
     whose image terms all have one sign."""
     x = ev.x
@@ -348,7 +354,7 @@ def gauss_initial_evolution(ev: _InitialEvaluator, t: float) -> np.ndarray:
         left, right = gauss_hat_weights(ev.domain, x, y, t)
         out += left @ vL + right @ vR
     for a, m in ev._points:
-        out += m * paired_interval_kernel(ev.domain, x, a[0], t)
+        out += m * paired_kernel(ev.domain, x, a[0], t)
     for b, m in ev._walls:
         out += m * normal_derivative(ev.domain, x[:, None], b, t)
     out[ev._wall_nodes] = 0.0

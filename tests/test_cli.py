@@ -200,10 +200,11 @@ def test_whole_space_bump_solve_is_not_zero(tmp_path):
     assert run(load_config(path)) == 0
     rows = (out / "profile.csv").read_text().splitlines()[1:]
     assert max(float(row.split(",")[-1]) for row in rows) > 0.1
-    # the solve's stats: matrices built, banded or whole, and one apply
-    # per iteration
+    # the solve's stats: matrices built, banded or whole, no sine groups
+    # (the line keeps its images), and one apply per iteration
     (stats,) = manifest_events(out, "stats")
     result = manifest_events(out, "result")[0]
+    assert (stats["sine_groups"], stats["sine_length"]) == (0, None)
     assert stats["image_matrices"] == stats["banded"] + stats["whole"] > 0
     assert stats["banded"] > 0 and 0.0 < stats["stored_mb"]
     assert stats["applies"] == result["iterations"]

@@ -574,6 +574,18 @@ def test_strip_rate_log_decay_at_p_two():
     assert rep.fitted_exponent == pytest.approx(-1.0, abs=0.15)
 
 
+def test_strip_rate_takes_p_critical_from_the_critical_rule():
+    # p = 2 + 1e-12 is critical by measures._is_critical, so make_family
+    # builds the log-factor family, and the strip rate fits the log form
+    # to it as at p = 2
+    p = 2.0 + 1e-12
+    mu = scale(make_family(SingularFamily("boundary_point", (0.0,), p), IV1), 0.05)
+    rep = boundary_strip_rate(mu, IV1, p=p, T=0.2, sigmas=np.geomspace(0.002, 0.3, 12))
+    assert rep.verdict == "consistent"
+    assert rep.predicted_exponent == pytest.approx(-1.0)
+    assert rep.fitted_exponent == pytest.approx(-1.0, abs=0.15)
+
+
 def test_strip_guards(interval_family):
     with pytest.raises(ValueError):
         boundary_strip_rate(interval_family, IV1, p=1.5)

@@ -1,7 +1,8 @@
 """Every imported name is used by the file that imports it, every name a
 file exports in ``__all__`` is defined there, no file looks at a
 callable's signature, one function owns the kernel against linear
-cells and one the switch to the interval's sine modes, the measures
+cells, one the switch to the sine modes and one the interval they live
+on, the measures
 module alone owns the measure's weight, its weighted density, its anchor
 rule, the names of its singular families and the rule that p is
 critical, the criteria read a measure through the measures module
@@ -206,11 +207,53 @@ def test_spectral_switch_has_one_owner():
     }
 
 
-def test_reach_window_has_one_owner():
-    # in the solver the reach sets the cell window and the mode count only;
-    # the hat weights and the sine-mode matrices both take the window
+def test_sine_helpers_read_the_sine_interval_from_one_owner():
+    # the mode count, the sine basis and the modes' decay take the sine
+    # interval, never the domain: every call passes a ``sine`` parameter,
+    # a local ``sine`` or a ``sine_interval`` attribute, and each of those
+    # is bound from ``_sine_interval`` alone, which the operator, the
+    # evaluator and the transport matrix ask
     source = (ROOT / "src" / "mildheat" / "solver.py").read_text(encoding="utf-8")
-    assert readers(source, "_reach") == ["_mode_count", "_window"]
+    tree = ast.parse(source)
+    helpers = {"_mode_count", "_sine_basis", "_sine_decay"}
+    firsts = {
+        ast.unparse(n.args[0])
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) in helpers
+    }
+    assert firsts == {"sine", "self.sine_interval"}
+    bound = [
+        ast.unparse(n.value).split("(")[0]
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Assign)
+        for t in n.targets
+        if getattr(t, "id", None) == "sine" or getattr(t, "attr", None) == "sine_interval"
+    ]
+    assert bound and set(bound) <= {"_sine_interval", "self.sine_interval"}
+    params = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.args.args
+        and node.args.args[0].arg == "sine"
+    }
+    assert params == helpers
+    assert readers(source, "_sine_interval") == [
+        "DuhamelOperator.__init__",
+        "_InitialEvaluator.__init__",
+        "_hat_transport_matrix",
+    ]
+    for helper in helpers:
+        assert "domain" not in [n.id for f in ast.walk(tree)
+                                if isinstance(f, ast.FunctionDef) and f.name == helper
+                                for n in ast.walk(f) if isinstance(n, ast.Name)]
+
+
+def test_reach_window_has_one_owner():
+    # in the solver the reach sets the cell window, the mode count and the
+    # half-line's virtual wall only; the hat weights and the sine-mode
+    # matrices both take the window
+    source = (ROOT / "src" / "mildheat" / "solver.py").read_text(encoding="utf-8")
+    assert readers(source, "_reach") == ["_mode_count", "_sine_interval", "_window"]
     assert readers(source, "_window") == ["_hat_transport_matrix", "_hat_weights"]
 
 
@@ -444,8 +487,9 @@ def test_comparison_scanner_follows_assigned_names():
 def test_critical_rule_and_wall_rule_each_have_one_form():
     # "p is critical" is asked of measures._is_critical alone, which holds
     # the rule's one tolerance; no other module compares an exponent with
-    # critical_exponent's value, and the criteria put a point on the wall
-    # at distance exactly 0, as the measures and the solver do
+    # critical_exponent's value, and the criteria and the solver's data
+    # mesh put a point on the wall at distance exactly 0, as the measures
+    # do (the grid's -1e-12 is its closed-domain check, not a wall rule)
     tolerance = []
     askers = []
     for path in SRC_FILES:
@@ -456,11 +500,14 @@ def test_critical_rule_and_wall_rule_each_have_one_form():
             assert "_CRIT_MATCH" not in defined_names(source)
             assert compared_numbers(source, "critical_exponent") == {}
     assert tolerance == ["measures._is_critical"]
-    assert askers == ["criteria._borderline", "criteria.necessary_ball_bound",
-                      "measures.make_family"]
+    assert askers == ["criteria._borderline", "criteria.boundary_strip_rate",
+                      "criteria.necessary_ball_bound", "measures.make_family"]
     criteria_src = (ROOT / "src" / "mildheat" / "criteria.py").read_text(encoding="utf-8")
     numbers = compared_numbers(criteria_src, "boundary_distance").values()
     assert all(v == 0 for line in numbers for v in line)
+    solver_src = (ROOT / "src" / "mildheat" / "solver.py").read_text(encoding="utf-8")
+    numbers = compared_numbers(solver_src, "boundary_distance").values()
+    assert sorted(v for line in numbers for v in line) == [-1e-12, 0.0]
 
 
 def test_criteria_build_every_sweep_table_in_one_place():

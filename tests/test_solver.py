@@ -30,6 +30,7 @@ from mildheat.solver import (
     _InitialEvaluator,
     _mode_count,
     _sine_basis,
+    _sine_interval,
     dichotomy_sweep,
     make_grid,
     measure_grid,
@@ -180,7 +181,7 @@ def test_initial_kernel_atom_is_exact(domain, a, weight):
     for k, t in enumerate(g.times):
         ref = kernel_values(domain, np.array([a]), g.nodes, float(t)) / weight
         ref[g.boundary_mask] = 0.0
-        floor = 1e-14 * np.max(ref) if _mode_count(domain, t) else 1e-300
+        floor = 1e-14 * np.max(ref) if _mode_count(_sine_interval(g), t) else 1e-300
         assert u1.values[k] == pytest.approx(ref, rel=1e-10, abs=floor)
 
 
@@ -206,7 +207,7 @@ def test_initial_kernel_boundary_atoms(domain, mu):
         ref = np.array(
             [sum(m * weighted_kernel(domain, x, a, t) for a, m in sources) for x in g.nodes]
         )
-        floor = 1e-14 * np.max(ref) if _mode_count(domain, t) else 1e-300
+        floor = 1e-14 * np.max(ref) if _mode_count(_sine_interval(g), t) else 1e-300
         assert u1.values[k] == pytest.approx(ref, rel=1e-12, abs=floor)
     assert np.all(u1.values[:, g.boundary_mask] == 0.0)
 
@@ -244,11 +245,11 @@ def _evaluator(case):
 def test_evolution_matches_dense_oracle(case, log_t):
     # the reach cut drops no cell that matters: every cell and every image
     # kept give the same field, which is nonnegative and zero on the wall;
-    # the interval's sine-mode sum is checked against Gauss-Legendre cells
+    # the sine-mode sum is checked against Gauss-Legendre cells
     ev = _evaluator(case)
     t = 10.0**log_t
     got = ev.at_times([t])[0]
-    spectral = _mode_count(ev.domain, t)
+    spectral = _mode_count(ev.sine_interval, t)
     ref = (gauss_initial_evolution if spectral else dense_initial_evolution)(ev, t)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
     assert np.all(got >= 0.0) and np.all(got[ev._wall_nodes] == 0.0)
@@ -389,7 +390,7 @@ def test_reach_cut_matrix_matches_dense_oracle(domain, log_tau, nodes, first, an
     tau = 10.0**log_tau
     g = make_grid(domain, 0.25, [(anchor,)], target_nodes=nodes, first_time_fraction=first)
     y = g.nodes[:, 0]
-    cut = _hat_transport_matrix(domain, y, tau).toarray()
+    cut = _hat_transport_matrix(g, tau).toarray()
     # distance from each target to the support [y_j-1, y_j+1] of each hat
     left = np.concatenate([y[:1], y[:-1]])
     right = np.concatenate([y[1:], y[-1:]])
@@ -397,9 +398,9 @@ def test_reach_cut_matrix_matches_dense_oracle(domain, log_tau, nodes, first, an
     beyond = dist > math.sqrt(4.0 * tau * _LOG_TAU)
     assert np.all(cut[beyond] == 0.0)
     assert np.all(cut >= 0.0)
-    if _mode_count(domain, tau):
-        # the interval's sine-mode matrices against Gauss-Legendre cells, row
-        # by row: near tau = 1 the reference's own image sum cancels to 1e-13
+    if _mode_count(_sine_interval(g), tau):
+        # the sine-mode matrices against Gauss-Legendre cells, row by row:
+        # near tau = 1 the reference's own image sum cancels to 1e-13
         ref = gauss_hat_transport_matrix(domain, y, y, tau)
         assert np.all(np.abs(cut - ref) <= 1e-11 * np.max(ref, axis=1, keepdims=True))
         assert np.all(np.abs(cut.sum(axis=1) - ref.sum(axis=1)) <= 1e-11 * ref.sum(axis=1))
@@ -421,7 +422,8 @@ def test_sine_basis_memo_keys_on_nodes_and_length():
 
     def matrices(domain, nodes):
         taus = [3e-5 * domain.length**2] + list(np.geomspace(1e-4, 0.5, 6) * domain.length**2)
-        return [_hat_transport_matrix(domain, nodes, tau).toarray() for tau in taus]
+        grid = SpaceTimeGrid(domain, nodes, np.array(taus[-2:]), taus[-1])
+        return [_hat_transport_matrix(grid, tau).toarray() for tau in taus]
 
     for domain, nodes in ((IV1, a), (IV1, b), (iv2, c), (iv2, a), (IV1, a)):
         got = matrices(domain, nodes)
@@ -447,10 +449,10 @@ def test_sine_basis_is_built_once_per_node_set(monkeypatch):
     grid = measure_grid(IV1, mu, 0.2, target_nodes=120, first_time_fraction=1e-5)
     runner = PicardRunner(mu, 3.0, grid)
     runner.step(runner._base, runner._base)
-    _hat_transport_matrix(IV1, grid.nodes, 0.1)
+    _hat_transport_matrix(grid, 0.1)
     nodes = grid.nodes[:, 0]
     assert sum(1 for e in calls if np.array_equal(e, nodes)) == 1
-    assert runner.op._sine and _mode_count(IV1, 0.1)
+    assert runner.op._sine and _mode_count(runner.op.sine_interval, 0.1)
 
 
 def test_image_sum_skips_images_out_of_reach(monkeypatch):
@@ -518,6 +520,19 @@ def test_sources_zero_underflowing_bases_before_the_power():
     assert np.array_equal(op._sources(u, 4.0, runner._rat), _plain_sources(op, u, 4.0, runner._rat))
     with np.errstate(over="ignore"):
         assert not np.all(np.isfinite(op._sources(1e12 * u, 4.0, runner._rat)))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0, 8.0])
+def test_integral_source_powers_match_pow(p):
+    # integral exponents from 2 to 8 take repeated products: every float32
+    # source is within one ulp of pow's, and zero exactly where pow's is
+    mu, grid = _w2_grid()
+    runner = PicardRunner(mu, p, grid)
+    u = runner.initial_field(kappa=0.16).values
+    got = runner.op._sources(u, p, runner._rat)
+    ref = _plain_sources(runner.op, u, p, runner._rat)
+    assert np.array_equal(got == 0, ref == 0) and np.any(ref > 0)
+    assert np.all(np.abs(got - ref) <= np.spacing(ref))
 
 
 @pytest.mark.parametrize("case", ["w1", "p2.5"])
@@ -590,8 +605,8 @@ def test_operator_keeps_one_float32_copy_per_matrix(domain, mu, p, horizon, opti
     y = grid.nodes[:, 0]
     n = y.size
     op = runner.op
-    assert bool(op._sine) == isinstance(domain, Interval)
-    assert not any(_mode_count(domain, float(op._ladder[m])) for m in op._mat)
+    assert op._sine
+    assert not any(_mode_count(op.sine_interval, float(op._ladder[m])) for m in op._mat)
 
     def arrays(obj):
         if isinstance(obj, np.ndarray):
@@ -617,14 +632,18 @@ def test_operator_keeps_one_float32_copy_per_matrix(domain, mu, p, horizon, opti
     stored = sum(a.size for a in mats.values())
     assert stats["image_matrices"] == len(mats)
     assert stats["stored_mb"] == pytest.approx(4e-6 * stored)
+    assert stats["sine_groups"] == len(op._sine)
+    assert stats["sine_length"] == op.sine_interval.length
     assert stats["applies"] == out.iterations
     if options.get("first_time_fraction"):
         # W1: its 65 matrices are all banded, in at most 20% of 65 n^2
         assert (len(mats), stats["banded"], held) == (65, 65, [])
         assert stored <= 0.2 * 65 * n * n
     elif isinstance(domain, HalfSpace):
-        # W2's grid keeps some of its matrices whole and bands the others
+        # W2's grid keeps some of its matrices whole and bands the others;
+        # its 23 widest ladder times take the virtual wall's sine modes
         assert stats["banded"] and stats["whole"]
+        assert (len(mats), stats["sine_groups"]) == (65, 23)
 
 
 @settings(max_examples=40, deadline=None)
@@ -640,11 +659,11 @@ def test_band_matches_the_dense_window_fill(domain, log_tau, nodes, first, ancho
     # windows; their products agree with the dense ones to float32 rounding.
     # The interval's times move below tau_s L^2, onto the image path
     tau = 10.0**log_tau
-    if _mode_count(domain, tau):
-        tau *= 0.99 * solver._SPECTRAL_FROM
     g = make_grid(domain, 0.25, [(anchor,)], target_nodes=nodes, first_time_fraction=first)
+    if _mode_count(_sine_interval(g), tau):
+        tau *= 0.99 * solver._SPECTRAL_FROM
     y = g.nodes[:, 0]
-    band = _hat_transport_matrix(domain, y, tau)
+    band = _hat_transport_matrix(g, tau)
     dense = windowed_hat_transport_matrix(domain, y, tau)
     top = np.max(dense, axis=1, keepdims=True)
     assert np.all(np.abs(band.toarray() - dense) <= 1e-15 * top)
@@ -746,11 +765,13 @@ def test_reference_sweep_history_is_pinned():
 
 
 def _mp_hat_entry(length, x, nodes, j, tau):
-    """Entry (x, j) of the interval's hat transport matrix at 50 digits:
+    """Entry (x, j) of the hat transport matrix of the interval [0,
+    length], or of the half-line where length is None, at 50 digits:
     every image of the kernel against both halves of hat j, each in
-    closed form (erf and exp), with two images more than the reach asks."""
+    closed form (erf and exp), on the interval with two images more than
+    the reach asks."""
     with mpmath.workdps(50):
-        L, t = mpmath.mpf(length), mpmath.mpf(tau)
+        t = mpmath.mpf(tau)
         s = 2 * mpmath.sqrt(t)
         c = 1 / mpmath.sqrt(4 * mpmath.pi * t)
         halves = []
@@ -758,10 +779,14 @@ def _mp_hat_entry(length, x, nodes, j, tau):
             halves.append((mpmath.mpf(nodes[j - 1]), mpmath.mpf(nodes[j]), True))
         if j < len(nodes) - 1:  # falling half on [y_j, y_j+1]
             halves.append((mpmath.mpf(nodes[j]), mpmath.mpf(nodes[j + 1]), False))
-        m = math.ceil((length + math.sqrt(4.0 * tau * _LOG_TAU)) / (2.0 * length)) + 2
+        if length is None:
+            shifts = [0]
+        else:
+            m = math.ceil((length + math.sqrt(4.0 * tau * _LOG_TAU)) / (2.0 * length)) + 2
+            shifts = [2 * k * mpmath.mpf(length) for k in range(-m, m + 1)]
         total = mpmath.mpf(0)
-        for k in range(-m, m + 1):
-            for sign, pos in ((1, x - 2 * k * L), (-1, 2 * k * L - x)):
+        for shift in shifts:
+            for sign, pos in ((1, x - shift), (-1, shift - x)):
                 for a, b, rising in halves:
                     za, zb = (a - pos) / s, (b - pos) / s
                     p = (mpmath.erf(zb) - mpmath.erf(za)) / 2
@@ -774,14 +799,15 @@ def test_wide_interval_matrix_entries_match_mpmath():
     # W1's grid, whose narrowest hats (3.5e-5 wide) sit at the walls: entries
     # in the targets' rows next to both walls and in the middle
     mu = make_family(SingularFamily("boundary_point", (0.0,), 3.0), IV1)
-    y = measure_grid(IV1, mu, 0.2, target_nodes=560, first_time_fraction=1e-5).nodes[:, 0]
+    grid = measure_grid(IV1, mu, 0.2, target_nodes=560, first_time_fraction=1e-5)
+    y = grid.nodes[:, 0]
     n = y.size
     width = y[2:] - y[:-2]
     narrow = [1 + int(np.argmin(width[: n // 2])), n // 2 + 1 + int(np.argmin(width[n // 2:]))]
     rows = [1, n // 2, n - 2]
     cols = sorted({1, 2, n // 3, n // 2, 2 * n // 3, n - 3, n - 2, *narrow})
     for tau in (1e-4, 1e-3, 0.02, 0.2):
-        a = _hat_transport_matrix(IV1, y, tau).toarray()
+        a = _hat_transport_matrix(grid, tau).toarray()
         for i in rows:
             top = np.max(a[i])
             for j in cols:
@@ -828,6 +854,74 @@ def test_wide_interval_evolution_matches_mpmath():
             assert np.max(np.abs(ev.at_times([t])[0] - ref)) <= 1e-12 * np.max(ref)
 
 
+def _w2_grid():
+    mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
+    return mu, measure_grid(HS1, mu, 0.25, target_nodes=80)
+
+
+def test_wide_half_line_matrix_entries_match_mpmath():
+    # W2's grid, whose sine interval ends at the virtual wall L = 5 + R(0.25),
+    # from the switch tau_s L^2 = 0.0123 to the horizon: 40 random entries
+    # above 1e-6 of their row max and the 9 wall-corner entries at x, y <=
+    # 1.8e-4, where the image path's pair cancels, against the paired
+    # half-line images at 50 digits
+    _, grid = _w2_grid()
+    y = grid.nodes[:, 0]
+    sine = _sine_interval(grid)
+    assert sine.length == pytest.approx(5.0 + math.sqrt(_LOG_TAU))
+    corner = [(i, j) for i in (1, 2) for j in range(3)]  # row 0 is the wall's
+    assert y[2] <= 1.8e-4
+    rng = np.random.default_rng(10)
+    for tau in (solver._SPECTRAL_FROM * sine.length**2, 0.02, 0.05, 0.25):
+        assert _mode_count(sine, tau)
+        a = _hat_transport_matrix(grid, tau).toarray()
+        rows, cols = np.nonzero(a > 1e-6 * np.max(a, axis=1, keepdims=True))
+        pick = rng.choice(rows.size, 40, replace=False)
+        assert not np.any(a[0])  # the wall row, where the reference is 0 to 50 digits
+        for i, j in corner + list(zip(rows[pick], cols[pick])):
+            ref = _mp_hat_entry(None, mpmath.mpf(y[i]), y, j, tau)
+            assert abs(a[i, j] - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c for c in EVOLUTION_CASES if c.endswith("-halfspace")) + ["w2"]
+)
+def test_wide_half_line_evolution_matches_gauss_oracle(case):
+    # from the switch tau_s L^2 to the horizon the half-line's data evolve
+    # over the virtual wall's sine modes, within the interval's tolerance
+    # of the paired Gauss-Legendre oracle
+    if case == "w2":
+        mu, grid = _w2_grid()
+        ev, horizon = _InitialEvaluator(mu, grid), 0.25
+    else:
+        ev, horizon = _evaluator(case), 1.0
+    sine = ev.sine_interval
+    for t in np.geomspace(solver._SPECTRAL_FROM * sine.length**2, horizon, 4):
+        assert _mode_count(sine, t)
+        ref = gauss_initial_evolution(ev, t)
+        assert np.max(np.abs(ev.at_times([t])[0] - ref)) <= 1e-10 * np.max(ref)
+
+
+def test_sine_interval_of_each_domain():
+    # the interval is its own sine interval; the half-line's ends at the
+    # virtual wall, R(T) beyond the farthest node or point source; the
+    # line has none
+    grid = make_grid(IV1, 0.25, target_nodes=60)
+    assert _sine_interval(grid) is IV1
+    assert _sine_interval(make_grid(WholeSpace(1), 0.25, target_nodes=60)) is None
+    grid = make_grid(HS1, 0.25, target_nodes=60, extent=3.0)
+    reach = math.sqrt(_LOG_TAU)  # R(0.25)
+    assert _sine_interval(grid).length == pytest.approx(3.0 + reach, rel=1e-15)
+    far = MeasureSpec(atoms=(((1.0,), 1.0), ((4.0,), 1.0)))
+    ev = _InitialEvaluator(far, grid)
+    assert ev.sine_interval.length == pytest.approx(4.0 + reach, rel=1e-15)
+    # beyond the last node the far atom is still evolved exactly
+    t = float(grid.times[-1])
+    assert _mode_count(ev.sine_interval, t)
+    ref = gauss_initial_evolution(ev, t)
+    assert np.max(np.abs(ev.at_times([t])[0] - ref)) <= 1e-10 * np.max(ref)
+
+
 def test_mixed_times_evaluate_as_single_times():
     # one call over narrow and wide times gives each time's own field: the
     # image sums bit for bit, the mode sums up to the batched product's
@@ -838,7 +932,7 @@ def test_mixed_times_evaluate_as_single_times():
     got = ev.at_times(ts)
     for t, row in zip(ts, got):
         alone = ev.at_times([t])[0]
-        if _mode_count(IV1, t):
+        if _mode_count(ev.sine_interval, t):
             assert np.max(np.abs(row - alone)) <= 1e-14 * np.max(alone)
         else:
             assert np.array_equal(row, alone)
@@ -901,6 +995,23 @@ def test_picard_solve_raises_what_the_runner_raises():
     flat = MeasureSpec(interior_density=lambda pts, off=None: np.ones(len(pts)))
     with pytest.raises(ValueError, match="must vanish at the absorbing boundary"):
         picard_solve(flat, 2.0, 0.1, HS1, target_nodes=60)
+
+
+@pytest.mark.parametrize("start", [1e-13, 0.0], ids=["inside", "on-wall"])
+def test_plain_density_is_refused_only_on_the_wall(start):
+    # the data mesh puts an edge on the wall at distance exactly 0, as the
+    # measures and the criteria do: a constant plain density whose support
+    # starts 1e-13 inside the half-line evolves, one starting on the wall
+    # is refused
+    flat = MeasureSpec(interior_density=lambda pts, off=None: np.ones(len(pts)),
+                       support_center=(0.5 + start,), support_radius=0.5)
+    grid = make_grid(HS1, 0.1, target_nodes=60)
+    if start == 0.0:
+        with pytest.raises(ValueError, match="must vanish at the absorbing boundary"):
+            _InitialEvaluator(flat, grid)
+        return
+    u = _InitialEvaluator(flat, grid).at_times(grid.times)
+    assert np.all(np.isfinite(u)) and np.max(u) > 0.5
 
 
 def test_iterates_are_pointwise_monotone():
