@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .kernels import (
     Domain,
@@ -826,6 +825,8 @@ def _orlicz_radial(c: float, A: float, B: float, beta: float, sigma: float) -> f
     v0 = math.log(1.0 / min(sigma, 1.0))
     total = 0.0
     edges = [v0, v0 + 2.0, v0 + 20.0, v0 + 200.0, v0 + 4000.0]
+    from scipy.integrate import quad
+
     for a, b in zip(edges[:-1], edges[1:]):
         val, _ = quad(G, a, b, limit=200, epsabs=0.0, epsrel=1e-11)
         total += val
@@ -1080,6 +1081,8 @@ def weighted_strip_bound(
         knee = min(0.25 * L * L, T)
         if pieces[0] < knee < T:
             pieces = [pieces[0], knee, T]
+        from scipy.integrate import quad
+
         total = 0.0
         for a, b in zip(pieces[:-1], pieces[1:]):
             val, _ = quad(integrand, a, b, limit=200)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .quadrature import integrate_time
 
@@ -149,6 +148,14 @@ def solve_ivp(fun, t0, t1, y0, *, rtol, atol, args=(), ceiling=math.inf) -> _Sol
         if t >= t1:
             return _Solution(0, t, y, 2 + 6 * attempts)
         g = g_new
+
+
+def brentq(f, a: float, b: float, **options) -> float:
+    """scipy's ``brentq``, imported on first use; the module's one root
+    finder, kept as a module attribute so that a caller can replace it."""
+    from scipy.optimize import brentq as root
+
+    return root(f, a, b, **options)
 
 
 @dataclass(frozen=True)

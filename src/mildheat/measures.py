@@ -54,7 +54,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from .kernels import Domain, HalfSpace, Interval, WholeSpace, boundary_distance, space_dim
 from .quadrature import Ball, BoundaryPatch, integrate
@@ -111,7 +110,9 @@ def _profile_integral(sigma: float, q: float, beta: float) -> float:
         vt = max(v0, 50.0)
         val = 0.0
         if vt > v0:
-            val, _ = _quad(
+            from scipy.integrate import quad
+
+            val, _ = quad(
                 lambda v: math.log(math.e + math.exp(v)) ** -beta,
                 v0,
                 vt,
@@ -135,7 +136,9 @@ def _profile_integral(sigma: float, q: float, beta: float) -> float:
             return t**-beta
         return math.log(math.e + math.exp(t)) ** -beta
 
-    val, _ = _quad(g, 0.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-13)
+    from scipy.integrate import quad
+
+    val, _ = quad(g, 0.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-13)
     return sigma ** (q + 1.0) * c * val
 
 

@@ -53,7 +53,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "Ball",
@@ -504,6 +503,8 @@ def integrate_time(g, t0: float, t1: float, tol: float) -> QuadResult:
         raise ValueError("time interval must have t0 < t1")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    from scipy.integrate import quad
+
     out = quad(
         lambda t: float(g(np.array([t]))[0]), t0, t1, epsabs=0.0, epsrel=tol, full_output=1
     )

@@ -39,12 +39,13 @@ Discretization choices, in one place:
 * matrix entries and the data's evolution are exact kernel integrals
   against hat functions, closed forms per cell; the image sums take
   only the cells within the reach R(t) of each target, the truncation
-  of ``kernels.images``, skip every image farther than R(t) from all
-  of a call's windows, and a matrix of either regime zeros the entries
-  of hats beyond it (no rescaling: a matrix row sums to the kernel mass
-  in the node window); the sine modes' node values and hat projections
-  are built once per node set, at the largest mode count, and every
-  sine-series time takes its first K columns;
+  of ``kernels.images``, and for each target only the images within
+  R(t) of its cells, all as flat (target, edge) runs, one pass per time
+  in chunks of whole targets; a matrix of either regime zeros the
+  entries of hats beyond the reach (no rescaling: a matrix row sums to
+  the kernel mass in the node window); the sine modes' node values and
+  hat projections are built once per node set, at the largest mode
+  count, and every sine-series time takes its first K columns;
 * the data's linear evolution has one entry, ``_InitialEvaluator.at_times``;
   its sources are the density linearized per cell, point masses
   (interior atoms, cells at a singular anchor) and wall masses;
@@ -120,7 +121,8 @@ _INTERIOR_CUT = 1e-3  # sup norms ignore nodes closer to the boundary
 _TAU_FLOOR = 1e-2  # memory-integral tau floor, in units of the first level
 _SLIVER_FLOOR = 1e-3  # lowest sliver edge, in units of the first level
 _SOURCE_BLOCK = 128  # memory-integral source rows interpolated at once
-_TARGET_BLOCK = 32  # targets, or cells of a sine-mode sum, evaluated at once
+_TARGET_BLOCK = 32  # rows of a banded matrix block; cells or nodes of a sine-mode sum at once
+_RUN_CHUNK = 1 << 13  # (image, target, edge) triples of the hat weights evaluated at once
 RATIO_TARGET = 1.2  # dichotomy sweeps stop below this kappa_high / kappa_low
 _RESTART_MARGIN = 0.05  # restart checks skip nodes this near the wall, per unit length
 _TIME_RATIO = 1.3  # ratio of consecutive grid time levels
@@ -342,23 +344,24 @@ def measure_grid(domain: Domain, mu: MeasureSpec, horizon: float, **grid_options
 # Both keep the cells of ``_window``, within the reach R(t) = sqrt(4 t ln
 # 1e16): every image is at least as far from a cell beyond it, so each term
 # left out carries the Gaussian factor below 1e-16 that ``kernels.images``
-# drops; for the same reason an image beyond the reach of every window is
-# left out whole.  Below the switch of ``_mode_count`` both take per-cell
-# hat weights from ``_hat_weights``, from it on sine-mode ones from
+# drops; for the same reason a target leaves out whole each image beyond
+# the reach of its cells.  Below the switch of ``_mode_count`` both take
+# per-cell hat weights from ``_hat_weights``, from it on sine-mode ones from
 # ``_sine_cell_weights``, the matrices through the nodes' ``_sine_basis``,
 # all on the grid's ``_sine_interval``.
 
 
 def _interval_moments(pos, edges, t):
-    """(∫ g, ∫ y g) over each cell between consecutive ``edges`` for the
-    1-d heat kernel g centred at ``pos``; erf and exp are evaluated once
-    per edge.  Broadcasts ``pos`` (..., 1) against ``edges`` (..., k) to
-    cell arrays (..., k - 1)."""
+    """(∫ g, ∫ y g) between consecutive ``edges`` for the 1-d heat kernel
+    g centred at ``pos``, one centre per edge, an array of the shape of
+    ``edges`` (..., k): arrays (..., k - 1), the moments over each pair of
+    neighbours about the left one's centre; erf and exp are evaluated
+    once per edge."""
     z = (edges - pos) / (2.0 * math.sqrt(t))
     e = _erf(z)
     g = (4.0 * math.pi * t) ** -0.5 * np.exp(-z * z)
     p = 0.5 * (e[..., 1:] - e[..., :-1])
-    m1 = pos * p + 2.0 * t * (g[..., :-1] - g[..., 1:])
+    m1 = pos[..., :-1] * p + 2.0 * t * (g[..., :-1] - g[..., 1:])
     return p, m1
 
 
@@ -371,35 +374,52 @@ def _window(x: np.ndarray, y: np.ndarray, t: float):
     return c_lo, c_hi, reach
 
 
-def _hat_weights(domain: Domain, x: np.ndarray, y: np.ndarray, t: float):
-    """Reach window and per-image hat weights of the kernel from targets
-    ``x`` against the cells between sorted edges ``y``: ``(cols, c_lo,
-    c_hi, weights)``, c_lo and c_hi from ``_window``.  The window of
-    edges ``cols[i]`` (one width for all targets) adds a cell on each
-    side, so each hat on an in-reach cell is whole.  ``weights`` yields
-    per image the signed weights (left, right) of the window cells,
-    ∫ g (y1 - y) / h and ∫ g (y - y0) / h over [y0, y1], for every image
-    within the reach of some target's window: the others add only
-    Gaussian tails below 1e-16."""
+def _hat_weights(domain: Domain, x: np.ndarray, y: np.ndarray, t: float, pad: int = 0):
+    """Hat weights of the kernel from targets ``x`` against the cells
+    between sorted edges ``y``, over flat reach runs: ``(c_lo, c_hi,
+    chunks)``, c_lo and c_hi from ``_window``.  Target i keeps the run of
+    cells c_lo[i] - pad .. c_hi[i] + pad (within the edges; pad 1 keeps
+    each hat on an in-reach cell whole), once per image within the reach
+    of that run: the others add only Gaussian tails below 1e-16.  The
+    runs are evaluated a chunk of whole targets at a time, about
+    ``_RUN_CHUNK`` edges (so the chunk size changes no target's sum),
+    each edge's erf and exp once; ``chunks`` yields per chunk ``(rows,
+    target, cell, left, right)``: the slice of targets it covers and,
+    flat over its (image, target, cell) triples, image by image, the
+    target, the cell and the signed weights ∫ g (y1 - y) / h and
+    ∫ g (y - y0) / h over the cell [y0, y1]."""
     h = np.diff(y)
     if y.size < 2 or np.any(h <= 0):
         raise ValueError("need at least two strictly increasing nodes")
     c_lo, c_hi, reach = _window(x, y, t)
-    first = np.maximum(c_lo - 1, 0)
-    width = max(int(np.max(np.minimum(c_hi + 1, h.size - 1) - first)) + 1, 1)
-    start = np.minimum(first, h.size - width)[:, None]
-    cols = start + np.arange(width + 1)
-    ye, hw = y[cols], h[cols[:, :-1]]
-    lo, hi = ye[:, :1] - reach, ye[:, -1:] + reach
+    first = np.maximum(c_lo - pad, 0)
+    count = np.maximum(np.minimum(c_hi + pad, h.size - 1) - first + 1, 0)
+    lo, hi = y[first] - reach, y[first + count] + reach
+    signs, pos = zip(*((s, p[:, 0]) for s, p in images(domain, x[:, None], t)))
+    signs, pos = np.array(signs), np.array(pos)
+    near = (pos >= lo) & (pos <= hi) & (count > 0)  # (images, targets)
+    size = near.sum(axis=0) * (count + 1)
+    heads = np.flatnonzero(np.diff((np.cumsum(size) - size) // _RUN_CHUNK)) + 1
+    bounds = [0, *heads.tolist(), x.size]
 
-    def weights():
-        for sign, pos in images(domain, x[:, None], t):
-            if not np.any((pos >= lo) & (pos <= hi)):
+    def chunks():
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            image, target = np.nonzero(near[:, a:b])
+            if not target.size:
                 continue
-            p, m1 = _interval_moments(pos, ye, t)
-            yield sign * (ye[:, 1:] * p - m1) / hw, sign * (m1 - ye[:, :-1] * p) / hw
+            target += a
+            cells = count[target]
+            ends = np.cumsum(cells + 1)  # one past each run's last edge
+            edge = np.arange(ends[-1]) + np.repeat(first[target] - (ends - cells - 1), cells + 1)
+            p, m1 = _interval_moments(np.repeat(pos[image, target], cells + 1), y[edge], t)
+            inner = np.ones(p.size, bool)
+            inner[ends[:-1] - 1] = False  # the pairs of edges from two runs
+            cell, p, m1 = edge[:-1][inner], p[inner], m1[inner]
+            sign = np.repeat(signs[image], cells)
+            yield (slice(a, b), np.repeat(target, cells), cell,
+                   sign * (y[cell + 1] * p - m1) / h[cell], sign * (m1 - y[cell] * p) / h[cell])
 
-    return cols, c_lo, c_hi, weights()
+    return c_lo, c_hi, chunks()
 
 
 def _sine_interval(grid: SpaceTimeGrid, sources=()) -> Optional[Interval]:
@@ -569,23 +589,25 @@ def _hat_transport_matrix(grid: SpaceTimeGrid, tau: float) -> _Band:
     aliased.
 
     Two regimes, switched by ``_mode_count``, fill in the hats between
-    the grid's nodes: the windowed image sum of ``_hat_weights``, and on
-    the grid's ``_sine_interval`` [0, L] (on the half-line, up to its
-    virtual wall) from tau_s L^2 on the sine series (2/L) sum_k
-    sin(omega x) sin(omega y) exp(-omega^2 tau), the matrix S
+    the grid's nodes: the image sum over the reach runs of
+    ``_hat_weights``, and on the grid's ``_sine_interval`` [0, L] (on the
+    half-line, up to its virtual wall) from tau_s L^2 on the sine series
+    (2/L) sum_k sin(omega x) sin(omega y) exp(-omega^2 tau), the matrix S
     diag(``_sine_decay``) P^T from the first K columns of the nodes'
-    ``_sine_basis``.  Both then keep a hat
-    whole when one of its two cells is within the reach of ``_window``
-    (hat j touches cells j - 1 and j), zero every other entry, the image
-    sum within its band of columns and the sine series over the whole
-    matrix, and clip at 0.
+    ``_sine_basis``.  Both then keep a hat whole when one of its two
+    cells is within the reach of ``_window`` (hat j touches cells j - 1
+    and j), hold 0 in every other entry and clip at 0: the image sum
+    takes each row's run with one cell more on each side and keeps only
+    the inner half of those two, the sine series zeroes the entries of
+    the whole matrix.
 
-    The result is a ``_Band`` in float64.  The image sum fills its blocks
-    from the band of each row directly: each block of ``_TARGET_BLOCK``
-    rows spans the kept hats of its rows, W is the widest such span and a
-    block starts at its first kept hat, moved left to n - W at most.  If
-    those blocks would hold more than n^2 / 2 entries, the matrix is kept
-    whole.  The sine series, formed whole, stays whole.  The memory
+    The result is a ``_Band`` in float64.  The image sum adds the weights
+    of each chunk of rows straight into its blocks, one ``np.bincount``:
+    each block of ``_TARGET_BLOCK`` rows spans the kept hats of its rows,
+    W is the widest such span and a block starts at its first kept hat,
+    moved left to n - W at most.  If those blocks would hold more than
+    n^2 / 2 entries, the matrix is kept whole, one block of n rows over
+    all n columns.  The sine series, formed whole, stays whole.  The memory
     integral forms only image-sum matrices (``DuhamelOperator``); the
     sine branch serves ``restart_residual`` and the tests."""
     y = grid.nodes[:, 0]
@@ -599,25 +621,26 @@ def _hat_transport_matrix(grid: SpaceTimeGrid, tau: float) -> _Band:
         j = np.arange(n)
         out[(j < c_lo[:, None]) | (j > c_hi[:, None] + 1)] = 0.0
         return _Band(np.maximum(out, 0.0, out=out)[None], j[None], n)
-    cols, c_lo, c_hi, weights = _hat_weights(grid.domain, y, y, tau)
-    band = np.zeros(cols.shape)
-    for left, right in weights:
-        band[:, :-1] += left
-        band[:, 1:] += right
-    band[(cols < c_lo[:, None]) | (cols > c_hi[:, None] + 1)] = 0.0
-    np.maximum(band, 0.0, out=band)
+    c_lo, c_hi, chunks = _hat_weights(grid.domain, y, y, tau, pad=1)
     # the kept hats of row i are c_lo[i] .. c_hi[i] + 1
     heads = np.arange(0, n, _TARGET_BLOCK)
     lo = np.minimum.reduceat(c_lo, heads)
     width = int(np.max(np.maximum.reduceat(c_hi + 1, heads) - lo)) + 1
     if heads.size * _TARGET_BLOCK * width > 0.5 * n * n:
-        whole = np.zeros((1, n, n))
-        np.put_along_axis(whole[0], cols, band, axis=1)
-        return _Band(whole, np.arange(n)[None], n)
-    starts = np.minimum(lo, n - width)
-    i, k = np.nonzero(band)
-    blocks = np.zeros((heads.size, _TARGET_BLOCK, width))
-    blocks.reshape(-1, width)[i, cols[i, k] - starts[i // _TARGET_BLOCK]] = band[i, k]
+        per_block, width, starts = n, n, np.zeros(1, int)
+    else:
+        per_block, starts = _TARGET_BLOCK, np.minimum(lo, n - width)
+    blocks = np.zeros((starts.size, per_block, width))
+    flat = blocks.reshape(-1)
+    for rows, target, cell, left, right in chunks:
+        # hat j takes the left weight of cell j and the right one of cell
+        # j - 1: a pad cell gives only the half of the kept hat
+        at = (target - rows.start) * width + cell - starts[target // per_block]
+        lk, rk = cell >= c_lo[target], cell <= c_hi[target]
+        flat[rows.start * width:rows.stop * width] = np.bincount(
+            np.concatenate([at[lk], at[rk] + 1]), np.concatenate([left[lk], right[rk]]),
+            minlength=(rows.stop - rows.start) * width)
+    np.maximum(blocks, 0.0, out=blocks)
     return _Band(blocks, starts[:, None] + np.arange(width), n)
 
 
@@ -637,9 +660,11 @@ class _InitialEvaluator:
 
     The two regimes of ``_mode_count`` on ``sine_interval``, the grid's
     ``_sine_interval`` as far as every point source: below tau_s L^2,
-    and on the whole line, ``_image_sum`` sums the images of each source
-    over the cells within reach, a block of targets at a time, and skips
-    the images beyond the reach of every target in the block.  From
+    and on the whole line, ``_image_sum`` sums the cells' images over the
+    reach runs of ``_hat_weights``, each target over its own cells within
+    reach and the images within reach of them, in one flat pass per time
+    summed per target by ``np.bincount``, and adds the point and wall
+    masses through ``kernel_values`` and ``normal_derivative``.  From
     tau_s L^2 on, ``_mode_sum`` projects the sources once per call onto
     the sine modes of [0, L]: the cells by ``_sine_cell_weights``, a
     point mass m at a as m sin(omega a), a wall mass m as m omega at 0
@@ -679,8 +704,12 @@ class _InitialEvaluator:
         hi = domain.length if isinstance(domain, Interval) else float(self.x[-1])
         if mu.support_center is not None and mu.support_radius is not None:
             c = float(np.asarray(mu.support_center).reshape(-1)[0])
+            end = c + mu.support_radius
+            if isinstance(domain, HalfSpace) and mu.interior_density is not None and end > hi:
+                raise ValueError(f"the density's support ends at {end:.6g}, past the "
+                                 f"last node {hi:.6g}: extend the grid over it")
             lo = max(lo, c - mu.support_radius)
-            hi = min(hi, c + mu.support_radius)
+            hi = min(hi, end)
         if mu.interior_density is None or not hi > lo:
             return
         self._density = _weighted_density(mu, domain)
@@ -786,16 +815,8 @@ class _InitialEvaluator:
         out = np.zeros(x.size)
         if self._cells is not None:
             edges, vL, vR = self._cells
-            # targets a block at a time, so the window arrays stay small
-            for a in range(0, x.size, _TARGET_BLOCK):
-                rows = slice(a, a + _TARGET_BLOCK)
-                cols, c_lo, c_hi, weights = _hat_weights(self.domain, x[rows], edges, t)
-                cells = cols[:, :-1]
-                cut = (cells < c_lo[:, None]) | (cells > c_hi[:, None])
-                wl, wr = np.where(cut, 0.0, vL[cells]), np.where(cut, 0.0, vR[cells])
-                for left, right in weights:
-                    out[rows] += np.einsum("ij,ij->i", left, wl)
-                    out[rows] += np.einsum("ij,ij->i", right, wr)
+            for _, target, cell, left, right in _hat_weights(self.domain, x, edges, t)[2]:
+                out += np.bincount(target, left * vL[cell] + right * vR[cell], minlength=x.size)
         for pos, m in self._points:
             out += m * kernel_values(self.domain, pos, x[:, None], t)
         for pos, m in self._walls:

@@ -49,7 +49,6 @@ from mildheat.solver import (
     SpaceTimeGrid,
     _domain_span,
     _hat_transport_matrix,
-    _hat_weights,
     _InitialEvaluator,
     _interval_moments,
     _mode_count,
@@ -157,27 +156,9 @@ def dense_hat_transport_matrix(
     h = np.diff(y)
     out = np.zeros((x.size, y.size))
     for sign, pos in images(domain, x[:, None], tau):
-        p, m1 = _interval_moments(pos, y[None, :], tau)
+        p, m1 = _interval_moments(*np.broadcast_arrays(pos, y[None, :]), tau)
         out[:, :-1] += sign * (y[None, 1:] * p - m1) / h[None, :]
         out[:, 1:] += sign * (m1 - y[None, :-1] * p) / h[None, :]
-    return np.maximum(out, 0.0)
-
-
-def windowed_hat_transport_matrix(domain: Domain, nodes: np.ndarray, tau: float) -> np.ndarray:
-    """Image-sum transport matrix filled densely from the windows of
-    ``_hat_weights``: each row's band of hats put into an n x n array,
-    the hats beyond the reach zeroed, clipped at 0.  The reference for
-    the blocks of ``_hat_transport_matrix``, which it fills from the same
-    band without forming the n x n array."""
-    y = np.asarray(nodes, dtype=float).reshape(-1)
-    out = np.zeros((y.size, y.size))
-    cols, c_lo, c_hi, weights = _hat_weights(domain, y, y, tau)
-    band = np.zeros(cols.shape)
-    for left, right in weights:
-        band[:, :-1] += left
-        band[:, 1:] += right
-    band[(cols < c_lo[:, None]) | (cols > c_hi[:, None] + 1)] = 0.0
-    np.put_along_axis(out, cols, band, axis=1)
     return np.maximum(out, 0.0)
 
 
@@ -213,7 +194,7 @@ def dense_initial_evolution(ev: _InitialEvaluator, t: float) -> np.ndarray:
         beyond = (y[None, 1:] < x[:, None] - reach) | (y[None, :-1] > x[:, None] + reach)
     for sign, pos in images(ev.domain, x[:, None], t):
         if ev._cells is not None:
-            p, m1 = _interval_moments(pos, y[None, :], t)
+            p, m1 = _interval_moments(*np.broadcast_arrays(pos, y[None, :]), t)
             p_far, m1_far = _tail_moments(pos, y[None, :], t)
             p, m1 = np.where(beyond, p_far, p), np.where(beyond, m1_far, m1)
             out += sign * np.sum((y[None, 1:] * p - m1) / h * vL, axis=1)

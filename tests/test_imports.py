@@ -8,9 +8,13 @@ rule, the names of its singular families and the rule that p is
 critical, the criteria read a measure through the measures module
 alone, put a point on the wall at distance 0 and build their tables in
 one sweep, the CLI's option table alone owns the config defaults, and
-the solver's objects take their domain and dimension from the grid."""
+the solver's objects take their domain and dimension from the grid, and
+a solve loads neither scipy.integrate nor scipy.optimize."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,7 +159,7 @@ def test_readers_scanner_finds_every_caller():
 
 
 def test_kernel_against_linear_cells_has_one_owner():
-    # the Gaussian cell moments have one caller, the reach-windowed hat
+    # the Gaussian cell moments have one caller, the reach-run hat
     # weights, and the reach's constant is read only by the reach
     found = {"_interval_moments": [], "_LOG_TAU": []}
     for path in SRC_FILES:
@@ -516,3 +520,24 @@ def test_criteria_build_every_sweep_table_in_one_place():
     source = (ROOT / "src" / "mildheat" / "criteria.py").read_text(encoding="utf-8")
     assert readers(source, "_row") == ["_sup_sweep", "boundary_mass_check"]
     assert "_mass_ratio" not in defined_names(source)
+
+
+def test_a_solve_imports_no_scipy_integrate_or_optimize():
+    # quadrature, measures, criteria and cutoffs import them where they
+    # call them, so a process that loads the package and the CLI and solves
+    # on an interval grid never does
+    code = (
+        "import sys\n"
+        "import mildheat, mildheat.cli, mildheat.solver\n"
+        "from mildheat.kernels import Interval\n"
+        "from mildheat.measures import SingularFamily, make_family, scale\n"
+        "domain = Interval(1.0)\n"
+        "mu = scale(make_family(SingularFamily('boundary_point', (0.0,), 3.0), domain), 0.05)\n"
+        "out = mildheat.solver.picard_solve(mu, 3.0, 0.2, domain, target_nodes=60)\n"
+        "print(out.status, [m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "Converged []"

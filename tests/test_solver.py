@@ -45,7 +45,6 @@ from oracles import (
     gauss_hat_transport_matrix,
     gauss_initial_evolution,
     reference_apply,
-    windowed_hat_transport_matrix,
 )
 
 HS1 = HalfSpace(1)
@@ -255,6 +254,85 @@ def test_evolution_matches_dense_oracle(case, log_t):
     assert np.all(got >= 0.0) and np.all(got[ev._wall_nodes] == 0.0)
 
 
+BENCHMARK_PROBLEMS = {
+    # the first two benchmark workloads: critical data at the wall on the
+    # interval, and the dichotomy sweep's data on the half-line
+    "w1": (IV1, SingularFamily("boundary_point", (0.0,), 3.0), 0.2,
+           {"target_nodes": 560, "first_time_fraction": 1e-5}),
+    "w2": (HS1, SingularFamily("interior_point", (1.0,), 4.0), 0.25, {"target_nodes": 80}),
+}
+
+
+def _image_path_problem(case):
+    """Evaluator, grid and image-path times (the slivers, then the levels
+    below the sine switch) of one of ``BENCHMARK_PROBLEMS``."""
+    domain, fam, horizon, options = BENCHMARK_PROBLEMS[case]
+    mu = make_family(fam, domain)
+    grid = measure_grid(domain, mu, horizon, **options)
+    ev = _InitialEvaluator(mu, grid)
+    times = np.concatenate([DuhamelOperator(grid).sliver_times, grid.times])
+    return ev, grid, times[[_mode_count(ev.sine_interval, t) == 0 for t in times]]
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARK_PROBLEMS))
+def test_benchmark_evolutions_match_dense_oracle(case):
+    # at every image-path time of the two solves.  Next to W1's singular
+    # anchor the two images of the wall cancel each other to a field far
+    # below the cells' terms, which sum in another order here than in the
+    # oracle: they agree to 3e-13 of the sup
+    ev, grid, times = _image_path_problem(case)
+    assert (grid.nodes.shape[0], times.size) == {"w1": (333, 54), "w2": (142, 54)}[case]
+    for t, got in zip(times, ev.at_times(times)):
+        ref = dense_initial_evolution(ev, t)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARK_PROBLEMS))
+def test_run_chunks_leave_every_sum_unchanged(monkeypatch, case):
+    # a chunk holds whole targets, so its size changes no sum: the data's
+    # evolution and the image-path matrices (W1's all banded, W2's banded
+    # and whole) are bit for bit the same with one target a chunk and with
+    # a few
+    ev, grid, times = _image_path_problem(case)
+    op = DuhamelOperator(grid)
+    taus = [float(tau) for tau in op._ladder[::6] if not _mode_count(op.sine_interval, tau)]
+
+    def sums():
+        mats = [_hat_transport_matrix(grid, tau) for tau in taus]
+        return ev.at_times(times[::4]), [(a.blocks, a.cols) for a in mats]
+
+    evolution, mats = sums()
+    whole = {b.shape[1] == grid.nodes.shape[0] for b, _ in mats}
+    assert whole == ({False, True} if case == "w2" else {False})
+    for chunk in (1, 700):
+        monkeypatch.setattr(solver, "_RUN_CHUNK", chunk)
+        chunks = _hat_weights(grid.domain, ev.x, ev._cells[0], float(times[-1]))[2]
+        assert len(list(chunks)) > 1
+        other, other_mats = sums()
+        assert np.array_equal(evolution, other)
+        for (b, c), (ob, oc) in zip(mats, other_mats):
+            assert np.array_equal(b, ob) and np.array_equal(c, oc)
+
+
+def test_half_line_density_past_the_last_node_is_refused():
+    # a density on [2.5, 3.5] on a half-line grid ending at 3: its cells
+    # past the last node were dropped without a flag, which halved the
+    # field at that node; on [1.5, 2.5] the same density evolves to the
+    # midpoint sum of its kernel
+    grid = make_grid(HS1, 0.25, extent=3.0)
+
+    def unit(center):
+        return MeasureSpec(interior_density=lambda pts, off=None: np.ones(len(pts)),
+                           interior_mode="d_dx", support_center=(center,), support_radius=0.5)
+
+    with pytest.raises(ValueError, match="support ends at 3.5, past the last node 3"):
+        _InitialEvaluator(unit(3.0), grid)
+    y = np.linspace(1.5, 2.5, 20_001)
+    mid = np.sum(kernel_values(HS1, np.array([3.0]), 0.5 * (y[1:] + y[:-1])[:, None], 0.25))
+    u = _InitialEvaluator(unit(2.0), grid).at_times([0.25])[0]
+    assert u[-1] == pytest.approx(mid * (y[1] - y[0]), rel=1e-9)
+
+
 def test_right_wall_cells_integrate_from_the_anchor(monkeypatch):
     # critical boundary_point data at the right wall: the cells next to the
     # anchor cell are integrated in offsets from the anchor; in absolute
@@ -456,19 +534,29 @@ def test_sine_basis_is_built_once_per_node_set(monkeypatch):
 
 
 def test_image_sum_skips_images_out_of_reach(monkeypatch):
-    # at tau = 1e-6 on the unit interval only x, -x and 2 - x come within
-    # reach of a node window; the other three images are not evaluated
+    # at tau = 1e-6 on the unit interval each target takes the images that
+    # come within reach of its own run of cells: x itself, and next to a
+    # wall -x or 2 - x as well; its other images are not evaluated
     calls = []
     real = solver._interval_moments
 
     def counted(pos, edges, t):
-        calls.append(pos)
+        calls.append(pos.size)
         return real(pos, edges, t)
 
     monkeypatch.setattr(solver, "_interval_moments", counted)
     y = make_grid(IV1, 0.25, [(0.5,)], target_nodes=100).nodes[:, 0]
-    _, _, _, weights = _hat_weights(IV1, y, y, 1e-6)
-    assert 1 <= len(list(weights)) == len(calls) <= 3
+    tau = 1e-6
+    c_lo, c_hi, chunks = _hat_weights(IV1, y, y, tau)
+    cells = sum(target.size for _, target, _, _, _ in chunks)
+    reach = math.sqrt(4.0 * tau * _LOG_TAU)
+    lo, hi = y[c_lo] - reach, y[c_hi + 1] + reach
+    shifts = np.array([-2.0, 0.0, 2.0])
+    near = [int(np.sum((lo[i] <= u) & (u <= hi[i])))
+            for i in range(y.size) for u in [np.concatenate([y[i] + shifts, shifts - y[i]])]]
+    runs = c_hi - c_lo + 1
+    assert set(near) == {1, 2} and near[0] == near[-1] == 2
+    assert cells == np.dot(near, runs) and sum(calls) == np.dot(near, runs + 1)
 
 
 def _plain_sources(op, u, p, sliver_ratio):
@@ -655,18 +743,23 @@ def test_operator_keeps_one_float32_copy_per_matrix(domain, mu, p, horizon, opti
     anchor=st.floats(0.1, 0.9),
 )
 def test_band_matches_the_dense_window_fill(domain, log_tau, nodes, first, anchor):
-    # the row blocks hold the entries of the dense fill from the same
-    # windows; their products agree with the dense ones to float32 rounding.
-    # The interval's times move below tau_s L^2, onto the image path
+    # the row blocks hold the kept hats of the dense matrix over every cell
+    # and image, and zeros elsewhere, where the dense entries are rounding
+    # (up to 1e-15 of the matrix max); their products agree with the dense
+    # ones to float32 rounding.  The interval's times move below tau_s L^2,
+    # onto the image path
     tau = 10.0**log_tau
     g = make_grid(domain, 0.25, [(anchor,)], target_nodes=nodes, first_time_fraction=first)
     if _mode_count(_sine_interval(g), tau):
         tau *= 0.99 * solver._SPECTRAL_FROM
     y = g.nodes[:, 0]
     band = _hat_transport_matrix(g, tau)
-    dense = windowed_hat_transport_matrix(domain, y, tau)
-    top = np.max(dense, axis=1, keepdims=True)
-    assert np.all(np.abs(band.toarray() - dense) <= 1e-15 * top)
+    dense = dense_hat_transport_matrix(domain, y, y, tau)
+    c_lo, c_hi, _ = solver._window(y, y, tau)
+    j = np.arange(y.size)
+    kept = (j >= c_lo[:, None]) & (j <= c_hi[:, None] + 1)
+    assert np.all(np.abs(band.toarray() - dense)[kept] <= 1e-15 * np.max(dense))
+    assert np.all(band.toarray()[~kept] == 0.0)
     assert band.whole == (_would_be_blocks(y, tau) > y.size**2 / 2)
     if not band.whole:
         assert band.size <= y.size**2 / 2
