@@ -9,12 +9,14 @@ reflection factor written with expm1, which does not cancel near the
 wall; the interval has the images of both under the shifts 2kL, k =
 -m..m, which ``kernel_values`` sums a source and mirror pair at a time
 in the same closed form, so that a point next to either wall keeps its
-digits.  The solver's transport matrices and data evolution use these
-images too, except on its sine interval [0, L] at t >= tau_s L^2, the
-switch of ``solver._mode_count``: there they sum the eigenfunction series
-(2/L) sum_k sin(omega x) sin(omega y) exp(-omega^2 t), omega = k pi / L,
-of the interval itself, or on the half-line of an interval that ends at
-a virtual wall beyond the reach of the nodes (``solver._sine_interval``).
+digits.  The solver's transport matrices are these image sums at every
+time, and its kernel sums use them too, except on its sine interval
+[0, L] at t >= tau_s L^2, the switch of ``solver._mode_count``: there
+the data's evolution, the memory integral and the restart check apply
+the eigenfunction series (2/L) sum_k sin(omega x) sin(omega y)
+exp(-omega^2 t), omega = k pi / L, in mode space, on the interval
+itself or on the half-line on an interval that ends at a virtual wall
+beyond the reach of the nodes (``solver._sine_interval``).
 One reach, ``_reach(t) = sqrt(4 t ln 1e16)``, beyond which g_t is below
 1e-16 of its peak, sets every truncation: m = max(1, ceil((L +
 _reach(t)) / (2L))), the mode count K = ceil(L _reach(t) / (2 pi t)) +

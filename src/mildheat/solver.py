@@ -15,21 +15,22 @@ Discretization choices, in one place:
 * time levels are geometric from ``horizon * first_time_fraction``;
   spatial nodes are graded toward the absorbing boundary and toward the
   data's singular anchors (one spatial dimension only);
-* every kernel sum, in the transport matrices and in the data's linear
-  evolution, has two regimes, switched by ``_mode_count`` alone: on the
-  grid's sine interval [0, L] (``_sine_interval``) at t >= tau_s L^2
-  (tau_s = 1e-4) it runs over the sine modes (2/L) sin(omega x)
+* every kernel sum, in the memory integral, the restart check and the
+  data's linear evolution, has two regimes, switched by ``_mode_count``
+  alone: on the grid's sine interval [0, L] (``_sine_interval``) at t >=
+  tau_s L^2 (tau_s = 1e-4) it runs over the sine modes (2/L) sin(omega x)
   sin(omega y) exp(-omega^2 t), omega = k pi / L for k = 1..K, K =
-  ceil(L R(t) / (2 pi t)) + 1; everywhere else over the signed image
-  sources of ``kernels.images``, on the interval the shifts 2kL for k =
-  -m..m, m = max(1, ceil((L + R(t)) / (2L))).  The sine interval is the
-  interval itself, and on the half-line the virtual wall L = X + R(T),
-  X the farthest node or source and T the horizon: between points of
-  [0, X] the half-line's kernel is that interval's up to images at
-  distance 2L - 2X >= 2 R(T), below 1e-16 of the peak up to t = 4T.  The
-  whole line keeps its images.  One reach, R(t) = sqrt(4 t ln 1e16)
-  (``kernels._reach``), sets the image count, the mode count and the
-  virtual wall;
+  ceil(L R(t) / (2 pi t)) + 1, applied in mode space, S diag(decay)
+  (P^T v), and never formed as an n x n matrix; everywhere else over
+  the signed image sources of ``kernels.images``, on the interval
+  the shifts 2kL for k = -m..m, m = max(1, ceil((L + R(t)) / (2L))).
+  The sine interval is the interval itself, and on the half-line the
+  virtual wall L = X + R(T), X the farthest node or source and T the
+  horizon: between points of [0, X] the half-line's kernel is that
+  interval's up to images at distance 2L - 2X >= 2 R(T), below 1e-16 of
+  the peak up to t = 4T.  The whole line keeps its images.  One reach,
+  R(t) = sqrt(4 t ln 1e16) (``kernels._reach``), sets the image count,
+  the mode count and the virtual wall;
 * the memory integral uses exact kernel integrals, never interpolated
   kernels, on a geometric ladder of time offsets to which every
   quadrature node snaps; image-sum ladder entries are cached as
@@ -41,11 +42,12 @@ Discretization choices, in one place:
   only the cells within the reach R(t) of each target, the truncation
   of ``kernels.images``, and for each target only the images within
   R(t) of its cells, all as flat (target, edge) runs, one pass per time
-  in chunks of whole targets; a matrix of either regime zeros the
-  entries of hats beyond the reach (no rescaling: a matrix row sums to
-  the kernel mass in the node window); the sine modes' node values and
-  hat projections are built once per node set, at the largest mode
-  count, and every sine-series time takes its first K columns;
+  in chunks of whole targets; an image-sum matrix zeros the entries of
+  hats beyond the reach (no rescaling: a matrix row sums to the kernel
+  mass in the node window), while the sine modes keep them; the sine
+  modes' node values S and hat projections P are built once per node
+  set, at the largest mode count, and every sine-series time takes
+  their first K columns;
 * the data's linear evolution has one entry, ``_InitialEvaluator.at_times``;
   its sources are the density linearized per cell, point masses
   (interior atoms, cells at a singular anchor) and wall masses;
@@ -58,9 +60,7 @@ Discretization choices, in one place:
   whole matrix), then weights the products in float64; the sine-series
   entries share one float64 projection of their source rows onto the
   hats' sine modes, are weighted per entry in mode space, and take one
-  product with the nodes' sine values, so S diag(decay) P^T is never
-  formed; that part keeps the entries beyond the reach and is clipped
-  at 0 per level;
+  product with the nodes' sine values, clipped at 0 per level;
 * below the first time level the iterate follows the shape of the
   linear evolution of the data (the ratio to its first-level values),
   which is exact for the first correction and conservative afterwards;
@@ -345,10 +345,12 @@ def measure_grid(domain: Domain, mu: MeasureSpec, horizon: float, **grid_options
 # 1e16): every image is at least as far from a cell beyond it, so each term
 # left out carries the Gaussian factor below 1e-16 that ``kernels.images``
 # drops; for the same reason a target leaves out whole each image beyond
-# the reach of its cells.  Below the switch of ``_mode_count`` both take
-# per-cell hat weights from ``_hat_weights``, from it on sine-mode ones from
-# ``_sine_cell_weights``, the matrices through the nodes' ``_sine_basis``,
-# all on the grid's ``_sine_interval``.
+# the reach of its cells.  The matrices take per-cell hat weights from
+# ``_hat_weights`` at every time, the data's evolution below the switch of
+# ``_mode_count``; from it on the evolution takes sine-mode ones from
+# ``_sine_cell_weights``, and nodal values move in mode space through the
+# nodes' ``_sine_basis`` (``_transport``), all on the grid's
+# ``_sine_interval``.
 
 
 def _interval_moments(pos, edges, t):
@@ -538,8 +540,7 @@ class _Band:
     rows outside them is 0.  A banded matrix takes B = ``_TARGET_BLOCK``
     rows a block, a whole one a single block of all n rows over all n
     columns.  ``a @ v`` transports a vector (n,), or each row of a stack
-    (r, n), that is v A^T; ``size`` counts the stored entries;
-    ``toarray`` gives the dense matrix."""
+    (r, n), that is v A^T; ``size`` counts the stored entries."""
 
     blocks: np.ndarray  # (blocks, B, W)
     cols: np.ndarray  # (blocks, W)
@@ -553,20 +554,8 @@ class _Band:
     def whole(self) -> bool:
         return self.blocks.shape == (1, self.n, self.n)
 
-    def rows(self) -> np.ndarray:
-        """The n target rows over their block's columns, a view (n, W)."""
-        return self.blocks.reshape(-1, self.blocks.shape[2])[:self.n]
-
     def astype(self, dtype) -> "_Band":
         return _Band(self.blocks.astype(dtype), self.cols, self.n)
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), self.blocks.dtype)
-        b = self.blocks.shape[1]
-        for k, c in enumerate(self.cols):
-            rows = out[k * b:(k + 1) * b]
-            rows[:, c] = self.blocks[k, :rows.shape[0]]
-        return out
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         if self.whole:
@@ -588,39 +577,21 @@ def _hat_transport_matrix(grid: SpaceTimeGrid, tau: float) -> _Band:
     rows honest and makes sharp kernels on coarse cells exact instead of
     aliased.
 
-    Two regimes, switched by ``_mode_count``, fill in the hats between
-    the grid's nodes: the image sum over the reach runs of
-    ``_hat_weights``, and on the grid's ``_sine_interval`` [0, L] (on the
-    half-line, up to its virtual wall) from tau_s L^2 on the sine series
-    (2/L) sum_k sin(omega x) sin(omega y) exp(-omega^2 tau), the matrix S
-    diag(``_sine_decay``) P^T from the first K columns of the nodes'
-    ``_sine_basis``.  Both then keep a hat whole when one of its two
-    cells is within the reach of ``_window`` (hat j touches cells j - 1
-    and j), hold 0 in every other entry and clip at 0: the image sum
-    takes each row's run with one cell more on each side and keeps only
-    the inner half of those two, the sine series zeroes the entries of
-    the whole matrix.
+    The entries are the image sum over the reach runs of ``_hat_weights``
+    at every tau.  A hat is kept whole when one of its two cells is within
+    the reach of ``_window`` (hat j touches cells j - 1 and j): each run
+    takes one cell more on each side and keeps only the inner half of
+    those two; every other entry is 0, and all are clipped at 0.
 
-    The result is a ``_Band`` in float64.  The image sum adds the weights
-    of each chunk of rows straight into its blocks, one ``np.bincount``:
-    each block of ``_TARGET_BLOCK`` rows spans the kept hats of its rows,
-    W is the widest such span and a block starts at its first kept hat,
-    moved left to n - W at most.  If those blocks would hold more than
-    n^2 / 2 entries, the matrix is kept whole, one block of n rows over
-    all n columns.  The sine series, formed whole, stays whole.  The memory
-    integral forms only image-sum matrices (``DuhamelOperator``); the
-    sine branch serves ``restart_residual`` and the tests."""
+    The result is a ``_Band`` in float64, the weights of each chunk of
+    rows added straight into its blocks by one ``np.bincount``: each
+    block of ``_TARGET_BLOCK`` rows spans the kept hats of its rows, W is
+    the widest such span and a block starts at its first kept hat, moved
+    left to n - W at most.  If those blocks would hold more than n^2 / 2
+    entries, the matrix is kept whole, one block of n rows over all n
+    columns."""
     y = grid.nodes[:, 0]
     n = y.size
-    sine = _sine_interval(grid)
-    k = _mode_count(sine, tau)
-    if k:
-        s, p = _sine_basis(sine, y.tobytes())
-        out = (s[:, :k] * _sine_decay(sine, tau)[:k]) @ p[:, :k].T
-        c_lo, c_hi, _ = _window(y, y, tau)
-        j = np.arange(n)
-        out[(j < c_lo[:, None]) | (j > c_hi[:, None] + 1)] = 0.0
-        return _Band(np.maximum(out, 0.0, out=out)[None], j[None], n)
     c_lo, c_hi, chunks = _hat_weights(grid.domain, y, y, tau, pad=1)
     # the kept hats of row i are c_lo[i] .. c_hi[i] + 1
     heads = np.arange(0, n, _TARGET_BLOCK)
@@ -644,6 +615,21 @@ def _hat_transport_matrix(grid: SpaceTimeGrid, tau: float) -> _Band:
     return _Band(blocks, starts[:, None] + np.arange(width), n)
 
 
+def _transport(grid: SpaceTimeGrid, tau: float, v: np.ndarray) -> np.ndarray:
+    """The kernel at time tau applied to nodal values ``v`` (n,) or (r, n)
+    as ``_Band`` applies it: below the switch of ``_mode_count`` through
+    ``_hat_transport_matrix``, from it in mode space, S (decay (P^T v))
+    clipped at 0, from the first K columns of the nodes' ``_sine_basis``,
+    which keeps the entries beyond the reach like the modes past K."""
+    sine = _sine_interval(grid)
+    k = _mode_count(sine, tau)
+    if not k:
+        return _hat_transport_matrix(grid, tau) @ v
+    s, p = _sine_basis(sine, grid.nodes.tobytes())
+    out = ((v @ p[:, :k]) * _sine_decay(sine, tau)[:k]) @ s[:, :k].T
+    return np.maximum(out, 0.0, out=out)
+
+
 class _InitialEvaluator:
     """Evaluates the linear evolution of a measure on a grid's nodes for
     arbitrary times, scale factor removed (multiply by it afterwards),
@@ -655,8 +641,9 @@ class _InitialEvaluator:
     position, mass) for ``normal_derivative``.  The data act through the
     boundary-weighted kernel G/w, so the plain kernel G takes the density
     against w(y) dy, ``measures._weighted_density``, and an interior atom
-    m at a the mass m / w(a).  The evaluator's own input check is that a
-    plain-mode density vanish on the cell edges at the wall.
+    m at a the mass m / w(a).  The evaluator's own input checks are that a
+    plain-mode density vanish on the cell edges at the wall and that the
+    density's support stay within the end nodes where no wall cuts it.
 
     The two regimes of ``_mode_count`` on ``sine_interval``, the grid's
     ``_sine_interval`` as far as every point source: below tau_s L^2,
@@ -670,8 +657,8 @@ class _InitialEvaluator:
     point mass m at a as m sin(omega a), a wall mass m as m omega at 0
     and -m omega cos(omega L) at L (on the half-line the virtual wall at
     L carries none).  It reads the nodes' sin(omega x) from the grid's
-    ``_sine_basis``, which the transport matrices share, and evaluates
-    all such times in one product."""
+    ``_sine_basis``, which the memory integral and ``_transport`` share,
+    and evaluates all such times in one product."""
 
     def __init__(self, mu: MeasureSpec, grid: SpaceTimeGrid):
         domain = self.domain = grid.domain
@@ -704,12 +691,14 @@ class _InitialEvaluator:
         hi = domain.length if isinstance(domain, Interval) else float(self.x[-1])
         if mu.support_center is not None and mu.support_radius is not None:
             c = float(np.asarray(mu.support_center).reshape(-1)[0])
-            end = c + mu.support_radius
-            if isinstance(domain, HalfSpace) and mu.interior_density is not None and end > hi:
-                raise ValueError(f"the density's support ends at {end:.6g}, past the "
-                                 f"last node {hi:.6g}: extend the grid over it")
-            lo = max(lo, c - mu.support_radius)
-            hi = min(hi, end)
+            start, end = c - mu.support_radius, c + mu.support_radius
+            # the end nodes cut the support only where no wall does
+            past = ((end > hi and not isinstance(domain, Interval))
+                    or (start < lo and isinstance(domain, WholeSpace)))
+            if mu.interior_density is not None and past:
+                raise ValueError(f"the density's support [{start:.6g}, {end:.6g}] reaches "
+                                 f"past the nodes [{lo:.6g}, {hi:.6g}]: extend the grid over it")
+            lo, hi = max(lo, start), min(hi, end)
         if mu.interior_density is None or not hi > lo:
             return
         self._density = _weighted_density(mu, domain)
@@ -767,7 +756,8 @@ class _InitialEvaluator:
         quadrature; at a wall anchor they carry the weight d = r as one
         more power of the offset r.  Every other
         cell is integrated with the anchor as the quadrature's origin, so
-        its offsets stay exact next to the anchor."""
+        its offsets stay exact next to the anchor, and is refused when
+        either integral misses its tolerance."""
         mu = self.mu
         prof = mu.radial_profile
         domain = self.domain
@@ -798,10 +788,18 @@ class _InitialEvaluator:
             return f(pts, off) * pts[:, 0]
 
         region = Ball(center=(0.5 * (c0 + c1),), radius=0.5 * (c1 - c0))
-        mass = integrate(f, region, 1e-10, singularity_hint=mu.singularity).value
+
+        def moment(g):
+            res = integrate(g, region, 1e-10, singularity_hint=mu.singularity)
+            if not res.converged:
+                raise ValueError(f"the data's moments on the cell [{c0:.6g}, {c1:.6g}] "
+                                 "missed their tolerance")
+            return res.value
+
+        mass = moment(f)
         if mass <= 0:
             return 0.0, 0.5 * (c0 + c1)
-        m1 = integrate(fm, region, 1e-10, singularity_hint=mu.singularity).value
+        m1 = moment(fm)
         cen = min(max(m1 / mass, c0), c1)
         if wall:
             return mass / _weight(domain, [cen]), cen
@@ -872,10 +870,10 @@ class DuhamelOperator:
     across iterations and data); the sine-series ones, from tau_s L^2 on
     the grid's ``_sine_interval`` (``sine_interval``), keep their modes'
     decay and act through the nodes' sine basis (``_sine_part``).  An
-    image-sum matrix is a ``_Band`` from ``_hat_transport_matrix``, with
-    its wall rows zeroed: row blocks over their reach band where the
-    band is narrow, the whole matrix where it is not.  ``stats`` counts
-    what the operator built and did."""
+    image-sum matrix is a ``_Band`` from ``_hat_transport_matrix``: row
+    blocks over their reach band where the band is narrow, the whole
+    matrix where it is not.  ``apply`` zeroes every wall node of its
+    output.  ``stats`` counts what the operator built and did."""
 
     def __init__(self, grid: SpaceTimeGrid):
         self.grid = grid
@@ -970,7 +968,6 @@ class DuhamelOperator:
         mat = self._mat.get(idx)
         if mat is None:
             a = _hat_transport_matrix(self.grid, float(self._ladder[idx]))
-            a.rows()[self.grid.boundary_mask] = 0.0
             mat = self._mat[idx] = a.astype(np.float32)
         return mat
 
@@ -1292,9 +1289,9 @@ def restart_residual(
     """Consistency of the field with its own evolution on its own domain
     between two levels: value at the later level vs kernel transport
     from the earlier one plus the memory integral in between.  Each
-    kernel is a float64 ``_hat_transport_matrix`` of the field's grid,
-    so on its sine interval, applied through its ``_Band``: an image-sum
-    time with a narrow band forms no n x n matrix."""
+    kernel moves a field in float64 through ``_transport`` on the
+    field's grid: in mode space from the switch of ``_mode_count`` on,
+    through the band of an image-sum matrix below it."""
     if isinstance(u, SolveOutcome):
         if u.status != "Converged":
             raise ValueError("restart check needs a converged solve")
@@ -1307,11 +1304,7 @@ def restart_residual(
         raise ValueError("need valid level indices t1 < t2")
     t1, t2 = float(times[t1_index]), float(times[t2_index])
     nodes = grid.nodes
-
-    def matrix(tau):
-        return _hat_transport_matrix(grid, tau)
-
-    rhs = matrix(t2 - t1) @ u.values[t1_index]
+    rhs = _transport(grid, t2 - t1, u.values[t1_index])
 
     if p is not None:
         tau_floor = 1e-3 * (t2 - t1)
@@ -1327,13 +1320,13 @@ def restart_residual(
                 times[t1_index] + times[t1_index + 1]
             )
             w = float(times[j] - times[j - 1])
-            rhs += w * (matrix(t2 - s) @ interp(s))
+            rhs += w * _transport(grid, t2 - s, interp(s))
         hi = float(times[t2_index] - times[t2_index - 1])
         g = 1.5
         while hi > tau_floor:
             lo = max(hi / g, tau_floor)
             tau = math.sqrt(lo * hi)
-            rhs += (hi - lo) * (matrix(tau) @ interp(t2 - tau))
+            rhs += (hi - lo) * _transport(grid, tau, interp(t2 - tau))
             hi = lo
         rhs += tau_floor * u.values[t2_index] ** p
 

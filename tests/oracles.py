@@ -5,10 +5,11 @@ the reference solve marches a finite-difference scheme instead of
 iterating the mild form.  The transport matrix is also assembled densely,
 with every entry kept, the data's evolution summed over every cell and
 image, and the memory integral applied one plan entry at a time, as
-references for the reach cut and the grouped apply; the apply's factored
-sine part is checked against the dense sine-series matrices of the same
-plan.  The transport matrix filled densely from the solver's own
-windows is the reference for its row blocks.  The reach-cut references
+references for the reach cut and the grouped apply.  The solver never
+forms the sine series as a matrix; here it is formed densely, S
+diag(decay) P^T from the solver's sine basis with the reach cut, as the
+reference for the mode-space sine part of the apply and for the restart
+check's mode-space transport.  The reach-cut references
 share the solver's cell moments, which lose digits on narrow cells at
 wide times; where the solver sums wide kernels over sine modes (the
 interval, and the half-line up to its virtual wall), the references are
@@ -48,10 +49,13 @@ from mildheat.solver import (
     GridFunction,
     SpaceTimeGrid,
     _domain_span,
-    _hat_transport_matrix,
     _InitialEvaluator,
     _interval_moments,
     _mode_count,
+    _sine_basis,
+    _sine_decay,
+    _sine_interval,
+    _window,
 )
 
 
@@ -226,16 +230,17 @@ def reference_apply(
     op: DuhamelOperator, u_levels: np.ndarray, p: float, sliver_ratio: np.ndarray
 ) -> np.ndarray:
     """The memory integral one plan entry at a time: one product of the
-    dense float32 matrix, ``toarray`` of the operator's, with a vector per
-    entry, each source row built from its own time s, the reference for
-    the grouped ``DuhamelOperator.apply``."""
+    dense float32 matrix, the operator's applied to the unit vectors, with
+    a vector per entry, each source row built from its own time s, the
+    reference for the grouped ``DuhamelOperator.apply``."""
+    eye = np.eye(u_levels.shape[1], dtype=np.float32)
     mats = {}
     out = np.zeros_like(u_levels)
     for ki in range(op.grid.times.size):
         acc = np.zeros(u_levels.shape[1])
         for tau_idx, weight, src in _plan_sources(op, u_levels, p, sliver_ratio, ki):
             if tau_idx not in mats:
-                mats[tau_idx] = op._matrix(tau_idx).toarray()
+                mats[tau_idx] = (op._matrix(tau_idx) @ eye).T
             acc += weight * (mats[tau_idx] @ src)
         acc += op.tau_floor * u_levels[ki] ** p
         acc[op.grid.boundary_mask] = 0.0
@@ -243,14 +248,30 @@ def reference_apply(
     return out
 
 
+def dense_sine_matrix(grid: SpaceTimeGrid, tau: float) -> np.ndarray:
+    """The sine series at a time tau from the switch of ``_mode_count``
+    on, as the dense float64 matrix S diag(decay) P^T from the first K
+    columns of the nodes' ``_sine_basis`` and ``_sine_decay``, the
+    entries of hats beyond the reach of ``_window`` zeroed and the rest
+    clipped at 0."""
+    y = grid.nodes[:, 0]
+    sine = _sine_interval(grid)
+    k = _mode_count(sine, tau)
+    s, p = _sine_basis(sine, y.tobytes())
+    out = (s[:, :k] * _sine_decay(sine, tau)[:k]) @ p[:, :k].T
+    c_lo, c_hi, _ = _window(y, y, tau)
+    j = np.arange(y.size)
+    out[(j < c_lo[:, None]) | (j > c_hi[:, None] + 1)] = 0.0
+    return np.maximum(out, 0.0)
+
+
 def dense_sine_part(
     op: DuhamelOperator, u_levels: np.ndarray, p: float, sliver_ratio: np.ndarray
 ) -> np.ndarray:
     """The sine-series share of the memory integral one plan entry at a
     time: every entry whose ladder time the sine series carries applies
-    the dense float64 matrix of ``_hat_transport_matrix``, reach cut and clip
-    included, to its source row; the reference for the factored
-    ``DuhamelOperator._sine_part``."""
+    its ``dense_sine_matrix`` to its source row; the reference for the
+    factored ``DuhamelOperator._sine_part``."""
     mats = {}
     out = np.zeros_like(u_levels)
     for ki in range(op.grid.times.size):
@@ -258,7 +279,7 @@ def dense_sine_part(
             tau = float(op._ladder[tau_idx])
             if _mode_count(op.sine_interval, tau):
                 if tau_idx not in mats:
-                    mats[tau_idx] = _hat_transport_matrix(op.grid, tau).toarray()
+                    mats[tau_idx] = dense_sine_matrix(op.grid, tau)
                 out[ki] += weight * (mats[tau_idx] @ src.astype(np.float64))
     return out
 
@@ -313,7 +334,7 @@ def gauss_hat_weights(domain: Domain, x, edges, t: float):
 
 def gauss_hat_transport_matrix(domain: Domain, targets, nodes, tau: float) -> np.ndarray:
     """Hat transport matrix from ``gauss_hat_weights``, the reference for
-    the sine-mode matrices of ``_hat_transport_matrix``."""
+    the mode-space transport of ``solver._transport``."""
     y = np.asarray(nodes, dtype=float).reshape(-1)
     left, right = gauss_hat_weights(domain, targets, y, tau)
     out = np.zeros((left.shape[0], y.size))

@@ -171,11 +171,13 @@ def test_kernel_against_linear_cells_has_one_owner():
 
 
 def test_spectral_switch_has_one_owner():
-    # tau_s is read by the mode count alone, which both kernel layers, the
-    # memory integral's split of its groups, the sine basis and the decay
-    # ask; both layers take the sine-mode cell weights from one function,
-    # the nodes' sine values from one basis and the modes' decay from one
-    # helper, which the factored memory integral shares
+    # tau_s is read by the mode count alone, which the data's evolution,
+    # the memory integral's split of its groups, the restart check's
+    # transport, the sine basis and the decay ask; the evolution and the
+    # basis take the sine-mode cell weights from one function, and the
+    # three mode-space users, the evolution, the factored memory integral
+    # and the transport, take the nodes' sine values from one basis and
+    # the modes' decay from one helper
     found = {
         "_SPECTRAL_FROM": [], "_mode_count": [], "_sine_cell_weights": [], "_sine_basis": [],
         "_sine_decay": [],
@@ -189,10 +191,10 @@ def test_spectral_switch_has_one_owner():
         "_mode_count": [
             "solver.DuhamelOperator.__init__",
             "solver._InitialEvaluator.at_times",
-            "solver._hat_transport_matrix",
             "solver._sine_basis",
             "solver._sine_decay",
             "solver._sine_decay",
+            "solver._transport",
         ],
         "_sine_cell_weights": [
             "solver._InitialEvaluator._mode_sum",
@@ -201,12 +203,12 @@ def test_spectral_switch_has_one_owner():
         "_sine_basis": [
             "solver.DuhamelOperator._sine_part",
             "solver._InitialEvaluator._mode_sum",
-            "solver._hat_transport_matrix",
+            "solver._transport",
         ],
         "_sine_decay": [
             "solver.DuhamelOperator.__init__",
             "solver._InitialEvaluator._mode_sum",
-            "solver._hat_transport_matrix",
+            "solver._transport",
         ],
     }
 
@@ -216,7 +218,7 @@ def test_sine_helpers_read_the_sine_interval_from_one_owner():
     # interval, never the domain: every call passes a ``sine`` parameter,
     # a local ``sine`` or a ``sine_interval`` attribute, and each of those
     # is bound from ``_sine_interval`` alone, which the operator, the
-    # evaluator and the transport matrix ask
+    # evaluator and the restart check's transport ask
     source = (ROOT / "src" / "mildheat" / "solver.py").read_text(encoding="utf-8")
     tree = ast.parse(source)
     helpers = {"_mode_count", "_sine_basis", "_sine_decay"}
@@ -244,7 +246,7 @@ def test_sine_helpers_read_the_sine_interval_from_one_owner():
     assert readers(source, "_sine_interval") == [
         "DuhamelOperator.__init__",
         "_InitialEvaluator.__init__",
-        "_hat_transport_matrix",
+        "_transport",
     ]
     for helper in helpers:
         assert "domain" not in [n.id for f in ast.walk(tree)
@@ -254,11 +256,10 @@ def test_sine_helpers_read_the_sine_interval_from_one_owner():
 
 def test_reach_window_has_one_owner():
     # in the solver the reach sets the cell window, the mode count and the
-    # half-line's virtual wall only; the hat weights and the sine-mode
-    # matrices both take the window
+    # half-line's virtual wall only; the hat weights alone take the window
     source = (ROOT / "src" / "mildheat" / "solver.py").read_text(encoding="utf-8")
     assert readers(source, "_reach") == ["_mode_count", "_sine_interval", "_window"]
-    assert readers(source, "_window") == ["_hat_transport_matrix", "_hat_weights"]
+    assert readers(source, "_window") == ["_hat_weights"]
 
 
 def test_solver_takes_its_domain_from_the_grid():

@@ -1,6 +1,7 @@
 """Grid construction, the monotone iteration and its cross-checks."""
 
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -31,6 +32,7 @@ from mildheat.solver import (
     _mode_count,
     _sine_basis,
     _sine_interval,
+    _transport,
     dichotomy_sweep,
     make_grid,
     measure_grid,
@@ -40,6 +42,7 @@ from mildheat.solver import (
 from oracles import (
     dense_hat_transport_matrix,
     dense_initial_evolution,
+    dense_sine_matrix,
     dense_sine_part,
     fd_reference_solve,
     gauss_hat_transport_matrix,
@@ -314,23 +317,53 @@ def test_run_chunks_leave_every_sum_unchanged(monkeypatch, case):
             assert np.array_equal(b, ob) and np.array_equal(c, oc)
 
 
-def test_half_line_density_past_the_last_node_is_refused():
-    # a density on [2.5, 3.5] on a half-line grid ending at 3: its cells
-    # past the last node were dropped without a flag, which halved the
-    # field at that node; on [1.5, 2.5] the same density evolves to the
-    # midpoint sum of its kernel
-    grid = make_grid(HS1, 0.25, extent=3.0)
+@pytest.mark.parametrize("domain, span, centers", [
+    (HS1, "[0, 3]", (3.0,)),
+    (WholeSpace(1), "[-3, 3]", (3.0, -3.0)),
+], ids=["half_line", "whole_line"])
+def test_density_past_the_end_nodes_is_refused(domain, span, centers):
+    # a density on [2.5, 3.5] on a grid ending at 3, and on the whole line
+    # one on [-3.5, -2.5] on a grid starting at -3: the cells past the end
+    # node were dropped without a flag, which halved the field at that
+    # node; on [1.5, 2.5] the same density evolves to the midpoint sum of
+    # its kernel
+    grid = make_grid(domain, 0.25, extent=3.0)
 
     def unit(center):
         return MeasureSpec(interior_density=lambda pts, off=None: np.ones(len(pts)),
                            interior_mode="d_dx", support_center=(center,), support_radius=0.5)
 
-    with pytest.raises(ValueError, match="support ends at 3.5, past the last node 3"):
-        _InitialEvaluator(unit(3.0), grid)
+    for c in centers:
+        past = f"support [{c - 0.5:g}, {c + 0.5:g}] reaches past the nodes {span}"
+        with pytest.raises(ValueError, match=re.escape(past)):
+            _InitialEvaluator(unit(c), grid)
     y = np.linspace(1.5, 2.5, 20_001)
-    mid = np.sum(kernel_values(HS1, np.array([3.0]), 0.5 * (y[1:] + y[:-1])[:, None], 0.25))
+    mid = np.sum(kernel_values(domain, np.array([3.0]), 0.5 * (y[1:] + y[:-1])[:, None], 0.25))
     u = _InitialEvaluator(unit(2.0), grid).at_times([0.25])[0]
     assert u[-1] == pytest.approx(mid * (y[1] - y[0]), rel=1e-9)
+
+
+@pytest.mark.parametrize("miss", [1, 2])
+def test_unconverged_cell_moments_are_refused(monkeypatch, miss):
+    # the cells next to a right-wall anchor take their mass (call 1) and
+    # first moment (call 2) from adaptive quadrature: when either misses
+    # its tolerance, the cell is refused by name
+    mu = make_family(SingularFamily("boundary_point", (1.0,), 2.0), IV1)
+    grid = measure_grid(IV1, mu, 1.0, target_nodes=100)
+    ev = _InitialEvaluator(mu, grid)
+    c0, c1 = (float(c) for c in ev._cells[0][-6:-4])
+    real, calls = solver.integrate, []
+
+    def integrate(*args, **kwargs):
+        calls.append(None)
+        return replace(real(*args, **kwargs), converged=len(calls) != miss)
+
+    monkeypatch.setattr(solver, "integrate", integrate)
+    with pytest.raises(ValueError, match=re.escape(f"cell [{c0:.6g}, {c1:.6g}] missed")):
+        ev._cell_mass_centroid(c0, c1, False)
+    calls.clear()
+    with pytest.raises(ValueError, match="missed their tolerance"):
+        _InitialEvaluator(mu, grid)
 
 
 def test_right_wall_cells_integrate_from_the_anchor(monkeypatch):
@@ -468,7 +501,7 @@ def test_reach_cut_matrix_matches_dense_oracle(domain, log_tau, nodes, first, an
     tau = 10.0**log_tau
     g = make_grid(domain, 0.25, [(anchor,)], target_nodes=nodes, first_time_fraction=first)
     y = g.nodes[:, 0]
-    cut = _hat_transport_matrix(g, tau).toarray()
+    cut = (_hat_transport_matrix(g, tau) @ np.eye(y.size)).T
     # distance from each target to the support [y_j-1, y_j+1] of each hat
     left = np.concatenate([y[:1], y[:-1]])
     right = np.concatenate([y[1:], y[-1:]])
@@ -476,22 +509,23 @@ def test_reach_cut_matrix_matches_dense_oracle(domain, log_tau, nodes, first, an
     beyond = dist > math.sqrt(4.0 * tau * _LOG_TAU)
     assert np.all(cut[beyond] == 0.0)
     assert np.all(cut >= 0.0)
-    if _mode_count(_sine_interval(g), tau):
-        # the sine-mode matrices against Gauss-Legendre cells, row by row:
-        # near tau = 1 the reference's own image sum cancels to 1e-13
-        ref = gauss_hat_transport_matrix(domain, y, y, tau)
-        assert np.all(np.abs(cut - ref) <= 1e-11 * np.max(ref, axis=1, keepdims=True))
-        assert np.all(np.abs(cut.sum(axis=1) - ref.sum(axis=1)) <= 1e-11 * ref.sum(axis=1))
-        return
     dense = dense_hat_transport_matrix(domain, y, y, tau)
     assert np.all(np.abs(cut - dense)[~beyond] <= 1e-15)
     assert np.all(np.abs(cut.sum(axis=1) - dense.sum(axis=1)) <= 1e-15)
+    if _mode_count(_sine_interval(g), tau):
+        # the mode-space transport of the unit vectors against
+        # Gauss-Legendre cells, row by row: near tau = 1 the reference's
+        # own image sum cancels to 1e-13
+        modes = _transport(g, tau, np.eye(y.size)).T
+        ref = gauss_hat_transport_matrix(domain, y, y, tau)
+        assert np.all(np.abs(modes - ref) <= 1e-11 * np.max(ref, axis=1, keepdims=True))
+        assert np.all(np.abs(modes.sum(axis=1) - ref.sum(axis=1)) <= 1e-11 * ref.sum(axis=1))
 
 
 def test_sine_basis_memo_keys_on_nodes_and_length():
     # grids A, B (as many nodes, other places), one on Interval(2), A's
-    # nodes on Interval(2) and A again: every matrix equals a build from an
-    # empty memo, which keeps one node set
+    # nodes on Interval(2) and A again: every transport of the unit
+    # vectors equals one from an empty memo, which keeps one node set
     iv2 = Interval(2.0)
     a = make_grid(IV1, 0.25, [(0.3,)], target_nodes=60).nodes
     b = make_grid(IV1, 0.25, [(0.7,)], target_nodes=60).nodes
@@ -501,7 +535,7 @@ def test_sine_basis_memo_keys_on_nodes_and_length():
     def matrices(domain, nodes):
         taus = [3e-5 * domain.length**2] + list(np.geomspace(1e-4, 0.5, 6) * domain.length**2)
         grid = SpaceTimeGrid(domain, nodes, np.array(taus[-2:]), taus[-1])
-        return [_hat_transport_matrix(grid, tau).toarray() for tau in taus]
+        return [_transport(grid, tau, np.eye(nodes.shape[0])) for tau in taus]
 
     for domain, nodes in ((IV1, a), (IV1, b), (iv2, c), (iv2, a), (IV1, a)):
         got = matrices(domain, nodes)
@@ -512,8 +546,9 @@ def test_sine_basis_memo_keys_on_nodes_and_length():
 
 
 def test_sine_basis_is_built_once_per_node_set(monkeypatch):
-    # the factored apply, the data's evolution and a sine-series matrix on
-    # one grid read the nodes' hat projections from one basis
+    # the factored apply, the data's evolution and the restart check's
+    # mode-space transport on one grid read the nodes' hat projections
+    # from one basis
     calls = []
     real = solver._sine_cell_weights
 
@@ -527,10 +562,12 @@ def test_sine_basis_is_built_once_per_node_set(monkeypatch):
     grid = measure_grid(IV1, mu, 0.2, target_nodes=120, first_time_fraction=1e-5)
     runner = PicardRunner(mu, 3.0, grid)
     runner.step(runner._base, runner._base)
-    _hat_transport_matrix(grid, 0.1)
+    nt = grid.times.size
+    restart_residual(runner.initial_field(), nt - 6, nt - 1, IV1)
     nodes = grid.nodes[:, 0]
     assert sum(1 for e in calls if np.array_equal(e, nodes)) == 1
-    assert runner.op._sine and _mode_count(runner.op.sine_interval, 0.1)
+    tau = float(grid.times[nt - 1] - grid.times[nt - 6])
+    assert runner.op._sine and _mode_count(runner.op.sine_interval, tau)
 
 
 def test_image_sum_skips_images_out_of_reach(monkeypatch):
@@ -747,19 +784,20 @@ def test_band_matches_the_dense_window_fill(domain, log_tau, nodes, first, ancho
     # and image, and zeros elsewhere, where the dense entries are rounding
     # (up to 1e-15 of the matrix max); their products agree with the dense
     # ones to float32 rounding.  The interval's times move below tau_s L^2,
-    # onto the image path
+    # where the image sums do not cancel
     tau = 10.0**log_tau
     g = make_grid(domain, 0.25, [(anchor,)], target_nodes=nodes, first_time_fraction=first)
     if _mode_count(_sine_interval(g), tau):
         tau *= 0.99 * solver._SPECTRAL_FROM
     y = g.nodes[:, 0]
     band = _hat_transport_matrix(g, tau)
+    filled = (band @ np.eye(y.size)).T
     dense = dense_hat_transport_matrix(domain, y, y, tau)
     c_lo, c_hi, _ = solver._window(y, y, tau)
     j = np.arange(y.size)
     kept = (j >= c_lo[:, None]) & (j <= c_hi[:, None] + 1)
-    assert np.all(np.abs(band.toarray() - dense)[kept] <= 1e-15 * np.max(dense))
-    assert np.all(band.toarray()[~kept] == 0.0)
+    assert np.all(np.abs(filled - dense)[kept] <= 1e-15 * np.max(dense))
+    assert np.all(filled[~kept] == 0.0)
     assert band.whole == (_would_be_blocks(y, tau) > y.size**2 / 2)
     if not band.whole:
         assert band.size <= y.size**2 / 2
@@ -889,8 +927,10 @@ def _mp_hat_entry(length, x, nodes, j, tau):
 
 
 def test_wide_interval_matrix_entries_match_mpmath():
-    # W1's grid, whose narrowest hats (3.5e-5 wide) sit at the walls: entries
-    # in the targets' rows next to both walls and in the middle
+    # W1's grid, whose narrowest hats (3.5e-5 wide) sit at the walls: the
+    # mode-space transport of the unit vectors, whose results are the
+    # kernel matrix's columns, in the targets' rows next to both walls and
+    # in the middle
     mu = make_family(SingularFamily("boundary_point", (0.0,), 3.0), IV1)
     grid = measure_grid(IV1, mu, 0.2, target_nodes=560, first_time_fraction=1e-5)
     y = grid.nodes[:, 0]
@@ -900,7 +940,7 @@ def test_wide_interval_matrix_entries_match_mpmath():
     rows = [1, n // 2, n - 2]
     cols = sorted({1, 2, n // 3, n // 2, 2 * n // 3, n - 3, n - 2, *narrow})
     for tau in (1e-4, 1e-3, 0.02, 0.2):
-        a = _hat_transport_matrix(grid, tau).toarray()
+        a = _transport(grid, tau, np.eye(n)).T
         for i in rows:
             top = np.max(a[i])
             for j in cols:
@@ -954,7 +994,8 @@ def _w2_grid():
 
 def test_wide_half_line_matrix_entries_match_mpmath():
     # W2's grid, whose sine interval ends at the virtual wall L = 5 + R(0.25),
-    # from the switch tau_s L^2 = 0.0123 to the horizon: 40 random entries
+    # from the switch tau_s L^2 = 0.0123 to the horizon, the mode-space
+    # transport of the unit vectors as the kernel matrix: 40 random entries
     # above 1e-6 of their row max and the 9 wall-corner entries at x, y <=
     # 1.8e-4, where the image path's pair cancels, against the paired
     # half-line images at 50 digits
@@ -967,7 +1008,7 @@ def test_wide_half_line_matrix_entries_match_mpmath():
     rng = np.random.default_rng(10)
     for tau in (solver._SPECTRAL_FROM * sine.length**2, 0.02, 0.05, 0.25):
         assert _mode_count(sine, tau)
-        a = _hat_transport_matrix(grid, tau).toarray()
+        a = _transport(grid, tau, np.eye(y.size)).T
         rows, cols = np.nonzero(a > 1e-6 * np.max(a, axis=1, keepdims=True))
         pick = rng.choice(rows.size, 40, replace=False)
         assert not np.any(a[0])  # the wall row, where the reference is 0 to 50 digits
@@ -975,6 +1016,27 @@ def test_wide_half_line_matrix_entries_match_mpmath():
             ref = _mp_hat_entry(None, mpmath.mpf(y[i]), y, j, tau)
             assert abs(a[i, j] - ref) <= 1e-9 * ref
 
+
+
+@pytest.mark.parametrize("case", ["w1", "w2"])
+def test_mode_space_transport_matches_the_dense_sine_matrix(case):
+    # the restart check's wide kernels, from the switch tau_s L^2 to the
+    # horizon, move three random nonnegative rows in mode space: no reach
+    # cut, one clip, and within 1e-14 of each row's max of the products
+    # with the dense reach-cut sine matrix
+    if case == "w1":
+        mu = make_family(SingularFamily("boundary_point", (0.0,), 3.0), IV1)
+        grid = measure_grid(IV1, mu, 0.2, target_nodes=560, first_time_fraction=1e-5)
+    else:
+        _, grid = _w2_grid()
+    sine = _sine_interval(grid)
+    v = np.random.default_rng(3).random((3, grid.nodes.shape[0]))
+    for tau in np.geomspace(solver._SPECTRAL_FROM * sine.length**2, grid.horizon, 5):
+        assert _mode_count(sine, tau)
+        ref = v @ dense_sine_matrix(grid, tau).T
+        got = _transport(grid, tau, v)
+        assert np.all(got >= 0.0) and np.all(np.max(ref, axis=1) > 0)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.max(ref, axis=1, keepdims=True))
 
 @pytest.mark.parametrize(
     "case", sorted(c for c in EVOLUTION_CASES if c.endswith("-halfspace")) + ["w2"]
