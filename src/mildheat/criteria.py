@@ -60,9 +60,9 @@ from .kernels import (
     Domain,
     HalfSpace,
     Interval,
-    WholeSpace,
     boundary_distance,
     space_dim,
+    walls,
 )
 from .measures import (
     MeasureSpec,
@@ -463,10 +463,9 @@ def _ball_ratio_report(criterion, extra, mu, domain, T, z_points, sigmas, bound,
     parameters besides T and the center count."""
     sigmas = _radii(T, sigmas)
     z_points = _centers(mu, domain, z_points, boundary=boundary)
-    whole = isinstance(domain, WholeSpace)
 
     def cells(z, sg):
-        d = 0.0 if whole else boundary_distance(domain, z)
+        d = boundary_distance(domain, z) if walls(domain) else 0.0
         mass, b = ball_mass(mu, domain, z, sg), bound(d, sg)
         return d, sg, mass, b, mass / b if b > 0 else math.inf
 
@@ -503,12 +502,11 @@ def necessary_ball_bound(
     if _is_critical(p, n):
         raise ValueError("the power form does not apply at the critical exponent")
     expo = n - 2.0 / (p - 1.0)
-    whole = isinstance(domain, WholeSpace)
 
     def bound(d, sg):
         s_lad = np.geomspace(sg, math.sqrt(T) * (1.0 - 1e-12), _S_COUNT)
         # no wall: the distance weight degenerates and drops out
-        wfac = 1.0 if whole else d + s_lad
+        wfac = d + s_lad if walls(domain) else 1.0
         return float(np.min(wfac * s_lad**expo))
 
     return _ball_ratio_report(
@@ -540,7 +538,7 @@ def necessary_log_bound(
     n = space_dim(domain)
     if variant not in ("interior", "boundary"):
         raise ValueError(f"unknown variant {variant!r}")
-    whole = isinstance(domain, WholeSpace)
+    whole = not walls(domain)
     if whole and variant == "boundary":
         raise ValueError("the boundary variant needs a domain with boundary")
     k = n if variant == "interior" else n + 1
@@ -570,7 +568,7 @@ def boundary_mass_check(
     p = _exponent(mu, p)
     if not p >= 2:
         raise ValueError("the boundary part is unconstrained below p = 2")
-    if isinstance(domain, WholeSpace):
+    if not walls(domain):
         raise ValueError("boundary mass needs a domain with boundary")
 
     m_surface = 0.0
@@ -634,7 +632,7 @@ def uniform_mass_check(
     solvability, so the check widens the center window geometrically
     and watches whether the normalized mass keeps climbing.
     """
-    if isinstance(domain, WholeSpace):
+    if not walls(domain):
         raise ValueError("the normalized mass needs a domain with boundary")
     z_points = _centers(
         mu,
@@ -689,7 +687,7 @@ def sufficient_integral_check(
     p = _exponent(mu, p)
     if not T > 0:
         raise ValueError("horizon must be positive")
-    if isinstance(domain, WholeSpace):
+    if not walls(domain):
         raise ValueError("weighted ball integrals need a domain with boundary")
     z_points = _centers(mu, domain, z_points)
 
@@ -768,7 +766,7 @@ def power_moment_check(
     else:
         predicted = (n - 1.0) - 2.0 * alpha * (2.0 - p) / (p - 1.0)
     # the factor d/(d + sigma) weighs the interior part where there is a wall
-    flat = part == "boundary" or isinstance(domain, WholeSpace)
+    flat = part == "boundary" or not walls(domain)
 
     def cells(z, sg):
         def phi(pts, v):

@@ -55,7 +55,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import Domain, HalfSpace, Interval, WholeSpace, boundary_distance, space_dim
+from .kernels import Domain, boundary_distance, space_dim, walls
 from .quadrature import Ball, BoundaryPatch, integrate
 
 __all__ = [
@@ -313,19 +313,15 @@ def scale(mu: MeasureSpec, kappa: float) -> MeasureSpec:
 
 
 def _ball_region(domain: Domain, center, radius: float) -> Ball:
-    center = tuple(float(c) for c in np.atleast_1d(center))
-    if isinstance(domain, Interval):
-        return Ball(center, radius, clip_lo=0.0, clip_hi=domain.length)
-    if isinstance(domain, HalfSpace):
-        return Ball(center, radius, clip_lo=0.0)
-    return Ball(center, radius)
+    lo, hi = domain.bounds
+    return Ball(tuple(float(c) for c in np.atleast_1d(center)), radius, clip_lo=lo, clip_hi=hi)
 
 
 def _weight(domain: Domain, pts):
     """The weight w(y): d(y) with a wall, 1 on the whole space; shaped
     like ``boundary_distance``."""
     d = boundary_distance(domain, pts)
-    if not isinstance(domain, WholeSpace):
+    if walls(domain):
         return d
     return np.ones_like(d) if np.ndim(d) else 1.0
 
@@ -381,24 +377,12 @@ def _boundary_patch(domain: Domain, center, radius: float):
     (Interval endpoints, the half-line origin) to evaluate directly.
     """
     center = np.atleast_1d(np.asarray(center, float))
-    if isinstance(domain, Interval):
-        pts = []
-        for e in (0.0, domain.length):
-            if abs(center[0] - e) <= radius:
-                pts.append((e,))
-        return pts or None
-    if isinstance(domain, HalfSpace):
-        zn = center[-1]
-        if zn > radius:
-            return None
-        if domain.dim == 1:
-            return [(0.0,)]
-        rb = math.sqrt(max(radius**2 - zn**2, 0.0))
-        if rb == 0.0:
-            return None
-        bc = tuple(center[:-1]) + (0.0,)
-        return BoundaryPatch(bc, rb)
-    return None
+    if domain.dim == 1:
+        return [(e,) for e in walls(domain) if abs(center[0] - e) <= radius] or None
+    # in N >= 2 the one wall is the half-space's x_N = 0
+    zn = center[-1]
+    rb = math.sqrt(max(radius**2 - zn**2, 0.0)) if walls(domain) and zn <= radius else 0.0
+    return BoundaryPatch(tuple(center[:-1]) + (0.0,), rb) if rb > 0.0 else None
 
 
 def _point_value(fn, pt) -> float:
@@ -421,10 +405,10 @@ def _split_radial_1d(mu: MeasureSpec, domain: Domain, lo: float, hi: float, f, t
     dens = mu.interior_density
     anchor = np.asarray(prof.anchor, float)
     z = float(anchor[0])
-    if mu.interior_mode == "dx" or isinstance(domain, WholeSpace):
+    if mu.interior_mode == "dx" or not walls(domain):
         weight = lambda off: 1.0
     else:
-        right = (domain.length if isinstance(domain, Interval) else math.inf) - z
+        right = domain.bounds[1] - z
         weight = lambda off: np.minimum(z + off, right - off)
     fz = 1.0 if f is None else _point_value(f, anchor)
     dz = float(weight(0.0))
@@ -510,7 +494,7 @@ def _centered_ball_exact(mu: MeasureSpec, domain: Domain, center, sigma: float):
     if _hint_for(mu, center, 0.0) is None:
         return None
     anchor = np.asarray(prof.anchor, float)
-    if isinstance(domain, WholeSpace):
+    if not walls(domain):
         return _sphere_area(n) * prof.primitive(0.0, sigma)
     dz = float(boundary_distance(domain, anchor))
     if dz == 0.0:
@@ -613,7 +597,7 @@ def weighted_ball_integral(mu: MeasureSpec, domain: Domain, center, s: float) ->
     against the measure, to relative tolerance 1e-10."""
     if not s > 0:
         raise ValueError("s must be positive")
-    if isinstance(domain, WholeSpace):
+    if not walls(domain):
         raise ValueError("weighted ball integrals need a domain with boundary")
     rs = math.sqrt(s)
     total = 0.0

@@ -50,7 +50,9 @@ Discretization choices, in one place:
   their first K columns;
 * the data's linear evolution has one entry, ``_InitialEvaluator.at_times``;
   its sources are the density linearized per cell, point masses
-  (interior atoms, cells at a singular anchor) and wall masses;
+  (interior atoms, cells at a singular anchor) and wall masses.  Each
+  end of the data is a wall or an end node, and data past an end node
+  that is not a wall is refused;
 * an image-sum matrix is cached in float32 as row blocks of 32 targets
   over their reach band (``_Band``): each block spans the hats its rows
   keep, all blocks as wide as the widest, and a matrix whose blocks
@@ -85,12 +87,12 @@ from .kernels import (
     Domain,
     HalfSpace,
     Interval,
-    WholeSpace,
     boundary_distance,
     images,
     kernel_values,
     normal_derivative,
     space_dim,
+    walls,
 )
 from .measures import (
     MeasureSpec,
@@ -124,7 +126,7 @@ _SOURCE_BLOCK = 128  # memory-integral source rows interpolated at once
 _TARGET_BLOCK = 32  # rows of a banded matrix block; cells or nodes of a sine-mode sum at once
 _RUN_CHUNK = 1 << 13  # (image, target, edge) triples of the hat weights evaluated at once
 RATIO_TARGET = 1.2  # dichotomy sweeps stop below this kappa_high / kappa_low
-_RESTART_MARGIN = 0.05  # restart checks skip nodes this near the wall, per unit length
+_RESTART_MARGIN = 0.05  # restart checks skip nodes this near a wall, per unit of node span
 _TIME_RATIO = 1.3  # ratio of consecutive grid time levels
 _MIN_SPACING = 1e-4  # finest node spacing of a grid cluster
 _CONV_TOL = 1e-7  # a solve converges once its sup and weighted-L1 steps fall below
@@ -256,6 +258,9 @@ class SolveOutcome:
 
 @dataclass(frozen=True)
 class RestartReport:
+    """``restart_residual``'s max |lhs - rhs| over its ``node_count``
+    nodes, relative to the max of lhs there, from t_start to t_end."""
+
     max_rel_residual: float
     node_count: int
     t_start: float
@@ -267,16 +272,11 @@ class RestartReport:
 
 
 def _domain_span(domain: Domain, anchors, horizon, extent):
+    """The nodes' ends: each wall, else -+extent or the padded anchors."""
     pad = 1.0 + 6.0 * math.sqrt(horizon)
-    if isinstance(domain, Interval):
-        return 0.0, domain.length
-    if isinstance(domain, HalfSpace):
-        hi = extent if extent is not None else max(a for a in anchors + [0.0]) + pad
-        return 0.0, hi
-    if extent is not None:
-        return -extent, extent
     vals = anchors + [0.0]
-    return min(vals) - pad, max(vals) + pad
+    free = (-extent, extent) if extent is not None else (min(vals) - pad, max(vals) + pad)
+    return tuple(float(v) for v in np.where(np.isfinite(domain.bounds), domain.bounds, free))
 
 
 def make_grid(
@@ -641,9 +641,10 @@ class _InitialEvaluator:
     position, mass) for ``normal_derivative``.  The data act through the
     boundary-weighted kernel G/w, so the plain kernel G takes the density
     against w(y) dy, ``measures._weighted_density``, and an interior atom
-    m at a the mass m / w(a).  The evaluator's own input checks are that a
-    plain-mode density vanish on the cell edges at the wall and that the
-    density's support stay within the end nodes where no wall cuts it.
+    m at a the mass m / w(a).  Each end of the cells is a wall or an end
+    node.  The evaluator refuses a plain-mode density that is positive on
+    a wall, and data past an end node that is not a wall: a stated
+    support past it, or a density without one that is positive at it.
 
     The two regimes of ``_mode_count`` on ``sine_interval``, the grid's
     ``_sine_interval`` as far as every point source: below tau_s L^2,
@@ -677,24 +678,26 @@ class _InitialEvaluator:
                 self._walls.append((pa, m))
             else:
                 self._points.append((pa, m / w))
-        if mu.boundary_density is not None and not isinstance(domain, WholeSpace):
-            walls = [[0.0]] + ([[domain.length]] if isinstance(domain, Interval) else [])
-            dens = np.asarray(mu.boundary_density(np.array(walls), None), float).reshape(-1)
-            self._walls += [(np.array(b), w) for b, w in zip(walls, dens) if w > 0]
+        ends = np.array(walls(domain))[:, None]
+        if mu.boundary_density is not None and ends.size:
+            dens = np.asarray(mu.boundary_density(ends, None), float).reshape(-1)
+            self._walls += [(b, w) for b, w in zip(ends, dens) if w > 0]
         self.sine_interval = _sine_interval(grid, [float(pos[0]) for pos, _ in self._points])
 
     # -- mesh over the measure support
 
     def _build_cells(self):
         domain, mu = self.domain, self.mu
-        lo = float(self.x[0]) if isinstance(domain, WholeSpace) else 0.0
-        hi = domain.length if isinstance(domain, Interval) else float(self.x[-1])
-        if mu.support_center is not None and mu.support_radius is not None:
+        bounds = domain.bounds
+        # each end is a wall or, where there is none, the end node
+        lo, hi = (float(v) for v in np.where(np.isfinite(bounds), bounds, self.x[[0, -1]]))
+        node_lo, node_hi = lo > bounds[0], hi < bounds[1]
+        stated = mu.support_center is not None and mu.support_radius is not None
+        if stated:
             c = float(np.asarray(mu.support_center).reshape(-1)[0])
             start, end = c - mu.support_radius, c + mu.support_radius
-            # the end nodes cut the support only where no wall does
-            past = ((end > hi and not isinstance(domain, Interval))
-                    or (start < lo and isinstance(domain, WholeSpace)))
+            # an end node cuts the support only where no wall does
+            past = (start < lo and node_lo) or (end > hi and node_hi)
             if mu.interior_density is not None and past:
                 raise ValueError(f"the density's support [{start:.6g}, {end:.6g}] reaches "
                                  f"past the nodes [{lo:.6g}, {hi:.6g}]: extend the grid over it")
@@ -729,6 +732,11 @@ class _InitialEvaluator:
         wall = np.asarray(boundary_distance(domain, edges[:, None])) == 0.0
         if mu.interior_mode == "dx" and np.any(wall & (np.append(vL, vR[-1]) > 0)):
             raise ValueError("plain-mode density must vanish at the absorbing boundary")
+        # a density with no stated support must vanish at an end node that is no wall
+        cut = [e for e, node, v in ((lo, node_lo, vL[0]), (hi, node_hi, vR[-1])) if node and v > 0]
+        if cut and not stated:
+            raise ValueError(f"the density is positive at the end node {cut[0]:.6g}, where no "
+                             "wall ends it: extend the grid over it")
         with np.errstate(invalid="ignore"):
             singular = touches | ~np.isfinite(vL) | ~np.isfinite(vR)
             ratio = np.maximum(vL, vR) / np.maximum(np.minimum(vL, vR), 1e-300)
@@ -1291,7 +1299,9 @@ def restart_residual(
     from the earlier one plus the memory integral in between.  Each
     kernel moves a field in float64 through ``_transport`` on the
     field's grid: in mode space from the switch of ``_mode_count`` on,
-    through the band of an image-sum matrix below it."""
+    through the band of an image-sum matrix below it.  The residual is
+    max |lhs - rhs| over the checked nodes relative to the max of lhs
+    there, so that nodes where the field is negligible do not set it."""
     if isinstance(u, SolveOutcome):
         if u.status != "Converged":
             raise ValueError("restart check needs a converged solve")
@@ -1330,18 +1340,12 @@ def restart_residual(
             hi = lo
         rhs += tau_floor * u.values[t2_index] ** p
 
-    scale = 1.0
-    if isinstance(domain, HalfSpace):
-        scale = float(nodes[-1, 0])
-    elif isinstance(domain, Interval):
-        scale = domain.length
-    mask = grid.node_boundary_distance > _RESTART_MARGIN * scale
+    mask = grid.node_boundary_distance > _RESTART_MARGIN * float(nodes[-1, 0] - nodes[0, 0])
     if isinstance(domain, HalfSpace):
         mask &= nodes[:, 0] < 0.7 * nodes[-1, 0]
     if not np.any(mask):
         raise ValueError("no interior check nodes at this margin")
-    lhs = u.values[t2_index]
-    floor = 1e-12 * max(float(np.max(lhs[mask])), 1e-300)
-    res = np.abs(lhs[mask] - rhs[mask]) / np.maximum(lhs[mask], floor)
-    return RestartReport(float(np.max(res)), int(mask.sum()), t1, t2)
+    lhs = u.values[t2_index][mask]
+    res = float(np.max(np.abs(lhs - rhs[mask]))) / max(float(np.max(lhs)), 1e-300)
+    return RestartReport(res, int(mask.sum()), t1, t2)
 

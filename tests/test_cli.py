@@ -1,12 +1,13 @@
 """Config loading, command artifacts and the dichotomy sweep."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mildheat import cli
+from mildheat import cli, kernels
 from mildheat.cli import (
     build_domain,
     build_measure,
@@ -150,6 +151,25 @@ def test_kernel_check_rows_fail_on_a_broken_kernel(tmp_path, monkeypatch):
     assert failed == {"symmetry", "survival_mass"}
     assert all(ok == "0" for check, _, _, _, ok in rows if check in failed)
     assert manifest_events(out, "result")[0]["ok"] is False
+
+
+def test_kernel_check_rows_fail_on_unconverged_integrals(tmp_path, monkeypatch):
+    # every semigroup and survival-mass integral misses its tolerance: the
+    # rows fail however small their residual, the others still pass
+    real = kernels.integrate
+
+    def integrate(*args, **kwargs):
+        return replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(kernels, "integrate", integrate)
+    monkeypatch.setattr(cli, "integrate", integrate)
+    out = tmp_path / "kc"
+    path = write_ini(tmp_path / "k.ini", KERNEL_INI.format(out=out))
+    assert CliRunner().invoke(main, ["--config", path]).exit_code == 1
+    rows = [r.split(",") for r in (out / "kernel_check.csv").read_text().splitlines()[1:]]
+    unconverged = {"semigroup", "weighted_semigroup", "survival_mass"}
+    assert {check for check, _, _, _, _ in rows} > unconverged
+    assert all((ok == "0") == (check in unconverged) for check, _, _, _, ok in rows)
 
 
 def test_kernel_check_reports_gaussian_bounds(tmp_path):

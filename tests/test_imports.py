@@ -7,9 +7,10 @@ module alone owns the measure's weight, its weighted density, its anchor
 rule, the names of its singular families and the rule that p is
 critical, the criteria read a measure through the measures module
 alone, put a point on the wall at distance 0 and build their tables in
-one sweep, the CLI's option table alone owns the config defaults, and
-the solver's objects take their domain and dimension from the grid, and
-a solve loads neither scipy.integrate nor scipy.optimize."""
+one sweep, the CLI's option table alone owns the config defaults, the
+solver's objects take their domain and dimension from the grid, a
+domain's kind is tested only by formulas that differ by kind, and a
+solve loads neither scipy.integrate nor scipy.optimize."""
 
 import ast
 import os
@@ -122,12 +123,10 @@ def test_only_quadrature_dispatches_on_signatures(path):
     assert not names & {"inspect", "_accepts_offsets"}
 
 
-def readers(source: str, name: str) -> list:
-    """Owners of the reads of ``name`` in a module, one entry per read:
-    the top-level function (``f``) or method (``C.f``) that holds it, a
-    read inside a nested function counting for its outermost one.  An
-    attribute by that name (``np.f``) is read too.  Assignments to the
-    name and imports of it are not reads."""
+def owned_units(source: str) -> list:
+    """(owner, node) for each top-level statement of a module: the
+    function (``f``) or method (``C.f``) it defines, nested functions
+    counting for their outermost one."""
     units = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
@@ -136,9 +135,18 @@ def readers(source: str, name: str) -> list:
                 units.append((f"{node.name}.{m.name}" if method else node.name, m))
         else:
             units.append((getattr(node, "name", "<module>"), node))
+    return units
+
+
+def readers(source: str, name: str) -> list:
+    """Owners of the reads of ``name`` in a module, one entry per read:
+    the top-level function (``f``) or method (``C.f``) that holds it, a
+    read inside a nested function counting for its outermost one.  An
+    attribute by that name (``np.f``) is read too.  Assignments to the
+    name and imports of it are not reads."""
     return sorted(
         owner
-        for owner, unit in units
+        for owner, unit in owned_units(source)
         for n in ast.walk(unit)
         if isinstance(n, (ast.Name, ast.Attribute))
         and (n.id if isinstance(n, ast.Name) else n.attr) == name
@@ -487,6 +495,53 @@ def test_comparison_scanner_follows_assigned_names():
     )
     assert compared_numbers(src, "critical_exponent") == {3: [1e-9], 6: []}
     assert compared_numbers(src, "boundary_distance") == {3: [-1e-12], 6: [0.0]}
+
+
+DOMAIN_KINDS = {"WholeSpace", "HalfSpace", "Interval"}
+
+
+def kind_tests(source: str) -> list:
+    """Owners, as ``readers`` names them, of the ``isinstance`` calls that
+    test for a domain kind, one entry per call."""
+    return sorted(
+        owner
+        for owner, unit in owned_units(source)
+        for n in ast.walk(unit)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance"
+        and len(n.args) == 2
+        and {m.id for m in ast.walk(n.args[1]) if isinstance(m, ast.Name)} & DOMAIN_KINDS
+    )
+
+
+def test_kind_scanner_finds_only_domain_kinds():
+    src = (
+        "def f(domain, x):\n    if isinstance(x, float):\n        pass\n"
+        "    return isinstance(domain, (HalfSpace, Interval))\n"
+        "class C:\n    def g(self, d):\n        return not isinstance(d, WholeSpace)\n"
+    )
+    assert kind_tests(src) == ["C.g", "f"]
+
+
+def test_only_formulas_that_differ_by_kind_test_the_kind():
+    # where the walls are is read from ``domain.bounds`` or
+    # ``kernels.walls``; a domain's kind is tested only by a formula that
+    # itself differs by kind: the image sums, the closed forms, the wall
+    # distance (a slice on the half-space, kept for the integrands'
+    # speed), the criteria's probe points and strip bounds, the CLI's
+    # sample points, the sine interval (the domain, a virtual wall or
+    # none) and the restart check's half-line node window
+    found = {}
+    for path in SRC_FILES:
+        owners = kind_tests(path.read_text(encoding="utf-8"))
+        if owners:
+            found[path.stem] = sorted(set(owners))
+    assert found == {
+        "cli": ["_draw_point"],
+        "criteria": ["_strip_depths", "probe_points"],
+        "kernels": ["boundary_distance", "heat_kernel", "images", "kernel_values",
+                    "survival_mass"],
+        "solver": ["_sine_interval", "restart_residual"],
+    }
 
 
 def test_critical_rule_and_wall_rule_each_have_one_form():

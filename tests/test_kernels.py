@@ -2,6 +2,7 @@
 defining structural identities."""
 
 import math
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -20,8 +21,10 @@ from mildheat.kernels import (
     certify_gaussian_bounds,
     heat_kernel,
     kernel_values,
+    space_dim,
     survival_mass,
     verify_semigroup,
+    walls,
     weighted_kernel,
 )
 from mildheat.quadrature import HalfSpaceBox, integrate
@@ -38,6 +41,21 @@ def eigen_survival(x, t, L=1.0):
     lam = (m * math.pi / L) ** 2
     coef = np.where(m % 2 == 1, 4.0 / (m * math.pi), 0.0)
     return float(np.dot(coef * np.sin(m * math.pi * x / L), np.exp(-lam * t)))
+
+
+def test_domains_state_their_walls_in_bounds():
+    # bounds is the extent of the last axis, whose finite ends are the
+    # walls; neither it nor the interval's dim is a field, so equality,
+    # hashing and reprs are those of the fields alone
+    cases = [(WholeSpace(2), (-math.inf, math.inf), ()), (HS2, (0.0, math.inf), (0.0,)),
+             (Interval(2.5), (0.0, 2.5), (0.0, 2.5))]
+    for domain, bounds, ends in cases:
+        assert domain.bounds == bounds and walls(domain) == ends
+    assert space_dim(Interval(2.5)) == Interval(2.5).dim == 1
+    assert [[f.name for f in fields(kind)] for kind in (WholeSpace, HalfSpace, Interval)] == [
+        ["dim"], ["dim"], ["length"]]
+    assert repr(Interval(2.5)) == "Interval(length=2.5)"
+    assert hash(Interval(2.5)) == hash(Interval(2.5)) and Interval(2.5) != Interval(2.0)
 
 
 def test_whole_space_normalization_spot():

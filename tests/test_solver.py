@@ -343,6 +343,24 @@ def test_density_past_the_end_nodes_is_refused(domain, span, centers):
     assert u[-1] == pytest.approx(mid * (y[1] - y[0]), rel=1e-9)
 
 
+@pytest.mark.parametrize("domain, end", [(HS1, 3.0), (WholeSpace(1), -3.0)],
+                         ids=["half_line", "whole_line"])
+def test_density_without_support_is_refused_at_an_end_node(domain, end):
+    # a "d_dx" density 1 with no stated support was cut at the end nodes
+    # that are no wall, so that it evolved to about 0.5 instead of 1 at
+    # node 3; a density that vanishes at those nodes still evolves
+    grid = make_grid(domain, 0.25, extent=3.0)
+    flat = MeasureSpec(interior_density=lambda pts, off=None: np.ones(len(pts)),
+                       interior_mode="d_dx")
+    refused = f"positive at the end node {end:g}, where no wall ends it: extend the grid over it"
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        _InitialEvaluator(flat, grid)
+    bump = MeasureSpec(interior_density=lambda pts, off=None: np.maximum(1.0 - pts[:, 0] ** 2, 0.0),
+                       interior_mode="d_dx")
+    u = _InitialEvaluator(bump, grid).at_times([0.25])[0]
+    assert np.all(np.isfinite(u)) and np.max(u) > 0
+
+
 @pytest.mark.parametrize("miss", [1, 2])
 def test_unconverged_cell_moments_are_refused(monkeypatch, miss):
     # the cells next to a right-wall anchor take their mass (call 1) and
@@ -1233,6 +1251,17 @@ def test_restart_residual_converged_nonlinear():
     nt = grid.times.size
     rep = restart_residual(out, nt - 6, nt - 1, HS1, p=4.0)
     assert rep.max_rel_residual < 0.05
+
+
+def test_restart_residual_is_relative_to_the_sup():
+    # on the dichotomy sweep's grid at kappa = 0.1 the largest residual is
+    # 2.5e-2 of the sup; node by node the ratio read 0.887 at x = 3.41,
+    # where u is 1.4e-10
+    mu = make_family(SingularFamily("interior_point", (1.0,), 4.0), HS1)
+    grid = measure_grid(HS1, mu, 0.25, target_nodes=80)
+    out = PicardRunner(mu, 4.0, grid).solve(kappa=0.1, max_iter=40)
+    rep = restart_residual(out, 9, 18, HS1, p=4.0)
+    assert 0.02 < rep.max_rel_residual < 0.03
 
 
 def test_restart_refuses_diverged_run():
