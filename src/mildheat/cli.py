@@ -405,12 +405,14 @@ def _cmd_solve(cfg: RunConfig, domain: Domain, man: Manifest, out_dir: Path) -> 
     _, outcome = _solve_measure(cfg, domain, man)
     grid = outcome.final.grid
 
+    # level 0 for the rows of the solve's level-0 phase, empty for global ones
     hist_rows = [
-        (h["iteration"], h["sup"], h["weighted_l1"], h["sup_diff"], h["l1_diff"])
+        (h["iteration"], "" if h["level"] is None else h["level"], h["sup"], h["weighted_l1"],
+         h["sup_diff"], h["l1_diff"])
         for h in outcome.history
     ]
     count = write_csv(out_dir / "history.csv",
-                      ("iteration", "sup", "weighted_l1", "sup_diff", "l1_diff"),
+                      ("iteration", "level", "sup", "weighted_l1", "sup_diff", "l1_diff"),
                       hist_rows)
     man.event("artifact", path="history.csv", rows=count)
 

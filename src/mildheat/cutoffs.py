@@ -190,10 +190,12 @@ def differential_inequality_bound(
 ) -> InequalityWitnessReport:
     """Threshold for m in  m + xi(r) <= c_star * w(r) * xi'(r)^(1/alpha).
 
-    The weight must be positive on [a, b].  The blow-up ceiling is
-    calibrated so the witness sits about 1e-5 relatively below the
-    analytic threshold bound - xi0; that keeps the solver's own error
-    (orders of magnitude smaller) from ever pushing it past the bound.
+    The weight must be positive on [a, b], and the integral of w^-alpha
+    over it must meet its tolerance, or ValueError is raised.  The
+    blow-up ceiling is calibrated so the witness sits about 1e-5
+    relatively below the analytic threshold bound - xi0; that keeps the
+    solver's own error (orders of magnitude smaller) from ever pushing
+    it past the bound.
 
     ``stays_finite(m)`` (the equality ODE in r, stopped at the ceiling)
     decides every end of the reported bracket.  Should it hold at
@@ -225,6 +227,9 @@ def differential_inequality_bound(
     quad = integrate_time(
         lambda s: np.array([weight_fn(v) ** -alpha for v in np.atleast_1d(s)]), a, b, 1e-12
     )
+    if not quad.converged:
+        raise ValueError(f"the integral of w^-alpha on [{a:.6g}, {b:.6g}] missed its tolerance "
+                         f"(estimate {quad.error_estimate:.3g})")
     bound = (
         c_star ** (alpha / (alpha - 1.0))
         * (1.0 / (alpha - 1.0)) ** (1.0 / (alpha - 1.0))

@@ -1,14 +1,21 @@
 """Mild solutions on graded space-time grids by monotone iteration.
 
 The iteration scheme: start from the linear evolution of the data and
-repeatedly add the memory integral of the p-th power.  All iterates are
-nonnegative and pointwise nondecreasing, so the run either converges, or
-grows past a ceiling and is reported as divergent at this resolution.
+repeatedly add the memory integral of the p-th power, in two phases that
+share one iteration budget.  The discrete system is block lower
+triangular in time and level 0 reads only itself and the slivers below
+it, so phase 1 iterates level 0 alone to its fixed point, and phase 2
+iterates all levels from that fixed point and the linear part above it.
+All iterates are nonnegative and pointwise nondecreasing, so each phase
+either converges, or grows past a ceiling and is reported as divergent
+at this resolution; in phase 1 that reads "no fixed point at level 0",
+the grid's smallest time scale, where the data's fate is decided.
 ``dichotomy_sweep`` bisects the data scale between the two outcomes,
 every probe solved by one ``PicardRunner`` on one shared grid; a split
-that ends Inconclusive goes on from its last iterate instead of starting
-again.  The grid, ``SpaceTimeGrid``, is every solver object's one source
-of the domain, the nodes and the space dimension, which it alone checks.
+that ends Inconclusive goes on from its last iterate, in its phase,
+instead of starting again.  The grid, ``SpaceTimeGrid``, is every
+solver object's one source of the domain, the nodes and the space
+dimension, which it alone checks.
 
 Discretization choices, in one place:
 
@@ -868,6 +875,14 @@ class _InitialEvaluator:
 # discrete memory integral
 
 
+def _indexed(groups):
+    """The source rows of the sine ``groups`` (rows, levels, w, decay),
+    projected once per apply, and each group with its rows as indices
+    into them."""
+    rows = np.unique(np.concatenate([g[0] for g in groups])) if groups else None
+    return rows, [(np.searchsorted(rows, r), lv, w, decay) for r, lv, w, decay in groups]
+
+
 class DuhamelOperator:
     """Precomputed quadrature plan and kernel matrices for the memory
     integral on one grid.  The kernels transport the piecewise-linear
@@ -880,8 +895,11 @@ class DuhamelOperator:
     decay and act through the nodes' sine basis (``_sine_part``).  An
     image-sum matrix is a ``_Band`` from ``_hat_transport_matrix``: row
     blocks over their reach band where the band is narrow, the whole
-    matrix where it is not.  ``apply`` zeroes every wall node of its
-    output.  ``stats`` counts what the operator built and did."""
+    matrix where it is not.  Level 0 reads only the sliver sources, and
+    ``_level0`` keeps each group that feeds it cut to those rows and its
+    weight row, for ``apply`` on level 0 alone.  ``apply`` zeroes every
+    wall node of its output.  ``stats`` counts what the operator built
+    and did."""
 
     def __init__(self, grid: SpaceTimeGrid):
         self.grid = grid
@@ -926,11 +944,17 @@ class DuhamelOperator:
                 sine.append((rows, levels, w, _sine_decay(self.sine_interval, tau)))
             else:
                 self._groups.append((int(m), rows, levels, w))
-        # the sine groups' source rows, projected once per apply; each
-        # group keeps its rows as indices into them
-        self._sine_rows = np.unique(np.concatenate([g[0] for g in sine])) if sine else None
-        self._sine = [(np.searchsorted(self._sine_rows, rows), levels, w, decay)
-                      for rows, levels, w, decay in sine]
+        self._sine_rows, self._sine = _indexed(sine)
+
+        # level 0 reads only the sliver rows, which come first: each group
+        # that feeds it, cut to its weight row 0 and the rows that row
+        # weighs, as (image groups, sine rows, sine groups)
+        def cut(rows, levels, w):
+            keep = w[0] != 0
+            return rows[keep], levels[:1], w[:1, keep]
+
+        self._level0 = ([(m, *cut(r, lv, w)) for m, r, lv, w in self._groups if lv[0] == 0],
+                        *_indexed([(*cut(r, lv, w), d) for r, lv, w, d in sine if lv[0] == 0]))
 
     # -- plan construction
 
@@ -1009,6 +1033,8 @@ class DuhamelOperator:
         than pow and equal to it within the float32 rounding of the
         result."""
         j, theta = self._interp
+        if u_levels.shape[0] == 1:  # level 0 alone reads the slivers alone
+            j = j[:0]
         k = self.sliver_times.size
         tiny = np.finfo(np.float32).tiny
         cut = (0.5 * tiny) ** (1.0 / p)
@@ -1033,22 +1059,24 @@ class DuhamelOperator:
         v[v < tiny] = 0.0
         return v
 
-    def _sine_part(self, v: np.ndarray) -> np.ndarray:
+    def _sine_part(self, v: np.ndarray, first: bool = False) -> np.ndarray:
         """The sine groups' share of the memory integral of the sources
-        ``v`` at every level, through the nodes' basis (S, P): the groups'
-        rows projected once, Q = v P in float64, then Z[levels] += w
-        (Q[rows] * decay) per group and one product Z S^T.  The series
+        ``v`` at every level, or with ``first`` at level 0 alone through
+        ``_level0``, by the nodes' basis (S, P): the groups' rows
+        projected once, Q = v P in float64, then Z[levels] += w (Q[rows] *
+        decay) per group and one product Z S^T.  The series
         drops no entry beyond the reach, where the terms fall below 1e-16
         of a row's mass like the modes past K, and it is clipped at 0 per
         level and node: it sums nonnegative terms, so the clip removes
         rounding alone and u^p never sees a negative base."""
-        out = np.zeros((self.grid.times.size, v.shape[1]))
-        if not self._sine:
+        sine_rows, groups = self._level0[1:] if first else (self._sine_rows, self._sine)
+        out = np.zeros((1 if first else self.grid.times.size, v.shape[1]))
+        if not groups:
             return out
         s, p = _sine_basis(self.sine_interval, self.grid.nodes.tobytes())
-        q = v[self._sine_rows].astype(np.float64) @ p
+        q = v[sine_rows].astype(np.float64) @ p
         z = np.zeros((out.shape[0], q.shape[1]))
-        for rows, lv, w, decay in self._sine:
+        for rows, lv, w, decay in groups:
             z[lv] += w @ (q[rows] * decay)
         return np.maximum(np.matmul(z, s.T, out=out), 0.0, out=out)
 
@@ -1056,12 +1084,16 @@ class DuhamelOperator:
         """Memory integral of the p-th power of the interpolated field.
 
         ``sliver_ratio`` holds the field shape below the first level as
-        multiples of the first-level values, one row per sliver time.
+        multiples of the first-level values, one row per sliver time.  A
+        single row ``u_levels`` is level 0 alone, which reads only the
+        slivers and itself: its sources are the sliver rows and it takes
+        the plan's level-0 restriction (``_level0``).
         """
         self._applies += 1
+        first = u_levels.shape[0] == 1
         v = self._sources(u_levels, p, sliver_ratio)
-        out = self._sine_part(v)
-        for m, rows, levels, w in self._groups:
+        out = self._sine_part(v, first)
+        for m, rows, levels, w in self._level0[0] if first else self._groups:
             out[levels] += w @ (self._matrix(m) @ v[rows])
         # identity tail of the memory integral
         out += self.tau_floor * u_levels ** p
@@ -1071,6 +1103,11 @@ class DuhamelOperator:
 
 # ---------------------------------------------------------------------------
 # public operations
+
+
+def _settled(row: dict) -> bool:
+    """Whether an iteration's history row meets the convergence rule."""
+    return row["sup_diff"] < _CONV_TOL and row["l1_diff"] < _CONV_TOL
 
 
 class PicardRunner:
@@ -1111,61 +1148,95 @@ class PicardRunner:
 
     def solve(self, kappa: Optional[float] = None, *, max_iter: int = 30,
               resume: Optional[SolveOutcome] = None) -> SolveOutcome:
-        """Iterate at scale ``kappa`` (default the data's own): Converged
-        when the step's interior sup and weighted L1 norm are both below
-        ``_CONV_TOL`` = 1e-7, Diverged when the interior sup passes
-        ``_BLOWUP_CEILING`` = 1e8, doubles after iteration 3 or overflows,
-        Inconclusive after ``max_iter`` iterations.
+        """Iterate at scale ``kappa`` (default the data's own) in two
+        phases that share one budget of ``max_iter`` iterations.  Level 0
+        reads only itself and the slivers below it, so phase 1 iterates it
+        alone (``DuhamelOperator.apply`` on one row) to its fixed point
+        u0*; a zero linear part at level 0 is its own fixed point and
+        skips it.  Phase 2 iterates all levels from (u0*, linear part),
+        still a subsolution, so its iterates rise to the minimal solution
+        as from the linear part.
 
-        The iteration starts from the linear part, or, given ``resume``,
-        an Inconclusive outcome of this runner at the same scale, goes on
-        from its final field, history and iteration count as if its
-        budget had been ``max_iter`` from the start."""
+        Both phases stop by the same rules: settled when the step's
+        interior sup and weighted L1 norm (at the last level iterated)
+        are both below ``_CONV_TOL`` = 1e-7, Diverged when the interior
+        sup passes ``_BLOWUP_CEILING`` = 1e8, doubles after iteration 3 or
+        overflows, Inconclusive once the budget is spent.  Phase 1's
+        divergence by growth reads "no fixed point at level 0 (t = t_0)":
+        the data are too singular at the grid's smallest time scale; an
+        Inconclusive phase 1 names level 0 too.  Every history row names
+        its ``level``: 0 in phase 1, None in phase 2.
+
+        Given ``resume``, an Inconclusive outcome of this runner at the
+        same scale, the solve goes on from its final field, history and
+        iteration count, in the phase where it stopped, as if its budget
+        had been ``max_iter`` from the start."""
         if max_iter < 2:
             raise ValueError("max_iter must be at least 2")
         if resume is not None and resume.status != "Inconclusive":
             raise ValueError("only an Inconclusive outcome can be resumed")
         k = self.mu.scale_factor if kappa is None else float(kappa)
-        grid = self.grid
         u1 = k * self._base
-        interior = grid.interior_mask
-        wl1 = grid.boundary_weights
-
         if resume is None:
             u, history = u1, []
-            prev_sup = float(np.max(u[:, interior])) if np.any(interior) else 0.0
+            level0 = np.any(u1[0])
         else:
             u, history = resume.final.values, list(resume.history)
-            prev_sup = history[-1]["sup"]
+            level0 = history[-1]["level"] == 0 and not _settled(history[-1])
+        if level0:
+            out = self._iterate(u[:1], u1, history, max_iter)
+            if out.status != "Converged":
+                return out
+            u = out.final.values
+        return self._iterate(u, u1, history, max_iter)
+
+    def _iterate(self, u, u1, history, max_iter) -> SolveOutcome:
+        """One phase of ``solve``: the iteration on the levels of ``u``,
+        level 0 alone or all of them, appending to ``history``; the
+        outcome's field takes the linear part ``u1`` above those levels."""
+        grid = self.grid
+        r = u.shape[0]
+        level = 0 if r == 1 else None
+        where = f" at level 0 (t = {grid.times[0]:.6g})" if level == 0 else ""
+        interior, wl1 = grid.interior_mask, grid.boundary_weights
+
+        def sup(a):
+            return float(np.max(a[:, interior])) if np.any(interior) else 0.0
+
+        def field(rows):
+            return np.concatenate([rows, u1[r:]])
+
+        prev_sup = history[-1]["sup"] if history and history[-1]["level"] == level else sup(u)
         for it in range(len(history) + 1, max_iter + 1):
             if prev_sup > _BLOWUP_CEILING:
-                return self._diverged(u, history, it, "ceiling exceeded")
-            new = self.step(u, u1)
+                return self._diverged(field(u), history, it, "ceiling exceeded")
+            new = self.step(u, u1[:r])
             if not np.all(np.isfinite(new)):
-                return self._diverged(u, history, it, "overflow in the power term")
-            sup_now = float(np.max(new[:, interior])) if np.any(interior) else 0.0
+                return self._diverged(field(u), history, it, "overflow in the power term")
+            sup_now = sup(new)
             diff = new - u
-            sup_diff = float(np.max(np.abs(diff[:, interior]))) if np.any(interior) else 0.0
-            l1_diff = float(np.sum(wl1 * np.abs(diff[-1])))
             history.append(
                 {
                     "iteration": it,
+                    "level": level,
                     "sup": sup_now,
                     "weighted_l1": float(np.sum(wl1 * new[-1])),
-                    "sup_diff": sup_diff,
-                    "l1_diff": l1_diff,
+                    "sup_diff": sup(np.abs(diff)),
+                    "l1_diff": float(np.sum(wl1 * np.abs(diff[-1]))),
                 }
             )
             if sup_now > _BLOWUP_CEILING or (it > 3 and sup_now > 2.0 * prev_sup):
-                return self._diverged(new, history, it, "growth past the ceiling"
-                                      if sup_now > _BLOWUP_CEILING else "sup doubling")
-            if sup_diff < _CONV_TOL and l1_diff < _CONV_TOL:
-                return SolveOutcome("Converged", it, GridFunction(grid, new), history)
+                why = "growth past the ceiling" if sup_now > _BLOWUP_CEILING else "sup doubling"
+                if level == 0:
+                    why = f"no fixed point{where}: {why}"
+                return self._diverged(field(new), history, it, why)
+            if _settled(history[-1]):
+                return SolveOutcome("Converged", it, GridFunction(grid, field(new)), history)
             u = new
             prev_sup = sup_now
         return SolveOutcome(
-            "Inconclusive", max_iter, GridFunction(grid, u), history,
-            "iteration budget exhausted",
+            "Inconclusive", max_iter, GridFunction(grid, field(u)), history,
+            "iteration budget exhausted" + where,
         )
 
     def _diverged(self, u, history, it, why) -> SolveOutcome:
@@ -1223,8 +1294,12 @@ def dichotomy_sweep(
     way), then bisects in log kappa until the bracket ratio drops under
     ``RATIO_TARGET`` or the budget runs out.  A split that ends
     Inconclusive is continued from its last iterate up to three times
-    its budget, and recorded twice, open and continued.  Every solve
-    reuses one PicardRunner, so all outcomes live on the same grid.
+    its budget, in the phase where it stopped, and recorded twice, open
+    and continued.  Every solve reuses one PicardRunner, so all outcomes
+    live on the same grid.  A probe's iteration count sums its level-0
+    phase and its global one (``PicardRunner.solve``); a probe with no
+    fixed point at level 0 stops there and never iterates the later
+    levels.
     """
     lo, hi = (float(v) for v in kappa_bracket0)
     if not (0.0 < lo < hi):

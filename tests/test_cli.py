@@ -230,6 +230,33 @@ def test_whole_space_bump_solve_is_not_zero(tmp_path):
     assert stats["applies"] == result["iterations"]
 
 
+def test_solve_history_names_the_level_0_phase(tmp_path):
+    # history.csv's level column reads 0 for the level-0 phase and is
+    # empty for the global one; a solve with no fixed point at level 0
+    # never leaves it, and its manifest says so with the level's time
+    body = (
+        "[domain]\nkind = halfspace\ndim = 1\n\n"
+        "[measure]\nkind = family\nfamily = interior_point\nanchor = 1.0\n"
+        "p = 4.0\nkappa = {kappa}\n\n"
+        "[solve]\np = 4.0\nhorizon = 0.25\ntarget_nodes = 60\n"
+    )
+    results, levels = {}, {}
+    for kappa in (0.05, 0.2):
+        out = tmp_path / f"k{kappa}"
+        text = f"[run]\ncommand = solve\nout = {out}\n\n" + body.format(kappa=kappa)
+        run(load_config(write_ini(tmp_path / f"k{kappa}.ini", text)))
+        head, *rows = (out / "history.csv").read_text().splitlines()
+        assert head == "iteration,level,sup,weighted_l1,sup_diff,l1_diff"
+        levels[kappa] = [row.split(",")[1] for row in rows]
+        results[kappa] = manifest_events(out, "result")[0]
+    low, high = levels[0.05], levels[0.2]
+    assert results[0.05]["status"] == "Converged" and results[0.05]["diagnostics"] == ""
+    assert low[0] == "0" and low[-1] == "" and low == sorted(low, reverse=True)
+    assert results[0.2]["status"] == "Diverged" and set(high) == {"0"}
+    t0 = 0.25 * 1e-3
+    assert results[0.2]["diagnostics"] == f"no fixed point at level 0 (t = {t0:.6g}): sup doubling"
+
+
 def test_criteria_command_reports_consistent(tmp_path):
     out = tmp_path / "crit"
     path = write_ini(

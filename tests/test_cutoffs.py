@@ -1,6 +1,7 @@
 import itertools
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -185,6 +186,18 @@ class TestInequalityBound:
         (result,) = estimates
         assert rep.bound_error == result.error_estimate / (2.0 * result.value)
         assert 0.0 <= rep.bound_error <= 1e-10
+
+    def test_unconverged_time_integral_is_refused(self, monkeypatch):
+        # an integral that missed its tolerance gives no bound: the error
+        # names the interval and the estimate
+        original = cutoffs.integrate_time
+
+        def missed(*args, **kwargs):
+            return replace(original(*args, **kwargs), error_estimate=3e-4, converged=False)
+
+        monkeypatch.setattr(cutoffs, "integrate_time", missed)
+        with pytest.raises(ValueError, match=r"\[0\.5, 1\.7\].*estimate 0\.0003"):
+            differential_inequality_bound(0.5, 1.7, lambda r: 1.0 + math.sin(r) ** 2, 2.0, 3.0)
 
     def test_alpha_near_one_takes_ten_solves(self):
         # the radius in xi sat 5e-8 off the predicate's transition here,

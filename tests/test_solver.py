@@ -870,9 +870,71 @@ def test_continuing_an_open_solve_is_a_larger_budget(small_runner, kappa, first,
     _assert_same_outcome(continued, fresh)
 
 
+@pytest.mark.parametrize("first, phase", [(2, 0), (4, 0), (5, None)],
+                         ids=["level-0", "level-0-settled", "global"])
+def test_resume_goes_on_in_the_phase_where_it_stopped(small_runner, first, phase):
+    # at kappa = 0.05 level 0 settles at iteration 4: a budget of 2 stops
+    # inside the level-0 phase, 4 at its last row, 5 inside the global one
+    fresh = small_runner.solve(kappa=0.05, max_iter=30)
+    assert fresh.status == "Converged"
+    assert [h["level"] for h in fresh.history].count(0) == 4
+    open_probe = small_runner.solve(kappa=0.05, max_iter=first)
+    assert open_probe.status == "Inconclusive"
+    assert open_probe.history[-1]["level"] == phase
+    _assert_same_outcome(small_runner.solve(kappa=0.05, max_iter=30, resume=open_probe), fresh)
+
+
+@settings(max_examples=12, deadline=None)
+@given(kappa=st.floats(0.05, 0.4), budget=st.integers(2, 60))
+def test_solve_phases_rise_to_a_fixed_point_of_the_full_step(small_runner, kappa, budget):
+    # the level-0 phase comes first; within each phase the iterates rise,
+    # and a Converged field is a fixed point of the step on all levels
+    out = small_runner.solve(kappa=kappa, max_iter=budget)
+    levels = [h["level"] for h in out.history]
+    assert levels == [0] * levels.count(0) + [None] * levels.count(None)
+    for level in (0, None):
+        sups = [h["sup"] for h in out.history if h["level"] == level]
+        assert all(b >= a for a, b in zip(sups, sups[1:]))
+    if out.status == "Converged":
+        u = out.final.values
+        step = small_runner.step(u, small_runner.initial_field(kappa).values)
+        interior = small_runner.grid.interior_mask
+        assert np.max(np.abs(step - u)[:, interior]) <= 10 * solver._CONV_TOL
+
+
+@pytest.mark.parametrize("case", ["w2", "w1", "interval"])
+def test_level_0_apply_is_row_0_of_the_full_apply(case):
+    # level 0 reads only the sliver rows: apply on it alone, through the
+    # plan's level-0 restriction of the image and sine groups, equals row
+    # 0 of the full apply to float32 rounding, on a second iterate of
+    # W2's grid at kappa = 0.16, of W1's, and of an interval grid whose
+    # level 0 takes 14 sine-series groups
+    if case == "w2":
+        mu, grid = _w2_grid()
+        p, kappa = 4.0, 0.16
+    elif case == "w1":
+        p, kappa = 3.0, None
+        mu = scale(make_family(SingularFamily("boundary_point", (0.0,), p), IV1), 0.05)
+        grid = measure_grid(IV1, mu, 0.2, target_nodes=560, first_time_fraction=1e-5)
+    else:
+        p, kappa = 3.0, 0.3
+        mu = make_family(SingularFamily("interior_point", (0.4,), p), IV1)
+        grid = measure_grid(IV1, mu, 0.25, target_nodes=100, first_time_fraction=1e-2)
+    runner = PicardRunner(mu, p, grid)
+    u1 = runner.initial_field(kappa).values
+    u = runner.step(u1, u1)
+    op = runner.op
+    full = op.apply(u, p, runner._rat)
+    alone = op.apply(u[:1], p, runner._rat)
+    assert alone.shape == (1, u.shape[1]) and np.max(full[0]) > 0
+    assert np.max(np.abs(alone[0] - full[0])) <= 1e-6 * np.max(full[0])
+    assert len(op._level0[2]) == (14 if case == "interval" else 0)
+
+
 def test_sweep_continues_its_open_probe(monkeypatch):
     # the reference sweep's open probe goes on from iteration 41 instead of
-    # repeating its first 40: 4 + 5 + 7 + 15 + 40 + 7 applies
+    # repeating its first 40: 7 + 5 + 13 + 23 + 40 + 7 applies, each count
+    # summing the level-0 phase and the global one
     calls = []
     real = DuhamelOperator.apply
 
@@ -886,11 +948,12 @@ def test_sweep_continues_its_open_probe(monkeypatch):
         max_bisection=16, solver_options={"max_iter": 40}, target_nodes=80,
     )
     assert [h[1:] for h in r.history[-2:]] == [("Inconclusive", 40), ("Diverged", 47)]
-    assert len(calls) == 78
+    assert len(calls) == 95
 
 
 def test_reference_sweep_history_is_pinned():
-    # the benchmark's dichotomy sweep: every probe's status and iteration count
+    # the benchmark's dichotomy sweep: every probe's status and iteration
+    # count, level 0's iterations and the global ones together
     r = dichotomy_sweep(
         "interior_point", (1.0,), 4.0, HS1, 0.25, (0.05, 0.2),
         max_bisection=16, solver_options={"max_iter": 40}, target_nodes=80,
@@ -902,7 +965,7 @@ def test_reference_sweep_history_is_pinned():
     )
     assert statuses == ("Converged", "Diverged", "Converged", "Converged",
                         "Inconclusive", "Diverged")
-    assert iterations == (4, 5, 7, 15, 40, 47)
+    assert iterations == (7, 5, 13, 23, 40, 47)
     assert (r.kappa_low, r.kappa_high) == pytest.approx(
         (0.1414213562373095, 0.16817928305074292), rel=1e-12
     )
